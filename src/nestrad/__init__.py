@@ -45,12 +45,10 @@ from .seqspec import (
     SequenceSpec,
     SpecError,
     TailModel,
-    Term,
     ZeroTail,
     constant_normalized,
     constant_raw,
     explicit,
-    family_term,
     golden,
     load_cap_table,
     make_family,
@@ -58,7 +56,6 @@ from .seqspec import (
     power_tower,
     ramanujan,
     render_spec,
-    tail_bounds,
 )
 from .ufunc import u_eval, u_inverse, u_spec, u_table
 
@@ -88,7 +85,6 @@ __all__ = [
     "SupQuery",
     "SupSequenceResult",
     "TailModel",
-    "Term",
     "ZeroTail",
     "cf_error_bound",
     "cf_eval",
@@ -96,7 +92,6 @@ __all__ = [
     "constant_normalized",
     "constant_raw",
     "explicit",
-    "family_term",
     "golden",
     "kappa_enclosure",
     "kappa_limit",
@@ -115,7 +110,6 @@ __all__ = [
     "sup_enclosure",
     "sup_sequence_bounds",
     "swap_adjacent",
-    "tail_bounds",
     "u_eval",
     "u_inverse",
     "u_spec",

@@ -102,7 +102,7 @@ def _result_pairs(result: KappaResult) -> list[tuple[str, object]]:
         ("mid", enclosure.mid),
         ("width", enclosure.width),
         ("width_bound", enclosure.analytic_width_bound + enclosure.fp_slack),
-        ("depth", result.depth_used),
+        ("depth", enclosure.depth),
         ("converged", result.converged),
     ]
 

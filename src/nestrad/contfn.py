@@ -100,4 +100,4 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
     estimate = cf_eval(spec, depth)
     fp_slack = 8.0 * depth * math.ulp(max(estimate + bound, 1.0))
     enclosure = Enclosure(estimate, estimate + bound, depth, bound, fp_slack)
-    return KappaResult(enclosure, converged, depth)
+    return KappaResult(enclosure, converged)

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .nested import Enclosure, sqrt_nested_scaled
+from .nested import Enclosure, _ln_alphas, sqrt_nested_scaled
 from .seqspec import SequenceSpec
 
 __all__ = [
@@ -93,7 +93,6 @@ class KappaResult:
 
     enclosure: Enclosure
     converged: bool
-    depth_used: int
 
 
 def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
@@ -118,9 +117,9 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
             f"tail bounds at depth {depth} cannot bracket: lower seed {lower} exceeds "
             f"golden-boosted cap {hi_seed}"
         )
-    log_terms = spec.terms_lograw(depth - 1)
-    lo_raw = sqrt_nested_scaled(log_terms, lower)
-    hi_raw = sqrt_nested_scaled(log_terms, max(hi_seed, lower))
+    ln_alphas = spec.terms_lograw(depth - 1)
+    lo_raw = sqrt_nested_scaled(ln_alphas, lower)
+    hi_raw = sqrt_nested_scaled(ln_alphas, max(hi_seed, lower))
     # an identically-zero fold is exact, so it needs no outward padding
     scale_ulp = math.ulp(max(abs(hi_raw), abs(lo_raw))) if hi_raw != 0.0 else 0.0
     pad = 16.0 * depth * scale_ulp
@@ -164,9 +163,9 @@ def kappa_limit(
                     high, chosen = mid, candidate
                 else:
                     low = mid + 1
-            return KappaResult(chosen, True, chosen.depth)
+            return KappaResult(chosen, True)
         if enclosure.depth < probe or probe >= depth_cap:
-            return KappaResult(best, False, best.depth)
+            return KappaResult(best, False)
         previous, probe = probe, min(probe * 2, depth_cap)
 
 
@@ -180,9 +179,4 @@ def kappa_subset(index: SubsetIndex, values: Sequence[float]) -> float:
     """
     if len(values) != index.size:
         raise ValueError(f"subset has {index.size} positions but {len(values)} values given")
-    log_terms = []
-    for position, value in enumerate(values, start=1):
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"normalized value {value} at position {position} must be >= 0")
-        log_terms.append(math.ldexp(math.log(value), position) if value > 0.0 else float("-inf"))
-    return sqrt_nested_scaled(log_terms, 0.0)
+    return sqrt_nested_scaled(_ln_alphas(values), 0.0)

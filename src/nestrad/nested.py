@@ -2,12 +2,13 @@
 
 Two engines live here.  :func:`nested_eval` folds an arbitrary non-decreasing
 concave outer function over raw coefficients.  :func:`sqrt_nested_scaled`
-specializes to square roots with coefficients in the log domain: it rescales
-by the largest normalized value so that every scaled coefficient lies in
-[0, 1] and every intermediate in [0, phi], which makes the fold immune to
-overflow at any representable depth.  Rescaling is sound because the radical
-is homogeneous on the normalized scale: multiplying every normalized
-coefficient and the seed by C multiplies the value by C.
+specializes to square roots with coefficients given as ln(alpha_k), the log
+of the normalized scale: it rescales by the largest normalized value so that
+every scaled coefficient lies in [0, 1], and keeps every intermediate on the
+normalized log scale, which makes the fold immune to overflow at any depth.
+Rescaling is sound because the radical is homogeneous on the normalized
+scale: multiplying every normalized coefficient and the seed by C multiplies
+the value by C.
 
 The comparison helpers (:func:`seed_gap`, :func:`seed_gap_pair`,
 :func:`swap_adjacent`) expose the inequalities that drive the error analysis:
@@ -94,7 +95,7 @@ class Enclosure:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi
 
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
@@ -115,49 +116,47 @@ def nested_eval(h: OuterFunction, terms: Sequence[float], seed: float) -> float:
     return value
 
 
-def _log_add(x: float, y: float) -> float:
-    # log(exp(x) + exp(y)) without leaving the log domain.
-    if x == _NEG_INF:
-        return y
-    if y == _NEG_INF:
-        return x
-    if x < y:
-        x, y = y, x
-    return x + math.log1p(math.exp(y - x))
-
-
-def sqrt_nested_scaled(log_terms: Sequence[float], seed_norm: float) -> float:
+def sqrt_nested_scaled(ln_alphas: Sequence[float], seed_norm: float) -> float:
     """sqrt(a_1 + sqrt(a_2 + ... sqrt(a_n + seed_norm ** 2**n))).
 
-    ``log_terms`` holds ln(a_k) for k = 1..n (``-inf`` encodes a zero
-    coefficient) and the seed is given on the normalized scale.  The fold
-    runs entirely in the log domain: after rescaling by the largest
-    normalized value the levels obey ln v <- 0.5 * logaddexp(ln b_k, ln v),
-    so neither the huge raw coefficients nor the vanishing deep levels can
-    overflow or be flushed to zero.  The 2**k scalings use ``math.ldexp``
-    and are exact.
+    ``ln_alphas`` holds ln(alpha_k) = 2**-k * ln(a_k) for k = 1..n (``-inf``
+    encodes a zero coefficient) and the seed is given on the same normalized
+    scale.  After rescaling by the largest normalized value C, let
+    x_k = ln(alpha_k / C) and y_k be the log of the normalized value of the
+    radical from index k.  The levels obey
+
+        y_k = max + 2**-k * log1p(exp(2**k * (min - max)))
+
+    over the pair (x_k, y_{k+1}): the log-sum-exp of the raw-scale recursion
+    v_k = sqrt(b_k + v_{k+1}) taken on the normalized scale, so neither the
+    huge raw coefficients nor the vanishing deep levels can overflow or be
+    flushed to zero.  The 2**k scalings use ``math.ldexp`` and are exact.
     """
-    n = len(log_terms)
+    n = len(ln_alphas)
     if not seed_norm >= 0.0 or math.isinf(seed_norm):
         raise ValueError(f"seed must be finite and >= 0, got {seed_norm}")
+    for k, ln_alpha in enumerate(ln_alphas, start=1):
+        if not ln_alpha < math.inf:
+            raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
     ln_seed = math.log(seed_norm) if seed_norm > 0.0 else _NEG_INF
-    ln_alphas = []
-    for k, w in enumerate(log_terms, start=1):
-        if math.isnan(w) or w == math.inf:
-            raise ValueError(f"log-raw term at index {k} must lie in [-inf, inf), got {w}")
-        ln_alphas.append(math.ldexp(w, -k))
     scale_log = max([ln_seed, _SCALE_FLOOR_LOG, *ln_alphas])
-    ln_value = math.ldexp(ln_seed - scale_log, n) if ln_seed != _NEG_INF else _NEG_INF
+    ln_value = ln_seed - scale_log
     for k in range(n, 0, -1):
-        ln_alpha = ln_alphas[k - 1]
-        ln_scaled = math.ldexp(ln_alpha - scale_log, k) if ln_alpha != _NEG_INF else _NEG_INF
-        ln_value = 0.5 * _log_add(ln_scaled, ln_value)
+        x = ln_alphas[k - 1] - scale_log
+        high, low = (x, ln_value) if x > ln_value else (ln_value, x)
+        ln_value = high
+        if low != _NEG_INF:
+            try:
+                gap = math.ldexp(low - high, k)
+            except OverflowError:  # exp(gap) would be 0
+                continue
+            ln_value += math.ldexp(math.log1p(math.exp(gap)), -k)
     if ln_value == _NEG_INF:
         return 0.0
     return math.exp(scale_log + ln_value)
 
 
-def seed_gap(log_terms: Sequence[float], upper_seed: float, lower_seed: float) -> float:
+def seed_gap(ln_alphas: Sequence[float], upper_seed: float, lower_seed: float) -> float:
     """Value swing from moving the innermost seed between two levels.
 
     The result is bounded by ``upper_seed - lower_seed``: each square root is
@@ -165,7 +164,7 @@ def seed_gap(log_terms: Sequence[float], upper_seed: float, lower_seed: float) -
     """
     if lower_seed < 0.0 or upper_seed < lower_seed:
         raise ValueError(f"need upper_seed >= lower_seed >= 0, got {upper_seed}, {lower_seed}")
-    return sqrt_nested_scaled(log_terms, upper_seed) - sqrt_nested_scaled(log_terms, lower_seed)
+    return sqrt_nested_scaled(ln_alphas, upper_seed) - sqrt_nested_scaled(ln_alphas, lower_seed)
 
 
 def seed_gap_pair(
@@ -193,12 +192,14 @@ def seed_gap_pair(
     return gap_small, gap_large
 
 
-def _position_exponent_lograw(values: Sequence[float]) -> list[float]:
+def _ln_alphas(values: Sequence[float]) -> list[float]:
+    # Normalized values fold with position exponents as they stand: position
+    # p enters as value ** 2**p because the fold reads ln(alpha_p).
     out = []
     for position, value in enumerate(values, start=1):
         if value < 0.0 or not math.isfinite(value):
             raise ValueError(f"normalized value {value} at position {position} must be >= 0")
-        out.append(math.ldexp(math.log(value), position) if value > 0.0 else _NEG_INF)
+        out.append(math.log(value) if value > 0.0 else _NEG_INF)
     return out
 
 
@@ -212,11 +213,11 @@ def swap_adjacent(values: Sequence[float], j: int) -> tuple[float, float]:
     """
     if not 1 <= j < len(values):
         raise ValueError(f"swap position must satisfy 1 <= j < {len(values)}, got {j}")
-    original = sqrt_nested_scaled(_position_exponent_lograw(values), 0.0)
+    original = sqrt_nested_scaled(_ln_alphas(values), 0.0)
     reordered = list(values)
     reordered[j - 1], reordered[j] = (
         min(values[j - 1], values[j]),
         max(values[j - 1], values[j]),
     )
-    swapped = sqrt_nested_scaled(_position_exponent_lograw(reordered), 0.0)
+    swapped = sqrt_nested_scaled(_ln_alphas(reordered), 0.0)
     return original, swapped

@@ -1,17 +1,20 @@
 """Coefficient sequences for nested square-root radicals.
 
-A radical sqrt(a_1 + sqrt(a_2 + sqrt(a_3 + ...))) is described by its
-coefficients on two scales at once: the raw value a_k and the normalized
-value alpha_k = a_k ** (1 / 2**k).  Raw values overflow binary64 at shallow
-depth (2 ** 2**11 is already out of range), so ln(a_k) is the storage of
-record and anything that needs a_k works in the log domain.  The normalized
-scale is the one on which tail suprema, seeds, and convergence caps live.
+A radical sqrt(a_1 + sqrt(a_2 + sqrt(a_3 + ...))) is stored by its
+normalized coefficients alpha_k = a_k ** (1 / 2**k), as ln(alpha_k) with
+``-inf`` encoding a_k = 0.  This is the scale of Herschfeld's theorem (the
+radical converges iff sup alpha_k < inf) and the one on which tail suprema,
+seeds, and convergence caps live.  It is also the only log scale that stays
+in range: ln(a_k) = 2**k * ln(alpha_k) leaves binary64 past depth 1023 for
+any alpha_k != 1.  Raw values a_k and their logs ln(a_k) appear only at the
+edges, as input scales of :func:`explicit` and as the ``terms_lograw`` text
+form of :func:`render_spec`.
 
-A :class:`SequenceSpec` is a finite prefix of :class:`Term` plus a tail
-model.  The tail model plays two roles: it extends the sequence past the
-stored prefix when an evaluation needs deeper coefficients, and it reports
-per-depth seed bounds ``(lower_seed, upper_cap)`` used to bracket the tail's
-contribution.  The two bounds carry different obligations:
+A :class:`SequenceSpec` is a finite prefix of ln(alpha_k) values plus a
+tail model.  The tail model plays two roles: it extends the sequence past
+the stored prefix when an evaluation needs deeper coefficients, and it
+reports per-depth seed bounds ``(lower_seed, upper_cap)`` used to bracket
+the tail's contribution.  The two bounds carry different obligations:
 
 * ``lower_seed`` at depth ``n`` must not exceed the normalized value of the
   whole tail radical from index ``n`` (seeding with it can only shrink the
@@ -40,7 +43,6 @@ from typing import Sequence
 
 __all__ = [
     "SpecError",
-    "Term",
     "TailModel",
     "ZeroTail",
     "ConstantNormalizedTail",
@@ -56,8 +58,6 @@ __all__ = [
     "constant_normalized",
     "explicit",
     "make_family",
-    "family_term",
-    "tail_bounds",
     "parse_spec",
     "render_spec",
     "load_cap_table",
@@ -75,67 +75,32 @@ class SpecError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class Term:
-    """One radical coefficient, held on the normalized and log-raw scales.
-
-    ``normalized`` is alpha_k = a_k ** (2 ** -k) and ``log_raw`` is ln(a_k),
-    with ``-inf`` encoding a_k = 0.  Conversion between the scales multiplies
-    by 2 ** k, which is an exact exponent shift in binary64 (``math.ldexp``),
-    so the two fields never drift apart by more than the rounding of a single
-    ``exp``/``log`` call.
-    """
-
-    normalized: float
-    log_raw: float
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"term index must be >= 1, got {self.index}")
-        if math.isnan(self.normalized) or math.isinf(self.normalized) or self.normalized < 0.0:
-            raise ValueError(f"normalized term must be finite and >= 0, got {self.normalized}")
-        if math.isnan(self.log_raw) or self.log_raw == math.inf:
-            raise ValueError(f"log_raw must lie in [-inf, inf), got {self.log_raw}")
-        if (self.normalized == 0.0) != (self.log_raw == _NEG_INF):
-            raise ValueError("normalized == 0 exactly when log_raw == -inf")
-
-    @classmethod
-    def from_normalized(cls, value: float, index: int) -> "Term":
-        value = float(value)
-        if value < 0.0:
-            raise ValueError(f"negative term {value} at index {index}")
-        log_raw = math.ldexp(math.log(value), index) if value > 0.0 else _NEG_INF
-        return cls(value, log_raw, index)
-
-    @classmethod
-    def from_raw(cls, raw: float, index: int) -> "Term":
-        raw = float(raw)
-        if raw < 0.0:
-            raise ValueError(f"negative term {raw} at index {index}")
-        log_raw = math.log(raw) if raw > 0.0 else _NEG_INF
-        return cls.from_log_raw(log_raw, index)
-
-    @classmethod
-    def from_log_raw(cls, log_raw: float, index: int) -> "Term":
-        log_raw = float(log_raw)
-        normalized = math.exp(math.ldexp(log_raw, -index)) if log_raw != _NEG_INF else 0.0
-        return cls(normalized, log_raw, index)
+def _check_ln_alpha(ln_alpha: float, index: int) -> None:
+    # alpha_k = exp(ln_alpha) must be a finite double that is zero exactly
+    # when ln_alpha is -inf: tail bounds read coefficients back on that scale.
+    if ln_alpha == _NEG_INF:
+        return
+    try:
+        alpha = math.exp(ln_alpha)
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(
+            f"coefficient {index} needs ln(alpha) = -inf or exp(ln(alpha)) finite and > 0, "
+            f"got ln(alpha) = {ln_alpha}"
+        )
 
 
 class TailModel:
     """How a sequence continues past its stored prefix.
 
-    Subclasses provide ``term(k)`` (the coefficient at finite index ``k``, or
-    raise if coefficients past the prefix are unknown), ``bounds(n)`` (the
-    per-depth seed pair), and ``can_extend()``.
+    Subclasses provide ``ln_alphas(first, last)`` (ln(alpha_k) for
+    k = first..last, or raise if coefficients past the prefix are unknown),
+    ``bounds(n)`` (the per-depth seed pair), and ``can_extend()``.
     """
 
-    def term(self, k: int) -> Term:
+    def ln_alphas(self, first: int, last: int) -> list[float]:
         raise NotImplementedError
-
-    def terms(self, first: int, last: int) -> list[Term]:
-        return [self.term(k) for k in range(first, last + 1)]
 
     def bounds(self, n: int) -> tuple[float, float]:
         raise NotImplementedError
@@ -154,8 +119,8 @@ class TailModel:
 class ZeroTail(TailModel):
     """The sequence ends: every coefficient past the prefix is zero."""
 
-    def term(self, k: int) -> Term:
-        return Term(0.0, _NEG_INF, k)
+    def ln_alphas(self, first: int, last: int) -> list[float]:
+        return [_NEG_INF] * (last - first + 1)
 
     def bounds(self, n: int) -> tuple[float, float]:
         return (0.0, 0.0)
@@ -180,8 +145,9 @@ class ConstantNormalizedTail(TailModel):
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"tail alpha must be finite and >= 0, got {self.alpha}")
 
-    def term(self, k: int) -> Term:
-        return Term.from_normalized(self.alpha, k)
+    def ln_alphas(self, first: int, last: int) -> list[float]:
+        ln_alpha = math.log(self.alpha) if self.alpha > 0.0 else _NEG_INF
+        return [ln_alpha] * (last - first + 1)
 
     def bounds(self, n: int) -> tuple[float, float]:
         return (self.alpha, self.alpha)
@@ -215,8 +181,9 @@ class ConstantRawTail(TailModel):
         if not (self.raw >= 0.0 and math.isfinite(self.raw)):
             raise ValueError(f"tail raw value must be finite and >= 0, got {self.raw}")
 
-    def term(self, k: int) -> Term:
-        return Term.from_raw(self.raw, k)
+    def ln_alphas(self, first: int, last: int) -> list[float]:
+        ln_raw = math.log(self.raw) if self.raw > 0.0 else _NEG_INF
+        return [math.ldexp(ln_raw, -k) for k in range(first, last + 1)]
 
     def bounds(self, n: int) -> tuple[float, float]:
         if self.raw == 0.0:
@@ -256,7 +223,7 @@ class CapTableTail(TailModel):
             if not (lower >= 0.0 and upper >= 0.0 and math.isfinite(lower) and math.isfinite(upper)):
                 raise SpecError(f"cap table bounds at depth {n} must be finite and >= 0")
 
-    def term(self, k: int) -> Term:
+    def ln_alphas(self, first: int, last: int) -> list[float]:
         raise SpecError("cap-table tails certify bounds only and cannot supply coefficients")
 
     def can_extend(self) -> bool:
@@ -291,8 +258,8 @@ class OmegaTail(TailModel):
         if not (self.omega_value >= 0.0 and math.isfinite(self.omega_value)):
             raise ValueError(f"omega value must be finite and >= 0, got {self.omega_value}")
 
-    def term(self, k: int) -> Term:
-        return Term(1.0, 0.0, k)
+    def ln_alphas(self, first: int, last: int) -> list[float]:
+        return [0.0] * (last - first + 1)
 
     def bounds(self, n: int) -> tuple[float, float]:
         cap = max(1.0, self.omega_value)
@@ -330,50 +297,34 @@ class RamanujanTail(TailModel):
     coefficient itself.
     """
 
-    def term(self, k: int) -> Term:
-        v = _ramanujan_v(max(k - 1, 0))
-        return Term.from_log_raw(math.ldexp(v[k - 1], k), k) if k > 1 else Term(1.0, 0.0, 1)
-
-    def terms(self, first: int, last: int) -> list[Term]:
-        v = _ramanujan_v(max(last - 1, 0))
-        return [
-            Term.from_log_raw(math.ldexp(v[k - 1], k), k) if k > 1 else Term(1.0, 0.0, 1)
-            for k in range(first, last + 1)
-        ]
+    def ln_alphas(self, first: int, last: int) -> list[float]:
+        return _ramanujan_v(max(last - 1, 0))[first - 1:last]
 
     def bounds(self, n: int) -> tuple[float, float]:
-        return (self.term(n).normalized, RAMANUJAN_SUP_BOUND)
+        return (math.exp(_ramanujan_v(n - 1)[n - 1]), RAMANUJAN_SUP_BOUND)
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A coefficient sequence: stored prefix plus tail model."""
+    """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model."""
 
-    prefix: tuple[Term, ...]
+    prefix: tuple[float, ...]
     tail: TailModel
     family_name: str | None = None
 
     def __post_init__(self):
-        for position, term in enumerate(self.prefix, start=1):
-            if term.index != position:
-                raise ValueError(
-                    f"prefix indices must be consecutive from 1; "
-                    f"position {position} holds index {term.index}"
-                )
-
-    def term(self, k: int) -> Term:
-        """Coefficient at finite index k, extending via the tail model."""
-        if k < 1:
-            raise ValueError(f"index must be >= 1, got {k}")
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        return self.tail.term(k)
+        for index, ln_alpha in enumerate(self.prefix, start=1):
+            _check_ln_alpha(ln_alpha, index)
 
     def terms_lograw(self, count: int) -> list[float]:
-        """ln(a_k) for k = 1..count, extending past the prefix if needed."""
-        out = [t.log_raw for t in self.prefix[:count]]
+        """ln(alpha_k) for k = 1..count, extending past the prefix if needed.
+
+        Despite the name these are normalized logs, ln(alpha_k) =
+        2**-k * ln(a_k), the input scale of :func:`sqrt_nested_scaled`.
+        """
+        out = list(self.prefix[:count])
         if count > len(self.prefix):
-            out.extend(t.log_raw for t in self.tail.terms(len(self.prefix) + 1, count))
+            out.extend(self.tail.ln_alphas(len(self.prefix) + 1, count))
         return out
 
     def max_depth(self) -> int | None:
@@ -386,20 +337,19 @@ class SequenceSpec:
             raise ValueError(f"depth must be >= 1, got {n}")
         p = len(self.prefix)
         lower, upper = self.tail.bounds(max(n, p + 1))
-        for term in self.prefix[n - 1:]:
+        if n <= p:
             # Any single coefficient is a valid lower seed, and the cap must
             # dominate every coefficient from n on.
-            lower = max(lower, term.normalized)
-            upper = max(upper, term.normalized)
+            alpha = math.exp(max(self.prefix[n - 1:]))
+            lower, upper = max(lower, alpha), max(upper, alpha)
         return (lower, upper)
 
     def scaled(self, factor: float) -> "SequenceSpec":
         """The spec with every normalized coefficient multiplied by factor."""
         if not (factor > 0.0 and math.isfinite(factor)):
             raise ValueError(f"scale factor must be finite and > 0, got {factor}")
-        prefix = tuple(
-            Term.from_normalized(t.normalized * factor, t.index) for t in self.prefix
-        )
+        ln_factor = math.log(factor)
+        prefix = tuple(ln_alpha + ln_factor for ln_alpha in self.prefix)
         return SequenceSpec(prefix, self.tail.scaled(factor), None)
 
 
@@ -430,21 +380,34 @@ def constant_normalized(alpha: float) -> SequenceSpec:
     )
 
 
+# A NaN raw value fails ``raw > 0`` and reads as a zero coefficient; a NaN
+# alpha or log-raw value reaches the range check and is refused.
+_TO_LN_ALPHA = {
+    "raw": lambda raw, k: math.ldexp(math.log(raw), -k) if raw > 0.0 else _NEG_INF,
+    "lograw": lambda log_raw, k: math.ldexp(log_raw, -k),
+    "norm": lambda alpha, k: math.log(alpha) if alpha != 0.0 else _NEG_INF,
+}
+
+
 def explicit(
     values: Sequence[float], scale: str = "raw", tail: TailModel | None = None
 ) -> SequenceSpec:
-    """Spec from listed coefficients on the given scale (raw/lograw/norm)."""
-    builders = {
-        "raw": Term.from_raw,
-        "lograw": Term.from_log_raw,
-        "norm": Term.from_normalized,
-    }
+    """Spec from listed coefficients on the given scale (raw/lograw/norm).
+
+    ``values[k-1]`` is a_k, ln(a_k) or alpha_k; zero (``-inf`` on the lograw
+    scale) encodes a zero coefficient.  Each is converted to ln(alpha_k).
+    """
     try:
-        build = builders[scale]
+        to_ln_alpha = _TO_LN_ALPHA[scale]
     except KeyError:
         raise ValueError(f"unknown term scale {scale!r}") from None
-    prefix = tuple(build(v, k) for k, v in enumerate(values, start=1))
-    return SequenceSpec(prefix, tail if tail is not None else ZeroTail(), None)
+    prefix = []
+    for k, value in enumerate(values, start=1):
+        value = float(value)
+        if scale != "lograw" and value < 0.0:
+            raise ValueError(f"negative term {value} at index {k}")
+        prefix.append(to_ln_alpha(value, k))
+    return SequenceSpec(tuple(prefix), tail if tail is not None else ZeroTail(), None)
 
 
 _FAMILY_BUILDERS = {
@@ -473,16 +436,6 @@ def make_family(token: str) -> SequenceSpec:
             raise SpecError(f"family parameter must be finite and >= 0, got {param}")
         return constant_raw(value) if name == "constant_raw" else constant_normalized(value)
     raise SpecError(f"unknown family {token!r}")
-
-
-def family_term(spec: SequenceSpec, k: int) -> Term:
-    """The k-th coefficient of a family spec (prefix or tail-extended)."""
-    return spec.term(k)
-
-
-def tail_bounds(spec: SequenceSpec, n: int) -> tuple[float, float]:
-    """Seed bounds ``(lower_seed, upper_cap)`` for spec at depth n."""
-    return spec.tail_bounds(n)
 
 
 def load_cap_table(source: str | Path) -> CapTableTail:
@@ -607,5 +560,10 @@ def render_spec(spec: SequenceSpec) -> str:
     """Text form of a spec; inverse of :func:`parse_spec` for renderable tails."""
     if spec.family_name is not None:
         return f"family={spec.family_name}\n"
-    values = ",".join(f"{t.log_raw:.17g}" for t in spec.prefix)
+    try:
+        values = ",".join(
+            f"{math.ldexp(ln_alpha, k):.17g}" for k, ln_alpha in enumerate(spec.prefix, start=1)
+        )
+    except OverflowError:
+        raise SpecError("a coefficient's ln(a_k) exceeds binary64; no terms_lograw form") from None
     return f"terms_lograw=[{values}]\ntail={spec.tail.render()}\n"

@@ -86,7 +86,7 @@ class TestSoundnessOnKnownFamilies:
         [
             (lambda k: 1.0, 1.0),
             (lambda k: 2.0, 2.0),
-            (lambda k: ramanujan().term(k).normalized, None),
+            (lambda k: math.exp(ramanujan().terms_lograw(k)[-1]), None),
         ],
         ids=["golden", "const2", "ramanujan"],
     )

@@ -59,14 +59,14 @@ class TestCfLimit:
     def test_loose_tolerance_needs_one_term(self):
         result = cf_limit(ContinuedSpec.make(ARCTAN, [1.0, 1.0]), 2.0)
         assert result.converged
-        assert result.depth_used == 1
+        assert result.enclosure.depth == 1
         assert result.enclosure.analytic_width_bound == pytest.approx(math.pi / 2)
 
     def test_all_ones_to_5_percent(self):
         spec = ContinuedSpec.make(ARCTAN, [1.0] * 700)
         result = cf_limit(spec, 0.05)
         assert result.converged
-        assert result.depth_used == 602
+        assert result.enclosure.depth == 602
         assert result.enclosure.width <= 0.05 + 1e-12
         # oracle: the limit is the fixed point of x = arctan(1 + x)
         limit = 1.0
@@ -83,7 +83,7 @@ class TestCfLimit:
     def test_unconverged_when_terms_run_out(self):
         result = cf_limit(ContinuedSpec.make(ARCTAN, [1.0] * 10), 0.05)
         assert not result.converged
-        assert result.depth_used == 10
+        assert result.enclosure.depth == 10
         assert result.enclosure.analytic_width_bound > 0.05
 
     def test_validation(self):

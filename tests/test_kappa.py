@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
 
+import support
 from nestrad import (
     PHI,
     CapTableTail,
@@ -82,6 +84,23 @@ class TestKappaEnclosure:
         enclosure = kappa_enclosure(spec, 40)
         assert enclosure.depth == 3
 
+    @pytest.mark.parametrize(
+        "spec,exact",
+        [
+            (explicit([2.0, 3.0, 5.0]), lambda: support.mp_nested_sqrt_raw([2.0, 3.0, 5.0])),
+            (constant_normalized(1.5), lambda: 1.5 * mp.phi),
+            (constant_raw(2.5), lambda: (1 + mp.sqrt(11)) / 2),
+            (u_spec(2.5), lambda: support.mp_u(2.5, 200)),
+            (ramanujan(), lambda: mp.mpf(3)),
+        ],
+        ids=["zero", "constant_norm", "constant_raw", "omega", "ramanujan"],
+    )
+    def test_depth_2000_contains_exact_value(self, spec, exact):
+        enclosure = kappa_enclosure(spec, 2000)
+        assert enclosure.depth == 2000
+        with mp.workdps(40):
+            assert enclosure.lo <= exact() <= enclosure.hi
+
     def test_width_within_slacked_bound(self):
         for spec in ALL_FAMILIES:
             for depth in (2, 7, 19, 40):
@@ -104,19 +123,19 @@ class TestKappaLimit:
     def test_ramanujan_to_1e6(self):
         result = kappa_limit(ramanujan(), 1e-6)
         assert result.converged
-        assert result.depth_used <= 32
+        assert result.enclosure.depth <= 32
         assert result.enclosure.mid == pytest.approx(3.0, abs=1e-6)
 
     def test_all_zero_spec_converges_at_depth_1(self):
         result = kappa_limit(explicit([0.0, 0.0]), 1e-12)
         assert result.converged
-        assert result.depth_used == 1
+        assert result.enclosure.depth == 1
         assert result.enclosure.lo == result.enclosure.hi == 0.0
 
     def test_depth_cap_returns_best_unconverged(self):
         result = kappa_limit(golden(), 1e-10, depth_cap=8)
         assert not result.converged
-        assert result.depth_used == 8
+        assert result.enclosure.depth == 8
         assert result.enclosure.contains(PHI)
 
     def test_cap_table_cannot_converge(self):
@@ -127,7 +146,7 @@ class TestKappaLimit:
 
     def test_smallest_adequate_depth(self):
         result = kappa_limit(golden(), 1e-8)
-        shallower = kappa_enclosure(golden(), result.depth_used - 1)
+        shallower = kappa_enclosure(golden(), result.enclosure.depth - 1)
         assert shallower.width > 1e-8
 
     def test_validation(self):

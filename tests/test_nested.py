@@ -18,7 +18,7 @@ from nestrad import (
 )
 
 
-def lograw_ones(count):
+def ln_alpha_ones(count):
     return [0.0] * count
 
 
@@ -63,14 +63,14 @@ class TestSqrtNestedScaled:
     def test_matches_plain_arithmetic_small(self):
         # small raw coefficients where the direct fold is exact enough
         raw = [7.0, 3.0]
-        ws = [math.log(7.0), math.log(3.0)]
+        ws = [math.log(7.0) / 2, math.log(3.0) / 4]
         assert sqrt_nested_scaled(ws, 0.0) == pytest.approx(
             support.mp_nested_sqrt_raw(raw), rel=1e-14
         )
 
     def test_golden_depth_30(self):
         phi = (1 + math.sqrt(5.0)) / 2
-        value = sqrt_nested_scaled(lograw_ones(30), 1.0)
+        value = sqrt_nested_scaled(ln_alpha_ones(30), 1.0)
         assert value == pytest.approx(phi, abs=1e-6)
         assert value == pytest.approx(support.mp_golden_truncation(30), rel=1e-13)
 
@@ -84,7 +84,7 @@ class TestSqrtNestedScaled:
 
     def test_seed_scale_is_positional(self):
         # seed s at depth n contributes s ** 2**n inside the innermost radical
-        ws = [math.log(6.0)]
+        ws = [math.log(6.0) / 2]
         value = sqrt_nested_scaled(ws, 3.0 ** 0.5)
         assert value == pytest.approx(3.0, rel=1e-14)
 
@@ -108,11 +108,11 @@ class TestSeedGap:
         assert gap == pytest.approx(0.5, abs=1e-15)
 
     def test_golden_terms_contract(self):
-        gap = seed_gap(lograw_ones(10), 1.2, 1.0)
+        gap = seed_gap(ln_alpha_ones(10), 1.2, 1.0)
         assert 0.0 < gap <= 0.2
 
     def test_equal_seeds(self):
-        assert seed_gap(lograw_ones(5), 1.0, 1.0) == 0.0
+        assert seed_gap(ln_alpha_ones(5), 1.0, 1.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

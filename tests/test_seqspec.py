@@ -14,12 +14,10 @@ from nestrad import (
     OmegaTail,
     SequenceSpec,
     SpecError,
-    Term,
     ZeroTail,
     constant_normalized,
     constant_raw,
     explicit,
-    family_term,
     golden,
     load_cap_table,
     make_family,
@@ -27,58 +25,89 @@ from nestrad import (
     power_tower,
     ramanujan,
     render_spec,
-    tail_bounds,
 )
 
 
+def ln_alpha(spec, k):
+    return spec.terms_lograw(k)[k - 1]
+
+
+def log_raw(spec, k):
+    """ln(a_k) as the spec's text form writes it."""
+    return float(render_spec(spec).split("[")[1].split("]")[0].split(",")[k - 1])
+
+
 class TestTerm:
+    """Coefficient encoding and the range checks of explicit() and parse_spec()."""
+
     def test_golden_term(self):
-        term = family_term(golden(), 5)
-        assert term.normalized == 1.0
-        assert term.log_raw == 0.0
+        assert ln_alpha(golden(), 5) == 0.0
+        assert golden().tail_bounds(5) == (1.0, 1.0)
 
     def test_power_tower_term(self):
-        term = family_term(power_tower(), 3)
-        assert term.normalized == pytest.approx(2.0, rel=1e-15)
-        assert term.log_raw == pytest.approx(8 * math.log(2.0), rel=1e-15)
-        assert term.log_raw == pytest.approx(5.545177444479562, rel=1e-12)
+        spec = power_tower()
+        assert ln_alpha(spec, 3) == pytest.approx(math.log(2.0), rel=1e-15)
+        listed = explicit([2.0, 2.0, 2.0], scale="norm")
+        assert log_raw(listed, 3) == pytest.approx(8 * math.log(2.0), rel=1e-15)
+        assert log_raw(listed, 3) == pytest.approx(5.545177444479562, rel=1e-12)
 
     def test_ramanujan_third_term(self):
         # push-multipliers-inward rewrite: m_1=2, m_2=12, a_3 = m_2**2 = 144
-        term = family_term(ramanujan(), 3)
-        assert term.log_raw == pytest.approx(math.log(144.0), rel=1e-13)
-        assert term.normalized == pytest.approx(144.0 ** 0.125, rel=1e-13)
-        assert term.normalized == pytest.approx(1.8612097182041991, rel=1e-12)
+        value = ln_alpha(ramanujan(), 3)
+        assert math.ldexp(value, 3) == pytest.approx(math.log(144.0), rel=1e-13)
+        assert math.exp(value) == pytest.approx(144.0 ** 0.125, rel=1e-13)
+        assert math.exp(value) == pytest.approx(1.8612097182041991, rel=1e-12)
 
     def test_zero_term_encoding(self):
-        term = Term.from_raw(0.0, 4)
-        assert term.normalized == 0.0
-        assert term.log_raw == float("-inf")
+        for scale, zero in (("raw", 0.0), ("norm", 0.0), ("lograw", float("-inf"))):
+            spec = explicit([1.0, 1.0, 1.0, zero], scale=scale)
+            assert ln_alpha(spec, 4) == float("-inf")
+            assert spec.tail_bounds(4) == (0.0, 0.0)
+            assert log_raw(spec, 4) == float("-inf")
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Term.from_normalized(-1.0, 1)
-        with pytest.raises(ValueError):
-            Term.from_raw(-0.5, 2)
+        with pytest.raises(ValueError, match="negative"):
+            explicit([-1.0], scale="norm")
+        with pytest.raises(ValueError, match="negative"):
+            explicit([1.0, -0.5], scale="raw")
+        with pytest.raises(SpecError, match="negative"):
+            parse_spec("terms_norm=[1,-2]")
 
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
-            Term.from_normalized(1.0, 0)
+            golden().tail_bounds(0)
+        with pytest.raises(ValueError):
+            explicit([1.0]).tail_bounds(0)
 
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            Term(0.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            Term(1.0, float("-inf"), 1)
+        # alpha_1 = exp(750) overflows, and alpha_1 = exp(-5000) flushes to a
+        # zero that a finite ln(alpha) does not encode
+        for scale, value in (
+            ("norm", math.nan),
+            ("norm", math.inf),
+            ("raw", math.inf),
+            ("lograw", math.nan),
+            ("lograw", math.inf),
+            ("lograw", 1500.0),
+            ("lograw", -1e4),
+        ):
+            with pytest.raises(ValueError):
+                explicit([value], scale=scale)
+            with pytest.raises(SpecError, match="line 2"):
+                parse_spec(f"# bad\nterms_{scale}=[{value}]")
+        for ln_alpha_1 in (math.nan, math.inf, 750.0, -5000.0):
+            with pytest.raises(ValueError):
+                SequenceSpec((ln_alpha_1,), ZeroTail())
 
     @given(
         value=st.floats(min_value=1e-2, max_value=1e2, allow_nan=False),
         index=st.integers(min_value=1, max_value=256),
     )
     def test_normalized_roundtrip_within_4_ulp(self, value, index):
-        term = Term.from_normalized(value, index)
-        back = math.exp(math.ldexp(term.log_raw, -term.index))
+        spec = explicit([1.0] * (index - 1) + [value], scale="norm")
+        back = math.exp(ln_alpha(spec, index))
         assert abs(back - value) <= 4 * math.ulp(value)
+        assert parse_spec(render_spec(spec)) == spec
 
     @given(
         value=st.floats(min_value=1e-300, max_value=1e300, allow_nan=False),
@@ -87,31 +116,32 @@ class TestTerm:
     def test_normalized_roundtrip_extreme_magnitudes(self, value, index):
         # exp(log(x)) costs about |ln x| / 2 ulp in binary64, so the bound
         # has to scale once the coefficient leaves the moderate range
-        term = Term.from_normalized(value, index)
-        back = math.exp(math.ldexp(term.log_raw, -term.index))
+        spec = explicit([1.0] * (index - 1) + [value], scale="norm")
+        back = math.exp(ln_alpha(spec, index))
         log_rounding = math.ulp(max(1.0, abs(math.log(value))))
         budget = value * (log_rounding + 4.0 * math.ulp(1.0))
         assert abs(back - value) <= budget
+        assert parse_spec(render_spec(spec)) == spec
 
     @given(
         raw=st.floats(min_value=1e-300, max_value=1e300, allow_nan=False),
         index=st.integers(min_value=1, max_value=64),
     )
     def test_raw_roundtrip(self, raw, index):
-        term = Term.from_raw(raw, index)
-        assert term.log_raw == pytest.approx(math.log(raw), rel=1e-15, abs=1e-15)
+        spec = explicit([1.0] * (index - 1) + [raw])
+        assert log_raw(spec, index) == pytest.approx(math.log(raw), rel=1e-15, abs=1e-15)
 
 
 class TestTailModels:
     def test_zero_tail(self):
         tail = ZeroTail()
         assert tail.bounds(7) == (0.0, 0.0)
-        assert tail.term(9).normalized == 0.0
+        assert tail.ln_alphas(9, 10) == [float("-inf")] * 2
 
     def test_constant_normalized_tail(self):
         tail = ConstantNormalizedTail(2.0)
         assert tail.bounds(3) == (2.0, 2.0)
-        assert tail.term(4).normalized == 2.0
+        assert tail.ln_alphas(4, 4) == [math.log(2.0)]
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 6.0])
     def test_constant_raw_lower_seed_is_tail_value(self, c):
@@ -134,7 +164,7 @@ class TestTailModels:
         tail = OmegaTail(2.5)
         assert tail.bounds(6) == (2.5, 2.5)
         assert OmegaTail(0.25).bounds(6) == (1.0, 1.0)
-        assert tail.term(3).normalized == 1.0
+        assert tail.ln_alphas(3, 5) == [0.0] * 3
 
     def test_cap_table_bounds(self):
         tail = CapTableTail(((4, 0.5, 1.5), (8, 0.9, 1.2)))
@@ -145,7 +175,7 @@ class TestTailModels:
         with pytest.raises(SpecError):
             tail.bounds(2)
         with pytest.raises(SpecError):
-            tail.term(5)
+            tail.ln_alphas(5, 5)
 
     def test_cap_table_validation(self):
         with pytest.raises(SpecError):
@@ -159,7 +189,7 @@ class TestTailModels:
 class TestRamanujanFamily:
     def test_terms_increase_toward_sup(self):
         spec = ramanujan()
-        alphas = [spec.term(k).normalized for k in range(1, 65)]
+        alphas = [math.exp(v) for v in spec.terms_lograw(64)]
         assert all(a <= b for a, b in zip(alphas, alphas[1:]))
         # strict growth until the series increments fall below one ulp
         assert all(a < b for a, b in zip(alphas[:48], alphas[1:49]))
@@ -174,37 +204,39 @@ class TestRamanujanFamily:
 
     def test_tail_bounds(self):
         spec = ramanujan()
-        lower, upper = tail_bounds(spec, 10)
-        assert lower == spec.term(10).normalized
+        lower, upper = spec.tail_bounds(10)
+        assert lower == math.exp(ln_alpha(spec, 10))
         assert upper == RAMANUJAN_SUP_BOUND
 
 
 class TestSequenceSpec:
     def test_consecutive_indices_enforced(self):
-        with pytest.raises(ValueError):
-            SequenceSpec((Term.from_raw(1.0, 2),), ZeroTail())
+        # the k-th listed value is a_k: it is normalized with exponent 2**-k
+        spec = explicit([4.0, 4.0, 4.0])
+        assert spec.terms_lograw(3) == [math.ldexp(math.log(4.0), -k) for k in (1, 2, 3)]
+        assert parse_spec(render_spec(spec)) == spec
 
     def test_golden_tail_bounds(self):
         for n in (1, 3, 17):
-            assert tail_bounds(golden(), n) == (1.0, 1.0)
+            assert golden().tail_bounds(n) == (1.0, 1.0)
 
     def test_zero_tail_bounds(self):
         spec = explicit([6.0])
-        assert tail_bounds(spec, 2) == (0.0, 0.0)
+        assert spec.tail_bounds(2) == (0.0, 0.0)
         # at depth 1 the stored coefficient itself seeds both sides
-        lower, upper = tail_bounds(spec, 1)
+        lower, upper = spec.tail_bounds(1)
         assert lower == upper == pytest.approx(math.sqrt(6.0), rel=1e-15)
 
     def test_prefix_terms_fold_into_bounds(self):
         spec = explicit([2.0, 1.5], scale="norm", tail=ConstantNormalizedTail(1.0))
-        assert tail_bounds(spec, 1) == (2.0, 2.0)
-        assert tail_bounds(spec, 2) == (1.5, 1.5)
-        assert tail_bounds(spec, 3) == (1.0, 1.0)
+        assert spec.tail_bounds(1) == (2.0, 2.0)
+        assert spec.tail_bounds(2) == (1.5, 1.5)
+        assert spec.tail_bounds(3) == (1.0, 1.0)
 
     def test_terms_lograw_extends(self):
         spec = explicit([4.0], tail=ConstantNormalizedTail(1.0))
         ws = spec.terms_lograw(3)
-        assert ws[0] == pytest.approx(math.log(4.0))
+        assert ws[0] == pytest.approx(math.log(4.0) / 2)
         assert ws[1] == ws[2] == 0.0
 
     def test_max_depth(self):
@@ -214,7 +246,7 @@ class TestSequenceSpec:
 
     def test_scaled(self):
         spec = explicit([2.0, 2.0], scale="norm", tail=ConstantNormalizedTail(2.0)).scaled(0.5)
-        assert spec.term(1).normalized == 1.0
+        assert math.exp(ln_alpha(spec, 1)) == 1.0
         assert spec.tail == ConstantNormalizedTail(1.0)
 
 
@@ -228,7 +260,7 @@ class TestParseRender:
         spec = parse_spec("terms_raw=[2,2,2]\ntail=constant_raw:2")
         expected = [2.0 ** 0.5, 2.0 ** 0.25, 2.0 ** 0.125]
         for k, want in enumerate(expected, start=1):
-            assert spec.term(k).normalized == pytest.approx(want, rel=1e-14)
+            assert math.exp(ln_alpha(spec, k)) == pytest.approx(want, rel=1e-14)
         assert spec.tail == ConstantRawTail(2.0)
 
     def test_negative_term_reports_line(self):
@@ -260,8 +292,8 @@ class TestParseRender:
 
     def test_terms_lograw_allows_negatives(self):
         spec = parse_spec("terms_lograw=[-0.5,-inf]")
-        assert spec.term(1).log_raw == -0.5
-        assert spec.term(2).normalized == 0.0
+        assert spec.terms_lograw(2) == [-0.25, float("-inf")]
+        assert render_spec(spec) == "terms_lograw=[-0.5,-inf]\ntail=zero\n"
 
     @pytest.mark.parametrize(
         "spec",
@@ -274,6 +306,11 @@ class TestParseRender:
     def test_explicit_roundtrip(self):
         spec = explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0))
         assert parse_spec(render_spec(spec)) == spec
+
+    def test_render_refuses_log_raw_past_binary64(self):
+        # alpha_k = 1/2 is fine on the stored scale, but ln(a_1100) = -2**1100 ln 2
+        with pytest.raises(SpecError, match="binary64"):
+            render_spec(explicit([0.5] * 1100, scale="norm"))
 
     def test_make_family_validation(self):
         with pytest.raises(SpecError):
