@@ -5,21 +5,31 @@ transfinite radical, pointwise or on a grid), ``u-inv`` (invert it),
 ``caps`` (tail-supremum interval from a modulus), ``cf`` (continued
 function), ``table`` (per-depth convergence table).
 
+Every subcommand accepts ``--tol``, ``--depth-cap``, ``--format`` and
+``--out``.  ``eval``, ``u`` and ``cf`` read ``--tol`` (default 1e-9) and
+``--depth-cap``; ``u-inv`` reads only ``--tol`` (default 1e-6); ``caps`` and
+``table`` read neither.  ``--format`` defaults to ``csv`` for ``table`` and
+to ``json`` elsewhere.  ``KAPPA_DEPTH_CAP`` overrides the default depth cap
+of 256 and is validated on every call.
+
+The argparse tree is built once, on the first :func:`run`, and each
+subparser carries its handler: a function from the parsed namespace to
+``(exit status, document)``.
+
 Exit codes: 0 success, 2 validation error, 3 depth cap hit without reaching
 tolerance (the result document is still emitted, with ``converged: false``).
 Numbers are rendered with 17 significant digits and a ``.`` decimal
 separator regardless of locale, so identical invocations produce
-byte-identical documents.  ``KAPPA_DEPTH_CAP`` overrides the default depth
-cap of 256.
+byte-identical documents.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,25 +40,11 @@ from .nested import ARCTAN
 from .seqspec import SequenceSpec, SpecError, make_family, parse_spec
 from .ufunc import u_inverse, u_spec, u_table
 
-__all__ = ["CliConfig", "run", "main", "emit_table"]
+__all__ = ["run", "main", "emit_table"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNCONVERGED = 3
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    spec_source: str | None = None
-    tol: float = 1e-9
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    output_format: str = "json"
-    output_path: str | None = None
-    extra: tuple[tuple[str, object], ...] = ()
-
-    def arg(self, name: str) -> object:
-        return dict(self.extra)[name]
 
 
 def _fmt(value: object) -> str:
@@ -59,19 +55,8 @@ def _fmt(value: object) -> str:
     return format(float(value), ".17g")
 
 
-def _emit_json_object(pairs: Sequence[tuple[str, object]]) -> str:
-    body = ", ".join(f'"{key}": {_fmt(value)}' for key, value in pairs)
-    return "{" + body + "}\n"
-
-
-def _emit_csv_object(pairs: Sequence[tuple[str, object]]) -> str:
-    header = ",".join(key for key, _ in pairs)
-    row = ",".join(_fmt(value) for _, value in pairs)
-    return header + "\n" + row + "\n"
-
-
-def _emit_object(pairs: Sequence[tuple[str, object]], fmt: str) -> str:
-    return _emit_csv_object(pairs) if fmt == "csv" else _emit_json_object(pairs)
+def _json_object(columns: Sequence[str], row: Sequence[object]) -> str:
+    return "{" + ", ".join(f'"{c}": {_fmt(cell)}' for c, cell in zip(columns, row)) + "}"
 
 
 def emit_table(
@@ -87,16 +72,22 @@ def emit_table(
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
         return "\n".join(lines) + "\n"
-    objects = [
-        "{" + ", ".join(f'"{c}": {_fmt(cell)}' for c, cell in zip(columns, row)) + "}"
-        for row in rows
-    ]
-    return "[" + ", ".join(objects) + "]\n"
+    return "[" + ", ".join(_json_object(columns, row) for row in rows) + "]\n"
 
 
-def _result_pairs(result: KappaResult) -> list[tuple[str, object]]:
+def _emit_object(pairs: Sequence[tuple[str, object]], fmt: str) -> str:
+    """One record: CSV header + row, or a single JSON object."""
+    columns, row = zip(*pairs)
+    return emit_table([row], columns, fmt) if fmt == "csv" else _json_object(columns, row) + "\n"
+
+
+def _result_document(
+    result: KappaResult, fmt: str, lead: Sequence[tuple[str, object]] = ()
+) -> tuple[int, str]:
+    """Exit status and document of a limit result, after the ``lead`` fields."""
     enclosure = result.enclosure
-    return [
+    pairs = [
+        *lead,
         ("lo", enclosure.lo),
         ("hi", enclosure.hi),
         ("mid", enclosure.mid),
@@ -105,6 +96,7 @@ def _result_pairs(result: KappaResult) -> list[tuple[str, object]]:
         ("depth", enclosure.depth),
         ("converged", result.converged),
     ]
+    return (EXIT_OK if result.converged else EXIT_UNCONVERGED), _emit_object(pairs, fmt)
 
 
 def _positive_float(text: str) -> float:
@@ -134,53 +126,6 @@ def _default_depth_cap() -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nestrad",
-        description="Certified evaluation of nested and transfinite square-root radicals.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
-        p.add_argument("--tol", type=_positive_float, default=1e-9)
-        p.add_argument("--depth-cap", type=_positive_int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
-        p.add_argument("--out", default=None)
-
-    p_eval = sub.add_parser("eval", help="evaluate a radical to tolerance")
-    group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="golden|powertower|ramanujan|constant_raw:<c>|constant_norm:<a>")
-    group.add_argument("--spec", help="path to a spec document")
-    common(p_eval)
-
-    p_u = sub.add_parser("u", help="sample the transfinite golden-body radical")
-    ugroup = p_u.add_mutually_exclusive_group(required=True)
-    ugroup.add_argument("--r", type=float)
-    ugroup.add_argument("--grid", help="rmin:rmax:count, emits rows r,u_lo,u_hi")
-    common(p_u)
-
-    p_uinv = sub.add_parser("u-inv", help="invert the transfinite radical")
-    p_uinv.add_argument("--y", type=float, required=True)
-    common(p_uinv)
-    p_uinv.set_defaults(tol=1e-6)
-
-    p_caps = sub.add_parser("caps", help="tail-supremum interval from a modulus")
-    p_caps.add_argument("--mh", type=_positive_float, required=True)
-    p_caps.add_argument("--eps", type=_positive_float, required=True)
-    common(p_caps)
-
-    p_cf = sub.add_parser("cf", help="continued-function evaluation")
-    p_cf.add_argument("--fn", choices=("arctan",), required=True)
-    p_cf.add_argument("--terms", required=True, help="comma-separated non-negative terms")
-    common(p_cf)
-
-    p_table = sub.add_parser("table", help="per-depth convergence table")
-    p_table.add_argument("--family", required=True)
-    p_table.add_argument("--depths", required=True, help="lo:hi:step")
-    common(p_table, default_format="csv")
-    return parser
-
-
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -205,11 +150,7 @@ def _parse_depths(text: str) -> range:
     return range(lo, hi + 1, step)
 
 
-def _load_spec(config: CliConfig) -> SequenceSpec:
-    source = config.spec_source
-    assert source is not None
-    if source.startswith("family:"):
-        return make_family(source.removeprefix("family:"))
+def _load_spec(source: str) -> SequenceSpec:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
@@ -218,113 +159,137 @@ def _load_spec(config: CliConfig) -> SequenceSpec:
     return parse_spec(text, cap_base=path.parent)
 
 
-def _dispatch(config: CliConfig) -> tuple[int, str]:
-    if config.command == "eval":
-        spec = _load_spec(config)
-        result = kappa_limit(spec, config.tol, config.depth_cap)
-        document = _emit_object(_result_pairs(result), config.output_format)
-        return (EXIT_OK if result.converged else EXIT_UNCONVERGED), document
+def _eval(args: argparse.Namespace) -> tuple[int, str]:
+    spec = make_family(args.family) if args.family is not None else _load_spec(args.spec)
+    return _result_document(kappa_limit(spec, args.tol, args.depth_cap), args.format)
 
-    if config.command == "u":
-        grid = config.arg("grid")
-        if grid is not None:
-            r_min, r_max, count = _parse_grid(str(grid))
-            rows = u_table(r_min, r_max, count, config.tol)
-            return EXIT_OK, emit_table(rows, ["r", "u_lo", "u_hi"], config.output_format)
-        r = float(config.arg("r"))
-        if not (r >= 0.0 and math.isfinite(r)):
-            raise SpecError(f"--r must be finite and >= 0, got {r}")
-        result = kappa_limit(u_spec(r), config.tol, config.depth_cap)
-        pairs = [("r", r)] + _result_pairs(result)
-        document = _emit_object(pairs, config.output_format)
-        return (EXIT_OK if result.converged else EXIT_UNCONVERGED), document
 
-    if config.command == "u-inv":
-        y = float(config.arg("y"))
-        r = u_inverse(y, config.tol)
-        pairs = [("y", y), ("r", r), ("tol", config.tol)]
-        return EXIT_OK, _emit_object(pairs, config.output_format)
+def _u(args: argparse.Namespace) -> tuple[int, str]:
+    if args.grid is not None:
+        r_min, r_max, count = _parse_grid(args.grid)
+        rows = u_table(r_min, r_max, count, args.tol, args.depth_cap)
+        return EXIT_OK, emit_table(rows, ["r", "u_lo", "u_hi"], args.format)
+    r = args.r
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise SpecError(f"--r must be finite and >= 0, got {r}")
+    result = kappa_limit(u_spec(r), args.tol, args.depth_cap)
+    return _result_document(result, args.format, [("r", r)])
 
-    if config.command == "caps":
-        query = SupQuery(float(config.arg("mh")), float(config.arg("eps")))
-        lo, hi = sup_enclosure(query)
-        pairs = [("m_h", query.m_h), ("epsilon", query.epsilon), ("lo", lo), ("hi", hi)]
-        return EXIT_OK, _emit_object(pairs, config.output_format)
 
-    if config.command == "cf":
-        raw = str(config.arg("terms"))
-        try:
-            terms = [float(cell) for cell in raw.split(",") if cell.strip()]
-        except ValueError:
-            raise SpecError(f"bad --terms value {raw!r}") from None
-        if not terms:
-            raise SpecError("--terms must list at least one term")
-        for term in terms:
-            if term < 0.0 or not math.isfinite(term):
-                raise SpecError(f"continued-function terms must be finite and >= 0, got {term}")
-        result = cf_limit(ContinuedSpec.make(ARCTAN, terms), config.tol, config.depth_cap)
-        document = _emit_object(_result_pairs(result), config.output_format)
-        return (EXIT_OK if result.converged else EXIT_UNCONVERGED), document
+def _u_inv(args: argparse.Namespace) -> tuple[int, str]:
+    r = u_inverse(args.y, args.tol)
+    return EXIT_OK, _emit_object([("y", args.y), ("r", r), ("tol", args.tol)], args.format)
 
-    if config.command == "table":
-        spec = make_family(str(config.arg("family")))
-        rows = []
-        for depth in _parse_depths(str(config.arg("depths"))):
-            enclosure = kappa_enclosure(spec, depth)
-            rows.append(
-                (
-                    enclosure.depth,
-                    enclosure.lo,
-                    enclosure.hi,
-                    enclosure.width,
-                    enclosure.analytic_width_bound + enclosure.fp_slack,
-                )
+
+def _caps(args: argparse.Namespace) -> tuple[int, str]:
+    query = SupQuery(args.mh, args.eps)
+    lo, hi = sup_enclosure(query)
+    pairs = [("m_h", query.m_h), ("epsilon", query.epsilon), ("lo", lo), ("hi", hi)]
+    return EXIT_OK, _emit_object(pairs, args.format)
+
+
+def _cf(args: argparse.Namespace) -> tuple[int, str]:
+    try:
+        terms = [float(cell) for cell in args.terms.split(",") if cell.strip()]
+    except ValueError:
+        raise SpecError(f"bad --terms value {args.terms!r}") from None
+    if not terms:
+        raise SpecError("--terms must list at least one term")
+    for term in terms:
+        if term < 0.0 or not math.isfinite(term):
+            raise SpecError(f"continued-function terms must be finite and >= 0, got {term}")
+    result = cf_limit(ContinuedSpec.make(ARCTAN, terms), args.tol, args.depth_cap)
+    return _result_document(result, args.format)
+
+
+def _table(args: argparse.Namespace) -> tuple[int, str]:
+    spec = make_family(args.family)
+    rows = []
+    for depth in _parse_depths(args.depths):
+        enclosure = kappa_enclosure(spec, depth)
+        rows.append(
+            (
+                enclosure.depth,
+                enclosure.lo,
+                enclosure.hi,
+                enclosure.width,
+                enclosure.analytic_width_bound + enclosure.fp_slack,
             )
-        columns = ["depth", "lo", "hi", "width", "width_bound"]
-        return EXIT_OK, emit_table(rows, columns, config.output_format)
-
-    raise SpecError(f"unknown command {config.command!r}")
+        )
+    return EXIT_OK, emit_table(rows, ["depth", "lo", "hi", "width", "width_bound"], args.format)
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    depth_cap = args.depth_cap if args.depth_cap is not None else _default_depth_cap()
-    spec_source = None
-    extra: list[tuple[str, object]] = []
-    if args.command == "eval":
-        spec_source = f"family:{args.family}" if args.family else args.spec
-    else:
-        for name in ("r", "grid", "y", "mh", "eps", "fn", "terms", "family", "depths"):
-            if hasattr(args, name):
-                extra.append((name, getattr(args, name)))
-    return CliConfig(
-        command=args.command,
-        spec_source=spec_source,
-        tol=args.tol,
-        depth_cap=depth_cap,
-        output_format=args.format,
-        output_path=args.out,
-        extra=tuple(extra),
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nestrad",
+        description="Certified evaluation of nested and transfinite square-root radicals.",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
+        p.add_argument("--tol", type=_positive_float, default=1e-9)
+        p.add_argument("--depth-cap", type=_positive_int, default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+        p.add_argument("--out", default=None)
+
+    p_eval = sub.add_parser("eval", help="evaluate a radical to tolerance")
+    group = p_eval.add_mutually_exclusive_group(required=True)
+    group.add_argument("--family", help="golden|powertower|ramanujan|constant_raw:<c>|constant_norm:<a>")
+    group.add_argument("--spec", help="path to a spec document")
+    common(p_eval)
+    p_eval.set_defaults(handler=_eval)
+
+    p_u = sub.add_parser("u", help="sample the transfinite golden-body radical")
+    ugroup = p_u.add_mutually_exclusive_group(required=True)
+    ugroup.add_argument("--r", type=float)
+    ugroup.add_argument("--grid", help="rmin:rmax:count, emits rows r,u_lo,u_hi")
+    common(p_u)
+    p_u.set_defaults(handler=_u)
+
+    p_uinv = sub.add_parser("u-inv", help="invert the transfinite radical")
+    p_uinv.add_argument("--y", type=float, required=True)
+    common(p_uinv)
+    p_uinv.set_defaults(handler=_u_inv, tol=1e-6)
+
+    p_caps = sub.add_parser("caps", help="tail-supremum interval from a modulus")
+    p_caps.add_argument("--mh", type=_positive_float, required=True)
+    p_caps.add_argument("--eps", type=_positive_float, required=True)
+    common(p_caps)
+    p_caps.set_defaults(handler=_caps)
+
+    p_cf = sub.add_parser("cf", help="continued-function evaluation")
+    p_cf.add_argument("--fn", choices=("arctan",), required=True)
+    p_cf.add_argument("--terms", required=True, help="comma-separated non-negative terms")
+    common(p_cf)
+    p_cf.set_defaults(handler=_cf)
+
+    p_table = sub.add_parser("table", help="per-depth convergence table")
+    p_table.add_argument("--family", required=True)
+    p_table.add_argument("--depths", required=True, help="lo:hi:step")
+    common(p_table, default_format="csv")
+    p_table.set_defaults(handler=_table)
+    return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run the command, emit the document; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        status, document = _dispatch(config)
+        if args.depth_cap is None:  # KAPPA_DEPTH_CAP is checked for every command
+            args.depth_cap = _default_depth_cap()
+        status, document = args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"nestrad: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.output_path is not None:
+    if args.out is not None:
         try:
-            Path(config.output_path).write_text(document, encoding="utf-8")
+            Path(args.out).write_text(document, encoding="utf-8")
         except OSError as exc:
-            print(f"nestrad: error: cannot write {config.output_path!r}: {exc}", file=sys.stderr)
+            print(f"nestrad: error: cannot write {args.out!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
         sys.stdout.write(document)

@@ -380,10 +380,8 @@ def constant_normalized(alpha: float) -> SequenceSpec:
     )
 
 
-# A NaN raw value fails ``raw > 0`` and reads as a zero coefficient; a NaN
-# alpha or log-raw value reaches the range check and is refused.
 _TO_LN_ALPHA = {
-    "raw": lambda raw, k: math.ldexp(math.log(raw), -k) if raw > 0.0 else _NEG_INF,
+    "raw": lambda raw, k: math.ldexp(math.log(raw), -k) if raw != 0.0 else _NEG_INF,
     "lograw": lambda log_raw, k: math.ldexp(log_raw, -k),
     "norm": lambda alpha, k: math.log(alpha) if alpha != 0.0 else _NEG_INF,
 }

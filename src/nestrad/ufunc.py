@@ -73,9 +73,9 @@ def u_inverse(y: float, tol: float = 1e-6) -> float:
 
 
 def u_table(
-    r_min: float, r_max: float, count: int, tol: float = 1e-9
+    r_min: float, r_max: float, count: int, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> list[tuple[float, float, float]]:
-    """Uniform samples (r, U_lo, U_hi) on [r_min, r_max]."""
+    """Uniform samples (r, U_lo, U_hi) on [r_min, r_max], each from :func:`u_eval`."""
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     if not r_min <= r_max:
@@ -83,6 +83,6 @@ def u_table(
     rows = []
     for i in range(count):
         r = r_min + (r_max - r_min) * i / (count - 1)
-        enclosure = u_eval(r, tol)
+        enclosure = u_eval(r, tol, depth_cap)
         rows.append((r, enclosure.lo, enclosure.hi))
     return rows

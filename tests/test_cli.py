@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nestrad import PHI, cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -91,16 +96,65 @@ README_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("invocation", sorted(README_DOCUMENTS))
-def test_readme_documents_are_byte_identical(invocation, capsys, tmp_path: Path):
+def readme_argv(invocation: str, tmp_path: Path) -> list[str]:
+    """argv of a README invocation, its spec file written under tmp_path."""
     argv = invocation.split()
     if "--spec" in argv:
         spec = tmp_path / argv[argv.index("--spec") + 1]
         spec.write_text(README_SPEC, encoding="utf-8")
         argv[argv.index("--spec") + 1] = str(spec)
-    status, out, err = run_cli(capsys, *argv)
+    return argv
+
+
+@pytest.mark.parametrize("invocation", sorted(README_DOCUMENTS))
+def test_readme_documents_are_byte_identical(invocation, capsys, tmp_path: Path):
+    status, out, err = run_cli(capsys, *readme_argv(invocation, tmp_path))
     assert (status, err) == (0, "")
     assert out == README_DOCUMENTS[invocation]
+
+
+def test_shared_parser_is_reentrant(capsys, tmp_path: Path):
+    # One process, one parser: subcommand defaults (u-inv's --tol 1e-6,
+    # table's csv format) and rejected argv must not leak into later calls.
+    invocations = sorted(README_DOCUMENTS)
+
+    def run_all(order):
+        for invocation in order:
+            status, out, err = run_cli(capsys, *readme_argv(invocation, tmp_path))
+            assert (status, out, err) == (0, README_DOCUMENTS[invocation], ""), invocation
+
+    run_all(invocations)
+    status, out, err = run_cli(capsys, "eval")  # refused by argparse
+    assert (status, out) == (2, "") and err.startswith("usage: nestrad eval")
+    status, out, err = run_cli(capsys, "caps", "--mh", "0", "--eps", "1")  # refused by its type
+    assert (status, out) == (2, "") and "expected a positive number" in err
+    status, out, err = run_cli(capsys, "u", "--r", "-3")  # refused by the handler
+    assert (status, out) == (2, "") and err.startswith("nestrad: error: --r must be")
+    run_all(reversed(invocations))
+
+
+class TestProcess:
+    """``python -m nestrad`` from the source tree, without an install."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("KAPPA_DEPTH_CAP", None)
+        return subprocess.run(
+            [sys.executable, "-m", "nestrad", *argv],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+
+    def test_readme_document(self):
+        invocation = "eval --family golden --tol 1e-10"
+        done = self.run_module(*invocation.split())
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == README_DOCUMENTS[invocation]
+
+    def test_usage_error(self):
+        done = self.run_module("eval")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: nestrad eval")
 
 
 class TestEval:
@@ -132,6 +186,18 @@ class TestEval:
         assert status == 0
         assert json.loads(out)["mid"] == pytest.approx(3.0, abs=1e-9)
 
+    def test_spec_path_is_never_a_family_token(self, capsys, tmp_path: Path, monkeypatch):
+        # a file literally named family:golden is read, not taken as a family
+        monkeypatch.chdir(tmp_path)
+        Path("family:golden").write_text("family=powertower\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, "eval", "--spec", "family:golden")
+        assert (status, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["lo"] <= 2.0 * PHI <= doc["hi"]
+        status, out, err = run_cli(capsys, "eval", "--spec", "family:nosuch")
+        assert (status, out) == (2, "")
+        assert "cannot read spec file" in err
+
     def test_spec_file_with_cap_table(self, capsys, tmp_path: Path):
         (tmp_path / "caps.csv").write_text(
             "n,lower_seed,upper_cap\n4,0.5,1.5\n", encoding="utf-8"
@@ -157,6 +223,11 @@ class TestEval:
         assert out == ""
         assert "error" in err
 
+    def test_empty_family_exit_2(self, capsys):
+        status, out, err = run_cli(capsys, "eval", "--family", "")
+        assert (status, out) == (2, "")
+        assert "unknown family" in err
+
     def test_negative_term_in_spec_file(self, capsys, tmp_path: Path):
         spec = tmp_path / "bad.spec"
         spec.write_text("terms_raw=[-1]\n", encoding="utf-8")
@@ -164,9 +235,12 @@ class TestEval:
         assert status == 2
         assert "line 1" in err
 
-    @pytest.mark.parametrize("body", ["terms_lograw=[1500]", "terms_lograw=[-1e4]"])
+    @pytest.mark.parametrize(
+        "body", ["terms_lograw=[1500]", "terms_lograw=[-1e4]", "terms_raw=[nan]"]
+    )
     def test_out_of_range_lograw_in_spec_file(self, capsys, tmp_path: Path, body):
-        # ln(alpha_1) = 750 overflows exp, -5000 flushes alpha_1 to zero
+        # ln(alpha_1) = 750 overflows exp, -5000 flushes alpha_1 to zero, and
+        # a NaN coefficient is refused on every scale
         spec = tmp_path / "bad.spec"
         spec.write_text(f"# comment\n{body}\n", encoding="utf-8")
         status, out, err = run_cli(capsys, "eval", "--spec", str(spec))
@@ -264,6 +338,16 @@ class TestUCommands:
     def test_u_negative_r(self, capsys):
         status, _, err = run_cli(capsys, "u", "--r", "-3")
         assert status == 2
+
+    def test_u_grid_honours_depth_cap(self, capsys, monkeypatch):
+        # width 1e-9 needs depth 21 at r = 1; a grid cannot report unconverged rows
+        status, out, err = run_cli(capsys, "u", "--grid", "1:2:3", "--depth-cap", "4")
+        assert (status, out) == (2, "")
+        assert "within depth 4" in err
+        monkeypatch.setenv("KAPPA_DEPTH_CAP", "4")
+        status, out, err = run_cli(capsys, "u", "--grid", "1:2:3")
+        assert (status, out) == (2, "")
+        assert "within depth 4" in err
 
     def test_u_depth_cap_exit_3(self, capsys):
         status, out, _ = run_cli(capsys, "u", "--r", "1", "--tol", "1e-9", "--depth-cap", "6")

@@ -85,6 +85,7 @@ class TestTerm:
         for scale, value in (
             ("norm", math.nan),
             ("norm", math.inf),
+            ("raw", math.nan),
             ("raw", math.inf),
             ("lograw", math.nan),
             ("lograw", math.inf),

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import support
-from nestrad import PHI, OmegaTail, u_eval, u_inverse, u_spec, u_table
+from nestrad import DEFAULT_DEPTH_CAP, PHI, OmegaTail, u_eval, u_inverse, u_spec, u_table
 
 U_OF_2 = 2.2642652660462583  # deep-truncation oracle, stable from depth 16 on
 
@@ -102,6 +102,12 @@ class TestUTable:
         rows = u_table(1.0, 10.0, 10, tol=1e-9)
         lows = [lo for _, lo, hi in rows]
         assert all(a < b for a, b in zip(lows, lows[1:]))
+
+    def test_depth_cap(self):
+        assert u_table(1.0, 2.0, 3, depth_cap=DEFAULT_DEPTH_CAP) == u_table(1.0, 2.0, 3)
+        # width 1e-9 needs depth 21 at r = 1
+        with pytest.raises(RuntimeError, match="within depth 4"):
+            u_table(1.0, 2.0, 3, depth_cap=4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
