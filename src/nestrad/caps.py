@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .kappa import PHI
-from .ufunc import u_inverse
+from .kappa import DEFAULT_DEPTH_CAP, PHI
+from .ufunc import _u_bracket
 
 __all__ = ["SupQuery", "SupSequenceResult", "sup_enclosure", "sup_sequence_bounds"]
 
@@ -50,11 +50,18 @@ class SupSequenceResult:
 
 
 def sup_enclosure(query: SupQuery) -> tuple[float, float]:
-    """Certified interval containing the coefficient supremum."""
-    y = query.epsilon / query.m_h + PHI
+    """Certified interval containing the coefficient supremum.
+
+    ``hi`` is m_h times the certified upper end of a U^-1 bracket, with the
+    target y and the product both rounded upward, so it never falls short.
+    """
+    # one step up covers the two roundings; the float PHI already exceeds phi
+    y = math.nextafter(query.epsilon / query.m_h + PHI, math.inf)
+    if math.isinf(y):
+        raise ValueError(f"epsilon / m_h overflows binary64: {query.epsilon} / {query.m_h}")
     inverse_tol = 1e-9 * max(1.0, y)
-    r = u_inverse(y, inverse_tol)
-    return (query.m_h, query.m_h * r)
+    _, r_hi = _u_bracket(y, inverse_tol, DEFAULT_DEPTH_CAP, ties_below=True)
+    return (query.m_h, math.nextafter(query.m_h * r_hi, math.inf))
 
 
 def sup_sequence_bounds(

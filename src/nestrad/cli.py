@@ -6,11 +6,11 @@ transfinite radical, pointwise or on a grid), ``u-inv`` (invert it),
 function), ``table`` (per-depth convergence table).
 
 Every subcommand accepts ``--tol``, ``--depth-cap``, ``--format`` and
-``--out``.  ``eval``, ``u`` and ``cf`` read ``--tol`` (default 1e-9) and
-``--depth-cap``; ``u-inv`` reads only ``--tol`` (default 1e-6); ``caps`` and
-``table`` read neither.  ``--format`` defaults to ``csv`` for ``table`` and
-to ``json`` elsewhere.  ``KAPPA_DEPTH_CAP`` overrides the default depth cap
-of 256 and is validated on every call.
+``--out``.  ``eval``, ``u``, ``u-inv`` and ``cf`` read ``--tol`` (default
+1e-9, for ``u-inv`` 1e-6) and ``--depth-cap``; ``caps`` and ``table`` read
+neither.  ``--format`` defaults to ``csv`` for ``table`` and to ``json``
+elsewhere.  ``KAPPA_DEPTH_CAP`` overrides the default depth cap of 256 and
+is validated on every call.
 
 The argparse tree is built once, on the first :func:`run`, and each
 subparser carries its handler: a function from the parsed namespace to
@@ -177,7 +177,7 @@ def _u(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _u_inv(args: argparse.Namespace) -> tuple[int, str]:
-    r = u_inverse(args.y, args.tol)
+    r = u_inverse(args.y, args.tol, args.depth_cap)
     return EXIT_OK, _emit_object([("y", args.y), ("r", r), ("tol", args.tol)], args.format)
 
 

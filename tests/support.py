@@ -57,13 +57,18 @@ def mp_golden_truncation(depth: int, seed: float = 1.0, dps: int = 60) -> float:
         return float(value)
 
 
-def mp_u(r: float, depth: int, dps: int = 120) -> float:
-    """Truncation of the golden-body transfinite radical at the given depth."""
+def mp_u(r, depth: int, dps: int = 120, as_float: bool = True):
+    """Truncation of the golden-body transfinite radical at the given depth.
+
+    For r >= 1 the truncations increase with depth towards U(r), and the
+    depth-d one lies within r * (phi ** 2**-d - 1) <= r * 2**-d of it.
+    ``as_float=False`` returns the mpf at ``dps`` digits instead of rounding.
+    """
     with mp.workdps(dps):
         value = mp.mpf(r) ** (2**depth)
         for _ in range(depth):
             value = mp.sqrt(1 + value)
-        return float(value)
+        return float(value) if as_float else value
 
 
 def mp_constant_raw_tail_norm(c: float, n: int, extra_depth: int = 80, dps: int = 60) -> float:

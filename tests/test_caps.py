@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 import support
@@ -45,6 +46,24 @@ class TestSupEnclosure:
         scaled_lo, scaled_hi = sup_enclosure(SupQuery(factor, 0.1 * factor))
         assert scaled_lo == pytest.approx(factor * base_lo, rel=1e-9)
         assert scaled_hi == pytest.approx(factor * base_hi, rel=1e-9)
+
+    @pytest.mark.parametrize("m_h", [0.1, 1.0, 10.0])
+    def test_upper_end_reaches_the_exact_bound(self, m_h):
+        # hi must be at least M_H * U^-1(eps / M_H + phi), i.e. U(hi / M_H)
+        # must reach eps / M_H + phi.  Truncations of U increase towards it,
+        # so a depth-128 one (within 2**-120 of U here) that reaches the
+        # target proves it.
+        for i in range(13):
+            epsilon = 10.0 ** (-12.0 + 13.0 * i / 12.0)
+            _, hi = sup_enclosure(SupQuery(m_h, epsilon))
+            with mp.workdps(90):
+                target = mp.mpf(epsilon) / mp.mpf(m_h) + (1 + mp.sqrt(5)) / 2
+                r = mp.mpf(hi) / mp.mpf(m_h)
+                assert support.mp_u(r, 128, 90, as_float=False) >= target, (epsilon, hi)
+
+    def test_overflowing_ratio_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            sup_enclosure(SupQuery(1e-300, 1e10))
 
     def test_monotone_response(self):
         uppers = [sup_enclosure(SupQuery(1.0, eps))[1] for eps in (1e-6, 1e-4, 1e-2, 1.0)]

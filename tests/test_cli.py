@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from nestrad import PHI, cli
+from nestrad import DEFAULT_DEPTH_CAP, PHI, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,11 +83,11 @@ README_DOCUMENTS = {
         '10,10.050124383557367,10.050124384116685\n'
     ),
     "u-inv --y 3 --tol 1e-6": (
-        '{"y": 3, "r": 2.8172244792792167, "tol": 9.9999999999999995e-07}\n'
+        '{"y": 3, "r": 2.8172246158809076, "tol": 9.9999999999999995e-07}\n'
     ),
     "caps --mh 1 --eps 0.1": (
         '{"m_h": 1, "epsilon": 0.10000000000000001, "lo": 1, '
-        '"hi": 1.2711378787082726}\n'
+        '"hi": 1.2711378793194352}\n'
     ),
     "cf --fn arctan --terms 1,1,1 --tol 2": (
         '{"lo": 0.78539816339744828, "hi": 2.3561944901923448, '
@@ -348,6 +349,28 @@ class TestUCommands:
         status, out, err = run_cli(capsys, "u", "--grid", "1:2:3")
         assert (status, out) == (2, "")
         assert "within depth 4" in err
+
+    def test_u_inv_honours_depth_cap(self, capsys, monkeypatch):
+        # depth-4 enclosures of U are ~0.2 wide, far above tol/4
+        status, out, err = run_cli(capsys, "u-inv", "--y", "3", "--tol", "1e-9", "--depth-cap", "4")
+        assert (status, out) == (2, "")
+        assert "within depth 4" in err
+        monkeypatch.setenv("KAPPA_DEPTH_CAP", "4")
+        status, out, err = run_cli(capsys, "u-inv", "--y", "3", "--tol", "1e-9")
+        assert (status, out) == (2, "")
+        assert "within depth 4" in err
+        monkeypatch.delenv("KAPPA_DEPTH_CAP")
+        invocation = "u-inv --y 3 --tol 1e-6"
+        status, out, _ = run_cli(capsys, *invocation.split(), "--depth-cap", str(DEFAULT_DEPTH_CAP))
+        assert (status, out) == (0, README_DOCUMENTS[invocation])
+
+    def test_u_inv_huge_y_refused_quickly(self, capsys):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "u-inv", "--y", "1e300")
+        elapsed = time.perf_counter() - start
+        assert (status, out) == (2, "")
+        assert err.startswith("nestrad: error: ") and "Traceback" not in err
+        assert elapsed < 0.5
 
     def test_u_depth_cap_exit_3(self, capsys):
         status, out, _ = run_cli(capsys, "u", "--r", "1", "--tol", "1e-9", "--depth-cap", "6")

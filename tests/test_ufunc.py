@@ -1,9 +1,23 @@
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, strategies as st
 
+import nestrad.kappa
+import nestrad.ufunc
 import support
-from nestrad import DEFAULT_DEPTH_CAP, PHI, OmegaTail, u_eval, u_inverse, u_spec, u_table
+from nestrad import (
+    DEFAULT_DEPTH_CAP,
+    PHI,
+    OmegaTail,
+    SupQuery,
+    sup_enclosure,
+    u_eval,
+    u_inverse,
+    u_spec,
+    u_table,
+)
 
 U_OF_2 = 2.2642652660462583  # deep-truncation oracle, stable from depth 16 on
 
@@ -59,6 +73,68 @@ class TestUInverse:
     def test_round_trip(self, y):
         r = u_inverse(y, 1e-6)
         assert abs(u_eval(r, 1e-7).mid - y) <= 2e-6
+
+    @given(
+        y=st.floats(min_value=PHI, max_value=1e3),
+        tol=st.floats(min_value=-9.0, max_value=-4.0).map(lambda e: 10.0**e),
+    )
+    def test_contract_against_oracle(self, y, tol):
+        r = u_inverse(y, tol)
+        depth = 80
+        with mp.workdps(60):
+            # U(r) lies in [truncation, truncation + r * 2**-depth]
+            lower = support.mp_u(r, depth, 60, as_float=False)
+            upper = lower + mp.mpf(r) * mp.mpf(2) ** -depth
+            assert mp.mpf(y) - tol <= lower and upper <= mp.mpf(y) + tol, (y, tol, r)
+
+    @pytest.mark.parametrize("y,tol", [(1e300, 1e-6), (10.0, 1e-15)])
+    def test_refuses_below_float_spacing(self, y, tol):
+        # floats near the root are more than tol/2 apart
+        with pytest.raises(RuntimeError, match="cannot be bracketed"):
+            u_inverse(y, tol)
+
+    def test_refuses_at_depth_cap(self):
+        # depth-4 enclosures are ~0.2 wide: a probe near the root stays
+        # undecided at the cap and must not be returned as the answer
+        with pytest.raises(RuntimeError, match="within depth 4"):
+            u_inverse(3.0, 1e-9, depth_cap=4)
+        assert u_inverse(3.0, 1e-6, depth_cap=DEFAULT_DEPTH_CAP) == u_inverse(3.0, 1e-6)
+
+
+class TestWorkCounts:
+    """Enclosures spent per call: deterministic, so they guard the probe cost."""
+
+    @pytest.fixture
+    def depths(self, monkeypatch):
+        seen = []
+        original = nestrad.kappa.kappa_enclosure
+
+        def counted(spec, depth):
+            seen.append(depth)
+            return original(spec, depth)
+
+        # both bindings, so a probe routed through kappa_limit is counted too
+        monkeypatch.setattr(nestrad.ufunc, "kappa_enclosure", counted, raising=False)
+        monkeypatch.setattr(nestrad.kappa, "kappa_enclosure", counted)
+        return seen
+
+    def test_u_inverse(self, depths):
+        u_inverse(3.0, 1e-6)
+        assert 1 <= len(depths) <= 64
+
+    def test_sup_enclosure(self, depths):
+        sup_enclosure(SupQuery(1.0, 0.1))
+        assert 1 <= len(depths) <= 80
+
+    def test_float_spacing_refusal_is_cheap(self, depths):
+        with pytest.raises(RuntimeError):
+            u_inverse(1e300, 1e-6)
+        assert len(depths) <= 7
+
+    def test_probes_stay_within_the_depth_cap(self, depths):
+        r = u_inverse(3.0, 1e-6, depth_cap=24)
+        assert max(depths) == 24
+        assert abs(support.mp_u(r, 80) - 3.0) <= 1e-6
 
 
 class TestUShape:
