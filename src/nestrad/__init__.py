@@ -16,24 +16,17 @@ from .kappa import (
     LN_PHI,
     PHI,
     KappaResult,
-    SubsetIndex,
     kappa_enclosure,
     kappa_limit,
-    kappa_subset,
     phi_pow,
 )
 from .nested import (
     ARCTAN,
-    LOG1P,
-    OUTER_FUNCTIONS,
     SQRT,
     Enclosure,
     OuterFunction,
     nested_eval,
-    seed_gap,
-    seed_gap_pair,
     sqrt_nested_scaled,
-    swap_adjacent,
 )
 from .seqspec import (
     RAMANUJAN_SUP_BOUND,
@@ -71,8 +64,6 @@ __all__ = [
     "Enclosure",
     "KappaResult",
     "LN_PHI",
-    "LOG1P",
-    "OUTER_FUNCTIONS",
     "OmegaTail",
     "OuterFunction",
     "PHI",
@@ -81,7 +72,6 @@ __all__ = [
     "SQRT",
     "SequenceSpec",
     "SpecError",
-    "SubsetIndex",
     "SupQuery",
     "SupSequenceResult",
     "TailModel",
@@ -95,7 +85,6 @@ __all__ = [
     "golden",
     "kappa_enclosure",
     "kappa_limit",
-    "kappa_subset",
     "load_cap_table",
     "make_family",
     "nested_eval",
@@ -104,12 +93,9 @@ __all__ = [
     "power_tower",
     "ramanujan",
     "render_spec",
-    "seed_gap",
-    "seed_gap_pair",
     "sqrt_nested_scaled",
     "sup_enclosure",
     "sup_sequence_bounds",
-    "swap_adjacent",
     "u_eval",
     "u_inverse",
     "u_spec",

@@ -54,6 +54,7 @@ def sup_enclosure(query: SupQuery) -> tuple[float, float]:
 
     ``hi`` is m_h times the certified upper end of a U^-1 bracket, with the
     target y and the product both rounded upward, so it never falls short.
+    A ratio epsilon / m_h or a bound past binary64 raises ValueError.
     """
     # one step up covers the two roundings; the float PHI already exceeds phi
     y = math.nextafter(query.epsilon / query.m_h + PHI, math.inf)
@@ -61,7 +62,10 @@ def sup_enclosure(query: SupQuery) -> tuple[float, float]:
         raise ValueError(f"epsilon / m_h overflows binary64: {query.epsilon} / {query.m_h}")
     inverse_tol = 1e-9 * max(1.0, y)
     _, r_hi = _u_bracket(y, inverse_tol, DEFAULT_DEPTH_CAP, ties_below=True)
-    return (query.m_h, math.nextafter(query.m_h * r_hi, math.inf))
+    hi = math.nextafter(query.m_h * r_hi, math.inf)
+    if math.isinf(hi):
+        raise ValueError(f"supremum bound m_h * U^-1(y) overflows binary64: {query.m_h} * {r_hi}")
+    return (query.m_h, hi)
 
 
 def sup_sequence_bounds(

@@ -5,12 +5,12 @@ transfinite radical, pointwise or on a grid), ``u-inv`` (invert it),
 ``caps`` (tail-supremum interval from a modulus), ``cf`` (continued
 function), ``table`` (per-depth convergence table).
 
-Every subcommand accepts ``--tol``, ``--depth-cap``, ``--format`` and
-``--out``.  ``eval``, ``u``, ``u-inv`` and ``cf`` read ``--tol`` (default
-1e-9, for ``u-inv`` 1e-6) and ``--depth-cap``; ``caps`` and ``table`` read
-neither.  ``--format`` defaults to ``csv`` for ``table`` and to ``json``
-elsewhere.  ``KAPPA_DEPTH_CAP`` overrides the default depth cap of 256 and
-is validated on every call.
+Every subcommand accepts ``--format`` and ``--out``; ``--format`` defaults
+to ``csv`` for ``table`` and to ``json`` elsewhere.  ``eval``, ``u``,
+``u-inv`` and ``cf`` also accept ``--tol`` (default 1e-9, for ``u-inv``
+1e-6) and ``--depth-cap``; ``caps`` and ``table`` refuse both.
+``KAPPA_DEPTH_CAP`` overrides the default depth cap of 256 and is validated
+on every call.
 
 The argparse tree is built once, on the first :func:`run`, and each
 subparser carries its handler: a function from the parsed namespace to
@@ -225,11 +225,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nestrad",
         description="Certified evaluation of nested and transfinite square-root radicals.",
     )
+    # run() resolves KAPPA_DEPTH_CAP also for the commands without --depth-cap
+    parser.set_defaults(depth_cap=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
-        p.add_argument("--tol", type=_positive_float, default=1e-9)
-        p.add_argument("--depth-cap", type=_positive_int, default=None)
+    def common(p: argparse.ArgumentParser, default_format: str = "json", limits: bool = True) -> None:
+        if limits:
+            p.add_argument("--tol", type=_positive_float, default=1e-9)
+            p.add_argument("--depth-cap", type=_positive_int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
         p.add_argument("--out", default=None)
 
@@ -255,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_caps = sub.add_parser("caps", help="tail-supremum interval from a modulus")
     p_caps.add_argument("--mh", type=_positive_float, required=True)
     p_caps.add_argument("--eps", type=_positive_float, required=True)
-    common(p_caps)
+    common(p_caps, limits=False)
     p_caps.set_defaults(handler=_caps)
 
     p_cf = sub.add_parser("cf", help="continued-function evaluation")
@@ -267,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="per-depth convergence table")
     p_table.add_argument("--family", required=True)
     p_table.add_argument("--depths", required=True, help="lo:hi:step")
-    common(p_table, default_format="csv")
+    common(p_table, default_format="csv", limits=False)
     p_table.set_defaults(handler=_table)
     return parser
 

@@ -22,7 +22,7 @@ from typing import Iterable
 from .kappa import KappaResult
 from .nested import Enclosure, OuterFunction, nested_eval
 
-__all__ = ["ContinuedSpec", "cf_eval", "cf_error_bound", "cf_limit", "ITERATION_LIMIT"]
+__all__ = ["ContinuedSpec", "cf_eval", "cf_error_bound", "cf_limit"]
 
 # Error bounds are found by literal iteration of the outer function; this
 # caps the walk for tolerances the iterates cannot reach in bounded time.

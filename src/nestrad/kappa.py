@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .nested import Enclosure, _ln_alphas, sqrt_nested_scaled
+from .nested import Enclosure, sqrt_nested_scaled
 from .seqspec import SequenceSpec
 
 __all__ = [
@@ -46,11 +45,9 @@ __all__ = [
     "LN_PHI",
     "DEFAULT_DEPTH_CAP",
     "phi_pow",
-    "SubsetIndex",
     "KappaResult",
     "kappa_enclosure",
     "kappa_limit",
-    "kappa_subset",
 ]
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -66,25 +63,6 @@ def phi_pow(n: int) -> float:
     if n < 0:
         raise ValueError(f"exponent index must be >= 0, got {n}")
     return math.exp(math.ldexp(LN_PHI, -n))
-
-
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A finite ascending set of coefficient indices, optionally ending at omega."""
-
-    indices: tuple[int, ...]
-    omega: bool = False
-
-    def __post_init__(self):
-        for left, right in zip(self.indices, self.indices[1:]):
-            if left >= right:
-                raise ValueError(f"indices must be strictly ascending, got {self.indices}")
-        if self.indices and self.indices[0] < 1:
-            raise ValueError(f"indices must be >= 1, got {self.indices}")
-
-    @property
-    def size(self) -> int:
-        return len(self.indices) + (1 if self.omega else 0)
 
 
 @dataclass(frozen=True)
@@ -168,15 +146,3 @@ def kappa_limit(
             return KappaResult(best, False)
         previous, probe = probe, min(probe * 2, depth_cap)
 
-
-def kappa_subset(index: SubsetIndex, values: Sequence[float]) -> float:
-    """Finite radical over an index subset, with position exponents.
-
-    The p-th smallest selected index contributes ``value ** 2**p``; the
-    exponent follows the position in the ascending set, not the index value,
-    so two subsets with the same values in the same order evaluate equal.
-    An empty subset evaluates to 0.
-    """
-    if len(values) != index.size:
-        raise ValueError(f"subset has {index.size} positions but {len(values)} values given")
-    return sqrt_nested_scaled(_ln_alphas(values), 0.0)

@@ -10,12 +10,6 @@ Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
 
-The comparison helpers (:func:`seed_gap`, :func:`seed_gap_pair`,
-:func:`swap_adjacent`) expose the inequalities that drive the error analysis:
-swinging the innermost seed moves the value by at most the seed swing,
-lowering coefficients amplifies that swing, and sorting two adjacent
-coefficients ascending never increases the value.
-
 Everything is pure and reentrant.
 """
 
@@ -29,14 +23,9 @@ __all__ = [
     "OuterFunction",
     "SQRT",
     "ARCTAN",
-    "LOG1P",
-    "OUTER_FUNCTIONS",
     "Enclosure",
     "nested_eval",
     "sqrt_nested_scaled",
-    "seed_gap",
-    "seed_gap_pair",
-    "swap_adjacent",
 ]
 
 _NEG_INF = float("-inf")
@@ -64,9 +53,6 @@ class OuterFunction:
 
 SQRT = OuterFunction(math.sqrt, 0.0, math.inf, "sqrt")
 ARCTAN = OuterFunction(math.atan, 0.0, math.pi / 2.0, "arctan")
-LOG1P = OuterFunction(math.log1p, 0.0, math.inf, "log1p")
-
-OUTER_FUNCTIONS = {f.label: f for f in (SQRT, ARCTAN, LOG1P)}
 
 
 @dataclass(frozen=True)
@@ -155,69 +141,3 @@ def sqrt_nested_scaled(ln_alphas: Sequence[float], seed_norm: float) -> float:
         return 0.0
     return math.exp(scale_log + ln_value)
 
-
-def seed_gap(ln_alphas: Sequence[float], upper_seed: float, lower_seed: float) -> float:
-    """Value swing from moving the innermost seed between two levels.
-
-    The result is bounded by ``upper_seed - lower_seed``: each square root is
-    a contraction of seed differences on the normalized scale.
-    """
-    if lower_seed < 0.0 or upper_seed < lower_seed:
-        raise ValueError(f"need upper_seed >= lower_seed >= 0, got {upper_seed}, {lower_seed}")
-    return sqrt_nested_scaled(ln_alphas, upper_seed) - sqrt_nested_scaled(ln_alphas, lower_seed)
-
-
-def seed_gap_pair(
-    h: OuterFunction,
-    terms_small: Sequence[float],
-    terms_large: Sequence[float],
-    upper_seed: float,
-    lower_seed: float,
-) -> tuple[float, float]:
-    """Seed swings over two pointwise-ordered coefficient lists.
-
-    With ``terms_small[k] <= terms_large[k]`` everywhere, the swing over the
-    small list dominates the swing over the large list: larger coefficients
-    damp the influence of the seed.
-    """
-    if len(terms_small) != len(terms_large):
-        raise ValueError("coefficient lists must have equal length")
-    for position, (small, large) in enumerate(zip(terms_small, terms_large), start=1):
-        if small > large:
-            raise ValueError(f"terms_small exceeds terms_large at position {position}")
-    if lower_seed < 0.0 or upper_seed < lower_seed:
-        raise ValueError(f"need upper_seed >= lower_seed >= 0, got {upper_seed}, {lower_seed}")
-    gap_small = nested_eval(h, terms_small, upper_seed) - nested_eval(h, terms_small, lower_seed)
-    gap_large = nested_eval(h, terms_large, upper_seed) - nested_eval(h, terms_large, lower_seed)
-    return gap_small, gap_large
-
-
-def _ln_alphas(values: Sequence[float]) -> list[float]:
-    # Normalized values fold with position exponents as they stand: position
-    # p enters as value ** 2**p because the fold reads ln(alpha_p).
-    out = []
-    for position, value in enumerate(values, start=1):
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"normalized value {value} at position {position} must be >= 0")
-        out.append(math.log(value) if value > 0.0 else _NEG_INF)
-    return out
-
-
-def swap_adjacent(values: Sequence[float], j: int) -> tuple[float, float]:
-    """Radical values before and after sorting positions j, j+1 ascending.
-
-    ``values`` are normalized coefficients evaluated with position exponents
-    (position p enters as value ** 2**p) and seed 0.  Sorting an adjacent
-    pair ascending never increases the value, so ``original >= swapped`` up
-    to rounding.
-    """
-    if not 1 <= j < len(values):
-        raise ValueError(f"swap position must satisfy 1 <= j < {len(values)}, got {j}")
-    original = sqrt_nested_scaled(_ln_alphas(values), 0.0)
-    reordered = list(values)
-    reordered[j - 1], reordered[j] = (
-        min(values[j - 1], values[j]),
-        max(values[j - 1], values[j]),
-    )
-    swapped = sqrt_nested_scaled(_ln_alphas(reordered), 0.0)
-    return original, swapped

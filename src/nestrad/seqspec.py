@@ -108,9 +108,6 @@ class TailModel:
     def can_extend(self) -> bool:
         return True
 
-    def scaled(self, factor: float) -> "TailModel":
-        raise ValueError(f"{type(self).__name__} does not support rescaling")
-
     def render(self) -> str:
         raise SpecError(f"{type(self).__name__} has no inline text form")
 
@@ -124,9 +121,6 @@ class ZeroTail(TailModel):
 
     def bounds(self, n: int) -> tuple[float, float]:
         return (0.0, 0.0)
-
-    def scaled(self, factor: float) -> "ZeroTail":
-        return self
 
     def render(self) -> str:
         return "zero"
@@ -151,9 +145,6 @@ class ConstantNormalizedTail(TailModel):
 
     def bounds(self, n: int) -> tuple[float, float]:
         return (self.alpha, self.alpha)
-
-    def scaled(self, factor: float) -> "ConstantNormalizedTail":
-        return ConstantNormalizedTail(self.alpha * factor)
 
     def render(self) -> str:
         return f"constant_norm:{self.alpha:.17g}"
@@ -344,15 +335,6 @@ class SequenceSpec:
             lower, upper = max(lower, alpha), max(upper, alpha)
         return (lower, upper)
 
-    def scaled(self, factor: float) -> "SequenceSpec":
-        """The spec with every normalized coefficient multiplied by factor."""
-        if not (factor > 0.0 and math.isfinite(factor)):
-            raise ValueError(f"scale factor must be finite and > 0, got {factor}")
-        ln_factor = math.log(factor)
-        prefix = tuple(ln_alpha + ln_factor for ln_alpha in self.prefix)
-        return SequenceSpec(prefix, self.tail.scaled(factor), None)
-
-
 def golden() -> SequenceSpec:
     """All-ones radical sqrt(1 + sqrt(1 + ...)), whose value is phi."""
     return SequenceSpec((), ConstantNormalizedTail(1.0), "golden")
@@ -528,12 +510,7 @@ def parse_spec(text: str, cap_base: Path | None = None) -> SequenceSpec:
         elif key in ("terms_raw", "terms_lograw", "terms_norm"):
             if terms is not None:
                 raise SpecError("only one terms_* line is allowed", lineno)
-            numbers = _parse_number_list(value, lineno)
-            if key != "terms_lograw":
-                for number in numbers:
-                    if number < 0.0:
-                        raise SpecError(f"negative term {number}", lineno)
-            terms = (key.removeprefix("terms_"), numbers, lineno)
+            terms = (key.removeprefix("terms_"), _parse_number_list(value, lineno), lineno)
         elif key == "tail":
             if tail is not None:
                 raise SpecError("duplicate tail line", lineno)

@@ -65,6 +65,10 @@ class TestSupEnclosure:
         with pytest.raises(ValueError, match="overflows"):
             sup_enclosure(SupQuery(1e-300, 1e10))
 
+    def test_overflowing_bound_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            sup_enclosure(SupQuery(1e308, 1e308))
+
     def test_monotone_response(self):
         uppers = [sup_enclosure(SupQuery(1.0, eps))[1] for eps in (1e-6, 1e-4, 1e-2, 1.0)]
         assert all(a <= b for a, b in zip(uppers, uppers[1:]))

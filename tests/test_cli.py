@@ -301,9 +301,14 @@ class TestEval:
 
     def test_env_depth_cap_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("KAPPA_DEPTH_CAP", "zero")
-        status, _, err = run_cli(capsys, "eval", "--family", "golden")
-        assert status == 2
-        assert "KAPPA_DEPTH_CAP" in err
+        for argv in (
+            ("eval", "--family", "golden"),
+            ("caps", "--mh", "1", "--eps", "0.1"),
+            ("table", "--family", "golden", "--depths", "1:3:1"),
+        ):
+            status, _, err = run_cli(capsys, *argv)
+            assert status == 2, argv
+            assert "KAPPA_DEPTH_CAP" in err, argv
 
 
 class TestUCommands:
@@ -391,6 +396,27 @@ class TestCapsCommand:
     def test_rejects_zero(self, capsys):
         status, _, err = run_cli(capsys, "caps", "--mh", "0", "--eps", "0.1")
         assert status == 2
+
+    def test_overflowing_bound_exit_2(self, capsys):
+        status, out, err = run_cli(capsys, "caps", "--mh", "1e308", "--eps", "1e308")
+        assert (status, out) == (2, "")
+        assert "overflows" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("caps", "--mh", "1", "--eps", "0.1", "--tol", "1e-3"),
+        ("caps", "--mh", "1", "--eps", "0.1", "--depth-cap", "3"),
+        ("table", "--family", "golden", "--depths", "1:3:1", "--tol", "1e-3"),
+        ("table", "--family", "golden", "--depths", "1:3:1", "--depth-cap", "3"),
+    ],
+    ids=["caps-tol", "caps-depth-cap", "table-tol", "table-depth-cap"],
+)
+def test_flags_caps_and_table_do_not_read_are_refused(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 class TestCfCommand:

@@ -8,14 +8,12 @@ from nestrad import (
     PHI,
     CapTableTail,
     ConstantNormalizedTail,
-    SubsetIndex,
     constant_normalized,
     constant_raw,
     explicit,
     golden,
     kappa_enclosure,
     kappa_limit,
-    kappa_subset,
     phi_pow,
     power_tower,
     ramanujan,
@@ -157,33 +155,25 @@ class TestKappaLimit:
 
 
 class TestKappaSubset:
+    """kappa over a finite index subset: the fold over the selected normalized
+    values, where the p-th selected value enters as value ** 2**p."""
+
     def test_single_index(self):
-        assert kappa_subset(SubsetIndex((1,)), [2.0]) == pytest.approx(2.0, rel=1e-14)
+        assert support.norm_fold([2.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_two_indices(self):
-        value = kappa_subset(SubsetIndex((1, 2)), [1.0, 1.0])
-        assert value == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert support.norm_fold([1.0, 1.0]) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_position_based_exponents(self):
-        sparse = kappa_subset(SubsetIndex((1, 3)), [1.0, 2.0])
-        dense = kappa_subset(SubsetIndex((1, 2)), [1.0, 2.0])
-        assert sparse == dense
-        assert sparse == pytest.approx(math.sqrt(5.0), rel=1e-14)
+        # sqrt(1**2 + sqrt(2**4))
+        assert support.norm_fold([1.0, 2.0]) == pytest.approx(math.sqrt(5.0), rel=1e-14)
 
     def test_omega_marker_counts_as_position(self):
-        with_omega = kappa_subset(SubsetIndex((1,), omega=True), [1.0, 2.0])
-        assert with_omega == pytest.approx(math.sqrt(5.0), rel=1e-14)
+        # a transfinite value enters as the seed, at the next position
+        assert support.norm_fold([1.0], seed=2.0) == pytest.approx(math.sqrt(5.0), rel=1e-14)
 
     def test_empty_subset(self):
-        assert kappa_subset(SubsetIndex(()), []) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SubsetIndex((3, 1))
-        with pytest.raises(ValueError):
-            SubsetIndex((0,))
-        with pytest.raises(ValueError):
-            kappa_subset(SubsetIndex((1, 2)), [1.0])
+        assert support.norm_fold([]) == 0.0
 
 
 class TestEnclosureInvariants:
@@ -206,9 +196,13 @@ class TestEnclosureInvariants:
 
     @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0])
     def test_homogeneity(self, factor):
-        base = explicit([1.5, 0.25, 2.0], scale="norm", tail=ConstantNormalizedTail(1.0))
+        values = [1.5, 0.25, 2.0]
+        base = explicit(values, scale="norm", tail=ConstantNormalizedTail(1.0))
         plain = kappa_limit(base, 1e-12).enclosure.mid
-        scaled = kappa_limit(base.scaled(factor), 1e-12 * factor).enclosure.mid
+        spec = explicit(
+            [factor * v for v in values], scale="norm", tail=ConstantNormalizedTail(factor)
+        )
+        scaled = kappa_limit(spec, 1e-12 * factor).enclosure.mid
         assert scaled == pytest.approx(factor * plain, rel=1e-12)
 
     def test_lower_bound_dominates_prefix_max(self):

@@ -11,10 +11,7 @@ from nestrad import (
     nested_eval,
     power_tower,
     ramanujan,
-    seed_gap,
-    seed_gap_pair,
     sqrt_nested_scaled,
-    swap_adjacent,
 )
 
 
@@ -103,62 +100,54 @@ class TestSqrtNestedScaled:
 
 
 class TestSeedGap:
+    """Swinging the seed from lower to upper moves the fold by at most the swing."""
+
     def test_zero_terms_degenerate_to_seed_difference(self):
-        gap = seed_gap([float("-inf")] * 3, 0.9, 0.4)
+        zeros = [float("-inf")] * 3
+        gap = sqrt_nested_scaled(zeros, 0.9) - sqrt_nested_scaled(zeros, 0.4)
         assert gap == pytest.approx(0.5, abs=1e-15)
 
     def test_golden_terms_contract(self):
-        gap = seed_gap(ln_alpha_ones(10), 1.2, 1.0)
+        ones = ln_alpha_ones(10)
+        gap = sqrt_nested_scaled(ones, 1.2) - sqrt_nested_scaled(ones, 1.0)
         assert 0.0 < gap <= 0.2
 
     def test_equal_seeds(self):
-        assert seed_gap(ln_alpha_ones(5), 1.0, 1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            seed_gap([0.0], 0.5, 1.0)
+        ones = ln_alpha_ones(5)
+        assert sqrt_nested_scaled(ones, 1.0) - sqrt_nested_scaled(ones, 1.0) == 0.0
 
 
 class TestSeedGapPair:
+    """Seed swings over smaller coefficients dominate those over larger ones."""
+
     def test_worked_example(self):
-        gap_small, gap_large = seed_gap_pair(SQRT, [0.0, 0.0], [7.0, 3.0], 1.0, 0.0)
+        gap_small = nested_eval(SQRT, [0.0, 0.0], 1.0) - nested_eval(SQRT, [0.0, 0.0], 0.0)
+        gap_large = nested_eval(SQRT, [7.0, 3.0], 1.0) - nested_eval(SQRT, [7.0, 3.0], 0.0)
         assert gap_small == pytest.approx(1.0, rel=1e-15)
         assert gap_large == pytest.approx(3.0 - 2.955004366759697, rel=1e-12)
         assert gap_small >= gap_large
 
     def test_equal_lists_equal_gaps(self):
-        gap_small, gap_large = seed_gap_pair(ARCTAN, [1.0, 2.0], [1.0, 2.0], 0.7, 0.2)
-        assert gap_small == gap_large
+        terms = [1.0, 2.0]
+        gap = nested_eval(ARCTAN, terms, 0.7) - nested_eval(ARCTAN, terms, 0.2)
+        assert gap == nested_eval(ARCTAN, [1.0, 2.0], 0.7) - nested_eval(ARCTAN, [1.0, 2.0], 0.2)
 
     def test_equal_seeds_zero_gaps(self):
-        assert seed_gap_pair(SQRT, [1.0], [1.0], 0.5, 0.5) == (0.0, 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            seed_gap_pair(SQRT, [1.0, 1.0], [1.0], 1.0, 0.0)
-        with pytest.raises(ValueError):
-            seed_gap_pair(SQRT, [2.0], [1.0], 1.0, 0.0)
+        assert nested_eval(SQRT, [1.0], 0.5) - nested_eval(SQRT, [1.0], 0.5) == 0.0
 
 
 class TestSwapAdjacent:
+    """Sorting two adjacent normalized coefficients ascending never grows the fold."""
+
     def test_two_terms_boundary_equality(self):
-        original, swapped = swap_adjacent([2.0, 1.0], 1)
-        assert original == pytest.approx(math.sqrt(5.0), rel=1e-14)
-        assert swapped == pytest.approx(math.sqrt(5.0), rel=1e-14)
+        assert support.norm_fold([2.0, 1.0]) == pytest.approx(math.sqrt(5.0), rel=1e-14)
+        assert support.norm_fold([1.0, 2.0]) == pytest.approx(math.sqrt(5.0), rel=1e-14)
 
     def test_three_terms(self):
-        original, swapped = swap_adjacent([3.0, 1.0, 1.0], 1)
-        assert original >= swapped - 1e-12
+        assert support.norm_fold([3.0, 1.0, 1.0]) >= support.norm_fold([1.0, 3.0, 1.0]) - 1e-12
 
     def test_sorted_pair_unchanged(self):
-        original, swapped = swap_adjacent([1.0, 1.0], 1)
-        assert original == swapped
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            swap_adjacent([1.0, 2.0], 2)
-        with pytest.raises(ValueError):
-            swap_adjacent([1.0, 2.0], 0)
+        assert support.norm_fold([1.0, 1.0]) == support.norm_fold([1.0, 1.0])
 
 
 class TestRandomizedInequalities:

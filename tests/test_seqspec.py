@@ -245,11 +245,6 @@ class TestSequenceSpec:
         capped = explicit([1.0, 1.0], tail=CapTableTail(((3, 0.5, 1.5),)))
         assert capped.max_depth() == 3
 
-    def test_scaled(self):
-        spec = explicit([2.0, 2.0], scale="norm", tail=ConstantNormalizedTail(2.0)).scaled(0.5)
-        assert math.exp(ln_alpha(spec, 1)) == 1.0
-        assert spec.tail == ConstantNormalizedTail(1.0)
-
 
 class TestParseRender:
     def test_family_golden(self):
