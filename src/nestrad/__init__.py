@@ -9,7 +9,7 @@ that converts convergence moduli into certified intervals, and a generic
 continued-function evaluator with iterated-ceiling error bounds.
 """
 
-from .caps import SupQuery, SupSequenceResult, sup_enclosure, sup_sequence_bounds
+from .caps import SupQuery, sup_enclosure
 from .contfn import ContinuedSpec, cf_error_bound, cf_eval, cf_limit
 from .kappa import (
     DEFAULT_DEPTH_CAP,
@@ -22,7 +22,6 @@ from .kappa import (
 )
 from .nested import (
     ARCTAN,
-    SQRT,
     Enclosure,
     OuterFunction,
     nested_eval,
@@ -69,11 +68,9 @@ __all__ = [
     "PHI",
     "RAMANUJAN_SUP_BOUND",
     "RamanujanTail",
-    "SQRT",
     "SequenceSpec",
     "SpecError",
     "SupQuery",
-    "SupSequenceResult",
     "TailModel",
     "ZeroTail",
     "cf_error_bound",
@@ -95,7 +92,6 @@ __all__ = [
     "render_spec",
     "sqrt_nested_scaled",
     "sup_enclosure",
-    "sup_sequence_bounds",
     "u_eval",
     "u_inverse",
     "u_spec",

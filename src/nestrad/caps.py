@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .kappa import DEFAULT_DEPTH_CAP, PHI
 from .ufunc import _u_bracket
 
-__all__ = ["SupQuery", "SupSequenceResult", "sup_enclosure", "sup_sequence_bounds"]
+__all__ = ["SupQuery", "sup_enclosure"]
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,6 @@ class SupQuery:
             raise ValueError(f"modulus must be finite and > 0, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class SupSequenceResult:
-    """Per-start-index intervals [lo_n, hi_n] for the tail suprema."""
-
-    intervals: tuple[tuple[int, float, float], ...]
-
-
 def sup_enclosure(query: SupQuery) -> tuple[float, float]:
     """Certified interval containing the coefficient supremum.
 
@@ -66,27 +58,3 @@ def sup_enclosure(query: SupQuery) -> tuple[float, float]:
     if math.isinf(hi):
         raise ValueError(f"supremum bound m_h * U^-1(y) overflows binary64: {query.m_h} * {r_hi}")
     return (query.m_h, hi)
-
-
-def sup_sequence_bounds(
-    observed: Sequence[float], moduli: Iterable[tuple[int, float]]
-) -> SupSequenceResult:
-    """Intervals for sup_{k >= n} alpha_k, one per requested (n, epsilon_n).
-
-    ``observed`` lists normalized coefficients alpha_1..alpha_p; each modulus
-    must certify the radical built from the shifted tail starting at its n.
-    The upper endpoints need not be monotone in n, since the moduli are
-    independent.
-    """
-    observed = [float(v) for v in observed]
-    for position, value in enumerate(observed, start=1):
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"observed coefficient {value} at index {position} must be >= 0")
-    intervals = []
-    for n, epsilon in moduli:
-        if not 1 <= n <= len(observed):
-            raise ValueError(f"start index {n} is outside the observed range 1..{len(observed)}")
-        m_h = max(observed[n - 1:])
-        lo, hi = sup_enclosure(SupQuery(m_h, float(epsilon)))
-        intervals.append((n, lo, hi))
-    return SupSequenceResult(tuple(intervals))

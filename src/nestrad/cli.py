@@ -16,8 +16,9 @@ The argparse tree is built once, on the first :func:`run`, and each
 subparser carries its handler: a function from the parsed namespace to
 ``(exit status, document)``.
 
-Exit codes: 0 success, 2 validation error, 3 depth cap hit without reaching
-tolerance (the result document is still emitted, with ``converged: false``).
+Exit codes: 0 success, 2 validation error, 3 search stopped without reaching
+tolerance (depth cap, cap table end or floating-point floor; the result
+document is still emitted, with ``converged: false``).
 Numbers are rendered with 17 significant digits and a ``.`` decimal
 separator regardless of locale, so identical invocations produce
 byte-identical documents.

@@ -81,7 +81,8 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
     Walks the iterated bound down until it passes tol, evaluates the fold
     there, and returns [estimate, estimate + bound].  If the available
     terms, the depth cap, or the iteration limit run out first, the result
-    carries ``converged=False`` (callers inspect the flag; the partial
+    carries ``converged=False`` with stop reason ``tail_exhausted`` (the
+    terms ran out) or ``depth_cap`` (callers inspect the flag; the partial
     enclosure is still valid for the truncated stream).
     """
     if not tol > 0.0:
@@ -96,8 +97,9 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
     while bound > tol and depth < deepest:
         bound = spec.h.eval(bound)
         depth += 1
-    converged = bound <= tol
     estimate = cf_eval(spec, depth)
     fp_slack = 8.0 * depth * math.ulp(max(estimate + bound, 1.0))
     enclosure = Enclosure(estimate, estimate + bound, depth, bound, fp_slack)
-    return KappaResult(enclosure, converged)
+    if bound <= tol:
+        return KappaResult(enclosure, "converged")
+    return KappaResult(enclosure, "tail_exhausted" if depth == len(spec.terms) else "depth_cap")

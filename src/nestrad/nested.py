@@ -3,9 +3,10 @@
 Two engines live here.  :func:`nested_eval` folds an arbitrary non-decreasing
 concave outer function over raw coefficients.  :func:`sqrt_nested_scaled`
 specializes to square roots with coefficients given as ln(alpha_k), the log
-of the normalized scale: it rescales by the largest normalized value so that
-every scaled coefficient lies in [0, 1], and keeps every intermediate on the
-normalized log scale, which makes the fold immune to overflow at any depth.
+of the normalized scale, and folds a lower and an upper seed in one pass: it
+rescales by the largest normalized value so that every scaled coefficient
+lies in [0, 1], and keeps every intermediate on the normalized log scale,
+which makes the fold immune to overflow at any depth.
 Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
@@ -21,7 +22,6 @@ from typing import Callable, Sequence
 
 __all__ = [
     "OuterFunction",
-    "SQRT",
     "ARCTAN",
     "Enclosure",
     "nested_eval",
@@ -51,7 +51,6 @@ class OuterFunction:
     label: str
 
 
-SQRT = OuterFunction(math.sqrt, 0.0, math.inf, "sqrt")
 ARCTAN = OuterFunction(math.atan, 0.0, math.pi / 2.0, "arctan")
 
 
@@ -102,14 +101,17 @@ def nested_eval(h: OuterFunction, terms: Sequence[float], seed: float) -> float:
     return value
 
 
-def sqrt_nested_scaled(ln_alphas: Sequence[float], seed_norm: float) -> float:
-    """sqrt(a_1 + sqrt(a_2 + ... sqrt(a_n + seed_norm ** 2**n))).
+def sqrt_nested_scaled(
+    ln_alphas: Sequence[float], lo_seed: float, hi_seed: float
+) -> tuple[float, float]:
+    """Both folds sqrt(a_1 + sqrt(a_2 + ... sqrt(a_n + s ** 2**n))), s = lo_seed and hi_seed.
 
     ``ln_alphas`` holds ln(alpha_k) = 2**-k * ln(a_k) for k = 1..n (``-inf``
-    encodes a zero coefficient) and the seed is given on the same normalized
-    scale.  After rescaling by the largest normalized value C, let
-    x_k = ln(alpha_k / C) and y_k be the log of the normalized value of the
-    radical from index k.  The levels obey
+    encodes a zero coefficient) and each seed s is given on the same
+    normalized scale.  Each side rescales by its own largest normalized
+    value C = max(s, alpha_1..alpha_n); with x_k = ln(alpha_k / C) and y_k
+    the log of the normalized value of the radical from index k, the levels
+    obey
 
         y_k = max + 2**-k * log1p(exp(2**k * (min - max)))
 
@@ -117,27 +119,49 @@ def sqrt_nested_scaled(ln_alphas: Sequence[float], seed_norm: float) -> float:
     v_k = sqrt(b_k + v_{k+1}) taken on the normalized scale, so neither the
     huge raw coefficients nor the vanishing deep levels can overflow or be
     flushed to zero.  The 2**k scalings use ``math.ldexp`` and are exact.
-    """
-    n = len(ln_alphas)
-    if not seed_norm >= 0.0 or math.isinf(seed_norm):
-        raise ValueError(f"seed must be finite and >= 0, got {seed_norm}")
-    for k, ln_alpha in enumerate(ln_alphas, start=1):
-        if not ln_alpha < math.inf:
-            raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
-    ln_seed = math.log(seed_norm) if seed_norm > 0.0 else _NEG_INF
-    scale_log = max([ln_seed, _SCALE_FLOOR_LOG, *ln_alphas])
-    ln_value = ln_seed - scale_log
-    for k in range(n, 0, -1):
-        x = ln_alphas[k - 1] - scale_log
-        high, low = (x, ln_value) if x > ln_value else (ln_value, x)
-        ln_value = high
-        if low != _NEG_INF:
-            try:
-                gap = math.ldexp(low - high, k)
-            except OverflowError:  # exp(gap) would be 0
-                continue
-            ln_value += math.ldexp(math.log1p(math.exp(gap)), -k)
-    if ln_value == _NEG_INF:
-        return 0.0
-    return math.exp(scale_log + ln_value)
 
+    The two seeds share one pass over ``ln_alphas``, but each side runs the
+    float operations it would run alone, so each returned value depends only
+    on ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``.
+    """
+    for seed in (lo_seed, hi_seed):
+        if not seed >= 0.0 or math.isinf(seed):
+            raise ValueError(f"seed must be finite and >= 0, got {seed}")
+    if not sum(ln_alphas) < math.inf:  # a NaN or +inf term, or a sum past binary64
+        for k, ln_alpha in enumerate(ln_alphas, start=1):
+            if not ln_alpha < math.inf:
+                raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
+    top = max([_SCALE_FLOOR_LOG, *ln_alphas])
+    scale_lo, y_lo = _seed_log(lo_seed, top)
+    scale_hi, y_hi = _seed_log(hi_seed, top)
+    ldexp, exp, log1p, neg_inf = math.ldexp, math.exp, math.log1p, _NEG_INF
+    for k in range(len(ln_alphas), 0, -1):
+        ln_alpha = ln_alphas[k - 1]
+        # per side: y becomes the larger of the pair and x the smaller
+        x = ln_alpha - scale_lo
+        if x > y_lo:
+            x, y_lo = y_lo, x
+        if x != neg_inf:
+            try:
+                y_lo += ldexp(log1p(exp(ldexp(x - y_lo, k))), -k)
+            except OverflowError:  # exp of the gap would be 0
+                pass
+        x = ln_alpha - scale_hi
+        if x > y_hi:
+            x, y_hi = y_hi, x
+        if x != neg_inf:
+            try:
+                y_hi += ldexp(log1p(exp(ldexp(x - y_hi, k))), -k)
+            except OverflowError:
+                pass
+    return (
+        0.0 if y_lo == _NEG_INF else exp(scale_lo + y_lo),
+        0.0 if y_hi == _NEG_INF else exp(scale_hi + y_hi),
+    )
+
+
+def _seed_log(seed: float, top: float) -> tuple[float, float]:
+    """(scale_log, ln of the seed on that scale) for one side of the fold."""
+    ln_seed = math.log(seed) if seed > 0.0 else _NEG_INF
+    scale_log = max(ln_seed, top)
+    return scale_log, ln_seed - scale_log

@@ -204,15 +204,18 @@ class CapTableTail(TailModel):
     def __post_init__(self):
         if not self.rows:
             raise SpecError("cap table must contain at least one row")
-        seen = set()
+        table = {}
         for n, lower, upper in self.rows:
             if n < 1:
                 raise SpecError(f"cap table depth must be >= 1, got {n}")
-            if n in seen:
+            if n in table:
                 raise SpecError(f"duplicate cap table depth {n}")
-            seen.add(n)
             if not (lower >= 0.0 and upper >= 0.0 and math.isfinite(lower) and math.isfinite(upper)):
                 raise SpecError(f"cap table bounds at depth {n} must be finite and >= 0")
+            table[n] = (lower, upper)
+        # derived lookup state, built once; not a dataclass field
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_last", max(table))
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         raise SpecError("cap-table tails certify bounds only and cannot supply coefficients")
@@ -221,12 +224,10 @@ class CapTableTail(TailModel):
         return False
 
     def bounds(self, n: int) -> tuple[float, float]:
-        table = {row[0]: (row[1], row[2]) for row in self.rows}
-        if n in table:
-            return table[n]
-        last = max(table)
-        if n > last:
-            return (0.0, table[last][1])
+        if n in self._table:
+            return self._table[n]
+        if n > self._last:
+            return (0.0, self._table[self._last][1])
         raise SpecError(f"cap table does not cover depth {n}")
 
 
@@ -260,21 +261,28 @@ class OmegaTail(TailModel):
         return f"omega:{self.omega_value:.17g}"
 
 
-def _ramanujan_v(count: int) -> list[float]:
-    # v_k = 2**-k * ln(m_k) for the multiplier chain m_1 = 2,
-    # m_{k+1} = m_k**2 * (k+2); alpha_k = exp(v_{k-1}).  The increments are
-    # exact power-of-two scalings, so the chain is stable at any depth.
-    v = [0.0]
-    for k in range(1, count + 1):
+def _ramanujan_v(count: int, chain: Sequence[float] = (0.0,)) -> Sequence[float]:
+    # At least v_0..v_count, with v_k = 2**-k * ln(m_k) for the multiplier
+    # chain m_1 = 2, m_{k+1} = m_k**2 * (k+2); alpha_k = exp(v_{k-1}).  The
+    # increments are exact power-of-two scalings, so the chain is stable at
+    # any depth.  A given chain v_0..v_j is returned as is when it is long
+    # enough and extended otherwise; either way every v_k is the same float.
+    if count < len(chain):
+        return chain
+    v = list(chain)
+    for k in range(len(v), count + 1):
         v.append(v[k - 1] + math.ldexp(math.log(k + 1), -k))
     return v
 
+
+# Built once: every Ramanujan coefficient up to depth 301 reads this chain.
+_RAMANUJAN_CHAIN = tuple(_ramanujan_v(300))
 
 # The normalized coefficients increase toward exp(lim v_k); past 300 series
 # terms the remainder is below 2**-300, far under binary64 resolution.  The
 # (1 + 1e-13) bump keeps the constant an upper bound despite summation
 # rounding.
-RAMANUJAN_SUP_BOUND = math.exp(_ramanujan_v(300)[-1]) * (1.0 + 1e-13)
+RAMANUJAN_SUP_BOUND = math.exp(_RAMANUJAN_CHAIN[-1]) * (1.0 + 1e-13)
 
 
 @dataclass(frozen=True)
@@ -289,10 +297,10 @@ class RamanujanTail(TailModel):
     """
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
-        return _ramanujan_v(max(last - 1, 0))[first - 1:last]
+        return list(_ramanujan_v(max(last - 1, 0), _RAMANUJAN_CHAIN)[first - 1:last])
 
     def bounds(self, n: int) -> tuple[float, float]:
-        return (math.exp(_ramanujan_v(n - 1)[n - 1]), RAMANUJAN_SUP_BOUND)
+        return (math.exp(_ramanujan_v(n - 1, _RAMANUJAN_CHAIN)[n - 1]), RAMANUJAN_SUP_BOUND)
 
 
 @dataclass(frozen=True)

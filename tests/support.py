@@ -15,12 +15,16 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from nestrad import ARCTAN, SQRT, OuterFunction, nested_eval, sqrt_nested_scaled
+from nestrad import ARCTAN, OuterFunction, nested_eval, sqrt_nested_scaled
 
 REL_SLACK = 1e-12
 ABS_SLACK = 1e-15
 
-CONCAVE_SET = (SQRT, ARCTAN, OuterFunction(math.log1p, 0.0, math.inf, "log1p"))
+CONCAVE_SET = (
+    OuterFunction(math.cbrt, 0.0, math.inf, "cbrt"),
+    ARCTAN,
+    OuterFunction(math.log1p, 0.0, math.inf, "log1p"),
+)
 
 
 def _slack(*values: float) -> float:
@@ -107,7 +111,7 @@ def ramanujan_sup_oracle(terms: int = 400, dps: int = 60) -> float:
 
 def norm_fold(values: Sequence[float], seed: float = 0.0) -> float:
     """Square-root fold of normalized values: position p enters as value ** 2**p."""
-    return sqrt_nested_scaled([math.log(v) if v > 0.0 else -math.inf for v in values], seed)
+    return sqrt_nested_scaled([math.log(v) if v > 0.0 else -math.inf for v in values], seed, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,8 @@ def run_seed_gap_suite(cases: int, rng: random.Random) -> None:
             ln_alphas.append(math.log(alpha) if alpha > 0 else float("-inf"))
         lower = rng.uniform(0.0, 2.0)
         upper = lower if rng.random() < 0.05 else lower + rng.uniform(0.0, 2.0)
-        gap = sqrt_nested_scaled(ln_alphas, upper) - sqrt_nested_scaled(ln_alphas, lower)
+        low_value, high_value = sqrt_nested_scaled(ln_alphas, lower, upper)
+        gap = high_value - low_value
         limit = (upper - lower) * (1.0 + REL_SLACK) + ABS_SLACK
         assert -ABS_SLACK <= gap <= limit, (ln_alphas, upper, lower, gap)
 

@@ -9,7 +9,6 @@ from nestrad import (
     SupQuery,
     ramanujan,
     sup_enclosure,
-    sup_sequence_bounds,
 )
 
 
@@ -72,35 +71,6 @@ class TestSupEnclosure:
     def test_monotone_response(self):
         uppers = [sup_enclosure(SupQuery(1.0, eps))[1] for eps in (1e-6, 1e-4, 1e-2, 1.0)]
         assert all(a <= b for a, b in zip(uppers, uppers[1:]))
-
-
-class TestSupSequenceBounds:
-    def test_golden_observed_terms(self):
-        result = sup_sequence_bounds([1.0] * 20, [(n, 1e-6) for n in (1, 5, 10)])
-        for n, lo, hi in result.intervals:
-            assert lo <= 1.0 <= hi
-            # the inverse map is Hoelder- rather than Lipschitz-continuous at
-            # the left edge, so a 1e-6 modulus opens a ~3e-4 window
-            assert hi - lo < 1e-3
-
-    def test_constant_two_terms(self):
-        result = sup_sequence_bounds([2.0] * 16, [(n, 1e-6) for n in (1, 8)])
-        for n, lo, hi in result.intervals:
-            assert lo <= 2.0 <= hi
-
-    def test_huge_modulus_single_term(self):
-        result = sup_sequence_bounds([1.5, 2.5], [(2, 1e3)])
-        ((n, lo, hi),) = result.intervals
-        assert n == 2
-        assert lo == 2.5
-        assert math.isfinite(hi)
-        assert hi > lo
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sup_sequence_bounds([1.0], [(2, 0.1)])
-        with pytest.raises(ValueError):
-            sup_sequence_bounds([-1.0], [(1, 0.1)])
 
 
 class TestSoundnessOnKnownFamilies:

@@ -5,13 +5,15 @@ import pytest
 
 from nestrad import (
     ARCTAN,
-    SQRT,
     ContinuedSpec,
     OuterFunction,
     cf_error_bound,
     cf_eval,
     cf_limit,
 )
+
+# an outer function without a finite ceiling
+LOG1P = OuterFunction(math.log1p, 0.0, math.inf, "log1p")
 
 
 class TestCfEval:
@@ -22,9 +24,9 @@ class TestCfEval:
     def test_depth_zero(self):
         assert cf_eval(ContinuedSpec.make(ARCTAN, []), 0) == 0.0
 
-    def test_sqrt_one_term(self):
-        spec = ContinuedSpec.make(SQRT, [6.0, 216.0])
-        assert cf_eval(spec, 1) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+    def test_unbounded_outer_one_term(self):
+        spec = ContinuedSpec.make(LOG1P, [6.0, 216.0])
+        assert cf_eval(spec, 1) == pytest.approx(math.log(7.0), rel=1e-15)
 
     def test_depth_beyond_terms(self):
         with pytest.raises(ValueError):
@@ -43,7 +45,7 @@ class TestCfErrorBound:
 
     def test_needs_finite_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
-            cf_error_bound(SQRT, 3)
+            cf_error_bound(LOG1P, 3)
 
     def test_needs_zero_fixed_point(self):
         shifted = OuterFunction(lambda x: math.sqrt(x) + 1.0, 1.0, math.inf, "shifted")
@@ -83,8 +85,14 @@ class TestCfLimit:
     def test_unconverged_when_terms_run_out(self):
         result = cf_limit(ContinuedSpec.make(ARCTAN, [1.0] * 10), 0.05)
         assert not result.converged
+        assert result.stop_reason == "tail_exhausted"
         assert result.enclosure.depth == 10
         assert result.enclosure.analytic_width_bound > 0.05
+
+    def test_unconverged_at_depth_cap(self):
+        result = cf_limit(ContinuedSpec.make(ARCTAN, [1.0] * 700), 0.05, depth_cap=10)
+        assert result.stop_reason == "depth_cap"
+        assert result.enclosure.depth == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,19 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nestrad.kappa
 import support
 from nestrad import (
     PHI,
     CapTableTail,
     ConstantNormalizedTail,
+    ConstantRawTail,
+    OmegaTail,
+    RamanujanTail,
+    ZeroTail,
     constant_normalized,
     constant_raw,
     explicit,
@@ -133,6 +140,7 @@ class TestKappaLimit:
     def test_depth_cap_returns_best_unconverged(self):
         result = kappa_limit(golden(), 1e-10, depth_cap=8)
         assert not result.converged
+        assert result.stop_reason == "depth_cap"
         assert result.enclosure.depth == 8
         assert result.enclosure.contains(PHI)
 
@@ -140,7 +148,25 @@ class TestKappaLimit:
         spec = explicit([1.0, 1.0], tail=CapTableTail(((3, 0.5, 1.5),)))
         result = kappa_limit(spec, 1e-9)
         assert not result.converged
+        assert result.stop_reason == "tail_exhausted"
         assert result.enclosure.depth == 3
+
+    def test_converged_stop_reason(self):
+        assert kappa_limit(golden(), 1e-8).stop_reason == "converged"
+
+    def test_fp_floor_stops_before_the_cap(self):
+        # no width reaches 1e-300; past depth 128 the padding alone is wider
+        # than the depth-32 enclosure, so the search stops there
+        result = kappa_limit(golden(), 1e-300, depth_cap=2048)
+        assert result.stop_reason == "fp_floor"
+        assert result.enclosure.depth == 32
+        assert result.enclosure.contains(PHI)
+        deeper = [kappa_enclosure(golden(), depth) for depth in (64, 128, 256, 512, 1024, 2048)]
+        assert all(e.width > result.enclosure.width for e in deeper)
+
+    def test_unknown_stop_reason_rejected(self):
+        with pytest.raises(ValueError, match="stop reason"):
+            nestrad.KappaResult(kappa_enclosure(golden(), 4), "tired")
 
     def test_smallest_adequate_depth(self):
         result = kappa_limit(golden(), 1e-8)
@@ -217,6 +243,94 @@ class TestEnclosureInvariants:
         # with the enclosure to within its width bound
         spec = u_spec(r)
         enclosure = kappa_enclosure(spec, depth)
-        approximant = sqrt_nested_scaled(spec.terms_lograw(depth - 1), r)
+        approximant, _ = sqrt_nested_scaled(spec.terms_lograw(depth - 1), r, r)
         bound = enclosure.analytic_width_bound + enclosure.fp_slack
         assert enclosure.lo - bound <= approximant <= enclosure.hi + bound
+
+
+class TestSearchWork:
+    """Enclosures per kappa_limit call: deterministic, so they guard the search cost."""
+
+    @pytest.fixture
+    def depths(self, monkeypatch):
+        seen = []
+        original = nestrad.kappa.kappa_enclosure
+
+        def counted(spec, depth):
+            seen.append(depth)
+            return original(spec, depth)
+
+        monkeypatch.setattr(nestrad.kappa, "kappa_enclosure", counted)
+        return seen
+
+    def test_fp_floor_ends_the_doubling(self, depths):
+        result = kappa_limit(golden(), 1e-300, depth_cap=2048)
+        assert result.stop_reason == "fp_floor"
+        assert len(depths) <= 6
+        assert max(depths) <= 128
+
+    def test_predicted_depth_is_confirmed(self, depths):
+        result = kappa_limit(golden(), 1e-8)
+        assert result.converged
+        assert len(depths) <= 5
+
+    def test_no_depth_evaluated_twice(self, depths):
+        for spec in ALL_FAMILIES:
+            for tol in (1e-4, 1e-9, 1e-13, 1e-15):
+                depths.clear()
+                kappa_limit(spec, tol)
+                assert len(depths) == len(set(depths)), (spec.family_name, tol, depths)
+
+
+def _tails():
+    params = st.floats(0.0, 4.0)
+    return st.one_of(
+        st.just(ZeroTail()),
+        params.map(ConstantNormalizedTail),
+        st.floats(0.0, 50.0).map(ConstantRawTail),
+        params.map(OmegaTail),
+        st.just(RamanujanTail()),
+        st.tuples(params, params).map(lambda pair: ("cap", min(pair), max(pair))),
+    )
+
+
+_VALUES = {
+    "raw": st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    "lograw": st.one_of(st.just(-math.inf), st.floats(-8.0, 8.0)),
+    "norm": st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+}
+
+
+@st.composite
+def _search_cases(draw):
+    scale = draw(st.sampled_from(sorted(_VALUES)))
+    values = draw(st.lists(_VALUES[scale], max_size=6))
+    tail = draw(_tails())
+    if isinstance(tail, tuple):
+        tail = CapTableTail(((len(values) + 1, tail[1], tail[2]),))
+    tol = 10.0 ** draw(st.floats(-15.0, -4.0))
+    depth_cap = draw(st.integers(1, 300))
+    return explicit(values, scale=scale, tail=tail), tol, depth_cap
+
+
+class TestSearchAgainstScan:
+    """kappa_limit checked against enclosures evaluated depth by depth."""
+
+    @settings(max_examples=300)
+    @given(_search_cases())
+    def test_search_matches_exhaustive_scan(self, case):
+        spec, tol, depth_cap = case
+        result = kappa_limit(spec, tol, depth_cap)
+        depth = result.enclosure.depth
+        if result.converged:
+            assert result.enclosure == kappa_enclosure(spec, depth)
+            assert result.enclosure.width <= tol
+            if depth > 1:
+                assert kappa_enclosure(spec, depth - 1).width > tol
+            return
+        assert result.stop_reason in ("depth_cap", "tail_exhausted", "fp_floor")
+        # the doubling depths 4, 8, 16, ... below the cap, and the cap
+        scan = [d for d in (2**k for k in range(2, 10)) if d < depth_cap] + [depth_cap]
+        widths = [kappa_enclosure(spec, d).width for d in scan]
+        assert min(widths) > tol
+        assert result.enclosure.width <= min(widths)

@@ -6,7 +6,6 @@ import pytest
 import support
 from nestrad import (
     ARCTAN,
-    SQRT,
     OuterFunction,
     nested_eval,
     power_tower,
@@ -19,12 +18,20 @@ def ln_alpha_ones(count):
     return [0.0] * count
 
 
+def fold(ln_alphas, seed):
+    """The square-root fold with one seed on both sides."""
+    lo, hi = sqrt_nested_scaled(ln_alphas, seed, seed)
+    assert lo == hi
+    return lo
+
+
 class TestNestedEval:
     def test_single_sqrt(self):
-        assert nested_eval(SQRT, [2.0], 2.0) == 2.0
+        # sqrt(2 + 2): the raw seed 2 enters at depth 1 as 2 ** (1/2)
+        assert fold([math.log(2.0) / 2], math.sqrt(2.0)) == pytest.approx(2.0, rel=1e-15)
 
     def test_two_level_sqrt(self):
-        value = nested_eval(SQRT, [7.0, 3.0], 0.0)
+        value = fold([math.log(7.0) / 2, math.log(3.0) / 4], 0.0)
         assert value == pytest.approx(2.955004366759697, rel=1e-15)
         assert value == pytest.approx(support.mp_nested_sqrt_raw([7.0, 3.0]), rel=1e-14)
 
@@ -34,15 +41,15 @@ class TestNestedEval:
         assert value == pytest.approx(1.0602325257974874, rel=1e-14)
 
     def test_empty_fold_returns_seed(self):
-        assert nested_eval(SQRT, [], 5.0) == 5.0
+        assert nested_eval(ARCTAN, [], 5.0) == 5.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nested_eval(SQRT, [1.0], -1.0)
+            nested_eval(ARCTAN, [1.0], -1.0)
         with pytest.raises(ValueError):
-            nested_eval(SQRT, [-2.0], 0.0)
+            nested_eval(ARCTAN, [-2.0], 0.0)
         with pytest.raises(ValueError):
-            nested_eval(SQRT, [math.inf], 0.0)
+            nested_eval(ARCTAN, [math.inf], 0.0)
 
     def test_non_finite_intermediate_reported(self):
         exploding = OuterFunction(lambda x: math.exp(x) * 1e308, 0.0, math.inf, "boom")
@@ -52,51 +59,73 @@ class TestNestedEval:
 
 class TestSqrtNestedScaled:
     def test_empty_terms_identity(self):
-        assert sqrt_nested_scaled([], 5.0) == pytest.approx(5.0, rel=1e-15)
+        assert fold([], 5.0) == pytest.approx(5.0, rel=1e-15)
 
     def test_all_zero(self):
-        assert sqrt_nested_scaled([float("-inf")] * 4, 0.0) == 0.0
+        assert sqrt_nested_scaled([float("-inf")] * 4, 0.0, 0.0) == (0.0, 0.0)
 
     def test_matches_plain_arithmetic_small(self):
         # small raw coefficients where the direct fold is exact enough
         raw = [7.0, 3.0]
         ws = [math.log(7.0) / 2, math.log(3.0) / 4]
-        assert sqrt_nested_scaled(ws, 0.0) == pytest.approx(
+        assert fold(ws, 0.0) == pytest.approx(
             support.mp_nested_sqrt_raw(raw), rel=1e-14
         )
 
     def test_golden_depth_30(self):
         phi = (1 + math.sqrt(5.0)) / 2
-        value = sqrt_nested_scaled(ln_alpha_ones(30), 1.0)
+        value = fold(ln_alpha_ones(30), 1.0)
         assert value == pytest.approx(phi, abs=1e-6)
         assert value == pytest.approx(support.mp_golden_truncation(30), rel=1e-13)
 
     def test_ramanujan_depth_24_hits_3(self):
         spec = ramanujan()
-        value = sqrt_nested_scaled(spec.terms_lograw(24), 0.0)
+        value = fold(spec.terms_lograw(24), 0.0)
         assert value == pytest.approx(3.0, abs=1e-5)
         assert value == pytest.approx(support.mp_ramanujan_pushed(24), rel=1e-12)
-        deeper = sqrt_nested_scaled(spec.terms_lograw(32), 0.0)
+        deeper = fold(spec.terms_lograw(32), 0.0)
         assert abs(deeper - support.mp_ramanujan_pushed(32)) <= 1e-12
 
     def test_seed_scale_is_positional(self):
         # seed s at depth n contributes s ** 2**n inside the innermost radical
         ws = [math.log(6.0) / 2]
-        value = sqrt_nested_scaled(ws, 3.0 ** 0.5)
+        value = fold(ws, 3.0 ** 0.5)
         assert value == pytest.approx(3.0, rel=1e-14)
 
     @pytest.mark.parametrize("spec,expect", [(ramanujan(), 3.0), (power_tower(), None)])
     def test_depth_256_stays_finite(self, spec, expect):
-        value = sqrt_nested_scaled(spec.terms_lograw(256), 0.0)
+        value = fold(spec.terms_lograw(256), 0.0)
         assert math.isfinite(value)
         if expect is not None:
             assert value == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            sqrt_nested_scaled([0.0], -1.0)
+            sqrt_nested_scaled([0.0], -1.0, 1.0)
         with pytest.raises(ValueError):
-            sqrt_nested_scaled([math.nan], 1.0)
+            sqrt_nested_scaled([0.0], 1.0, math.inf)
+        with pytest.raises(ValueError, match="index 2"):
+            sqrt_nested_scaled([0.0, math.nan], 1.0, 1.0)
+        with pytest.raises(ValueError, match="index 1"):
+            sqrt_nested_scaled([math.inf, -math.inf], 1.0, 1.0)
+        # finite terms pass the check even when their sum overflows; this radical exceeds binary64
+        with pytest.raises(OverflowError):
+            sqrt_nested_scaled([1e308, 1e308], 1.0, 1.0)
+
+    def test_each_side_matches_its_own_fold(self):
+        # one pass for both seeds runs each side's own float operations, so
+        # every value equals the fold with that seed on both sides, bit for bit
+        rng = random.Random(107)
+        for _ in range(500):
+            ln_alphas = [
+                -math.inf if rng.random() < 0.1 else rng.uniform(-300.0, 300.0) * rng.random() ** 4
+                for _ in range(rng.randint(0, 40))
+            ]
+            lo_seed, hi_seed = (
+                0.0 if rng.random() < 0.1 else math.exp(rng.uniform(-20.0, 20.0)) for _ in range(2)
+            )
+            pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
+            assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
 
 
 class TestSeedGap:
@@ -104,25 +133,31 @@ class TestSeedGap:
 
     def test_zero_terms_degenerate_to_seed_difference(self):
         zeros = [float("-inf")] * 3
-        gap = sqrt_nested_scaled(zeros, 0.9) - sqrt_nested_scaled(zeros, 0.4)
+        lo, hi = sqrt_nested_scaled(zeros, 0.4, 0.9)
+        gap = hi - lo
         assert gap == pytest.approx(0.5, abs=1e-15)
 
     def test_golden_terms_contract(self):
         ones = ln_alpha_ones(10)
-        gap = sqrt_nested_scaled(ones, 1.2) - sqrt_nested_scaled(ones, 1.0)
+        lo, hi = sqrt_nested_scaled(ones, 1.0, 1.2)
+        gap = hi - lo
         assert 0.0 < gap <= 0.2
 
     def test_equal_seeds(self):
         ones = ln_alpha_ones(5)
-        assert sqrt_nested_scaled(ones, 1.0) - sqrt_nested_scaled(ones, 1.0) == 0.0
+        lo, hi = sqrt_nested_scaled(ones, 1.0, 1.0)
+        assert hi - lo == 0.0
 
 
 class TestSeedGapPair:
     """Seed swings over smaller coefficients dominate those over larger ones."""
 
     def test_worked_example(self):
-        gap_small = nested_eval(SQRT, [0.0, 0.0], 1.0) - nested_eval(SQRT, [0.0, 0.0], 0.0)
-        gap_large = nested_eval(SQRT, [7.0, 3.0], 1.0) - nested_eval(SQRT, [7.0, 3.0], 0.0)
+        # raw seeds 0 and 1 are 0 and 1 on the normalized scale too
+        low, high = sqrt_nested_scaled([-math.inf, -math.inf], 0.0, 1.0)
+        gap_small = high - low
+        low, high = sqrt_nested_scaled([math.log(7.0) / 2, math.log(3.0) / 4], 0.0, 1.0)
+        gap_large = high - low
         assert gap_small == pytest.approx(1.0, rel=1e-15)
         assert gap_large == pytest.approx(3.0 - 2.955004366759697, rel=1e-12)
         assert gap_small >= gap_large
@@ -133,7 +168,7 @@ class TestSeedGapPair:
         assert gap == nested_eval(ARCTAN, [1.0, 2.0], 0.7) - nested_eval(ARCTAN, [1.0, 2.0], 0.2)
 
     def test_equal_seeds_zero_gaps(self):
-        assert nested_eval(SQRT, [1.0], 0.5) - nested_eval(SQRT, [1.0], 0.5) == 0.0
+        assert nested_eval(ARCTAN, [1.0], 0.5) - nested_eval(ARCTAN, [1.0], 0.5) == 0.0
 
 
 class TestSwapAdjacent:
