@@ -31,31 +31,70 @@ is "valid in exact arithmetic, slack-widened in binary64"; there is no
 directed rounding.
 
 Depth search.  :func:`kappa_limit` evaluates depths 4 and 8, fits a
-geometric rate to their widths, and evaluates the depth d where that rate
-reaches tol, together with d - 1.  If width(d) <= tol < width(d - 1) it
-returns d.  Otherwise it doubles the depth (16, 32, ...) until one is
-within tol and bisects between the last two doubling depths, narrowed by
-every depth already evaluated; no depth is evaluated twice.  Either way the
-returned depth d satisfies width(d) <= tol < width(d - 1) (or d = 1), and
-every doubling depth (4, 8, 16, ...) evaluated below d is wider than tol.
-"Shallowest" means exactly this.  Widths are not monotone in depth: once
-the analytic width falls below the pad, the 2 * pad(n) term grows with n.
-So a depth below d may still be within tol, and the search may return a
-different qualifying depth than a plain doubling would.  Where widths are
+geometric rate to their widths, and evaluates the depth g where that rate
+reaches tol.  If width(g) <= tol it gallops down, evaluating g - 1, g - 3,
+g - 7, ... until one is wider than tol (or would be 8 or less); if width(g)
+> tol it gallops up, evaluating g + 1, g + 2, g + 4, ... while the two pads
+alone leave room for tol and the depth stays below the limit.  If neither
+brackets tol it doubles the depth (16, 32, ...) until one is within tol.
+Either way it then bisects between the deepest depth known to be wider than
+tol and the shallowest known to be within it, narrowed by every depth
+already evaluated; no depth is evaluated twice.  The returned depth d
+satisfies width(d) <= tol < width(d - 1) (or d = 1), and every doubling
+depth (4, 8, 16, ...) evaluated below d is wider than tol.  "Shallowest"
+means exactly this.  Widths are not monotone in depth: once the analytic
+width falls below the pad, the 2 * pad(n) term grows with n.  So a depth
+below d may still be within tol, and the search may return a different
+qualifying depth than a plain doubling would.  Where widths are
 non-increasing, d is the smallest adequate depth.
 
-Floating-point floor.  No enclosure at depth n' >= n is narrower than
-F(n) = 16 * n * ulp(lo / 2), where lo >= 2**-1022 is the lower end of any
-enclosure already evaluated.  Proof: the lower side pads lo_raw down by
-pad(n') and the upper side pads hi_raw up by pad(n'), or lo clamps at 0
-while hi >= pad(n'); either way width(n') >= pad(n').  The exact radical
-lies between lo and the exact upper fold at n', and both folds carry a
-relative rounding error far below 1/2, so hi_raw(n') >= lo / 2.  ulp is
-non-decreasing in magnitude, hence pad(n') >= 16 * n' * ulp(lo / 2) >= F(n).
+Floating-point floor.  Let lo >= 2**-1022 be the lower end of an enclosure
+already evaluated and m = lo * (1 - 2**-20).  For depths below 2**20, no
+enclosure at depth n' >= n is narrower than
+
+    F(n) = 1.5 * pad(n, m) - ulp(m),    pad(n, x) = 16 * n * ulp(x).
+
+Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
+
+* The fold's relative error, |ln alpha| up to 700, gives m <= hi_raw(n').
+  Write H for the exact upper fold at n' and v for the exact radical of the
+  same ln(alpha_k).  The construction is valid in exact arithmetic, so
+  every exact lower fold is <= v <= H.  Each fold level rounds x =
+  ln_alpha - scale and the sum y + increment, and errors pass a level with
+  factor <= 1 (the level is a log-sum-exp whose weights sum to 1).  With
+  |ln alpha| <= 700 every x and y is below 2**11 in magnitude, so a level
+  adds at most 2**-42 to the error in the log, the final exp(scale + y)
+  adds 2**-44 more, and exp itself under one ulp: a depth-n' fold has
+  relative error eps <= (n' + 1) * 2**-41 < 2**-21.  (A level with a larger
+  |x| or |y| either carries weight below e**-700 or pushes the radical
+  below the least normal, where the floor is not used.)  Hence lo <= (1 +
+  eps) * v <= (1 + eps) * H <= (1 + eps) / (1 - eps) * hi_raw, and (1 -
+  2**-20) * (1 + eps) / (1 - eps) <= 1 gives m <= hi_raw.
+* lo clamped at 0: width(n') >= hi >= hi_raw >= m, far above F.
+* lo not clamped, lo_raw possibly above hi_raw by rounding: width(n') >=
+  2 * pad - (lo_raw - hi_raw) - ulp(M).  pad is a multiple of ulp(M), so
+  lo_raw - pad is exact, hi_raw + pad rounds by at most ulp(M) when it
+  crosses a power of two, and hi - lo is exact (Sterbenz) unless it
+  exceeds hi / 2 >= m / 2, far above F.  The folds run the same operations
+  on the same ln(alpha_k) with seeds lower <= upper, so lo_raw exceeds
+  hi_raw only by rounding noise, which the padding policy budgets at the
+  half pad it records in ``fp_slack`` (the premise the enclosures' own
+  soundness rests on).  With both seeds at or below the largest
+  coefficient the sides share their scale and round exp(scale + y)
+  monotonically, so only per-level noise remains; a seed above it gives
+  each side its own final rounding, up to |ln M| * 2**-53 relative, which
+  the half pad covers while |ln M| < 8 * n'.  So width(n') >= 1.5 * pad -
+  ulp(M) = (24 * n' - 1) * ulp(M) >= (24 * n - 1) * ulp(m) = F(n), as m <=
+  hi_raw <= M.
+
 The doubling therefore stops, with stop reason ``fp_floor``, once F of the
-next depth exceeds the narrowest width found: no deeper enclosure could
-replace it, and none can reach tol.  The pad and F come from one helper,
-so a change to the padding policy changes both.
+next doubling depth exceeds the narrowest width found: no enclosure at that
+depth or deeper could replace it, and none can reach tol.  Depths between
+the last one evaluated and that depth are not searched, as a plain
+doubling would not search them either; where the analytic width still
+falls there, one of them can be narrower, though never below its own F.
+The pad and F come from one helper, so a change to the padding policy
+changes both.
 
 Everything here is pure; results are immutable.
 """
@@ -103,8 +142,8 @@ class KappaResult:
 
     ``stop_reason`` is ``converged`` (width <= tol), ``depth_cap`` (the
     depth cap was reached), ``tail_exhausted`` (the spec's tail supplies no
-    deeper coefficients) or ``fp_floor`` (no deeper enclosure can be
-    narrower than the one returned).
+    deeper coefficients) or ``fp_floor`` (no enclosure at the next doubling
+    depth or deeper can be narrower than the one returned).
     """
 
     enclosure: Enclosure
@@ -122,6 +161,16 @@ class KappaResult:
 def _fp_pad(depth: int, magnitude: float) -> float:
     """Outward padding, per side, of a depth-``depth`` enclosure of this size."""
     return 16.0 * depth * math.ulp(magnitude)
+
+
+def _fp_floor(depth: int, lo: float) -> float:
+    """Least width of any enclosure at ``depth`` or deeper, given an enclosure's lower end lo.
+
+    The floor F of the module docstring; it needs lo >= 2**-1022 and depths
+    below 2**20.
+    """
+    m = lo * (1.0 - 2.0**-20)
+    return 1.5 * _fp_pad(depth, m) - math.ulp(m)
 
 
 def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
@@ -162,24 +211,28 @@ def kappa_limit(
     """Shallowest enclosure with width <= tol: predict the depth, then confirm it.
 
     Probes depths 4 and 8, fits a geometric rate to their widths and
-    evaluates the predicted depth d and d - 1, unless the two pads at d
-    alone would exceed tol; it returns d when width(d) <= tol < width(d - 1).
-    Otherwise it doubles the probe depth (16, 32, ...) until a width is
-    within tolerance and bisects down to a depth whose predecessor is not,
-    reusing every depth already evaluated.  The returned depth d always has
-    width(d) <= tol < width(d - 1), and every doubling depth evaluated below
-    d is wider than tol.  Widths are not monotone in depth, so a shallower
-    depth may still qualify; while they are non-increasing, d is the unique
-    smallest adequate depth (see the module docstring).
+    evaluates the predicted depth g, unless the two pads at g alone would
+    exceed tol.  From g it gallops down (g - 1, g - 3, g - 7, ...) while
+    widths stay within tol, or up (g + 1, g + 2, g + 4, ...) while they do
+    not and the pads leave room; if no evaluated depth is within tol it
+    doubles the probe depth (16, 32, ...) until one is.  It then bisects
+    down to a depth whose predecessor is not within tol, reusing every depth
+    already evaluated.  The returned depth d always has width(d) <= tol <
+    width(d - 1), and every doubling depth evaluated below d is wider than
+    tol.  Widths are not monotone in depth, so a shallower depth may still
+    qualify; while they are non-increasing, d is the unique smallest
+    adequate depth (see the module docstring).
 
     The search can also stop unconverged, for one of three reasons:
 
     * ``depth_cap``: the depth cap was probed;
     * ``tail_exhausted``: the spec's tail cannot extend any deeper (this
       wins when the cap is the same depth);
-    * ``fp_floor``: the floating-point floor 16 * n * ulp(lo / 2) of the
-      next doubling depth n exceeds the narrowest width found, so no deeper
-      enclosure can be narrower.
+    * ``fp_floor``: the floating-point floor F(n) = 1.5 * pad(n, m) -
+      ulp(m) of the next doubling depth n, with m just below the narrowest
+      enclosure's lower end, exceeds the narrowest width found, so no
+      enclosure at depth n or deeper can be narrower (proved in the module
+      docstring).
 
     It then returns the narrowest enclosure found, with that
     ``stop_reason``, rather than raising: a partial enclosure is still
@@ -215,20 +268,32 @@ def kappa_limit(
                 bad = mid
         return KappaResult(seen[good], "converged")
 
+    def pads_fit(depth: int) -> bool:
+        # both sides of an enclosure carry a pad, so skip a depth the pads alone overshoot
+        return 2.0 * _fp_pad(depth, seen[8].hi) <= tol
+
     previous, depth = 0, min(4, limit)
     while True:
         if width(depth) <= tol:
             return bisect(previous, depth)
         if depth == 8:
             guess = _predicted_depth(seen[4].width, seen[8].width, tol, limit)
-            # both sides of an enclosure carry a pad, so skip a guess the pads alone overshoot
-            if guess > 8 and 2.0 * _fp_pad(guess, seen[8].hi) <= tol and width(guess) <= tol:
-                return bisect(8 if width(guess - 1) <= tol else guess - 1, guess)
+            if guess > 8 and pads_fit(guess):
+                step = 1
+                if width(guess) <= tol:  # gallop down to a depth wider than tol
+                    while guess - step > 8 and width(guess - step) <= tol:
+                        step = 2 * step + 1
+                    return bisect(8, guess)
+                while guess + step < limit and pads_fit(guess + step):  # gallop up
+                    if width(guess + step) <= tol:
+                        return bisect(8, guess + step)
+                    step *= 2
         if depth >= limit:
             return KappaResult(best, "tail_exhausted" if limit == tail_limit else "depth_cap")
         previous, depth = depth, min(2 * depth, limit)
         # no enclosure this deep or deeper beats best (the floor, module docstring)
-        if best.lo >= sys.float_info.min and _fp_pad(depth, 0.5 * best.lo) > best.width:
+        floor_applies = limit < 2**20 and best.lo >= sys.float_info.min
+        if floor_applies and _fp_floor(depth, best.lo) > best.width:
             return KappaResult(best, "fp_floor")
 
 

@@ -29,10 +29,16 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
 
 # Floor for the rescaling maximum; keeps all-zero inputs away from log(0)
 # while staying far below any normalized coefficient of interest.
 _SCALE_FLOOR_LOG = -512.0 * math.log(2.0)
+
+# 2**-k for k = 0..1074, every one an exact binary64 number; the fold's
+# scalings read level k's from here (see sqrt_nested_scaled).
+_INV_POW2 = [math.ldexp(1.0, -k) for k in range(1075)]
+_DEEPEST_LEVEL = len(_INV_POW2) - 1
 
 
 @dataclass(frozen=True)
@@ -118,50 +124,67 @@ def sqrt_nested_scaled(
     over the pair (x_k, y_{k+1}): the log-sum-exp of the raw-scale recursion
     v_k = sqrt(b_k + v_{k+1}) taken on the normalized scale, so neither the
     huge raw coefficients nor the vanishing deep levels can overflow or be
-    flushed to zero.  The 2**k scalings use ``math.ldexp`` and are exact.
+    flushed to zero.
+
+    The 2**k scalings divide and multiply by s = 2**-k, read from a table of
+    exact powers of two.  For k <= 1074, s is a normal or subnormal binary64
+    number, so each operation rounds the exactly scaled value once, as
+    ``math.ldexp`` does, and the results are bit-identical: a quotient past
+    binary64 becomes -inf (where ``ldexp`` raised and the level added
+    nothing), and an increment rounds into the subnormal range alike.
+    Dividing by s, rather than multiplying by 2**k, which is no float past
+    1023, keeps an equal pair's gap at 0 (not 0 * inf) and scales a tiny
+    nonzero gap exactly.  A level whose scaled gap t is below -746 is
+    skipped, as exp(t) rounds to 0 there; that covers a zero coefficient,
+    whose gap is -inf (or NaN when both sides of the pair are -inf).  Past
+    level 1074 every increment is at most 2**-1075 * ln 2 and rounds to 0,
+    so such a level only keeps the larger of its pair; the fold takes that
+    maximum over all of them at once, since rounding ln_alpha - scale is
+    monotone in ln_alpha.
 
     The two seeds share one pass over ``ln_alphas``, but each side runs the
     float operations it would run alone, so each returned value depends only
-    on ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``.
+    on ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
+    raises ``ValueError`` when a radical exceeds binary64.
     """
-    for seed in (lo_seed, hi_seed):
-        if not seed >= 0.0 or math.isinf(seed):
-            raise ValueError(f"seed must be finite and >= 0, got {seed}")
-    if not sum(ln_alphas) < math.inf:  # a NaN or +inf term, or a sum past binary64
+    if not (0.0 <= lo_seed < _INF and 0.0 <= hi_seed < _INF):
+        raise ValueError(f"seeds must be finite and >= 0, got {lo_seed} and {hi_seed}")
+    if not sum(ln_alphas) < _INF:  # a NaN or +inf term, or a sum past binary64
         for k, ln_alpha in enumerate(ln_alphas, start=1):
-            if not ln_alpha < math.inf:
+            if not ln_alpha < _INF:
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
     top = max([_SCALE_FLOOR_LOG, *ln_alphas])
-    scale_lo, y_lo = _seed_log(lo_seed, top)
-    scale_hi, y_hi = _seed_log(hi_seed, top)
-    ldexp, exp, log1p, neg_inf = math.ldexp, math.exp, math.log1p, _NEG_INF
-    for k in range(len(ln_alphas), 0, -1):
-        ln_alpha = ln_alphas[k - 1]
+    log = math.log
+    # per side: the scale is the larger of ln(seed) and top, y the seed's log on it
+    y_lo = log(lo_seed) if lo_seed > 0.0 else _NEG_INF
+    scale_lo = top if top > y_lo else y_lo
+    y_lo -= scale_lo
+    y_hi = log(hi_seed) if hi_seed > 0.0 else _NEG_INF
+    scale_hi = top if top > y_hi else y_hi
+    y_hi -= scale_hi
+    if len(ln_alphas) > _DEEPEST_LEVEL:  # levels that only keep the larger of their pair
+        deep = max(ln_alphas[_DEEPEST_LEVEL:])
+        y_lo, y_hi = max(y_lo, deep - scale_lo), max(y_hi, deep - scale_hi)
+        ln_alphas = ln_alphas[:_DEEPEST_LEVEL]
+    exp, log1p = math.exp, math.log1p
+    for ln_alpha, s in zip(reversed(ln_alphas), _INV_POW2[len(ln_alphas) : 0 : -1]):
         # per side: y becomes the larger of the pair and x the smaller
         x = ln_alpha - scale_lo
         if x > y_lo:
             x, y_lo = y_lo, x
-        if x != neg_inf:
-            try:
-                y_lo += ldexp(log1p(exp(ldexp(x - y_lo, k))), -k)
-            except OverflowError:  # exp of the gap would be 0
-                pass
+        t = (x - y_lo) / s
+        if t > -746.0:
+            y_lo += log1p(exp(t)) * s
         x = ln_alpha - scale_hi
         if x > y_hi:
             x, y_hi = y_hi, x
-        if x != neg_inf:
-            try:
-                y_hi += ldexp(log1p(exp(ldexp(x - y_hi, k))), -k)
-            except OverflowError:
-                pass
-    return (
-        0.0 if y_lo == _NEG_INF else exp(scale_lo + y_lo),
-        0.0 if y_hi == _NEG_INF else exp(scale_hi + y_hi),
-    )
-
-
-def _seed_log(seed: float, top: float) -> tuple[float, float]:
-    """(scale_log, ln of the seed on that scale) for one side of the fold."""
-    ln_seed = math.log(seed) if seed > 0.0 else _NEG_INF
-    scale_log = max(ln_seed, top)
-    return scale_log, ln_seed - scale_log
+        t = (x - y_hi) / s
+        if t > -746.0:
+            y_hi += log1p(exp(t)) * s
+    try:
+        return (
+            0.0 if y_lo == _NEG_INF else exp(scale_lo + y_lo),
+            0.0 if y_hi == _NEG_INF else exp(scale_hi + y_hi),
+        )
+    except OverflowError:
+        raise ValueError("the nested radical exceeds binary64 (about 1.8e308)") from None

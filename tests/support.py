@@ -109,6 +109,29 @@ def ramanujan_sup_oracle(terms: int = 400, dps: int = 60) -> float:
         return float(mp.e**v)
 
 
+def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
+    """One side of the log-domain square-root fold, each level scaled by ``math.ldexp``.
+
+    The level formula y += ldexp(log1p(exp(ldexp(x - y, k))), -k), kept as the
+    bit-exact oracle for the table-scaled fold in ``sqrt_nested_scaled``.
+    Raises ``OverflowError`` when the radical exceeds binary64.
+    """
+    top = max([-512.0 * math.log(2.0), *ln_alphas])
+    ln_seed = math.log(seed) if seed > 0.0 else -math.inf
+    scale = max(ln_seed, top)
+    y = ln_seed - scale
+    for k in range(len(ln_alphas), 0, -1):
+        x = ln_alphas[k - 1] - scale
+        if x > y:
+            x, y = y, x
+        if x != -math.inf:
+            try:
+                y += math.ldexp(math.log1p(math.exp(math.ldexp(x - y, k))), -k)
+            except OverflowError:  # exp of the gap would be 0
+                pass
+    return 0.0 if y == -math.inf else math.exp(scale + y)
+
+
 def norm_fold(values: Sequence[float], seed: float = 0.0) -> float:
     """Square-root fold of normalized values: position p enters as value ** 2**p."""
     return sqrt_nested_scaled([math.log(v) if v > 0.0 else -math.inf for v in values], seed, seed)[0]

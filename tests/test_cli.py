@@ -256,6 +256,14 @@ class TestEval:
         doc = json.loads(out)
         assert doc["lo"] <= doc["mid"] <= doc["hi"] < float("inf")
 
+    def test_radical_past_binary64_exit_2(self, capsys, tmp_path: Path):
+        # every coefficient fits binary64, but the radical is about 1.5e308 * phi
+        spec = tmp_path / "huge.spec"
+        spec.write_text("terms_norm=[1.5e308]\ntail=constant_norm:1.5e308\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, "eval", "--spec", str(spec))
+        assert (status, out) == (2, "")
+        assert "exceeds binary64" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("family", ["powertower", "constant_norm:2", "ramanujan"])
     def test_depth_cap_past_1023_exit_3(self, capsys, family):
         status, out, err = run_cli(

@@ -274,6 +274,26 @@ class TestSearchWork:
         assert result.converged
         assert len(depths) <= 5
 
+    def test_ramanujan_tight_tol_stops_at_the_floor(self, depths):
+        # depth 64 is narrowest; the floor of depth 128 already exceeds its width
+        result = kappa_limit(ramanujan(), 1e-15)
+        assert result.stop_reason == "fp_floor"
+        assert result.enclosure.depth == 64
+        assert len(depths) <= 5
+
+    def test_gallop_down_from_a_missed_prediction(self, depths):
+        # the guess 25 and 24 are both within tol
+        result = kappa_limit(ramanujan(), 1e-6)
+        assert result.converged
+        assert len(depths) <= 6
+
+    def test_gallop_up_from_a_missed_prediction(self, depths):
+        # the guess 36 is wider than tol; a few depths past it are not
+        result = kappa_limit(constant_raw(0.128009), 2.97e-13)
+        assert result.converged
+        assert len(depths) <= 7
+        assert 128 not in depths
+
     def test_no_depth_evaluated_twice(self, depths):
         for spec in ALL_FAMILIES:
             for tol in (1e-4, 1e-9, 1e-13, 1e-15):
@@ -296,7 +316,7 @@ def _tails():
 
 _VALUES = {
     "raw": st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
-    "lograw": st.one_of(st.just(-math.inf), st.floats(-8.0, 8.0)),
+    "lograw": st.one_of(st.just(-math.inf), st.floats(-8.0, 8.0), st.floats(-300.0, 300.0)),
     "norm": st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
 }
 
@@ -334,3 +354,13 @@ class TestSearchAgainstScan:
         widths = [kappa_enclosure(spec, d).width for d in scan]
         assert min(widths) > tol
         assert result.enclosure.width <= min(widths)
+        if result.stop_reason == "fp_floor":
+            # the floor bounds every deeper width from below, and the search
+            # stopped where it exceeds the returned width
+            floor = nestrad.kappa._fp_floor
+            last = min(depth_cap, 4 * depth, spec.max_depth() or depth_cap)
+            for deeper in range(depth + 1, last + 1):
+                width = kappa_enclosure(spec, deeper).width
+                assert width >= floor(deeper, result.enclosure.lo), deeper
+                if floor(deeper, result.enclosure.lo) > result.enclosure.width:
+                    assert width >= result.enclosure.width, deeper

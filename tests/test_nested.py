@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from nestrad import (
@@ -109,8 +111,16 @@ class TestSqrtNestedScaled:
         with pytest.raises(ValueError, match="index 1"):
             sqrt_nested_scaled([math.inf, -math.inf], 1.0, 1.0)
         # finite terms pass the check even when their sum overflows; this radical exceeds binary64
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="exceeds binary64"):
             sqrt_nested_scaled([1e308, 1e308], 1.0, 1.0)
+
+    def test_radical_past_binary64_is_a_value_error(self):
+        # both seeds and the coefficient are finite; only the value overflows
+        ln_alpha = math.log(1.5e308)
+        with pytest.raises(ValueError, match="exceeds binary64"):
+            sqrt_nested_scaled([ln_alpha], 0.0, 1.65e308)
+        with pytest.raises(ValueError, match="exceeds binary64"):
+            sqrt_nested_scaled([ln_alpha], 1.5e308, 1.5e308)
 
     def test_each_side_matches_its_own_fold(self):
         # one pass for both seeds runs each side's own float operations, so
@@ -126,6 +136,72 @@ class TestSqrtNestedScaled:
             )
             pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
             assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
+
+
+@st.composite
+def _fold_cases(draw):
+    """Folds from depth 0 to 1,100 rich in the cases the 2**k scalings must keep exact.
+
+    A base value repeats (equal gaps whenever it is the scale), sits a tiny
+    step off (gaps near the least subnormal), or gives way to -inf and to
+    ln alpha anywhere in [-720, 720]; seeds run from 0 to e**700.
+    """
+    depth = draw(st.one_of(st.integers(0, 40), st.integers(0, 1100), st.integers(1020, 1100)))
+    base = draw(st.one_of(st.just(0.0), st.floats(-720.0, 720.0), st.floats(-1.0, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tiny = (5e-324, 1e-318, 1e-310, 1e-300, 2.0**-1000, 1e-20)
+
+    def ln_alpha():
+        roll = rng.random()
+        if roll < 0.1:
+            return -math.inf
+        if roll < 0.4:
+            return base
+        if roll < 0.55:
+            return base + rng.choice((-1.0, 1.0)) * rng.choice(tiny)
+        if roll < 0.7:
+            return rng.uniform(-720.0, 720.0)
+        return base + rng.uniform(-3.0, 3.0) * 10.0 ** -rng.randint(0, 17)
+
+    seed = st.one_of(
+        st.just(0.0), st.just(1.0), st.floats(0.0, 5.0), st.floats(-700.0, 700.0).map(math.exp)
+    )
+    lo_seed, hi_seed = sorted((draw(seed), draw(seed)))
+    return [ln_alpha() for _ in range(depth)], lo_seed, hi_seed
+
+
+class TestTableScaledFold:
+    """The fold's 2**k scalings equal the ldexp ones, bit for bit, at every depth."""
+
+    @staticmethod
+    def oracle(ln_alphas, seed):
+        try:
+            return support.ldexp_fold(ln_alphas, seed)
+        except OverflowError:
+            return "exceeds binary64"
+
+    @settings(max_examples=150)
+    @given(_fold_cases())
+    def test_matches_ldexp_oracle(self, case):
+        ln_alphas, lo_seed, hi_seed = case
+        expected = (self.oracle(ln_alphas, lo_seed), self.oracle(ln_alphas, hi_seed))
+        try:
+            pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
+        except ValueError as exc:
+            assert "exceeds binary64" in str(exc)
+            assert "exceeds binary64" in expected
+            return
+        assert [value.hex() for value in pair] == [value.hex() for value in expected]
+
+    @pytest.mark.parametrize("depth", [1023, 1024, 1050, 1074, 1075, 1100])
+    def test_deep_equal_and_tiny_gaps(self, depth):
+        # all-equal coefficients at the scale: y collects subnormal increments
+        # past level 1023, and the next levels see gaps near 2**-1074
+        for ln_alphas in ([0.0] * depth, [0.0, 5e-324] * (depth // 2)):
+            for lo_seed, hi_seed in ((1.0, 1.0), (0.0, 1.0), (1.0, 1.5)):
+                expected = tuple(support.ldexp_fold(ln_alphas, seed) for seed in (lo_seed, hi_seed))
+                pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
+                assert [value.hex() for value in pair] == [value.hex() for value in expected]
 
 
 class TestSeedGap:
