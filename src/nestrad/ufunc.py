@@ -7,15 +7,97 @@ washes out), strictly increasing and Lipschitz-1 on [1, inf), and satisfies
 r < U(r) <= r * phi there, which brackets the inverse.
 
 Evaluation reuses the enclosure engine on a spec with an omega tail.
-Inversion bisects that bracket, deciding each step by an enclosure of U(mid)
-deepened only until it excludes y, so the bracket it keeps is certified.
+
+Inversion predicts the root, then confirms it.  For r >= 1 the depth-n
+enclosure of U(r) is, before padding, [F_n(r), F_n(r * c_n)] with c_n =
+phi ** 2**-(n-1), where F_n folds n - 1 ones over the seed: F_1(s) = s and
+F_n(s)**2 = 1 + F_{n-1}(s**2).  F_n inverts in closed form by peeling
+v -> v * v - 1; on the normalized log scale L_1 = ln y,
+
+    L_{k+1} = L_k + 2**-k * log1p(-exp(-2**k * L_k)),
+
+and F_n^-1(y) = exp(L_n).  In exact arithmetic R = F_n^-1(y) puts U^-1(y)
+in [R / c_n, R], as F_n(R) = y <= U(R) and U(R / c_n) <= F_n(R).  That
+width does not depend on U's slope (about 1e-4 near r = 1), so n follows
+from y and tol alone, clamped to the depth cap.  The float peel only
+chooses where to look: every end and every answer is certified by a
+measured enclosure, as a bisection probe's is.
+
+* ``u_inverse`` evaluates one depth-n enclosure at the middle of [R / c_n,
+  R]; it normally holds y at width <= tol/4, a tie.
+* ``sup_enclosure`` evaluates F_n^-1(y + pad + noise), expected above y,
+  then the larger of that point minus tol/2 and F_n^-1(y + pad - noise),
+  expected a tie or below y.  The second is the larger in the flat region,
+  y - phi below about 1e-10, where tol/2 moves U by less than the noise.
+
+Every probe, predicted or not, is a ``u_eval`` call with ``exclude=y``.
+
+Fallback.  A predicted probe that lies outside the bracket, or decides
+nothing at its depth, is dropped, and certified bisection goes on from the
+ends found so far.  Its probes deepen from depth 4 until they exclude y or
+tie: near the pad floor a shallow enclosure's lower end is often sharper
+than the predicted depth's, as its pad is smaller, so starting them at the
+predicted depth can leave a probe undecided at every depth (y = 5 with tol
+= 3e-12).  A probe at r that excludes y moves its end past r by the
+Lipschitz-1 margin: lo > y gives U(r - (lo - y)) >= U(r) - (lo - y) >= y,
+and hi < y gives U(r + (y - hi)) <= y.  Both margins are exact by
+Sterbenz (y / 2 < hi and lo < 2 * y, as U lies in [r, r * phi] and probes
+in [y / phi, y]), and the moved end is rounded outward by one
+``nextafter``.
+
+Refusals.  RuntimeError, which the CLI reports with exit 2, means that no
+answer could be certified: a bisection probe reached the depth cap
+undecided at width > tol/4; floats near the lower end are more than tol/2
+apart (checked ahead of every probe); or, before the first probe, the pads
+alone rule out every way of ending the search.  The last rests on this
+argument.
+
+Write r* = U^-1(y), r_min = y / phi as a float, n0 = min(4, depth cap) (no
+probe is shallower), m = r_min * (1 - 2**-20), u = ulp(m) and P = pad(n0,
+m) = 16 * n0 * u.  As for the ``kappa`` floor, assume the premise the
+padding policy rests on: a fold as evaluated lies within half its pad of
+its exact value (the evaluation noise that ``fp_slack`` records).
+
+* U(r) <= sqrt(r**2 + phi) for r >= 1, as U is the limit of the lower
+  folds F_n(r) and F_n(t)**2 <= t**2 + phi for every n by induction: F_1(t)
+  = t, and F_n(t)**2 = 1 + F_{n-1}(t**2) <= 1 + t**2 + 1/phi, as sqrt(s**2
+  + phi) <= s + 1/phi for s >= 1.  So 0 < y - r* < phi / (2 * r*) <= phi /
+  (2 * m), and r* >= y / phi >= m.
+* Every probe lies in [r_min, y], so its exact upper fold is >= r_min
+  (F_n(s) >= s), its evaluated hi_raw >= m (relative fold error < 2**-21,
+  as in ``kappa``), its pad >= 16 * n * u >= P at its depth n >= n0, and its
+  width >= F(n0) = 1.5 * P - u by the ``kappa`` floor.  A tie needs width
+  <= tol/4, so F(n0) > tol/4 rules out every tie.
+* An end left by a probe at r that excluded y from above, moved or not,
+  lies >= P/2 above r*: U(r) >= lo_raw - pad/2 = lo + pad/2, so r - (lo -
+  y) - r* >= U(r) - lo >= P/2 (U is Lipschitz-1).  Symmetrically an end
+  left by a probe from below lies >= P/2 below r*.  It also lies below y by
+  hi - r = hi_raw + pad - r >= r * (c_n - 1) + 8 * n * u, as hi_raw >=
+  F_n(r * c_n) - pad/2 >= r * c_n - pad/2.  With r >= 2**52 * u and c_n - 1
+  >= ln(phi) * 2**(1-n), that is >= 320 * u (below depth 40 the first term
+  alone exceeds it, from 40 on the second does), with room for the few ulp
+  by which the boosted seed rounds.  So that end lies below r* by at least
+  320 * u - phi / (2 * m) as well.
+* y / phi lies below r* by >= (r* - 1) / phi**2 >= (y - phi) / phi**2, as
+  U(r) / phi <= sqrt(r**2 + phi) / phi <= (phi + r - 1) / phi and U(1) =
+  phi; r_min exceeds y / phi by at most ulp(r_min) / 2 <= tol/4.
+
+Without a tie the search ends on a bracket no wider than tol/2, and one of
+its ends is a probe's (the first probe comes only when y - r_min > tol/2).
+Two probe ends are at least P/2 + max(P/2, 320 * u - phi / (2 * m)) apart;
+a lower probe end and y at least 320 * u, which F(n0) > tol/4 already puts
+above tol/2 (F(n0) <= 95 * u); r_min and an upper probe end at least
+(y - phi) / phi**2 - tol/4 > tol/2 once y - phi >= 2 * tol.  So when all of
+these exceed their limits, no probe can settle the search, and
+``u_inverse(1e8, 1e-6)`` refuses without evaluating an enclosure.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
-from .kappa import DEFAULT_DEPTH_CAP, PHI, kappa_enclosure, kappa_limit
+from .kappa import DEFAULT_DEPTH_CAP, LN_PHI, PHI, _fp_floor, _fp_pad, kappa_enclosure, kappa_limit, phi_pow
 from .nested import Enclosure
 from .seqspec import OmegaTail, SequenceSpec
 
@@ -28,14 +110,19 @@ def u_spec(r: float) -> SequenceSpec:
 
 
 def u_eval(
-    r: float, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP, *, exclude: float | None = None
+    r: float,
+    tol: float = 1e-9,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+    *,
+    exclude: float | None = None,
+    start: int = 4,
 ) -> Enclosure:
     """Enclosure of U(r) with width <= tol, at the shallowest such depth.
 
-    With ``exclude``, the depth instead doubles from 4 and stops at the
-    first enclosure of width <= tol or with ``exclude`` strictly outside,
-    so the width may exceed tol.  Raises RuntimeError when neither happens
-    within ``depth_cap``.
+    With ``exclude``, the depth instead doubles from ``start`` and stops at
+    the first enclosure of width <= tol or with ``exclude`` strictly
+    outside, so the width may exceed tol.  Raises RuntimeError when neither
+    happens within ``depth_cap``.
     """
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be finite and >= 0, got {r}")
@@ -44,7 +131,7 @@ def u_eval(
         enclosure, done = result.enclosure, result.converged
         best = enclosure.width
     else:
-        spec, depth, best = u_spec(r), min(4, depth_cap), math.inf
+        spec, depth, best = u_spec(r), min(start, depth_cap), math.inf
         while True:
             enclosure = kappa_enclosure(spec, depth)
             best = min(best, enclosure.width)
@@ -60,28 +147,115 @@ def u_eval(
     return enclosure
 
 
-def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[float, float]:
-    """Bisection bracket (r_lo, r_hi) of U^-1(y), y > phi, with r_hi - r_lo <= tol/2.
+def _fold_inverse(y: float, depth: int) -> float:
+    """F_n^-1(y) for n = depth in floating point: the seed whose depth-n lower fold is y.
 
-    U(r_hi) > y is certified: r_hi is y or a probe enclosed above y.  r_lo
-    is max(1, y/phi) (U(r) <= r*phi) or a probe enclosed below y.  A tie, a
-    probe still holding y at width <= tol/4, ends the search as (mid, mid),
-    or with ``ties_below`` becomes r_lo, which then has U(r_lo) < y + tol/4.
+    Peels on the normalized log scale (module docstring).  Returns 1 when a
+    peel reaches v <= 1 (y at or below F_n(1)) and inf for y = inf.
+    """
+    ln_v = math.log(y)
+    for k in range(1, depth):
+        shrink = math.exp(-math.ldexp(ln_v, k))  # v_k ** -2
+        if shrink >= 1.0:
+            return 1.0
+        if shrink == 0.0:  # every later peel changes nothing
+            break
+        ln_v += math.ldexp(math.log1p(-shrink), -k)
+    return math.exp(ln_v)
+
+
+def _probe_depth(y: float, tol: float, depth_cap: int) -> int:
+    """Depth of the predicted probes: their bracket and pads fit within tol/4.
+
+    The shallowest n with y * (c_n - 1) <= tol/8 (R <= y), deepened while
+    the predicted width y * (c_n - 1) + 2 * pad(n, y) exceeds tol/4 and
+    deepening narrows it; clamped to [min(4, depth_cap), depth_cap].
+    """
+    def width(n: int) -> float:
+        return y * math.expm1(math.ldexp(LN_PHI, 1 - n)) + 2.0 * _fp_pad(n, y)
+
+    depth = max(1, 1 + math.ceil(math.log2(LN_PHI / math.log1p(0.125 * tol / y))))
+    while depth < depth_cap and width(depth) > 0.25 * tol and width(depth + 1) < width(depth):
+        depth += 1
+    return max(min(4, depth_cap), min(depth, depth_cap))
+
+
+def _predicted_probes(y: float, tol: float, depth: int, ties_below: bool) -> list[float]:
+    """Where to probe U at ``depth`` before bisecting, in order (module docstring)."""
+    root = _fold_inverse(y, depth)
+    if not ties_below:
+        return [0.5 * (root / phi_pow(depth - 1)) + 0.5 * root]
+    pad = _fp_pad(depth, y * phi_pow(depth - 1))
+    # bounds |F_n(F_n^-1(t)) - t| as evaluated: measured at most 0.41 of it for y from 1.6 to 1e308
+    noise = 4.0 * math.ulp(y) * max(1.0, math.log(y))
+    above = _fold_inverse(y + pad + noise, depth)
+    below = max(math.nextafter(above - 0.5 * tol, math.inf), _fold_inverse(y + pad - noise, depth))
+    return [above, below]
+
+
+def _pads_rule_out(y: float, tol: float, depth_cap: int) -> bool:
+    """True when no probe, at depth min(4, depth_cap) or deeper, can end the search (module docstring)."""
+    depth, m = min(4, depth_cap), y / PHI * (1.0 - 2.0**-20)
+    half_pad = 0.5 * _fp_pad(depth, m)
+    below = max(half_pad, 320.0 * math.ulp(m) - PHI / (2.0 * m))
+    return (
+        depth_cap < 2**20  # the kappa floor's fold-error bound
+        and _fp_floor(depth, y / PHI) > 0.25 * tol  # no tie
+        and half_pad + below > 0.5 * tol  # no bracket between two probe ends
+        and y - PHI >= 2.0 * tol  # no bracket from y / phi
+    )
+
+
+def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[float, float]:
+    """Certified bracket (r_lo, r_hi) of U^-1(y), y > phi, with r_hi - r_lo <= tol/2.
+
+    U(r_hi) >= y is certified: r_hi is y or an end left by a probe enclosed
+    above y.  r_lo is max(1, y/phi) (U(r) <= r*phi) or an end left by a
+    probe enclosed below y.  A tie, a probe still holding y at width <=
+    tol/4, ends the search as (mid, mid), or with ``ties_below`` becomes
+    r_lo, which then has U(r_lo) < y + tol/4.
+
+    The first probes are predicted from the closed-form inverse of the
+    depth-n fold and evaluated at that depth only; one that decides nothing
+    is dropped.  Certified bisection, from every end certified so far, is
+    the fallback, and each end a probe leaves is moved past the probe by
+    the Lipschitz-1 margin |enclosure - y| (module docstring).  Raises
+    RuntimeError when floats near r_lo are more than tol/2 apart, when the
+    pads rule out every way to end the search, or when a bisection probe
+    stays undecided at the depth cap.
     """
     r_lo, r_hi = max(1.0, y / PHI), y
+    guesses: Iterator[float] | None = None
     while r_hi - r_lo > 0.5 * tol:
         if math.ulp(r_lo) > 0.5 * tol:  # no later bracket or tie can be that narrow
             raise RuntimeError(
                 f"U^-1({y}) cannot be bracketed to {tol}: floats near {r_lo} are {math.ulp(r_lo)} apart"
             )
-        mid = 0.5 * r_lo + 0.5 * r_hi
-        enclosure = u_eval(mid, 0.25 * tol, depth_cap, exclude=y)
-        if enclosure.lo > y:
-            r_hi = mid
-        elif enclosure.hi < y or ties_below:
-            r_lo = mid
+        if guesses is None:  # the first probe
+            if _pads_rule_out(y, tol, depth_cap):
+                raise RuntimeError(
+                    f"U^-1({y}) cannot be resolved to {tol}: the padding of enclosures of U near it "
+                    f"rules out both a tie and a bracket that narrow"
+                )
+            depth = _probe_depth(y, tol, depth_cap)
+            guesses = iter(_predicted_probes(y, tol, depth, ties_below))
+        mid = next((r for r in guesses if r_lo < r < r_hi), None)
+        if mid is None:
+            mid = 0.5 * r_lo + 0.5 * r_hi
+            enclosure = u_eval(mid, 0.25 * tol, depth_cap, exclude=y)
         else:
-            return mid, mid
+            try:  # a predicted probe is evaluated at its depth only
+                enclosure = u_eval(mid, 0.25 * tol, depth, exclude=y, start=depth)
+            except RuntimeError:  # it decided nothing: drop it
+                continue
+        if enclosure.lo > y:
+            r_hi = math.nextafter(mid - (enclosure.lo - y), math.inf)
+        elif enclosure.hi < y:
+            r_lo = math.nextafter(mid + (y - enclosure.hi), -math.inf)
+        elif enclosure.width <= 0.25 * tol:
+            if not ties_below:
+                return mid, mid
+            r_lo = mid
     return r_lo, r_hi
 
 
@@ -89,13 +263,15 @@ def u_inverse(y: float, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -
     """r >= 1 with |U(r) - y| <= tol, for y >= phi.
 
     Values in [phi - tol, phi] clamp to 1; below that the equation has no
-    solution since U([1, inf)) = [phi, inf).  Otherwise r is a bisection
-    probe whose enclosure of U holds y at width <= tol/4, or the midpoint
-    of a certified bracket U(r_lo) < y < U(r_hi) of width <= tol/2 (U is
-    Lipschitz-1).  Each probe deepens its enclosure, up to ``depth_cap``,
-    only until it excludes y.  Raises RuntimeError when a probe reaches
-    ``depth_cap`` undecided at width > tol/4, or when floats near the root
-    are more than tol/2 apart (y = 1e300 with tol = 1e-6).
+    solution since U([1, inf)) = [phi, inf).  Otherwise r is a probe whose
+    enclosure of U holds y at width <= tol/4, normally the one predicted
+    from the closed-form inverse of the depth-n fold, or the midpoint of a
+    certified bracket U(r_lo) <= y <= U(r_hi) of width <= tol/2 (U is
+    Lipschitz-1).  Raises RuntimeError when a bisection probe reaches
+    ``depth_cap`` undecided at width > tol/4, when floats near the root are
+    more than tol/2 apart (y = 1e300 with tol = 1e-6), or when the pads of
+    enclosures near the root rule out both a tie and such a bracket (y =
+    1e8 with tol = 1e-6); see the module docstring.
     """
     if not (math.isfinite(y) and tol > 0.0):
         raise ValueError(f"need finite y and tol > 0, got y={y}, tol={tol}")

@@ -60,6 +60,18 @@ class TestSupEnclosure:
                 r = mp.mpf(hi) / mp.mpf(m_h)
                 assert support.mp_u(r, 128, 90, as_float=False) >= target, (epsilon, hi)
 
+    @pytest.mark.parametrize("m_h", [0.1, 1.0, 10.0])
+    def test_upper_end_in_the_flat_region(self, m_h):
+        # epsilon / M_H from 1e-15 to 1e-9: the root lies within about 1e-5
+        # of 1, where U's slope falls below 1e-3
+        for i in range(13):
+            ratio = 10.0 ** (-15.0 + 0.5 * i)
+            _, hi = sup_enclosure(SupQuery(m_h, ratio * m_h))
+            with mp.workdps(90):
+                target = mp.mpf(ratio * m_h) / mp.mpf(m_h) + (1 + mp.sqrt(5)) / 2
+                r = mp.mpf(hi) / mp.mpf(m_h)
+                assert support.mp_u(r, 128, 90, as_float=False) >= target, (ratio, hi)
+
     def test_overflowing_ratio_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             sup_enclosure(SupQuery(1e-300, 1e10))

@@ -83,11 +83,11 @@ README_DOCUMENTS = {
         '10,10.050124383557367,10.050124384116685\n'
     ),
     "u-inv --y 3 --tol 1e-6": (
-        '{"y": 3, "r": 2.8172246158809076, "tol": 9.9999999999999995e-07}\n'
+        '{"y": 3, "r": 2.8172244572074625, "tol": 9.9999999999999995e-07}\n'
     ),
     "caps --mh 1 --eps 0.1": (
         '{"m_h": 1, "epsilon": 0.10000000000000001, "lo": 1, '
-        '"hi": 1.2711378793194352}\n'
+        '"hi": 1.2711378789451131}\n'
     ),
     "cf --fn arctan --terms 1,1,1 --tol 2": (
         '{"lo": 0.78539816339744828, "hi": 2.3561944901923448, '

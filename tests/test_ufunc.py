@@ -22,6 +22,16 @@ from nestrad import (
 U_OF_2 = 2.2642652660462583  # deep-truncation oracle, stable from depth 16 on
 
 
+def assert_solves(y, tol, r):
+    """|U(r) - y| <= tol, decided by a depth-80 truncation at 60 digits."""
+    depth = 80
+    with mp.workdps(60):
+        # U(r) lies in [truncation, truncation + r * 2**-depth]
+        lower = support.mp_u(r, depth, 60, as_float=False)
+        upper = lower + mp.mpf(r) * mp.mpf(2) ** -depth
+        assert mp.mpf(y) - tol <= lower and upper <= mp.mpf(y) + tol, (y, tol, r)
+
+
 class TestUEval:
     def test_u_of_one_is_phi(self):
         enclosure = u_eval(1.0, 1e-9)
@@ -100,6 +110,44 @@ class TestUInverse:
             u_inverse(3.0, 1e-9, depth_cap=4)
         assert u_inverse(3.0, 1e-6, depth_cap=DEFAULT_DEPTH_CAP) == u_inverse(3.0, 1e-6)
 
+    def test_flat_region(self):
+        # y - phi = 1e-10: the root is near 1 + 1e-6, where U's slope is about 1e-4
+        y = PHI + 1e-10
+        assert_solves(y, 3e-12, u_inverse(y, 3e-12))
+
+
+class TestFallback:
+    """Where the predicted probes do not settle the search, certified bisection does or refuses."""
+
+    def test_near_the_pad_floor(self):
+        # two pads nearly fill tol/4: the prediction still settles y = 1e3,
+        # while at y = 5 no predicted probe ties and bisection brackets it
+        assert_solves(1e3, 1e-9, u_inverse(1e3, 1e-9))
+        assert_solves(5.0, 3e-12, u_inverse(5.0, 3e-12))
+
+    @pytest.mark.parametrize("y,tol,depth_cap", [(3.0, 1e-6, 23), (1e3, 1e-9, 43)])
+    def test_depth_cap_below_the_predicted_depth(self, y, tol, depth_cap):
+        # the predicted depths are 25 and 44; the capped prediction misses
+        assert nestrad.ufunc._probe_depth(y, tol, DEFAULT_DEPTH_CAP) > depth_cap
+        assert_solves(y, tol, u_inverse(y, tol, depth_cap))
+
+    @pytest.mark.parametrize("depth_cap", [20, 22])
+    def test_capped_prediction_wider_than_a_tie_is_no_answer(self, depth_cap):
+        # the predicted probe holds y = 3 but is 2.4e-6 (cap 20) or 6.0e-7 (cap 22) wide: no tie
+        with pytest.raises(RuntimeError, match=f"within depth {depth_cap}"):
+            u_inverse(3.0, 1e-6, depth_cap)
+
+    @pytest.mark.parametrize("excess", [1e-12, 1e-6, 1.4, 98.0])
+    def test_without_predictions(self, monkeypatch, excess):
+        # every predicted probe lies outside the bracket or decides nothing
+        monkeypatch.setattr(nestrad.ufunc, "_predicted_probes", lambda y, *_: [0.5, 2.0 * y, y])
+        y = PHI + excess
+        assert_solves(y, 1e-6, u_inverse(y, 1e-6))
+        _, hi = sup_enclosure(SupQuery(1.0, excess))
+        with mp.workdps(60):  # U(hi) reaches excess + phi, so hi bounds the supremum
+            target = mp.mpf(excess) + (1 + mp.sqrt(5)) / 2
+            assert support.mp_u(hi, 128, 60, as_float=False) >= target
+
 
 class TestWorkCounts:
     """Enclosures spent per call: deterministic, so they guard the probe cost."""
@@ -120,16 +168,38 @@ class TestWorkCounts:
 
     def test_u_inverse(self, depths):
         u_inverse(3.0, 1e-6)
-        assert 1 <= len(depths) <= 64
+        assert 1 <= len(depths) <= 2
 
     def test_sup_enclosure(self, depths):
         sup_enclosure(SupQuery(1.0, 0.1))
-        assert 1 <= len(depths) <= 80
+        assert 1 <= len(depths) <= 4
+
+    def test_every_probe_is_a_u_eval_call(self, monkeypatch, depths):
+        probes = []
+        original = nestrad.ufunc.u_eval
+
+        def counted(r, *args, **kwargs):
+            probes.append(r)
+            return original(r, *args, **kwargs)
+
+        monkeypatch.setattr(nestrad.ufunc, "u_eval", counted)
+        u_inverse(3.0, 1e-6)
+        sup_enclosure(SupQuery(1.0, 0.1))
+        # each of these probes settles at its first depth
+        assert len(probes) == len(depths) == 3
 
     def test_float_spacing_refusal_is_cheap(self, depths):
         with pytest.raises(RuntimeError):
             u_inverse(1e300, 1e-6)
         assert len(depths) <= 7
+
+    @pytest.mark.parametrize("y,tol", [(1e8, 1e-6), (1e6, 1e-9), (1e20, 1e5)])
+    def test_pad_floor_refusal_is_cheap(self, depths, y, tol):
+        # floats are close enough, but every enclosure of U near the root is
+        # padded wider than a tie or a tol/2 bracket allows
+        with pytest.raises(RuntimeError, match="cannot be resolved"):
+            u_inverse(y, tol)
+        assert len(depths) <= 2
 
     def test_probes_stay_within_the_depth_cap(self, depths):
         r = u_inverse(3.0, 1e-6, depth_cap=24)
