@@ -13,12 +13,10 @@ from .caps import SupQuery, sup_enclosure
 from .contfn import ContinuedSpec, cf_error_bound, cf_eval, cf_limit
 from .kappa import (
     DEFAULT_DEPTH_CAP,
-    LN_PHI,
     PHI,
     KappaResult,
     kappa_enclosure,
     kappa_limit,
-    phi_pow,
 )
 from .nested import (
     ARCTAN,
@@ -47,7 +45,6 @@ from .seqspec import (
     parse_spec,
     power_tower,
     ramanujan,
-    render_spec,
 )
 from .ufunc import u_eval, u_inverse, u_spec, u_table
 
@@ -62,7 +59,6 @@ __all__ = [
     "DEFAULT_DEPTH_CAP",
     "Enclosure",
     "KappaResult",
-    "LN_PHI",
     "OmegaTail",
     "OuterFunction",
     "PHI",
@@ -86,10 +82,8 @@ __all__ = [
     "make_family",
     "nested_eval",
     "parse_spec",
-    "phi_pow",
     "power_tower",
     "ramanujan",
-    "render_spec",
     "sqrt_nested_scaled",
     "sup_enclosure",
     "u_eval",

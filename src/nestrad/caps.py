@@ -16,29 +16,29 @@ is not computable from raw coefficients).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .kappa import DEFAULT_DEPTH_CAP, PHI
 from .ufunc import _u_bracket
 
 __all__ = ["SupQuery", "sup_enclosure"]
 
 
-@dataclass(frozen=True)
-class SupQuery:
+class SupQuery(Record):
     """Observed maximum plus a convergence modulus."""
 
-    m_h: float
-    epsilon: float
+    __slots__ = ("m_h", "epsilon")
 
-    def __post_init__(self):
+    def __init__(self, m_h: float, epsilon: float):
         # The trap formula divides by m_h; with no positive observation the
         # supremum of arbitrarily placed small coefficients is unbounded
         # below any invented cap, so m_h = 0 is rejected rather than guessed.
-        if not (self.m_h > 0.0 and math.isfinite(self.m_h)):
-            raise ValueError(f"observed maximum must be finite and > 0, got {self.m_h}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"modulus must be finite and > 0, got {self.epsilon}")
+        if not (m_h > 0.0 and math.isfinite(m_h)):
+            raise ValueError(f"observed maximum must be finite and > 0, got {m_h}")
+        if not (epsilon > 0.0 and math.isfinite(epsilon)):
+            raise ValueError(f"modulus must be finite and > 0, got {epsilon}")
+        object.__setattr__(self, "m_h", m_h)
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def sup_enclosure(query: SupQuery) -> tuple[float, float]:

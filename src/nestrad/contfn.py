@@ -16,9 +16,9 @@ of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record
 from .kappa import KappaResult
 from .nested import Enclosure, OuterFunction, nested_eval
 
@@ -39,12 +39,14 @@ def _require_bounded(h: OuterFunction) -> None:
         raise ValueError(f"outer function {h.label!r} needs a finite ceiling")
 
 
-@dataclass(frozen=True)
-class ContinuedSpec:
+class ContinuedSpec(Record):
     """Outer function plus its term stream (materialized up front)."""
 
-    h: OuterFunction
-    terms: tuple[float, ...]
+    __slots__ = ("h", "terms")
+
+    def __init__(self, h: OuterFunction, terms: tuple[float, ...]):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def make(cls, h: OuterFunction, terms: Iterable[float]) -> "ContinuedSpec":

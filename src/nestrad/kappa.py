@@ -103,16 +103,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .nested import Enclosure, sqrt_nested_scaled
 from .seqspec import SequenceSpec
 
 __all__ = [
     "PHI",
-    "LN_PHI",
     "DEFAULT_DEPTH_CAP",
-    "phi_pow",
     "KappaResult",
     "kappa_enclosure",
     "kappa_limit",
@@ -136,8 +134,7 @@ def phi_pow(n: int) -> float:
 _STOP_REASONS = ("converged", "depth_cap", "tail_exhausted", "fp_floor")
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(Record):
     """Outcome of a tolerance-driven evaluation and why its search stopped.
 
     ``stop_reason`` is ``converged`` (width <= tol), ``depth_cap`` (the
@@ -146,12 +143,13 @@ class KappaResult:
     depth or deeper can be narrower than the one returned).
     """
 
-    enclosure: Enclosure
-    stop_reason: str
+    __slots__ = ("enclosure", "stop_reason")
 
-    def __post_init__(self):
-        if self.stop_reason not in _STOP_REASONS:
-            raise ValueError(f"stop reason must be one of {_STOP_REASONS}, got {self.stop_reason!r}")
+    def __init__(self, enclosure: Enclosure, stop_reason: str):
+        if stop_reason not in _STOP_REASONS:
+            raise ValueError(f"stop reason must be one of {_STOP_REASONS}, got {stop_reason!r}")
+        object.__setattr__(self, "enclosure", enclosure)
+        object.__setattr__(self, "stop_reason", stop_reason)
 
     @property
     def converged(self) -> bool:

@@ -17,8 +17,9 @@ Everything is pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from ._record import Record
 
 __all__ = [
     "OuterFunction",
@@ -41,8 +42,7 @@ _INV_POW2 = [math.ldexp(1.0, -k) for k in range(1075)]
 _DEEPEST_LEVEL = len(_INV_POW2) - 1
 
 
-@dataclass(frozen=True)
-class OuterFunction:
+class OuterFunction(Record):
     """A non-decreasing concave function h on [0, inf), with its ceiling.
 
     ``ceiling`` is the supremum of h over [0, inf]; it may be ``math.inf``.
@@ -51,17 +51,21 @@ class OuterFunction:
     are caller obligations, spot-checked by the randomized property suites.
     """
 
-    eval: Callable[[float], float]
-    value_at_zero: float
-    ceiling: float
-    label: str
+    __slots__ = ("eval", "value_at_zero", "ceiling", "label")
+
+    def __init__(
+        self, eval: Callable[[float], float], value_at_zero: float, ceiling: float, label: str
+    ):
+        object.__setattr__(self, "eval", eval)
+        object.__setattr__(self, "value_at_zero", value_at_zero)
+        object.__setattr__(self, "ceiling", ceiling)
+        object.__setattr__(self, "label", label)
 
 
 ARCTAN = OuterFunction(math.atan, 0.0, math.pi / 2.0, "arctan")
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """A certified interval [lo, hi] around a limit.
 
     ``analytic_width_bound`` is the exact-arithmetic bound on hi - lo;
@@ -70,15 +74,18 @@ class Enclosure:
     ``width <= analytic_width_bound + fp_slack`` always holds.
     """
 
-    lo: float
-    hi: float
-    depth: int
-    analytic_width_bound: float
-    fp_slack: float = 0.0
+    __slots__ = ("lo", "hi", "depth", "analytic_width_bound", "fp_slack")
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"enclosure needs lo <= hi, got [{self.lo}, {self.hi}]")
+    def __init__(
+        self, lo: float, hi: float, depth: int, analytic_width_bound: float, fp_slack: float = 0.0
+    ):
+        if not lo <= hi:
+            raise ValueError(f"enclosure needs lo <= hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "analytic_width_bound", analytic_width_bound)
+        object.__setattr__(self, "fp_slack", fp_slack)
 
     @property
     def width(self) -> float:

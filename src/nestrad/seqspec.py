@@ -7,8 +7,8 @@ radical converges iff sup alpha_k < inf) and the one on which tail suprema,
 seeds, and convergence caps live.  It is also the only log scale that stays
 in range: ln(a_k) = 2**k * ln(alpha_k) leaves binary64 past depth 1023 for
 any alpha_k != 1.  Raw values a_k and their logs ln(a_k) appear only at the
-edges, as input scales of :func:`explicit` and as the ``terms_lograw`` text
-form of :func:`render_spec`.
+edges, as input scales of :func:`explicit` and of the ``terms_*`` lines of
+:func:`parse_spec`.
 
 A :class:`SequenceSpec` is a finite prefix of ln(alpha_k) values plus a
 tail model.  The tail model plays two roles: it extends the sequence past
@@ -37,9 +37,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+from ._record import Record
 
 __all__ = [
     "SpecError",
@@ -59,7 +60,6 @@ __all__ = [
     "explicit",
     "make_family",
     "parse_spec",
-    "render_spec",
     "load_cap_table",
     "RAMANUJAN_SUP_BOUND",
 ]
@@ -91,13 +91,16 @@ def _check_ln_alpha(ln_alpha: float, index: int) -> None:
         )
 
 
-class TailModel:
+class TailModel(Record):
     """How a sequence continues past its stored prefix.
 
-    Subclasses provide ``ln_alphas(first, last)`` (ln(alpha_k) for
-    k = first..last, or raise if coefficients past the prefix are unknown),
-    ``bounds(n)`` (the per-depth seed pair), and ``can_extend()``.
+    Subclasses are records that provide ``ln_alphas(first, last)``
+    (ln(alpha_k) for k = first..last, or raise if coefficients past the
+    prefix are unknown), ``bounds(n)`` (the per-depth seed pair), and
+    ``can_extend()``.
     """
+
+    __slots__ = ()
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         raise NotImplementedError
@@ -108,13 +111,11 @@ class TailModel:
     def can_extend(self) -> bool:
         return True
 
-    def render(self) -> str:
-        raise SpecError(f"{type(self).__name__} has no inline text form")
 
-
-@dataclass(frozen=True)
 class ZeroTail(TailModel):
     """The sequence ends: every coefficient past the prefix is zero."""
+
+    __slots__ = ()
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [_NEG_INF] * (last - first + 1)
@@ -122,22 +123,19 @@ class ZeroTail(TailModel):
     def bounds(self, n: int) -> tuple[float, float]:
         return (0.0, 0.0)
 
-    def render(self) -> str:
-        return "zero"
 
-
-@dataclass(frozen=True)
 class ConstantNormalizedTail(TailModel):
     """Constant normalized coefficient: alpha_k = alpha for every tail index.
 
     The tail supremum is exactly ``alpha``, so both seed bounds equal it.
     """
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"tail alpha must be finite and >= 0, got {self.alpha}")
+    def __init__(self, alpha: float):
+        if not (alpha >= 0.0 and math.isfinite(alpha)):
+            raise ValueError(f"tail alpha must be finite and >= 0, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         ln_alpha = math.log(self.alpha) if self.alpha > 0.0 else _NEG_INF
@@ -146,11 +144,7 @@ class ConstantNormalizedTail(TailModel):
     def bounds(self, n: int) -> tuple[float, float]:
         return (self.alpha, self.alpha)
 
-    def render(self) -> str:
-        return f"constant_norm:{self.alpha:.17g}"
 
-
-@dataclass(frozen=True)
 class ConstantRawTail(TailModel):
     """Constant raw coefficient: a_k = raw for every tail index.
 
@@ -166,11 +160,12 @@ class ConstantRawTail(TailModel):
     enclosure exact at every depth.
     """
 
-    raw: float
+    __slots__ = ("raw",)
 
-    def __post_init__(self):
-        if not (self.raw >= 0.0 and math.isfinite(self.raw)):
-            raise ValueError(f"tail raw value must be finite and >= 0, got {self.raw}")
+    def __init__(self, raw: float):
+        if not (raw >= 0.0 and math.isfinite(raw)):
+            raise ValueError(f"tail raw value must be finite and >= 0, got {raw}")
+        object.__setattr__(self, "raw", raw)
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         ln_raw = math.log(self.raw) if self.raw > 0.0 else _NEG_INF
@@ -184,11 +179,7 @@ class ConstantRawTail(TailModel):
         upper = max(1.0, math.exp(math.ldexp(math.log(self.raw), -n)))
         return (lower, upper)
 
-    def render(self) -> str:
-        return f"constant_raw:{self.raw:.17g}"
 
-
-@dataclass(frozen=True)
 class CapTableTail(TailModel):
     """Seed bounds supplied row by row (e.g. from a CSV file).
 
@@ -199,13 +190,13 @@ class CapTableTail(TailModel):
     does not.  Queries before the first row are refused.
     """
 
-    rows: tuple[tuple[int, float, float], ...]
+    __slots__ = ("rows", "_table", "_last")
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, rows: tuple[tuple[int, float, float], ...]):
+        if not rows:
             raise SpecError("cap table must contain at least one row")
         table = {}
-        for n, lower, upper in self.rows:
+        for n, lower, upper in rows:
             if n < 1:
                 raise SpecError(f"cap table depth must be >= 1, got {n}")
             if n in table:
@@ -213,7 +204,8 @@ class CapTableTail(TailModel):
             if not (lower >= 0.0 and upper >= 0.0 and math.isfinite(lower) and math.isfinite(upper)):
                 raise SpecError(f"cap table bounds at depth {n} must be finite and >= 0")
             table[n] = (lower, upper)
-        # derived lookup state, built once; not a dataclass field
+        object.__setattr__(self, "rows", rows)
+        # derived lookup state, built once; private slots are not fields
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_last", max(table))
 
@@ -231,7 +223,6 @@ class CapTableTail(TailModel):
         raise SpecError(f"cap table does not cover depth {n}")
 
 
-@dataclass(frozen=True)
 class OmegaTail(TailModel):
     """Golden continuation with a transfinite seed.
 
@@ -244,11 +235,12 @@ class OmegaTail(TailModel):
     seed, so both bounds coincide.
     """
 
-    omega_value: float
+    __slots__ = ("omega_value",)
 
-    def __post_init__(self):
-        if not (self.omega_value >= 0.0 and math.isfinite(self.omega_value)):
-            raise ValueError(f"omega value must be finite and >= 0, got {self.omega_value}")
+    def __init__(self, omega_value: float):
+        if not (omega_value >= 0.0 and math.isfinite(omega_value)):
+            raise ValueError(f"omega value must be finite and >= 0, got {omega_value}")
+        object.__setattr__(self, "omega_value", omega_value)
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [0.0] * (last - first + 1)
@@ -256,9 +248,6 @@ class OmegaTail(TailModel):
     def bounds(self, n: int) -> tuple[float, float]:
         cap = max(1.0, self.omega_value)
         return (cap, cap)
-
-    def render(self) -> str:
-        return f"omega:{self.omega_value:.17g}"
 
 
 def _ramanujan_v(count: int, chain: Sequence[float] = (0.0,)) -> Sequence[float]:
@@ -285,7 +274,6 @@ _RAMANUJAN_CHAIN = tuple(_ramanujan_v(300))
 RAMANUJAN_SUP_BOUND = math.exp(_RAMANUJAN_CHAIN[-1]) * (1.0 + 1e-13)
 
 
-@dataclass(frozen=True)
 class RamanujanTail(TailModel):
     """Coefficients of sqrt(1 + 2 sqrt(1 + 3 sqrt(1 + ...))) = 3.
 
@@ -296,6 +284,8 @@ class RamanujanTail(TailModel):
     coefficient itself.
     """
 
+    __slots__ = ()
+
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return list(_ramanujan_v(max(last - 1, 0), _RAMANUJAN_CHAIN)[first - 1:last])
 
@@ -303,17 +293,17 @@ class RamanujanTail(TailModel):
         return (math.exp(_ramanujan_v(n - 1, _RAMANUJAN_CHAIN)[n - 1]), RAMANUJAN_SUP_BOUND)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Record):
     """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model."""
 
-    prefix: tuple[float, ...]
-    tail: TailModel
-    family_name: str | None = None
+    __slots__ = ("prefix", "tail", "family_name")
 
-    def __post_init__(self):
-        for index, ln_alpha in enumerate(self.prefix, start=1):
+    def __init__(self, prefix: tuple[float, ...], tail: TailModel, family_name: str | None = None):
+        for index, ln_alpha in enumerate(prefix, start=1):
             _check_ln_alpha(ln_alpha, index)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "family_name", family_name)
 
     def terms_lograw(self, count: int) -> list[float]:
         """ln(alpha_k) for k = 1..count, extending past the prefix if needed.
@@ -538,15 +528,3 @@ def parse_spec(text: str, cap_base: Path | None = None) -> SequenceSpec:
     except ValueError as exc:
         raise SpecError(str(exc), lineno) from None
 
-
-def render_spec(spec: SequenceSpec) -> str:
-    """Text form of a spec; inverse of :func:`parse_spec` for renderable tails."""
-    if spec.family_name is not None:
-        return f"family={spec.family_name}\n"
-    try:
-        values = ",".join(
-            f"{math.ldexp(ln_alpha, k):.17g}" for k, ln_alpha in enumerate(spec.prefix, start=1)
-        )
-    except OverflowError:
-        raise SpecError("a coefficient's ln(a_k) exceeds binary64; no terms_lograw form") from None
-    return f"terms_lograw=[{values}]\ntail={spec.tail.render()}\n"

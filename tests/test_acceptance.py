@@ -26,13 +26,13 @@ from nestrad import (
     golden,
     kappa_enclosure,
     kappa_limit,
-    phi_pow,
     power_tower,
     ramanujan,
     sup_enclosure,
     u_eval,
     u_inverse,
 )
+from nestrad.kappa import phi_pow
 
 GOLDEN_VALUE = 1.61803398874989485
 DOUBLE_PHI = 3.23606797749979

@@ -21,12 +21,12 @@ from nestrad import (
     golden,
     kappa_enclosure,
     kappa_limit,
-    phi_pow,
     power_tower,
     ramanujan,
     sqrt_nested_scaled,
     u_spec,
 )
+from nestrad.kappa import phi_pow
 
 ALL_FAMILIES = [
     golden(),

@@ -1,0 +1,135 @@
+"""The public value types are immutable records, and importing them is cheap."""
+
+import copy
+import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nestrad
+from nestrad import (
+    ARCTAN,
+    CapTableTail,
+    ConstantNormalizedTail,
+    ConstantRawTail,
+    ContinuedSpec,
+    Enclosure,
+    KappaResult,
+    OmegaTail,
+    OuterFunction,
+    RamanujanTail,
+    SequenceSpec,
+    SupQuery,
+    ZeroTail,
+    explicit,
+    golden,
+    u_spec,
+)
+
+SOURCE = Path(nestrad.__file__).resolve().parent.parent
+
+_ENCLOSURE = Enclosure(1.0, 2.0, 3, 0.5, 0.25)
+
+# one instance of every public record, with a field to try assigning (any
+# name for the tails that have no fields)
+RECORDS = {
+    "Enclosure": (_ENCLOSURE, "lo"),
+    "OuterFunction": (ARCTAN, "ceiling"),
+    "KappaResult": (KappaResult(_ENCLOSURE, "converged"), "stop_reason"),
+    "SequenceSpec": (explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0)), "tail"),
+    "ZeroTail": (ZeroTail(), "extra"),
+    "ConstantNormalizedTail": (ConstantNormalizedTail(2.0), "alpha"),
+    "ConstantRawTail": (ConstantRawTail(6.0), "raw"),
+    "CapTableTail": (CapTableTail(((1, 0.5, 2.0), (3, 0.25, 1.5))), "rows"),
+    "OmegaTail": (OmegaTail(2.0), "omega_value"),
+    "RamanujanTail": (RamanujanTail(), "extra"),
+    "SupQuery": (SupQuery(1.0, 0.1), "epsilon"),
+    "ContinuedSpec": (ContinuedSpec.make(ARCTAN, [1.0, 2.0]), "terms"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecordSemantics:
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        record, field = RECORDS[name]
+        before = repr(record)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == before
+
+    def test_copies_and_pickles_are_equal(self, name):
+        record, _ = RECORDS[name]
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert hash(pickle.loads(pickle.dumps(record))) == hash(record)
+
+
+def test_equality_is_type_aware():
+    assert ConstantNormalizedTail(2.0) != OmegaTail(2.0)
+    assert ZeroTail() != RamanujanTail()
+    assert ZeroTail() == ZeroTail()
+    assert ConstantRawTail(6.0) == ConstantRawTail(6.0) != ConstantRawTail(7.0)
+    assert not isinstance(OmegaTail(2.0), tuple)
+    assert SequenceSpec((), ZeroTail()) != SequenceSpec((), RamanujanTail())
+    assert SequenceSpec((), ZeroTail()) != ((), ZeroTail(), None)
+
+
+def test_equal_records_hash_equal():
+    pairs = [
+        (golden(), golden()),
+        (u_spec(2.0), u_spec(2.0)),
+        (explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0)), explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0))),
+        (CapTableTail(((1, 0.5, 2.0),)), CapTableTail(((1, 0.5, 2.0),))),
+        (Enclosure(1.0, 2.0, 3, 0.5), Enclosure(1.0, 2.0, 3, 0.5)),
+    ]
+    for left, right in pairs:
+        assert left is not right
+        assert left == right
+        assert hash(left) == hash(right)
+    assert len({golden(), golden(), u_spec(2.0)}) == 2
+
+
+def test_defaults_and_repr():
+    enclosure = Enclosure(1.0, 2.0, 3, 0.5)
+    assert enclosure.fp_slack == 0.0
+    assert enclosure == Enclosure(1.0, 2.0, 3, 0.5, 0.0)
+    assert SequenceSpec((), ZeroTail()).family_name is None
+    assert repr(OmegaTail(2.0)) == "OmegaTail(omega_value=2.0)"
+    assert repr(ZeroTail()) == "ZeroTail()"
+    assert repr(CapTableTail(((1, 0.5, 2.0),))) == "CapTableTail(rows=((1, 0.5, 2.0),))"
+    assert repr(enclosure) == (
+        "Enclosure(lo=1.0, hi=2.0, depth=3, analytic_width_bound=0.5, fp_slack=0.0)"
+    )
+
+
+def test_keyword_construction_and_validation():
+    assert Enclosure(lo=1.0, hi=2.0, depth=3, analytic_width_bound=0.5, fp_slack=0.1).fp_slack == 0.1
+    assert OuterFunction(eval=math.atan, value_at_zero=0.0, ceiling=math.pi / 2, label="arctan") == ARCTAN
+    assert SequenceSpec(prefix=(), tail=ZeroTail(), family_name="x").family_name == "x"
+    with pytest.raises(ValueError, match="lo <= hi"):
+        Enclosure(2.0, 1.0, 3, 0.5)
+    with pytest.raises(ValueError, match="omega value"):
+        OmegaTail(-1.0)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site hooks out, so only what nestrad imports is loaded
+    code = (
+        "import sys, nestrad, nestrad.cli\n"
+        "print(nestrad.__file__)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    location, loaded = done.stdout.splitlines()
+    assert Path(location).resolve().parent.parent == SOURCE
+    assert loaded == "[]"

@@ -24,7 +24,6 @@ from nestrad import (
     parse_spec,
     power_tower,
     ramanujan,
-    render_spec,
 )
 
 
@@ -33,8 +32,8 @@ def ln_alpha(spec, k):
 
 
 def log_raw(spec, k):
-    """ln(a_k) as the spec's text form writes it."""
-    return float(render_spec(spec).split("[")[1].split("]")[0].split(",")[k - 1])
+    """ln(a_k) = 2**k * ln(alpha_k) of a prefix coefficient."""
+    return math.ldexp(spec.prefix[k - 1], k)
 
 
 class TestTerm:
@@ -108,7 +107,6 @@ class TestTerm:
         spec = explicit([1.0] * (index - 1) + [value], scale="norm")
         back = math.exp(ln_alpha(spec, index))
         assert abs(back - value) <= 4 * math.ulp(value)
-        assert parse_spec(render_spec(spec)) == spec
 
     @given(
         value=st.floats(min_value=1e-300, max_value=1e300, allow_nan=False),
@@ -122,7 +120,6 @@ class TestTerm:
         log_rounding = math.ulp(max(1.0, abs(math.log(value))))
         budget = value * (log_rounding + 4.0 * math.ulp(1.0))
         assert abs(back - value) <= budget
-        assert parse_spec(render_spec(spec)) == spec
 
     @given(
         raw=st.floats(min_value=1e-300, max_value=1e300, allow_nan=False),
@@ -215,7 +212,9 @@ class TestSequenceSpec:
         # the k-th listed value is a_k: it is normalized with exponent 2**-k
         spec = explicit([4.0, 4.0, 4.0])
         assert spec.terms_lograw(3) == [math.ldexp(math.log(4.0), -k) for k in (1, 2, 3)]
-        assert parse_spec(render_spec(spec)) == spec
+        # ln(4) = 1.3862943611198906 listed three times: each is normalized by its own index
+        lograw = parse_spec("terms_lograw=[1.3862943611198906,1.3862943611198906,1.3862943611198906]")
+        assert lograw == spec
 
     def test_golden_tail_bounds(self):
         for n in (1, 3, 17):
@@ -289,7 +288,6 @@ class TestParseRender:
     def test_terms_lograw_allows_negatives(self):
         spec = parse_spec("terms_lograw=[-0.5,-inf]")
         assert spec.terms_lograw(2) == [-0.25, float("-inf")]
-        assert render_spec(spec) == "terms_lograw=[-0.5,-inf]\ntail=zero\n"
 
     @pytest.mark.parametrize(
         "spec",
@@ -297,16 +295,13 @@ class TestParseRender:
         ids=lambda s: s.family_name,
     )
     def test_family_roundtrip(self, spec):
-        assert parse_spec(render_spec(spec)) == spec
+        assert parse_spec(f"family={spec.family_name}\n") == spec
 
     def test_explicit_roundtrip(self):
         spec = explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0))
-        assert parse_spec(render_spec(spec)) == spec
-
-    def test_render_refuses_log_raw_past_binary64(self):
-        # alpha_k = 1/2 is fine on the stored scale, but ln(a_1100) = -2**1100 ln 2
-        with pytest.raises(SpecError, match="binary64"):
-            render_spec(explicit([0.5] * 1100, scale="norm"))
+        # ln(1.5), ln(0) and ln(7.25) on the lograw scale
+        text = "terms_lograw=[0.4054651081081644,-inf,1.9810014688665833]\ntail=omega:2\n"
+        assert parse_spec(text) == spec
 
     def test_make_family_validation(self):
         with pytest.raises(SpecError):
