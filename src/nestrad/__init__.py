@@ -9,85 +9,14 @@ that converts convergence moduli into certified intervals, and a generic
 continued-function evaluator with iterated-ceiling error bounds.
 """
 
-from .caps import SupQuery, sup_enclosure
-from .contfn import ContinuedSpec, cf_error_bound, cf_eval, cf_limit
-from .kappa import (
-    DEFAULT_DEPTH_CAP,
-    PHI,
-    KappaResult,
-    kappa_enclosure,
-    kappa_limit,
-)
-from .nested import (
-    ARCTAN,
-    Enclosure,
-    OuterFunction,
-    nested_eval,
-    sqrt_nested_scaled,
-)
-from .seqspec import (
-    RAMANUJAN_SUP_BOUND,
-    CapTableTail,
-    ConstantNormalizedTail,
-    ConstantRawTail,
-    OmegaTail,
-    RamanujanTail,
-    SequenceSpec,
-    SpecError,
-    TailModel,
-    ZeroTail,
-    constant_normalized,
-    constant_raw,
-    explicit,
-    golden,
-    load_cap_table,
-    make_family,
-    parse_spec,
-    power_tower,
-    ramanujan,
-)
-from .ufunc import u_eval, u_inverse, u_spec, u_table
+from . import caps, contfn, kappa, nested, seqspec, ufunc
+from .caps import *
+from .contfn import *
+from .kappa import *
+from .nested import *
+from .seqspec import *
+from .ufunc import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCTAN",
-    "CapTableTail",
-    "ConstantNormalizedTail",
-    "ConstantRawTail",
-    "ContinuedSpec",
-    "DEFAULT_DEPTH_CAP",
-    "Enclosure",
-    "KappaResult",
-    "OmegaTail",
-    "OuterFunction",
-    "PHI",
-    "RAMANUJAN_SUP_BOUND",
-    "RamanujanTail",
-    "SequenceSpec",
-    "SpecError",
-    "SupQuery",
-    "TailModel",
-    "ZeroTail",
-    "cf_error_bound",
-    "cf_eval",
-    "cf_limit",
-    "constant_normalized",
-    "constant_raw",
-    "explicit",
-    "golden",
-    "kappa_enclosure",
-    "kappa_limit",
-    "load_cap_table",
-    "make_family",
-    "nested_eval",
-    "parse_spec",
-    "power_tower",
-    "ramanujan",
-    "sqrt_nested_scaled",
-    "sup_enclosure",
-    "u_eval",
-    "u_inverse",
-    "u_spec",
-    "u_table",
-]
+__all__ = sorted(name for module in (caps, contfn, kappa, nested, seqspec, ufunc) for name in module.__all__)

@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
 
 from .caps import SupQuery, sup_enclosure
 from .contfn import ContinuedSpec, cf_limit
@@ -199,7 +198,7 @@ def _cf(args: argparse.Namespace) -> tuple[int, str]:
     for term in terms:
         if term < 0.0 or not math.isfinite(term):
             raise SpecError(f"continued-function terms must be finite and >= 0, got {term}")
-    result = cf_limit(ContinuedSpec.make(ARCTAN, terms), args.tol, args.depth_cap)
+    result = cf_limit(ContinuedSpec(ARCTAN, terms), args.tol, args.depth_cap)
     return _result_document(result, args.format)
 
 

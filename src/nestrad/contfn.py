@@ -16,7 +16,6 @@ of scope.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from ._record import Record
 from .kappa import KappaResult
@@ -30,9 +29,10 @@ ITERATION_LIMIT = 10**7
 
 
 def _require_bounded(h: OuterFunction) -> None:
-    if h.value_at_zero != 0.0:
+    at_zero = h.eval(0.0)
+    if at_zero != 0.0:
         raise ValueError(
-            f"outer function {h.label!r} has value {h.value_at_zero} at 0; "
+            f"outer function {h.label!r} has value {at_zero} at 0; "
             "error bounds need a fixed point at zero"
         )
     if not math.isfinite(h.ceiling):
@@ -40,17 +40,13 @@ def _require_bounded(h: OuterFunction) -> None:
 
 
 class ContinuedSpec(Record):
-    """Outer function plus its term stream (materialized up front)."""
+    """Outer function plus its terms; any iterable of terms is stored as a tuple of floats."""
 
     __slots__ = ("h", "terms")
 
-    def __init__(self, h: OuterFunction, terms: tuple[float, ...]):
+    def __init__(self, h: OuterFunction, terms: Iterable[float]):
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "terms", terms)
-
-    @classmethod
-    def make(cls, h: OuterFunction, terms: Iterable[float]) -> "ContinuedSpec":
-        return cls(h, tuple(float(t) for t in terms))
+        object.__setattr__(self, "terms", tuple(float(t) for t in terms))
 
 
 def cf_eval(spec: ContinuedSpec, n: int) -> float:

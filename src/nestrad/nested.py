@@ -17,7 +17,6 @@ Everything is pure and reentrant.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 from ._record import Record
 
@@ -45,24 +44,23 @@ _DEEPEST_LEVEL = len(_INV_POW2) - 1
 class OuterFunction(Record):
     """A non-decreasing concave function h on [0, inf), with its ceiling.
 
-    ``ceiling`` is the supremum of h over [0, inf]; it may be ``math.inf``.
-    For arctan it is stored as pi/2 exactly, i.e. with one application of h
-    already performed on the infinite argument.  Concavity and monotonicity
-    are caller obligations, spot-checked by the randomized property suites.
+    ``eval`` is h itself, so h(0) is ``eval(0.0)``; ``label`` names h in
+    error messages.  ``ceiling`` is the supremum of h over [0, inf]; it may
+    be ``math.inf``.  For arctan it is stored as pi/2 exactly, i.e. with one
+    application of h already performed on the infinite argument.
+    Concavity and monotonicity are caller obligations, spot-checked by the
+    randomized property suites.
     """
 
-    __slots__ = ("eval", "value_at_zero", "ceiling", "label")
+    __slots__ = ("eval", "ceiling", "label")
 
-    def __init__(
-        self, eval: Callable[[float], float], value_at_zero: float, ceiling: float, label: str
-    ):
+    def __init__(self, eval: Callable[[float], float], ceiling: float, label: str):
         object.__setattr__(self, "eval", eval)
-        object.__setattr__(self, "value_at_zero", value_at_zero)
         object.__setattr__(self, "ceiling", ceiling)
         object.__setattr__(self, "label", label)
 
 
-ARCTAN = OuterFunction(math.atan, 0.0, math.pi / 2.0, "arctan")
+ARCTAN = OuterFunction(math.atan, math.pi / 2.0, "arctan")
 
 
 class Enclosure(Record):

@@ -38,7 +38,6 @@ import csv
 import io
 import math
 from pathlib import Path
-from typing import Sequence
 
 from ._record import Record
 
@@ -71,7 +70,6 @@ class SpecError(ValueError):
     """Malformed sequence-spec document or tail description."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -96,8 +94,7 @@ class TailModel(Record):
 
     Subclasses are records that provide ``ln_alphas(first, last)``
     (ln(alpha_k) for k = first..last, or raise if coefficients past the
-    prefix are unknown), ``bounds(n)`` (the per-depth seed pair), and
-    ``can_extend()``.
+    prefix are unknown) and ``bounds(n)`` (the per-depth seed pair).
     """
 
     __slots__ = ()
@@ -107,9 +104,6 @@ class TailModel(Record):
 
     def bounds(self, n: int) -> tuple[float, float]:
         raise NotImplementedError
-
-    def can_extend(self) -> bool:
-        return True
 
 
 class ZeroTail(TailModel):
@@ -212,9 +206,6 @@ class CapTableTail(TailModel):
     def ln_alphas(self, first: int, last: int) -> list[float]:
         raise SpecError("cap-table tails certify bounds only and cannot supply coefficients")
 
-    def can_extend(self) -> bool:
-        return False
-
     def bounds(self, n: int) -> tuple[float, float]:
         if n in self._table:
             return self._table[n]
@@ -296,14 +287,13 @@ class RamanujanTail(TailModel):
 class SequenceSpec(Record):
     """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model."""
 
-    __slots__ = ("prefix", "tail", "family_name")
+    __slots__ = ("prefix", "tail")
 
-    def __init__(self, prefix: tuple[float, ...], tail: TailModel, family_name: str | None = None):
+    def __init__(self, prefix: tuple[float, ...], tail: TailModel):
         for index, ln_alpha in enumerate(prefix, start=1):
             _check_ln_alpha(ln_alpha, index)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "family_name", family_name)
 
     def terms_lograw(self, count: int) -> list[float]:
         """ln(alpha_k) for k = 1..count, extending past the prefix if needed.
@@ -317,8 +307,8 @@ class SequenceSpec(Record):
         return out
 
     def max_depth(self) -> int | None:
-        """Deepest usable evaluation depth, or None when unbounded."""
-        return None if self.tail.can_extend() else len(self.prefix) + 1
+        """Deepest usable evaluation depth: ``len(prefix) + 1`` for a cap-table tail, else None."""
+        return len(self.prefix) + 1 if isinstance(self.tail, CapTableTail) else None
 
     def tail_bounds(self, n: int) -> tuple[float, float]:
         """Seed bounds at depth n, folding in prefix coefficients >= n."""
@@ -335,29 +325,27 @@ class SequenceSpec(Record):
 
 def golden() -> SequenceSpec:
     """All-ones radical sqrt(1 + sqrt(1 + ...)), whose value is phi."""
-    return SequenceSpec((), ConstantNormalizedTail(1.0), "golden")
+    return SequenceSpec((), ConstantNormalizedTail(1.0))
 
 
 def power_tower() -> SequenceSpec:
     """a_k = 2 ** 2**k, i.e. constant normalized coefficient 2; value 2*phi."""
-    return SequenceSpec((), ConstantNormalizedTail(2.0), "powertower")
+    return SequenceSpec((), ConstantNormalizedTail(2.0))
 
 
 def ramanujan() -> SequenceSpec:
     """sqrt(1 + 2 sqrt(1 + 3 sqrt(1 + ...))) with multipliers pushed inward."""
-    return SequenceSpec((), RamanujanTail(), "ramanujan")
+    return SequenceSpec((), RamanujanTail())
 
 
 def constant_raw(value: float) -> SequenceSpec:
     """a_k = value for every k; converges to the fixed point of sqrt(value + x)."""
-    return SequenceSpec((), ConstantRawTail(float(value)), f"constant_raw:{float(value):.17g}")
+    return SequenceSpec((), ConstantRawTail(float(value)))
 
 
 def constant_normalized(alpha: float) -> SequenceSpec:
     """alpha_k = alpha for every k; converges to alpha * phi."""
-    return SequenceSpec(
-        (), ConstantNormalizedTail(float(alpha)), f"constant_norm:{float(alpha):.17g}"
-    )
+    return SequenceSpec((), ConstantNormalizedTail(float(alpha)))
 
 
 _TO_LN_ALPHA = {
@@ -385,7 +373,7 @@ def explicit(
         if scale != "lograw" and value < 0.0:
             raise ValueError(f"negative term {value} at index {k}")
         prefix.append(to_ln_alpha(value, k))
-    return SequenceSpec(tuple(prefix), tail if tail is not None else ZeroTail(), None)
+    return SequenceSpec(tuple(prefix), tail if tail is not None else ZeroTail())
 
 
 _FAMILY_BUILDERS = {
@@ -404,15 +392,7 @@ def make_family(token: str) -> SequenceSpec:
             raise SpecError(f"family {name!r} takes no parameter")
         return _FAMILY_BUILDERS[name]()
     if name in ("constant_raw", "constant_norm"):
-        if not param:
-            raise SpecError(f"family {name!r} needs a parameter, e.g. {name}:2")
-        try:
-            value = float(param)
-        except ValueError:
-            raise SpecError(f"bad numeric parameter {param!r} for family {name!r}") from None
-        if value < 0.0 or not math.isfinite(value):
-            raise SpecError(f"family parameter must be finite and >= 0, got {param}")
-        return constant_raw(value) if name == "constant_raw" else constant_normalized(value)
+        return SequenceSpec((), _parse_tail(token))
     raise SpecError(f"unknown family {token!r}")
 
 
@@ -452,23 +432,26 @@ def _parse_number_list(body: str, line: int) -> list[float]:
         raise SpecError(f"bad number in list {body!r}", line) from None
 
 
-def _parse_tail(value: str, line: int, cap_base: Path | None) -> TailModel:
-    kind, _, param = value.partition(":")
+_NUMERIC_TAILS = {
+    "constant_norm": ConstantNormalizedTail,
+    "constant_raw": ConstantRawTail,
+    "omega": OmegaTail,
+}
+
+
+def _parse_tail(value: str, line: int | None = None, cap_base: Path | None = None) -> TailModel:
+    """Tail from a ``kind`` or ``kind:param`` token; ``line`` prefixes errors."""
+    kind, colon, param = value.partition(":")
     kind = kind.strip().lower()
     if kind == "zero":
+        if colon:
+            raise SpecError(f"tail 'zero' takes no parameter, got {value!r}", line)
         return ZeroTail()
-    if kind in ("constant_norm", "constant_raw", "omega"):
+    if kind in _NUMERIC_TAILS:
         try:
-            number = float(param)
-        except ValueError:
-            raise SpecError(f"bad tail parameter {param!r}", line) from None
-        if number < 0.0 or not math.isfinite(number):
-            raise SpecError(f"tail parameter must be finite and >= 0, got {param}", line)
-        if kind == "constant_norm":
-            return ConstantNormalizedTail(number)
-        if kind == "constant_raw":
-            return ConstantRawTail(number)
-        return OmegaTail(number)
+            return _NUMERIC_TAILS[kind](float(param))
+        except ValueError as exc:  # float() or the constructor's range check
+            raise SpecError(f"bad parameter in {value!r}: {exc}", line) from None
     if kind == "cap":
         if not param:
             raise SpecError("tail cap needs a file path, e.g. cap:bounds.csv", line)

@@ -95,7 +95,6 @@ these exceed their limits, no probe can settle the search, and
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from .kappa import DEFAULT_DEPTH_CAP, LN_PHI, PHI, _fp_floor, _fp_pad, kappa_enclosure, kappa_limit, phi_pow
 from .nested import Enclosure
@@ -106,7 +105,7 @@ __all__ = ["u_spec", "u_eval", "u_inverse", "u_table"]
 
 def u_spec(r: float) -> SequenceSpec:
     """Coefficient sequence of U(r): all ones plus r at the transfinite index."""
-    return SequenceSpec((), OmegaTail(float(r)), None)
+    return SequenceSpec((), OmegaTail(float(r)))
 
 
 def u_eval(

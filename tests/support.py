@@ -21,9 +21,9 @@ REL_SLACK = 1e-12
 ABS_SLACK = 1e-15
 
 CONCAVE_SET = (
-    OuterFunction(math.cbrt, 0.0, math.inf, "cbrt"),
+    OuterFunction(math.cbrt, math.inf, "cbrt"),
     ARCTAN,
-    OuterFunction(math.log1p, 0.0, math.inf, "log1p"),
+    OuterFunction(math.log1p, math.inf, "log1p"),
 )
 
 

@@ -205,7 +205,7 @@ def test_criterion_09_continued_arctan():
     validity_ok = True
     for _ in range(200):
         terms = [rng.uniform(0.0, 3.0) for _ in range(40)]
-        spec = ContinuedSpec.make(ARCTAN, terms)
+        spec = ContinuedSpec(ARCTAN, terms)
         deep = cf_eval(spec, 40)
         for n in range(1, 41):
             if abs(deep - cf_eval(spec, n)) > bounds[n - 1] + 1e-12:
@@ -219,9 +219,8 @@ def test_criterion_09_continued_arctan():
 
 def test_criterion_10_scale_safety():
     results = {}
-    for spec in (ramanujan(), power_tower()):
-        enclosure = kappa_enclosure(spec, 256)
-        results[spec.family_name] = enclosure
+    for name, spec in (("ramanujan", ramanujan()), ("powertower", power_tower())):
+        results[name] = kappa_enclosure(spec, 256)
     ok = all(
         math.isfinite(e.lo) and math.isfinite(e.hi) and not math.isnan(e.width)
         for e in results.values()

@@ -203,7 +203,7 @@ class TestKappaSubset:
 
 
 class TestEnclosureInvariants:
-    @pytest.mark.parametrize("spec", [golden(), power_tower()], ids=lambda s: s.family_name)
+    @pytest.mark.parametrize("spec", [golden(), power_tower()], ids=["golden", "powertower"])
     def test_nesting(self, spec):
         # exact-sup tails: deeper enclosures nest inside shallower ones
         for depth in range(2, 24):
@@ -218,7 +218,7 @@ class TestEnclosureInvariants:
             for depth in range(4, 65):
                 enclosure = kappa_enclosure(spec, depth)
                 bound = enclosure.analytic_width_bound + enclosure.fp_slack
-                assert enclosure.width <= bound, (spec.family_name, depth)
+                assert enclosure.width <= bound, (spec.tail, depth)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0])
     def test_homogeneity(self, factor):
@@ -299,7 +299,7 @@ class TestSearchWork:
             for tol in (1e-4, 1e-9, 1e-13, 1e-15):
                 depths.clear()
                 kappa_limit(spec, tol)
-                assert len(depths) == len(set(depths)), (spec.family_name, tol, depths)
+                assert len(depths) == len(set(depths)), (spec.tail, tol, depths)
 
 
 def _tails():

@@ -54,7 +54,7 @@ class TestNestedEval:
             nested_eval(ARCTAN, [math.inf], 0.0)
 
     def test_non_finite_intermediate_reported(self):
-        exploding = OuterFunction(lambda x: math.exp(x) * 1e308, 0.0, math.inf, "boom")
+        exploding = OuterFunction(lambda x: math.exp(x) * 1e308, math.inf, "boom")
         with pytest.raises(ValueError, match="non-finite"):
             nested_eval(exploding, [5.0, 5.0], 0.0)
 

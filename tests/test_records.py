@@ -25,8 +25,10 @@ from nestrad import (
     SequenceSpec,
     SupQuery,
     ZeroTail,
+    constant_normalized,
     explicit,
     golden,
+    parse_spec,
     u_spec,
 )
 
@@ -48,7 +50,7 @@ RECORDS = {
     "OmegaTail": (OmegaTail(2.0), "omega_value"),
     "RamanujanTail": (RamanujanTail(), "extra"),
     "SupQuery": (SupQuery(1.0, 0.1), "epsilon"),
-    "ContinuedSpec": (ContinuedSpec.make(ARCTAN, [1.0, 2.0]), "terms"),
+    "ContinuedSpec": (ContinuedSpec(ARCTAN, [1.0, 2.0]), "terms"),
 }
 
 
@@ -84,6 +86,8 @@ def test_equality_is_type_aware():
 def test_equal_records_hash_equal():
     pairs = [
         (golden(), golden()),
+        (golden(), constant_normalized(1.0)),
+        (parse_spec("family=constant_norm:1"), golden()),
         (u_spec(2.0), u_spec(2.0)),
         (explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0)), explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0))),
         (CapTableTail(((1, 0.5, 2.0),)), CapTableTail(((1, 0.5, 2.0),))),
@@ -100,7 +104,6 @@ def test_defaults_and_repr():
     enclosure = Enclosure(1.0, 2.0, 3, 0.5)
     assert enclosure.fp_slack == 0.0
     assert enclosure == Enclosure(1.0, 2.0, 3, 0.5, 0.0)
-    assert SequenceSpec((), ZeroTail()).family_name is None
     assert repr(OmegaTail(2.0)) == "OmegaTail(omega_value=2.0)"
     assert repr(ZeroTail()) == "ZeroTail()"
     assert repr(CapTableTail(((1, 0.5, 2.0),))) == "CapTableTail(rows=((1, 0.5, 2.0),))"
@@ -111,8 +114,7 @@ def test_defaults_and_repr():
 
 def test_keyword_construction_and_validation():
     assert Enclosure(lo=1.0, hi=2.0, depth=3, analytic_width_bound=0.5, fp_slack=0.1).fp_slack == 0.1
-    assert OuterFunction(eval=math.atan, value_at_zero=0.0, ceiling=math.pi / 2, label="arctan") == ARCTAN
-    assert SequenceSpec(prefix=(), tail=ZeroTail(), family_name="x").family_name == "x"
+    assert OuterFunction(eval=math.atan, ceiling=math.pi / 2, label="arctan") == ARCTAN
     with pytest.raises(ValueError, match="lo <= hi"):
         Enclosure(2.0, 1.0, 3, 0.5)
     with pytest.raises(ValueError, match="omega value"):
@@ -124,7 +126,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys, nestrad, nestrad.cli\n"
         "print(nestrad.__file__)\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SOURCE))
     done = subprocess.run(

@@ -281,6 +281,8 @@ class TestParseRender:
             parse_spec("family=unknown_thing")
         with pytest.raises(SpecError):
             parse_spec("terms_raw=[1]\ntail=goldenish")
+        with pytest.raises(SpecError, match="line 2"):
+            parse_spec("terms_raw=[1]\ntail=zero:5")
 
     def test_default_tail_is_zero(self):
         assert parse_spec("terms_raw=[5]").tail == ZeroTail()
@@ -290,12 +292,20 @@ class TestParseRender:
         assert spec.terms_lograw(2) == [-0.25, float("-inf")]
 
     @pytest.mark.parametrize(
-        "spec",
-        [golden(), power_tower(), ramanujan(), constant_raw(6.0), constant_normalized(2.0)],
-        ids=lambda s: s.family_name,
+        "token,spec",
+        [
+            pytest.param(token, spec, id=token)
+            for token, spec in [
+                ("golden", golden()),
+                ("powertower", power_tower()),
+                ("ramanujan", ramanujan()),
+                ("constant_raw:6", constant_raw(6.0)),
+                ("constant_norm:2", constant_normalized(2.0)),
+            ]
+        ],
     )
-    def test_family_roundtrip(self, spec):
-        assert parse_spec(f"family={spec.family_name}\n") == spec
+    def test_family_roundtrip(self, token, spec):
+        assert parse_spec(f"family={token}\n") == spec
 
     def test_explicit_roundtrip(self):
         spec = explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0))
