@@ -31,6 +31,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .caps import SupQuery, sup_enclosure

@@ -16,12 +16,13 @@ of scope.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from ._record import Record
 from .kappa import KappaResult
 from .nested import Enclosure, OuterFunction, nested_eval
 
-__all__ = ["ContinuedSpec", "cf_eval", "cf_error_bound", "cf_limit"]
+__all__ = ["ContinuedSpec", "cf_eval", "cf_limit"]
 
 # Error bounds are found by literal iteration of the outer function; this
 # caps the walk for tolerances the iterates cannot reach in bounded time.
@@ -54,23 +55,6 @@ def cf_eval(spec: ContinuedSpec, n: int) -> float:
     if not 0 <= n <= len(spec.terms):
         raise ValueError(f"depth {n} exceeds the {len(spec.terms)} available terms")
     return nested_eval(spec.h, spec.terms[:n], 0.0)
-
-
-def cf_error_bound(h: OuterFunction, n: int) -> float:
-    """Worst-case truncation error after observing n terms.
-
-    e_1 is the ceiling (one application already performed on the infinite
-    argument); each further level applies h once more.
-    """
-    if n < 1:
-        raise ValueError(f"depth must be >= 1, got {n}")
-    _require_bounded(h)
-    if n - 1 > ITERATION_LIMIT:
-        raise ValueError(f"depth {n} exceeds the iteration limit {ITERATION_LIMIT}")
-    bound = h.ceiling
-    for _ in range(n - 1):
-        bound = h.eval(bound)
-    return bound
 
 
 def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> KappaResult:

@@ -17,6 +17,7 @@ Everything is pure and reentrant.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 
 from ._record import Record
 
@@ -92,9 +93,6 @@ class Enclosure(Record):
     @property
     def mid(self) -> float:
         return 0.5 * self.lo + 0.5 * self.hi
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
 
 def nested_eval(h: OuterFunction, terms: Sequence[float], seed: float) -> float:

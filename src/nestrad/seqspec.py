@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from pathlib import Path
 
 from ._record import Record
@@ -385,10 +386,10 @@ _FAMILY_BUILDERS = {
 
 def make_family(token: str) -> SequenceSpec:
     """Family from its CLI/grammar token, e.g. ``golden`` or ``constant_raw:6``."""
-    name, _, param = token.partition(":")
+    name, colon, _ = token.partition(":")
     name = name.strip().lower()
     if name in _FAMILY_BUILDERS:
-        if param:
+        if colon:
             raise SpecError(f"family {name!r} takes no parameter")
         return _FAMILY_BUILDERS[name]()
     if name in ("constant_raw", "constant_norm"):

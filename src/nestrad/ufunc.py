@@ -46,57 +46,17 @@ in [y / phi, y]), and the moved end is rounded outward by one
 ``nextafter``.
 
 Refusals.  RuntimeError, which the CLI reports with exit 2, means that no
-answer could be certified: a bisection probe reached the depth cap
-undecided at width > tol/4; floats near the lower end are more than tol/2
-apart (checked ahead of every probe); or, before the first probe, the pads
-alone rule out every way of ending the search.  The last rests on this
-argument.
-
-Write r* = U^-1(y), r_min = y / phi as a float, n0 = min(4, depth cap) (no
-probe is shallower), m = r_min * (1 - 2**-20), u = ulp(m) and P = pad(n0,
-m) = 16 * n0 * u.  As for the ``kappa`` floor, assume the premise the
-padding policy rests on: a fold as evaluated lies within half its pad of
-its exact value (the evaluation noise that ``fp_slack`` records).
-
-* U(r) <= sqrt(r**2 + phi) for r >= 1, as U is the limit of the lower
-  folds F_n(r) and F_n(t)**2 <= t**2 + phi for every n by induction: F_1(t)
-  = t, and F_n(t)**2 = 1 + F_{n-1}(t**2) <= 1 + t**2 + 1/phi, as sqrt(s**2
-  + phi) <= s + 1/phi for s >= 1.  So 0 < y - r* < phi / (2 * r*) <= phi /
-  (2 * m), and r* >= y / phi >= m.
-* Every probe lies in [r_min, y], so its exact upper fold is >= r_min
-  (F_n(s) >= s), its evaluated hi_raw >= m (relative fold error < 2**-21,
-  as in ``kappa``), its pad >= 16 * n * u >= P at its depth n >= n0, and its
-  width >= F(n0) = 1.5 * P - u by the ``kappa`` floor.  A tie needs width
-  <= tol/4, so F(n0) > tol/4 rules out every tie.
-* An end left by a probe at r that excluded y from above, moved or not,
-  lies >= P/2 above r*: U(r) >= lo_raw - pad/2 = lo + pad/2, so r - (lo -
-  y) - r* >= U(r) - lo >= P/2 (U is Lipschitz-1).  Symmetrically an end
-  left by a probe from below lies >= P/2 below r*.  It also lies below y by
-  hi - r = hi_raw + pad - r >= r * (c_n - 1) + 8 * n * u, as hi_raw >=
-  F_n(r * c_n) - pad/2 >= r * c_n - pad/2.  With r >= 2**52 * u and c_n - 1
-  >= ln(phi) * 2**(1-n), that is >= 320 * u (below depth 40 the first term
-  alone exceeds it, from 40 on the second does), with room for the few ulp
-  by which the boosted seed rounds.  So that end lies below r* by at least
-  320 * u - phi / (2 * m) as well.
-* y / phi lies below r* by >= (r* - 1) / phi**2 >= (y - phi) / phi**2, as
-  U(r) / phi <= sqrt(r**2 + phi) / phi <= (phi + r - 1) / phi and U(1) =
-  phi; r_min exceeds y / phi by at most ulp(r_min) / 2 <= tol/4.
-
-Without a tie the search ends on a bracket no wider than tol/2, and one of
-its ends is a probe's (the first probe comes only when y - r_min > tol/2).
-Two probe ends are at least P/2 + max(P/2, 320 * u - phi / (2 * m)) apart;
-a lower probe end and y at least 320 * u, which F(n0) > tol/4 already puts
-above tol/2 (F(n0) <= 95 * u); r_min and an upper probe end at least
-(y - phi) / phi**2 - tol/4 > tol/2 once y - phi >= 2 * tol.  So when all of
-these exceed their limits, no probe can settle the search, and
-``u_inverse(1e8, 1e-6)`` refuses without evaluating an enclosure.
+answer could be certified: floats near the lower end are more than tol/2
+apart (checked ahead of every probe), or a bisection probe reached the
+depth cap undecided at width > tol/4.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
-from .kappa import DEFAULT_DEPTH_CAP, LN_PHI, PHI, _fp_floor, _fp_pad, kappa_enclosure, kappa_limit, phi_pow
+from .kappa import DEFAULT_DEPTH_CAP, LN_PHI, PHI, _fp_pad, kappa_enclosure, kappa_limit, phi_pow
 from .nested import Enclosure
 from .seqspec import OmegaTail, SequenceSpec
 
@@ -192,19 +152,6 @@ def _predicted_probes(y: float, tol: float, depth: int, ties_below: bool) -> lis
     return [above, below]
 
 
-def _pads_rule_out(y: float, tol: float, depth_cap: int) -> bool:
-    """True when no probe, at depth min(4, depth_cap) or deeper, can end the search (module docstring)."""
-    depth, m = min(4, depth_cap), y / PHI * (1.0 - 2.0**-20)
-    half_pad = 0.5 * _fp_pad(depth, m)
-    below = max(half_pad, 320.0 * math.ulp(m) - PHI / (2.0 * m))
-    return (
-        depth_cap < 2**20  # the kappa floor's fold-error bound
-        and _fp_floor(depth, y / PHI) > 0.25 * tol  # no tie
-        and half_pad + below > 0.5 * tol  # no bracket between two probe ends
-        and y - PHI >= 2.0 * tol  # no bracket from y / phi
-    )
-
-
 def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[float, float]:
     """Certified bracket (r_lo, r_hi) of U^-1(y), y > phi, with r_hi - r_lo <= tol/2.
 
@@ -219,9 +166,8 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
     is dropped.  Certified bisection, from every end certified so far, is
     the fallback, and each end a probe leaves is moved past the probe by
     the Lipschitz-1 margin |enclosure - y| (module docstring).  Raises
-    RuntimeError when floats near r_lo are more than tol/2 apart, when the
-    pads rule out every way to end the search, or when a bisection probe
-    stays undecided at the depth cap.
+    RuntimeError when floats near r_lo are more than tol/2 apart or when a
+    bisection probe stays undecided at the depth cap.
     """
     r_lo, r_hi = max(1.0, y / PHI), y
     guesses: Iterator[float] | None = None
@@ -231,11 +177,6 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
                 f"U^-1({y}) cannot be bracketed to {tol}: floats near {r_lo} are {math.ulp(r_lo)} apart"
             )
         if guesses is None:  # the first probe
-            if _pads_rule_out(y, tol, depth_cap):
-                raise RuntimeError(
-                    f"U^-1({y}) cannot be resolved to {tol}: the padding of enclosures of U near it "
-                    f"rules out both a tie and a bracket that narrow"
-                )
             depth = _probe_depth(y, tol, depth_cap)
             guesses = iter(_predicted_probes(y, tol, depth, ties_below))
         mid = next((r for r in guesses if r_lo < r < r_hi), None)
@@ -266,11 +207,10 @@ def u_inverse(y: float, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -
     enclosure of U holds y at width <= tol/4, normally the one predicted
     from the closed-form inverse of the depth-n fold, or the midpoint of a
     certified bracket U(r_lo) <= y <= U(r_hi) of width <= tol/2 (U is
-    Lipschitz-1).  Raises RuntimeError when a bisection probe reaches
-    ``depth_cap`` undecided at width > tol/4, when floats near the root are
-    more than tol/2 apart (y = 1e300 with tol = 1e-6), or when the pads of
-    enclosures near the root rule out both a tie and such a bracket (y =
-    1e8 with tol = 1e-6); see the module docstring.
+    Lipschitz-1).  Raises RuntimeError when floats near the root are more
+    than tol/2 apart (y = 1e300 with tol = 1e-6) or when a bisection probe
+    reaches ``depth_cap`` undecided at width > tol/4 (y = 1e8 with tol =
+    1e-6, where every enclosure near the root is padded wider than that).
     """
     if not (math.isfinite(y) and tol > 0.0):
         raise ValueError(f"need finite y and tol > 0, got y={y}, tol={tol}")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from nestrad import ARCTAN, OuterFunction, nested_eval, sqrt_nested_scaled
+from nestrad import ARCTAN, ContinuedSpec, OuterFunction, cf_limit, nested_eval, sqrt_nested_scaled
 
 REL_SLACK = 1e-12
 ABS_SLACK = 1e-15
@@ -29,6 +29,15 @@ CONCAVE_SET = (
 
 def _slack(*values: float) -> float:
     return REL_SLACK * max(1.0, *(abs(v) for v in values)) + ABS_SLACK
+
+
+def arctan_error_bound(n: int) -> float:
+    """The iterated-ceiling bound after n arctan terms, as ``cf_limit`` walks it.
+
+    All-zero terms and a tolerance the bound cannot reach make ``cf_limit``
+    walk from the ceiling down to depth n.
+    """
+    return cf_limit(ContinuedSpec(ARCTAN, [0.0] * n), 1e-300, depth_cap=n).enclosure.analytic_width_bound
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from nestrad import (
     ARCTAN,
     ContinuedSpec,
     SupQuery,
-    cf_error_bound,
     cf_eval,
     cli,
     constant_normalized,
@@ -74,7 +73,7 @@ def test_criterion_02_power_tower_homogeneity():
 def test_criterion_03_constant_radical():
     result = kappa_limit(constant_raw(6.0), 1e-9)
     error = abs(result.enclosure.mid - 3.0)
-    ok = result.converged and error <= 1e-9 and result.enclosure.contains(3.0)
+    ok = result.converged and error <= 1e-9 and result.enclosure.lo <= 3.0 <= result.enclosure.hi
     report(3, ok, f"constant raw 6 mid error {error:.2e} at depth {result.enclosure.depth}")
 
 
@@ -143,7 +142,7 @@ def test_criterion_06_inequality_suites():
 def test_criterion_07_u_function():
     start = time.perf_counter()
     at_one = u_eval(1.0, 1e-9)
-    phi_ok = at_one.contains(PHI) and at_one.width <= 1e-9
+    phi_ok = at_one.lo <= PHI <= at_one.hi and at_one.width <= 1e-9
 
     constant_ok = all(
         abs(u_eval(r, 1e-6).mid - PHI) <= 1e-6 for r in (0.0, 0.25, 0.5, 0.9)
@@ -201,7 +200,7 @@ def test_criterion_08_cap_estimator_soundness():
 def test_criterion_09_continued_arctan():
     start = time.perf_counter()
     rng = random.Random(7)
-    bounds = [cf_error_bound(ARCTAN, n) for n in range(1, 41)]
+    bounds = [support.arctan_error_bound(n) for n in range(1, 41)]
     validity_ok = True
     for _ in range(200):
         terms = [rng.uniform(0.0, 3.0) for _ in range(40)]
@@ -210,7 +209,7 @@ def test_criterion_09_continued_arctan():
         for n in range(1, 41):
             if abs(deep - cf_eval(spec, n)) > bounds[n - 1] + 1e-12:
                 validity_ok = False
-    ratio = cf_error_bound(ARCTAN, 10**4) * math.sqrt(2 * 10**4 / 3.0)
+    ratio = support.arctan_error_bound(10**4) * math.sqrt(2 * 10**4 / 3.0)
     asymptotic_ok = 0.95 <= ratio <= 1.05
     elapsed = time.perf_counter() - start
     ok = validity_ok and asymptotic_ok and elapsed < 1.0

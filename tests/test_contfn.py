@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+import support
 from nestrad import (
     ARCTAN,
     ContinuedSpec,
     OuterFunction,
-    cf_error_bound,
     cf_eval,
     cf_limit,
 )
@@ -35,26 +35,26 @@ class TestCfEval:
 
 class TestCfErrorBound:
     def test_first_three_iterates(self):
-        assert cf_error_bound(ARCTAN, 1) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert cf_error_bound(ARCTAN, 2) == pytest.approx(1.0038848218538872, rel=1e-14)
-        assert cf_error_bound(ARCTAN, 3) == pytest.approx(0.7873368062499202, rel=1e-14)
+        assert support.arctan_error_bound(1) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert support.arctan_error_bound(2) == pytest.approx(1.0038848218538872, rel=1e-14)
+        assert support.arctan_error_bound(3) == pytest.approx(0.7873368062499202, rel=1e-14)
 
     def test_strictly_decreasing(self):
-        bounds = [cf_error_bound(ARCTAN, n) for n in range(1, 40)]
+        bounds = [support.arctan_error_bound(n) for n in range(1, 40)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
     def test_needs_finite_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
-            cf_error_bound(LOG1P, 3)
+            cf_limit(ContinuedSpec(LOG1P, [0.0] * 3), 0.1)
 
     def test_needs_zero_fixed_point(self):
         shifted = OuterFunction(lambda x: math.sqrt(x) + 1.0, math.inf, "shifted")
         with pytest.raises(ValueError, match="fixed point"):
-            cf_error_bound(shifted, 2)
+            cf_limit(ContinuedSpec(shifted, [0.0] * 2), 0.1)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            cf_error_bound(ARCTAN, 0)
+            cf_limit(ContinuedSpec(ARCTAN, [0.0]), 0.1, depth_cap=0)
 
 
 class TestCfLimit:
@@ -104,7 +104,7 @@ class TestCfLimit:
 class TestErrorBoundValidity:
     def test_random_term_lists(self):
         rng = random.Random(42)
-        bounds = [cf_error_bound(ARCTAN, n) for n in range(1, 41)]
+        bounds = [support.arctan_error_bound(n) for n in range(1, 41)]
         for _ in range(50):
             terms = [rng.uniform(0.0, 3.0) for _ in range(40)]
             spec = ContinuedSpec(ARCTAN, terms)
@@ -114,6 +114,6 @@ class TestErrorBoundValidity:
                 assert abs(deep - shallow) <= bounds[n - 1] + 1e-12
 
     def test_asymptotic_decay(self):
-        bound = cf_error_bound(ARCTAN, 10**4)
+        bound = support.arctan_error_bound(10**4)
         ratio = bound * math.sqrt(2 * 10**4 / 3.0)
         assert 0.95 <= ratio <= 1.05

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from nestrad import (
     SequenceSpec,
     SupQuery,
     ZeroTail,
+    cli,
     constant_normalized,
     explicit,
     golden,
@@ -135,3 +137,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     location, loaded = done.stdout.splitlines()
     assert Path(location).resolve().parent.parent == SOURCE
     assert loaded == "[]"
+
+
+def _annotated_callables():
+    for name in nestrad.__all__:
+        value = getattr(nestrad, name)
+        if isinstance(value, type) and "__init__" in vars(value):
+            yield pytest.param(value.__init__, id=f"{name}.__init__")
+        if callable(value):
+            yield pytest.param(value, id=name)
+    yield pytest.param(cli.run, id="cli.run")
+    yield pytest.param(cli.emit_table, id="cli.emit_table")
+
+
+@pytest.mark.parametrize("value", _annotated_callables())
+def test_type_hints_resolve(value):
+    # every annotation names something its module binds
+    typing.get_type_hints(value)

@@ -317,6 +317,8 @@ class TestParseRender:
         with pytest.raises(SpecError):
             make_family("golden:3")
         with pytest.raises(SpecError):
+            make_family("golden:")
+        with pytest.raises(SpecError):
             make_family("constant_raw")
         with pytest.raises(SpecError):
             make_family("constant_raw:abc")
