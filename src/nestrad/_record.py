@@ -1,11 +1,14 @@
 """Immutable value records, the base of the package's public value types.
 
 A record's fields are the public names in its ``__slots__``; a slot whose
-name starts with ``_`` holds state derived from the fields.  ``__init__``
-sets each slot once through ``object.__setattr__``; afterwards assigning or
-deleting an attribute raises ``AttributeError``.  Records compare and hash by
-type and fields, print as ``Name(field=value, ...)``, and pickle and copy by
-calling the constructor with their fields in slot order.
+name starts with ``_`` holds state derived from the fields.  Each slot ``x``
+gets a class attribute ``_set_x``, its member descriptor's ``__set__``, bound
+once when the class is made; ``__init__`` writes each slot once by calling
+``self._set_x(self, value)``, which skips the per-call name lookup of
+``object.__setattr__``.  Afterwards assigning or deleting an attribute raises
+``AttributeError``.  Records compare and hash by type and fields, print as
+``Name(field=value, ...)``, and pickle and copy by calling the constructor
+with their fields in slot order.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "__slots__" in cls.__dict__:
-            cls._fields = cls._fields + tuple(
-                name for name in cls.__dict__["__slots__"] if not name.startswith("_")
-            )
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(name for name in slots if not name.startswith("_"))
+        for name in slots:
+            setattr(cls, f"_set_{name}", cls.__dict__[name].__set__)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -37,8 +37,8 @@ class SupQuery(Record):
             raise ValueError(f"observed maximum must be finite and > 0, got {m_h}")
         if not (epsilon > 0.0 and math.isfinite(epsilon)):
             raise ValueError(f"modulus must be finite and > 0, got {epsilon}")
-        object.__setattr__(self, "m_h", m_h)
-        object.__setattr__(self, "epsilon", epsilon)
+        self._set_m_h(self, m_h)
+        self._set_epsilon(self, epsilon)
 
 
 def sup_enclosure(query: SupQuery) -> tuple[float, float]:

@@ -46,8 +46,8 @@ class ContinuedSpec(Record):
     __slots__ = ("h", "terms")
 
     def __init__(self, h: OuterFunction, terms: Iterable[float]):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "terms", tuple(float(t) for t in terms))
+        self._set_h(self, h)
+        self._set_terms(self, tuple(float(t) for t in terms))
 
 
 def cf_eval(spec: ContinuedSpec, n: int) -> float:

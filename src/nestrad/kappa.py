@@ -116,6 +116,8 @@ __all__ = [
     "kappa_limit",
 ]
 
+_INF = float("inf")
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LN_PHI = math.log(PHI)
 
@@ -148,8 +150,8 @@ class KappaResult(Record):
     def __init__(self, enclosure: Enclosure, stop_reason: str):
         if stop_reason not in _STOP_REASONS:
             raise ValueError(f"stop reason must be one of {_STOP_REASONS}, got {stop_reason!r}")
-        object.__setattr__(self, "enclosure", enclosure)
-        object.__setattr__(self, "stop_reason", stop_reason)
+        self._set_enclosure(self, enclosure)
+        self._set_stop_reason(self, stop_reason)
 
     @property
     def converged(self) -> bool:
@@ -182,10 +184,10 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     limit = spec.max_depth()
-    if limit is not None:
-        depth = min(depth, limit)
+    if limit is not None and depth > limit:
+        depth = limit
     lower, upper = spec.tail_bounds(depth)
-    if not (math.isfinite(lower) and math.isfinite(upper) and lower >= 0.0 and upper >= 0.0):
+    if not (0.0 <= lower < _INF and 0.0 <= upper < _INF):
         raise ValueError(f"tail bounds at depth {depth} must be finite and >= 0, got ({lower}, {upper})")
     hi_seed = upper * phi_pow(depth - 1)
     if lower > hi_seed * (1.0 + 1e-12):
@@ -193,14 +195,18 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
             f"tail bounds at depth {depth} cannot bracket: lower seed {lower} exceeds "
             f"golden-boosted cap {hi_seed}"
         )
-    lo_raw, hi_raw = sqrt_nested_scaled(spec.terms_lograw(depth - 1), lower, max(hi_seed, lower))
-    # an identically-zero fold is exact, so it needs no outward padding
-    pad = _fp_pad(depth, max(abs(hi_raw), abs(lo_raw))) if hi_raw != 0.0 else 0.0
-    lo = max(0.0, lo_raw - pad)
-    hi = max(hi_raw + pad, lo)
-    analytic = max(0.0, hi_seed - lower)
+    lo_raw, hi_raw = sqrt_nested_scaled(
+        spec.terms_lograw(depth - 1), lower, lower if lower > hi_seed else hi_seed
+    )
+    # an identically-zero fold is exact, so it needs no outward padding; both
+    # folds are >= 0, so the larger one is the magnitude
+    pad = _fp_pad(depth, lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
+    lo = lo_raw - pad
+    lo = lo if lo > 0.0 else 0.0
+    hi = hi_raw + pad
+    analytic = hi_seed - lower
     # both pads, plus half a pad (8 * depth ulp) of evaluation noise
-    return Enclosure(lo, hi, depth, analytic, 2.5 * pad)
+    return Enclosure(lo, lo if lo > hi else hi, depth, analytic if analytic > 0.0 else 0.0, 2.5 * pad)
 
 
 def kappa_limit(
@@ -243,21 +249,29 @@ def kappa_limit(
     tail_limit = spec.max_depth()
     limit = depth_cap if tail_limit is None else min(depth_cap, tail_limit)
     seen: dict[int, Enclosure] = {}
+    widths: dict[int, float] = {}
     best: Enclosure | None = None
+    best_width = _INF
 
     def width(depth: int) -> float:
-        nonlocal best
-        if depth not in seen:
+        nonlocal best, best_width
+        found = widths.get(depth)
+        if found is None:
             enclosure = seen[depth] = kappa_enclosure(spec, depth)
-            if best is None or enclosure.width < best.width:
-                best = enclosure
-        return seen[depth].width
+            found = widths[depth] = enclosure.width
+            if best is None or found < best_width:
+                best, best_width = enclosure, found
+        return found
 
     def bisect(bad: int, good: int) -> KappaResult:
-        # width(bad) > tol >= width(good); depth 0 stands for "nothing shallower"
-        inside = [depth for depth in seen if bad < depth < good]
-        good = min((depth for depth in inside if seen[depth].width <= tol), default=good)
-        bad = max((depth for depth in inside if depth < good and seen[depth].width > tol), default=bad)
+        # width(bad) > tol >= width(good); depth 0 stands for "nothing shallower".
+        # Narrow to the shallowest depth inside within tol and the deepest wider one below it.
+        for depth in sorted(widths):
+            if bad < depth < good:
+                if widths[depth] <= tol:
+                    good = depth
+                    break
+                bad = depth
         while good - bad > 1:
             mid = (bad + 1 + good) // 2
             if width(mid) <= tol:
@@ -275,7 +289,7 @@ def kappa_limit(
         if width(depth) <= tol:
             return bisect(previous, depth)
         if depth == 8:
-            guess = _predicted_depth(seen[4].width, seen[8].width, tol, limit)
+            guess = _predicted_depth(widths[4], widths[8], tol, limit)
             if guess > 8 and pads_fit(guess):
                 step = 1
                 if width(guess) <= tol:  # gallop down to a depth wider than tol
@@ -291,7 +305,7 @@ def kappa_limit(
         previous, depth = depth, min(2 * depth, limit)
         # no enclosure this deep or deeper beats best (the floor, module docstring)
         floor_applies = limit < 2**20 and best.lo >= sys.float_info.min
-        if floor_applies and _fp_floor(depth, best.lo) > best.width:
+        if floor_applies and _fp_floor(depth, best.lo) > best_width:
             return KappaResult(best, "fp_floor")
 
 

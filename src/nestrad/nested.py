@@ -56,9 +56,9 @@ class OuterFunction(Record):
     __slots__ = ("eval", "ceiling", "label")
 
     def __init__(self, eval: Callable[[float], float], ceiling: float, label: str):
-        object.__setattr__(self, "eval", eval)
-        object.__setattr__(self, "ceiling", ceiling)
-        object.__setattr__(self, "label", label)
+        self._set_eval(self, eval)
+        self._set_ceiling(self, ceiling)
+        self._set_label(self, label)
 
 
 ARCTAN = OuterFunction(math.atan, math.pi / 2.0, "arctan")
@@ -80,11 +80,11 @@ class Enclosure(Record):
     ):
         if not lo <= hi:
             raise ValueError(f"enclosure needs lo <= hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "analytic_width_bound", analytic_width_bound)
-        object.__setattr__(self, "fp_slack", fp_slack)
+        self._set_lo(self, lo)
+        self._set_hi(self, hi)
+        self._set_depth(self, depth)
+        self._set_analytic_width_bound(self, analytic_width_bound)
+        self._set_fp_slack(self, fp_slack)
 
     @property
     def width(self) -> float:

@@ -130,7 +130,7 @@ class ConstantNormalizedTail(TailModel):
     def __init__(self, alpha: float):
         if not (alpha >= 0.0 and math.isfinite(alpha)):
             raise ValueError(f"tail alpha must be finite and >= 0, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        self._set_alpha(self, alpha)
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         ln_alpha = math.log(self.alpha) if self.alpha > 0.0 else _NEG_INF
@@ -160,7 +160,7 @@ class ConstantRawTail(TailModel):
     def __init__(self, raw: float):
         if not (raw >= 0.0 and math.isfinite(raw)):
             raise ValueError(f"tail raw value must be finite and >= 0, got {raw}")
-        object.__setattr__(self, "raw", raw)
+        self._set_raw(self, raw)
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         ln_raw = math.log(self.raw) if self.raw > 0.0 else _NEG_INF
@@ -199,10 +199,10 @@ class CapTableTail(TailModel):
             if not (lower >= 0.0 and upper >= 0.0 and math.isfinite(lower) and math.isfinite(upper)):
                 raise SpecError(f"cap table bounds at depth {n} must be finite and >= 0")
             table[n] = (lower, upper)
-        object.__setattr__(self, "rows", rows)
+        self._set_rows(self, rows)
         # derived lookup state, built once; private slots are not fields
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_last", max(table))
+        self._set__table(self, table)
+        self._set__last(self, max(table))
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         raise SpecError("cap-table tails certify bounds only and cannot supply coefficients")
@@ -232,7 +232,7 @@ class OmegaTail(TailModel):
     def __init__(self, omega_value: float):
         if not (omega_value >= 0.0 and math.isfinite(omega_value)):
             raise ValueError(f"omega value must be finite and >= 0, got {omega_value}")
-        object.__setattr__(self, "omega_value", omega_value)
+        self._set_omega_value(self, omega_value)
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [0.0] * (last - first + 1)
@@ -293,8 +293,8 @@ class SequenceSpec(Record):
     def __init__(self, prefix: tuple[float, ...], tail: TailModel):
         for index, ln_alpha in enumerate(prefix, start=1):
             _check_ln_alpha(ln_alpha, index)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        self._set_prefix(self, prefix)
+        self._set_tail(self, tail)
 
     def terms_lograw(self, count: int) -> list[float]:
         """ln(alpha_k) for k = 1..count, extending past the prefix if needed.
@@ -302,10 +302,11 @@ class SequenceSpec(Record):
         Despite the name these are normalized logs, ln(alpha_k) =
         2**-k * ln(a_k), the input scale of :func:`sqrt_nested_scaled`.
         """
-        out = list(self.prefix[:count])
-        if count > len(self.prefix):
-            out.extend(self.tail.ln_alphas(len(self.prefix) + 1, count))
-        return out
+        prefix = self.prefix
+        if count <= len(prefix):
+            return list(prefix[:count])
+        tail = self.tail.ln_alphas(len(prefix) + 1, count)
+        return [*prefix, *tail] if prefix else tail
 
     def max_depth(self) -> int | None:
         """Deepest usable evaluation depth: ``len(prefix) + 1`` for a cap-table tail, else None."""
@@ -315,14 +316,14 @@ class SequenceSpec(Record):
         """Seed bounds at depth n, folding in prefix coefficients >= n."""
         if n < 1:
             raise ValueError(f"depth must be >= 1, got {n}")
-        p = len(self.prefix)
-        lower, upper = self.tail.bounds(max(n, p + 1))
-        if n <= p:
-            # Any single coefficient is a valid lower seed, and the cap must
-            # dominate every coefficient from n on.
-            alpha = math.exp(max(self.prefix[n - 1:]))
-            lower, upper = max(lower, alpha), max(upper, alpha)
-        return (lower, upper)
+        prefix = self.prefix
+        if n > len(prefix):
+            return self.tail.bounds(n)
+        # Any single coefficient is a valid lower seed, and the cap must
+        # dominate every coefficient from n on.
+        lower, upper = self.tail.bounds(len(prefix) + 1)
+        alpha = math.exp(max(prefix[n - 1:]))
+        return (alpha if alpha > lower else lower, alpha if alpha > upper else upper)
 
 def golden() -> SequenceSpec:
     """All-ones radical sqrt(1 + sqrt(1 + ...)), whose value is phi."""

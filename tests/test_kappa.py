@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -26,7 +27,7 @@ from nestrad import (
     sqrt_nested_scaled,
     u_spec,
 )
-from nestrad.kappa import phi_pow
+from nestrad.kappa import _fp_pad, phi_pow
 
 ALL_FAMILIES = [
     golden(),
@@ -364,3 +365,109 @@ class TestSearchAgainstScan:
                 assert width >= floor(deeper, result.enclosure.lo), deeper
                 if floor(deeper, result.enclosure.lo) > result.enclosure.width:
                     assert width >= result.enclosure.width, deeper
+
+
+def _probe_path_cases():
+    # a fixed list: named families, then explicit prefixes on every scale,
+    # with zeros, followed by every tail kind
+    rng = random.Random(1201)
+    named = [golden(), power_tower(), ramanujan(), constant_raw(6.0), constant_normalized(2.0), u_spec(2.5)]
+    cases = [(spec, tol) for spec in named for tol in (1e-14, 1e-9, 1e-4)]
+    draw = {
+        "raw": lambda: rng.choice((0.0, rng.uniform(0.0, 50.0))),
+        "lograw": lambda: rng.choice((-math.inf, rng.uniform(-8.0, 8.0), rng.uniform(-300.0, 300.0))),
+        "norm": lambda: rng.choice((0.0, rng.uniform(0.0, 4.0))),
+    }
+    tails = [
+        lambda p: ZeroTail(),
+        lambda p: ConstantNormalizedTail(rng.uniform(0.0, 4.0)),
+        lambda p: ConstantRawTail(rng.uniform(0.0, 50.0)),
+        lambda p: OmegaTail(rng.uniform(0.0, 4.0)),
+        lambda p: RamanujanTail(),
+        lambda p: CapTableTail(((p + 1, *sorted((rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)))),)),
+    ]
+    while len(cases) < 102:
+        scale = ("raw", "lograw", "norm")[len(cases) % 3]
+        values = [draw[scale]() for _ in range(rng.randint(0, 12))]
+        tail = tails[len(cases) % len(tails)](len(values))
+        cases.append((explicit(values, scale=scale, tail=tail), 10.0 ** rng.uniform(-14.0, -4.0)))
+    return cases
+
+
+class TestProbePath:
+    """Every fold of a search is one kappa_enclosure call, the probe the bench counts."""
+
+    def test_every_fold_comes_from_an_enclosure(self, monkeypatch):
+        enclosure_of, fold_of = nestrad.kappa.kappa_enclosure, nestrad.kappa.sqrt_nested_scaled
+        probes, folds, open_probes = [], [], []
+
+        def counted_enclosure(spec, depth):
+            probes.append(depth)
+            open_probes.append(depth)
+            try:
+                return enclosure_of(spec, depth)
+            finally:
+                open_probes.pop()
+
+        def counted_fold(*args):
+            folds.append(len(open_probes) == 1)
+            return fold_of(*args)
+
+        monkeypatch.setattr(nestrad.kappa, "kappa_enclosure", counted_enclosure)
+        monkeypatch.setattr(nestrad.kappa, "sqrt_nested_scaled", counted_fold)
+        for spec, tol in _probe_path_cases():
+            probes.clear()
+            folds.clear()
+            result = kappa_limit(spec, tol)
+            assert probes and len(folds) == len(probes), (spec, tol)
+            assert all(folds), (spec, tol)
+            assert result.enclosure == enclosure_of(spec, result.enclosure.depth), (spec, tol)
+
+
+def _reference_enclosure(spec, depth):
+    # kappa_enclosure's arithmetic written with max and abs
+    limit = spec.max_depth()
+    if limit is not None:
+        depth = min(depth, limit)
+    lower, upper = spec.tail_bounds(depth)
+    hi_seed = upper * phi_pow(depth - 1)
+    lo_raw, hi_raw = sqrt_nested_scaled(spec.terms_lograw(depth - 1), lower, max(hi_seed, lower))
+    pad = _fp_pad(depth, max(abs(hi_raw), abs(lo_raw))) if hi_raw != 0.0 else 0.0
+    lo = max(0.0, lo_raw - pad)
+    return (lo, max(hi_raw + pad, lo), depth, max(0.0, hi_seed - lower), 2.5 * pad)
+
+
+_ZERO = {"raw": 0.0, "lograw": -math.inf, "norm": 0.0}
+
+
+@st.composite
+def _enclosure_cases(draw):
+    scale = draw(st.sampled_from(sorted(_VALUES)))
+    kind = draw(st.sampled_from(("any", "zeros", "above_cap")))
+    if kind == "zeros":
+        # a zero fold (zero tail) or a lo clamped at 0 (lower seed 0, cap above it)
+        values = [_ZERO[scale]] * draw(st.integers(0, 6))
+        upper = draw(st.sampled_from((0.0, 0.5, 3.0)))
+        tail = CapTableTail(((len(values) + 1, 0.0, upper),)) if upper else ZeroTail()
+    else:
+        values = draw(st.lists(_VALUES[scale], max_size=6))
+        tail = draw(_tails())
+        if kind == "above_cap":
+            # a lower seed above the golden-boosted cap, inside the 1e-12 allowance
+            upper = draw(st.floats(0.1, 4.0))
+            lower = upper * phi_pow(len(values)) * (1.0 + draw(st.floats(0.01, 0.99)) * 1e-12)
+            tail = CapTableTail(((len(values) + 1, lower, upper),))
+        elif isinstance(tail, tuple):
+            tail = CapTableTail(((len(values) + 1, tail[1], tail[2]),))
+    return explicit(values, scale=scale, tail=tail), draw(st.integers(1, 300))
+
+
+class TestEnclosureArithmetic:
+    @settings(max_examples=400)
+    @given(_enclosure_cases())
+    def test_matches_the_reference_bit_for_bit(self, case):
+        spec, depth = case
+        enclosure = kappa_enclosure(spec, depth)
+        fields = (enclosure.lo, enclosure.hi, enclosure.depth, enclosure.analytic_width_bound, enclosure.fp_slack)
+        # repr tells -0.0 from 0.0
+        assert repr(fields) == repr(_reference_enclosure(spec, depth))

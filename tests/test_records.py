@@ -33,6 +33,7 @@ from nestrad import (
     parse_spec,
     u_spec,
 )
+from nestrad._record import Record
 
 SOURCE = Path(nestrad.__file__).resolve().parent.parent
 
@@ -73,6 +74,31 @@ class TestRecordSemantics:
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
         assert hash(pickle.loads(pickle.dumps(record))) == hash(record)
+
+
+class _Derived(Record):
+    """One field and one private slot derived from it, different in every instance."""
+
+    __slots__ = ("value", "_token")
+
+    def __init__(self, value):
+        self._set_value(self, value)
+        self._set__token(self, object())
+
+
+def test_private_slots_stay_out_of_equality_hash_repr_and_pickle():
+    first, second = _Derived(2.0), _Derived(2.0)
+    assert first._token is not second._token
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == "_Derived(value=2.0)"
+    clone = pickle.loads(pickle.dumps(first))
+    assert clone == first and clone._token is not first._token
+    with pytest.raises(AttributeError):
+        first._token = None
+    table = CapTableTail(((1, 0.5, 2.0), (3, 0.25, 1.5)))
+    assert CapTableTail._fields == ("rows",)
+    assert table.__reduce__() == (CapTableTail, (table.rows,))
+    assert pickle.loads(pickle.dumps(table))._table == table._table
 
 
 def test_equality_is_type_aware():

@@ -2,7 +2,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
@@ -345,3 +345,79 @@ class TestParseRender:
             load_cap_table(bad_cell)
         with pytest.raises(SpecError):
             parse_spec("terms_norm=[1]\ntail=cap:missing.csv", cap_base=tmp_path)
+
+
+# The probe path's helpers checked bit for bit against their expressions
+# written with max and an explicit copy; repr tells -0.0 from 0.0.
+
+def _reference_constant_raw_bounds(raw, n):
+    if raw == 0.0:
+        return (0.0, 0.0)
+    fixed_point = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * raw))
+    lower = math.exp(math.ldexp(math.log(fixed_point), 1 - n))
+    return (lower, max(1.0, math.exp(math.ldexp(math.log(raw), -n))))
+
+
+def _reference_tail_bounds(spec, n):
+    p = len(spec.prefix)
+    lower, upper = spec.tail.bounds(max(n, p + 1))
+    if n <= p:
+        alpha = math.exp(max(spec.prefix[n - 1:]))
+        lower, upper = max(lower, alpha), max(upper, alpha)
+    return (lower, upper)
+
+
+def _reference_terms(spec, count):
+    out = list(spec.prefix[:count])
+    if count > len(spec.prefix):
+        out.extend(spec.tail.ln_alphas(len(spec.prefix) + 1, count))
+    return out
+
+
+_RAWS = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent))
+_SCALE_VALUES = {
+    "raw": st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    "lograw": st.one_of(st.just(-math.inf), st.floats(-300.0, 300.0)),
+    "norm": st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+}
+
+
+@st.composite
+def _specs(draw):
+    scale = draw(st.sampled_from(sorted(_SCALE_VALUES)))
+    values = draw(st.lists(_SCALE_VALUES[scale], max_size=8))
+    tail = draw(
+        st.one_of(
+            st.just(ZeroTail()),
+            st.floats(0.0, 4.0).map(ConstantNormalizedTail),
+            _RAWS.map(ConstantRawTail),
+            st.floats(0.0, 4.0).map(OmegaTail),
+            st.just(ramanujan().tail),
+            st.floats(0.0, 4.0).map(lambda cap: CapTableTail(((len(values) + 1, 0.5 * cap, cap),))),
+        )
+    )
+    return explicit(values, scale=scale, tail=tail)
+
+
+class TestProbeHelpersBitForBit:
+    @settings(max_examples=300)
+    @given(_RAWS, st.integers(1, 1100), st.integers(0, 20))
+    def test_constant_raw_tail(self, raw, n, count):
+        tail = ConstantRawTail(raw)
+        assert repr(tail.bounds(n)) == repr(_reference_constant_raw_bounds(raw, n))
+        ln_raw = math.log(raw) if raw > 0.0 else -math.inf
+        expected = [math.ldexp(ln_raw, -k) for k in range(n, n + count)]
+        assert repr(tail.ln_alphas(n, n + count - 1)) == repr(expected)
+
+    @settings(max_examples=300)
+    @given(_specs(), st.integers(1, 300))
+    def test_tail_bounds_and_terms(self, spec, n):
+        assert repr(spec.tail_bounds(n)) == repr(_reference_tail_bounds(spec, n))
+        count = n - 1
+        if isinstance(spec.tail, CapTableTail) and count > len(spec.prefix):
+            with pytest.raises(SpecError):
+                spec.terms_lograw(count)
+            return
+        terms = spec.terms_lograw(count)
+        assert type(terms) is list
+        assert repr(terms) == repr(_reference_terms(spec, count))
