@@ -38,7 +38,7 @@ from .caps import SupQuery, sup_enclosure
 from .contfn import ContinuedSpec, cf_limit
 from .kappa import DEFAULT_DEPTH_CAP, KappaResult, kappa_enclosure, kappa_limit
 from .nested import ARCTAN
-from .seqspec import SequenceSpec, SpecError, make_family, parse_spec
+from .seqspec import SpecError, make_family, parse_spec
 from .ufunc import u_inverse, u_spec, u_table
 
 __all__ = ["run", "main", "emit_table"]
@@ -127,47 +127,31 @@ def _default_depth_cap() -> int:
     return value
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _colon_triple(text: str, option: str, shape: str, types: tuple[type, type, type]) -> tuple:
     parts = text.split(":")
-    if len(parts) != 3:
-        raise SpecError(f"--grid expects rmin:rmax:count, got {text!r}")
-    try:
-        r_min, r_max, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise SpecError(f"bad --grid value {text!r}") from None
-    return r_min, r_max, count
-
-
-def _parse_depths(text: str) -> range:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SpecError(f"--depths expects lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise SpecError(f"bad --depths value {text!r}") from None
-    if lo < 1 or hi < lo or step < 1:
-        raise SpecError(f"--depths needs 1 <= lo <= hi and step >= 1, got {text!r}")
-    return range(lo, hi + 1, step)
-
-
-def _load_spec(source: str) -> SequenceSpec:
-    path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read spec file {source!r}: {exc}") from None
-    return parse_spec(text, cap_base=path.parent)
+    if len(parts) == 3:
+        try:
+            return tuple(kind(part) for kind, part in zip(types, parts))
+        except ValueError:
+            raise SpecError(f"bad {option} value {text!r}") from None
+    raise SpecError(f"{option} expects {shape}, got {text!r}")
 
 
 def _eval(args: argparse.Namespace) -> tuple[int, str]:
-    spec = make_family(args.family) if args.family is not None else _load_spec(args.spec)
+    if args.family is not None:
+        spec = make_family(args.family)
+    else:
+        try:
+            text = Path(args.spec).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from None
+        spec = parse_spec(text, cap_base=Path(args.spec).parent)
     return _result_document(kappa_limit(spec, args.tol, args.depth_cap), args.format)
 
 
 def _u(args: argparse.Namespace) -> tuple[int, str]:
     if args.grid is not None:
-        r_min, r_max, count = _parse_grid(args.grid)
+        r_min, r_max, count = _colon_triple(args.grid, "--grid", "rmin:rmax:count", (float, float, int))
         rows = u_table(r_min, r_max, count, args.tol, args.depth_cap)
         return EXIT_OK, emit_table(rows, ["r", "u_lo", "u_hi"], args.format)
     r = args.r
@@ -205,18 +189,11 @@ def _cf(args: argparse.Namespace) -> tuple[int, str]:
 
 def _table(args: argparse.Namespace) -> tuple[int, str]:
     spec = make_family(args.family)
-    rows = []
-    for depth in _parse_depths(args.depths):
-        enclosure = kappa_enclosure(spec, depth)
-        rows.append(
-            (
-                enclosure.depth,
-                enclosure.lo,
-                enclosure.hi,
-                enclosure.width,
-                enclosure.analytic_width_bound + enclosure.fp_slack,
-            )
-        )
+    lo, hi, step = _colon_triple(args.depths, "--depths", "lo:hi:step", (int, int, int))
+    if lo < 1 or hi < lo or step < 1:
+        raise SpecError(f"--depths needs 1 <= lo <= hi and step >= 1, got {args.depths!r}")
+    enclosures = (kappa_enclosure(spec, depth) for depth in range(lo, hi + 1, step))
+    rows = [(e.depth, e.lo, e.hi, e.width, e.analytic_width_bound + e.fp_slack) for e in enclosures]
     return EXIT_OK, emit_table(rows, ["depth", "lo", "hi", "width", "width_bound"], args.format)
 
 

@@ -32,21 +32,19 @@ directed rounding.
 
 Depth search.  :func:`kappa_limit` evaluates depths 4 and 8, fits a
 geometric rate to their widths, and evaluates the depth g where that rate
-reaches tol.  If width(g) <= tol it gallops down, evaluating g - 1, g - 3,
-g - 7, ... until one is wider than tol (or would be 8 or less); if width(g)
-> tol it gallops up, evaluating g + 1, g + 2, g + 4, ... while the two pads
-alone leave room for tol and the depth stays below the limit.  If neither
-brackets tol it doubles the depth (16, 32, ...) until one is within tol.
-Either way it then bisects between the deepest depth known to be wider than
-tol and the shallowest known to be within it, narrowed by every depth
-already evaluated; no depth is evaluated twice.  The returned depth d
-satisfies width(d) <= tol < width(d - 1) (or d = 1), and every doubling
-depth (4, 8, 16, ...) evaluated below d is wider than tol.  "Shallowest"
-means exactly this.  Widths are not monotone in depth: once the analytic
-width falls below the pad, the 2 * pad(n) term grows with n.  So a depth
-below d may still be within tol, and the search may return a different
-qualifying depth than a plain doubling would.  Where widths are
-non-increasing, d is the smallest adequate depth.
+reaches tol, unless the two pads at g alone exceed tol.  If width(g) <= tol
+it gallops down, evaluating g - 1, g - 3, g - 7, ... until one is wider
+than tol (or would be 8 or less); if width(g) > tol it gallops up,
+evaluating g + 1, g + 2, g + 4, ... while the two pads alone leave room
+for tol and the depth stays below the limit.  If neither brackets tol it
+doubles the depth (16, 32, ...) until one is within tol.  Either way it
+then bisects between the deepest depth known to be wider than tol and the
+shallowest known to be within it, narrowed by every depth already
+evaluated; no depth is evaluated twice.  Widths are not monotone in depth:
+once the analytic width falls below the pad, the 2 * pad(n) term grows
+with n.  So a depth below the one returned may still be within tol, and
+the search may return a different qualifying depth than a plain doubling
+would.
 
 Floating-point floor.  Let lo >= 2**-1022 be the lower end of an enclosure
 already evaluated and m = lo * (1 - 2**-20).  For depths below 2**20, no
@@ -141,8 +139,10 @@ class KappaResult(Record):
 
     ``stop_reason`` is ``converged`` (width <= tol), ``depth_cap`` (the
     depth cap was reached), ``tail_exhausted`` (the spec's tail supplies no
-    deeper coefficients) or ``fp_floor`` (no enclosure at the next doubling
-    depth or deeper can be narrower than the one returned).
+    deeper coefficients; this wins when the cap is the same depth) or
+    ``fp_floor`` (no enclosure at the next doubling depth or deeper can be
+    narrower than the one returned: the floor of the :mod:`nestrad.kappa`
+    docstring).
     """
 
     __slots__ = ("enclosure", "stop_reason")
@@ -212,34 +212,14 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
 def kappa_limit(
     spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> KappaResult:
-    """Shallowest enclosure with width <= tol: predict the depth, then confirm it.
+    """Shallowest enclosure with width <= tol, by the module docstring's depth search.
 
-    Probes depths 4 and 8, fits a geometric rate to their widths and
-    evaluates the predicted depth g, unless the two pads at g alone would
-    exceed tol.  From g it gallops down (g - 1, g - 3, g - 7, ...) while
-    widths stay within tol, or up (g + 1, g + 2, g + 4, ...) while they do
-    not and the pads leave room; if no evaluated depth is within tol it
-    doubles the probe depth (16, 32, ...) until one is.  It then bisects
-    down to a depth whose predecessor is not within tol, reusing every depth
-    already evaluated.  The returned depth d always has width(d) <= tol <
-    width(d - 1), and every doubling depth evaluated below d is wider than
-    tol.  Widths are not monotone in depth, so a shallower depth may still
-    qualify; while they are non-increasing, d is the unique smallest
-    adequate depth (see the module docstring).
-
-    The search can also stop unconverged, for one of three reasons:
-
-    * ``depth_cap``: the depth cap was probed;
-    * ``tail_exhausted``: the spec's tail cannot extend any deeper (this
-      wins when the cap is the same depth);
-    * ``fp_floor``: the floating-point floor F(n) = 1.5 * pad(n, m) -
-      ulp(m) of the next doubling depth n, with m just below the narrowest
-      enclosure's lower end, exceeds the narrowest width found, so no
-      enclosure at depth n or deeper can be narrower (proved in the module
-      docstring).
-
-    It then returns the narrowest enclosure found, with that
-    ``stop_reason``, rather than raising: a partial enclosure is still
+    The returned depth d has width(d) <= tol < width(d - 1) (or d = 1), and
+    every doubling depth (4, 8, 16, ...) evaluated below d is wider than
+    tol; "shallowest" means exactly this.  Where widths are non-increasing,
+    d is the smallest adequate depth.  A search that stops unconverged
+    returns the narrowest enclosure found with its stop reason (see
+    :class:`KappaResult`) rather than raising: a partial enclosure is still
     certified.
     """
     if not tol > 0.0:

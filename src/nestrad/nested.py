@@ -131,11 +131,8 @@ def sqrt_nested_scaled(
 
     The 2**k scalings divide and multiply by s = 2**-k, read from a table of
     exact powers of two.  For k <= 1074, s is a normal or subnormal binary64
-    number, so each operation rounds the exactly scaled value once, as
-    ``math.ldexp`` does, and the results are bit-identical: a quotient past
-    binary64 becomes -inf (where ``ldexp`` raised and the level added
-    nothing), and an increment rounds into the subnormal range alike.
-    Dividing by s, rather than multiplying by 2**k, which is no float past
+    number, so each operation rounds the exactly scaled value once (a
+    quotient past binary64 becomes -inf).  Dividing by s, rather than multiplying by 2**k, which is no float past
     1023, keeps an equal pair's gap at 0 (not 0 * inf) and scales a tiny
     nonzero gap exactly.  A level whose scaled gap t is below -746 is
     skipped, as exp(t) rounds to 0 there; that covers a zero coefficient,

@@ -242,28 +242,25 @@ class OmegaTail(TailModel):
         return (cap, cap)
 
 
-def _ramanujan_v(count: int, chain: Sequence[float] = (0.0,)) -> Sequence[float]:
-    # At least v_0..v_count, with v_k = 2**-k * ln(m_k) for the multiplier
-    # chain m_1 = 2, m_{k+1} = m_k**2 * (k+2); alpha_k = exp(v_{k-1}).  The
-    # increments are exact power-of-two scalings, so the chain is stable at
-    # any depth.  A given chain v_0..v_j is returned as is when it is long
-    # enough and extended otherwise; either way every v_k is the same float.
-    if count < len(chain):
-        return chain
-    v = list(chain)
-    for k in range(len(v), count + 1):
-        v.append(v[k - 1] + math.ldexp(math.log(k + 1), -k))
-    return v
+def _ramanujan_table() -> tuple[float, ...]:
+    # v_k = 2**-k * ln(m_k) for the multiplier chain m_1 = 2, m_{k+1} = m_k**2
+    # * (k+2), so v_k = v_{k-1} + 2**-k * ln(k+1), and alpha_k = exp(v_{k-1}).
+    # The table ends at the first increment that leaves v unchanged in
+    # binary64 (k = 56); every later one is smaller and rounds away too, so
+    # each deeper v_k equals the last entry.
+    v = [0.0]
+    while (following := v[-1] + math.ldexp(math.log(len(v) + 1), -len(v))) != v[-1]:
+        v.append(following)
+    return tuple(v)
 
 
-# Built once: every Ramanujan coefficient up to depth 301 reads this chain.
-_RAMANUJAN_CHAIN = tuple(_ramanujan_v(300))
+_RAMANUJAN_V = _ramanujan_table()
 
-# The normalized coefficients increase toward exp(lim v_k); past 300 series
-# terms the remainder is below 2**-300, far under binary64 resolution.  The
-# (1 + 1e-13) bump keeps the constant an upper bound despite summation
-# rounding.
-RAMANUJAN_SUP_BOUND = math.exp(_RAMANUJAN_CHAIN[-1]) * (1.0 + 1e-13)
+# The normalized coefficients increase toward exp(lim v_k).  The remainder
+# past the table, the sum of 2**-k * ln(k+1) over k >= 56, is below 2**-52;
+# the (1 + 1e-13) bump keeps the constant an upper bound despite it and the
+# summation rounding.
+RAMANUJAN_SUP_BOUND = math.exp(_RAMANUJAN_V[-1]) * (1.0 + 1e-13)
 
 
 class RamanujanTail(TailModel):
@@ -279,10 +276,11 @@ class RamanujanTail(TailModel):
     __slots__ = ()
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
-        return list(_ramanujan_v(max(last - 1, 0), _RAMANUJAN_CHAIN)[first - 1:last])
+        known = list(_RAMANUJAN_V[first - 1:last])
+        return known + [_RAMANUJAN_V[-1]] * (last - first + 1 - len(known))
 
     def bounds(self, n: int) -> tuple[float, float]:
-        return (math.exp(_ramanujan_v(n - 1, _RAMANUJAN_CHAIN)[n - 1]), RAMANUJAN_SUP_BOUND)
+        return (math.exp(_RAMANUJAN_V[min(n, len(_RAMANUJAN_V)) - 1]), RAMANUJAN_SUP_BOUND)
 
 
 class SequenceSpec(Record):

@@ -47,8 +47,10 @@ in [y / phi, y]), and the moved end is rounded outward by one
 
 Refusals.  RuntimeError, which the CLI reports with exit 2, means that no
 answer could be certified: floats near the lower end are more than tol/2
-apart (checked ahead of every probe), or a bisection probe reached the
-depth cap undecided at width > tol/4.
+apart (checked ahead of every probe; y = 1e300 with tol = 1e-6), or a
+bisection probe reached the depth cap undecided at width > tol/4 (y = 1e8
+with tol = 1e-6, where every enclosure near the root is padded wider than
+that).
 """
 
 from __future__ import annotations
@@ -159,15 +161,8 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
     above y.  r_lo is max(1, y/phi) (U(r) <= r*phi) or an end left by a
     probe enclosed below y.  A tie, a probe still holding y at width <=
     tol/4, ends the search as (mid, mid), or with ``ties_below`` becomes
-    r_lo, which then has U(r_lo) < y + tol/4.
-
-    The first probes are predicted from the closed-form inverse of the
-    depth-n fold and evaluated at that depth only; one that decides nothing
-    is dropped.  Certified bisection, from every end certified so far, is
-    the fallback, and each end a probe leaves is moved past the probe by
-    the Lipschitz-1 margin |enclosure - y| (module docstring).  Raises
-    RuntimeError when floats near r_lo are more than tol/2 apart or when a
-    bisection probe stays undecided at the depth cap.
+    r_lo, which then has U(r_lo) < y + tol/4.  The module docstring says
+    how the probes are chosen and when RuntimeError is raised.
     """
     r_lo, r_hi = max(1.0, y / PHI), y
     guesses: Iterator[float] | None = None
@@ -204,13 +199,10 @@ def u_inverse(y: float, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -
 
     Values in [phi - tol, phi] clamp to 1; below that the equation has no
     solution since U([1, inf)) = [phi, inf).  Otherwise r is a probe whose
-    enclosure of U holds y at width <= tol/4, normally the one predicted
-    from the closed-form inverse of the depth-n fold, or the midpoint of a
-    certified bracket U(r_lo) <= y <= U(r_hi) of width <= tol/2 (U is
-    Lipschitz-1).  Raises RuntimeError when floats near the root are more
-    than tol/2 apart (y = 1e300 with tol = 1e-6) or when a bisection probe
-    reaches ``depth_cap`` undecided at width > tol/4 (y = 1e8 with tol =
-    1e-6, where every enclosure near the root is padded wider than that).
+    enclosure of U holds y at width <= tol/4, or the midpoint of a certified
+    bracket U(r_lo) <= y <= U(r_hi) of width <= tol/2 (U is Lipschitz-1).
+    Raises RuntimeError when no answer can be certified (the refusals of
+    the module docstring).
     """
     if not (math.isfinite(y) and tol > 0.0):
         raise ValueError(f"need finite y and tol > 0, got y={y}, tol={tol}")

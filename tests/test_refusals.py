@@ -1,0 +1,193 @@
+"""Every refusal below, with its exact message.
+
+CLI cases give exit 2, empty stdout and the pinned stderr; library cases
+raise the pinned exception.  Two inputs that sit next to refusals and are
+accepted (a blank cap-table row, an empty ``terms_raw`` list) are pinned by
+the repr they return.
+"""
+
+import math
+
+import pytest
+
+from nestrad import cli
+from nestrad.kappa import kappa_enclosure
+from nestrad.seqspec import (
+    CapTableTail,
+    ConstantRawTail,
+    SequenceSpec,
+    SpecError,
+    TailModel,
+    explicit,
+    load_cap_table,
+    parse_spec,
+)
+from nestrad.ufunc import u_inverse
+
+
+class InfiniteSeedTail(TailModel):
+    """A tail whose lower seed is infinite at every depth."""
+
+    __slots__ = ()
+
+    def ln_alphas(self, first, last):
+        return [0.0] * (last - first + 1)
+
+    def bounds(self, n):
+        return (math.inf, 1.0)
+
+
+def cap_file(text):
+    def load(tmp_path):
+        path = tmp_path / "caps.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_cap_table(path)
+
+    return load
+
+
+def refused_cli(argv, stderr, env=None):
+    name = " ".join(argv) + (f" KAPPA_DEPTH_CAP={env}" if env else "")
+    return pytest.param(("cli", argv, env, stderr), id=name)
+
+
+def raises(name, call, error, message):
+    return pytest.param(("raise", call, error, message), id=name)
+
+
+def accepts(name, call, result):
+    return pytest.param(("accept", call, None, result), id=name)
+
+
+GOLDEN_TABLE = ["table", "--family", "golden", "--depths"]
+CASES = [
+    refused_cli(["u", "--grid", "1:2"], "nestrad: error: --grid expects rmin:rmax:count, got '1:2'\n"),
+    refused_cli(["u", "--grid", "1:x:3"], "nestrad: error: bad --grid value '1:x:3'\n"),
+    refused_cli([*GOLDEN_TABLE, "1:2"], "nestrad: error: --depths expects lo:hi:step, got '1:2'\n"),
+    refused_cli([*GOLDEN_TABLE, "1:x:1"], "nestrad: error: bad --depths value '1:x:1'\n"),
+    *(
+        refused_cli(
+            [*GOLDEN_TABLE, depths],
+            f"nestrad: error: --depths needs 1 <= lo <= hi and step >= 1, got '{depths}'\n",
+        )
+        for depths in ("0:2:1", "3:2:1", "1:2:0")
+    ),
+    refused_cli(
+        ["eval", "--family", "golden", "--depth-cap", "0"],
+        "nestrad eval: error: argument --depth-cap: expected a positive integer, got '0'\n",
+    ),
+    refused_cli(
+        ["eval", "--family", "golden"], "nestrad: error: KAPPA_DEPTH_CAP must be >= 1, got '0'\n", env="0"
+    ),
+    refused_cli(
+        ["eval", "--spec", "{tmp}/missing.spec"],
+        "nestrad: error: cannot read spec file '{tmp}/missing.spec': "
+        "[Errno 2] No such file or directory: '{tmp}/missing.spec'\n",
+    ),
+    refused_cli(
+        ["cf", "--fn", "arctan", "--terms", ","], "nestrad: error: --terms must list at least one term\n"
+    ),
+    refused_cli(
+        ["cf", "--fn", "arctan", "--terms", "1,-1"],
+        "nestrad: error: continued-function terms must be finite and >= 0, got -1.0\n",
+    ),
+    raises(
+        "emit_table row",
+        lambda tmp: cli.emit_table([(1, 2)], ["a"], "csv"),
+        ValueError,
+        "row (1, 2) does not match columns ['a']",
+    ),
+    raises(
+        "ConstantRawTail(-1)",
+        lambda tmp: ConstantRawTail(-1.0),
+        ValueError,
+        "tail raw value must be finite and >= 0, got -1.0",
+    ),
+    raises(
+        "cap table depth 0",
+        lambda tmp: CapTableTail(((0, 1.0, 1.0),)),
+        SpecError,
+        "cap table depth must be >= 1, got 0",
+    ),
+    raises("empty cap file", cap_file(""), SpecError, "cap table {tmp}/caps.csv is empty"),
+    raises(
+        "two-column cap row",
+        cap_file("n,lower_seed,upper_cap\n1,1.0\n"),
+        SpecError,
+        "cap table {tmp}/caps.csv line 2: expected 3 columns",
+    ),
+    accepts(
+        "blank cap row",
+        cap_file("n,lower_seed,upper_cap\n\n1,1.0,1.0\n"),
+        "CapTableTail(rows=((1, 1.0, 1.0),))",
+    ),
+    raises(
+        "explicit scale",
+        lambda tmp: explicit([1.0], scale="bogus"),
+        ValueError,
+        "unknown term scale 'bogus'",
+    ),
+    raises(
+        "terms_raw=[1,x]",
+        lambda tmp: parse_spec("terms_raw=[1,x]"),
+        SpecError,
+        "line 1: bad number in list '[1,x]'",
+    ),
+    accepts(
+        "terms_raw=[]", lambda tmp: parse_spec("terms_raw=[]"), "SequenceSpec(prefix=(), tail=ZeroTail())"
+    ),
+    raises(
+        "tail=cap:",
+        lambda tmp: parse_spec("terms_raw=[1]\ntail=cap:"),
+        SpecError,
+        "line 2: tail cap needs a file path, e.g. cap:bounds.csv",
+    ),
+    raises(
+        "two family lines",
+        lambda tmp: parse_spec("family=golden\nfamily=golden"),
+        SpecError,
+        "line 2: duplicate family line",
+    ),
+    raises(
+        "two tail lines",
+        lambda tmp: parse_spec("terms_raw=[1]\ntail=zero\ntail=zero"),
+        SpecError,
+        "line 3: duplicate tail line",
+    ),
+    raises(
+        "infinite lower seed",
+        lambda tmp: kappa_enclosure(SequenceSpec((), InfiniteSeedTail()), 3),
+        ValueError,
+        "tail bounds at depth 3 must be finite and >= 0, got (inf, 1.0)",
+    ),
+    raises(
+        "u_inverse(inf)",
+        lambda tmp: u_inverse(math.inf),
+        ValueError,
+        "need finite y and tol > 0, got y=inf, tol=1e-06",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_refusal(case, capsys, monkeypatch, tmp_path):
+    # detail is KAPPA_DEPTH_CAP for a CLI case and the exception type for a raised one
+    kind, action, detail, expected = case
+    expected = expected.replace("{tmp}", str(tmp_path))
+    if kind == "cli":
+        if detail is None:
+            monkeypatch.delenv("KAPPA_DEPTH_CAP", raising=False)
+        else:
+            monkeypatch.setenv("KAPPA_DEPTH_CAP", detail)
+        status = cli.run([arg.replace("{tmp}", str(tmp_path)) for arg in action])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out == ""
+        # argparse refusals lead with a usage block sized to the terminal
+        assert err == expected or (err.startswith("usage:") and err.endswith("\n" + expected))
+    elif kind == "accept":
+        assert repr(action(tmp_path)) == expected
+    else:
+        with pytest.raises(detail) as info:
+            action(tmp_path)
+        assert str(info.value) == expected

@@ -25,6 +25,7 @@ from nestrad import (
     power_tower,
     ramanujan,
 )
+from nestrad.seqspec import _RAMANUJAN_V
 
 
 def ln_alpha(spec, k):
@@ -205,6 +206,43 @@ class TestRamanujanFamily:
         lower, upper = spec.tail_bounds(10)
         assert lower == math.exp(ln_alpha(spec, 10))
         assert upper == RAMANUJAN_SUP_BOUND
+
+
+def _ramanujan_chain(count):
+    """v_0..v_count by the recurrence v_k = v_{k-1} + 2**-k * ln(k+1), every step rounded."""
+    v = [0.0]
+    for k in range(1, count + 1):
+        v.append(v[k - 1] + math.ldexp(math.log(k + 1), -k))
+    return v
+
+
+class TestRamanujanTable:
+    """The fixed table against the recurrence summed to depth 1,500, bit for bit."""
+
+    CHAIN = _ramanujan_chain(1500)
+    EDGES = sorted({*range(1, 80), 100, 299, 300, 301, 302, 500, 1000, 1023, 1024, 1100, 1499, 1500})
+
+    def test_ln_alphas(self):
+        tail = ramanujan().tail
+        for first in self.EDGES:
+            for last in self.EDGES:
+                if last >= first - 1:  # every v_k is finite and >= +0.0, so == is bit identity
+                    assert tail.ln_alphas(first, last) == self.CHAIN[first - 1:last], (first, last)
+
+    def test_bounds(self):
+        tail = ramanujan().tail
+        for n in range(1, 1501):
+            assert tail.bounds(n) == (math.exp(self.CHAIN[n - 1]), RAMANUJAN_SUP_BOUND), n
+
+    def test_sup_bound_is_unchanged(self):
+        assert RAMANUJAN_SUP_BOUND == math.exp(self.CHAIN[300]) * (1.0 + 1e-13)
+        assert RAMANUJAN_SUP_BOUND == 2.761206841957775
+
+    def test_table_ends_where_the_sum_stops_changing(self):
+        changes = [k for k in range(1, 1501) if self.CHAIN[k] != self.CHAIN[k - 1]]
+        assert changes == list(range(1, len(_RAMANUJAN_V)))
+        assert list(_RAMANUJAN_V) == self.CHAIN[:len(_RAMANUJAN_V)]
+        assert len(_RAMANUJAN_V) == 56
 
 
 class TestSequenceSpec:
