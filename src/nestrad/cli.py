@@ -12,9 +12,17 @@ to ``csv`` for ``table`` and to ``json`` elsewhere.  ``eval``, ``u``,
 ``KAPPA_DEPTH_CAP`` overrides the default depth cap of 256 and is validated
 on every call.
 
-The argparse tree is built once, on the first :func:`run`, and each
-subparser carries its handler: a function from the parsed namespace to
-``(exit status, document)``.
+Each subcommand's flags are declared once, in ``_COMMANDS``, with their
+``add_argument`` keywords.  :func:`run` reads argv of the form
+``<subcommand> (--flag value)*`` from it in one pass when every flag is
+spelled in full and given once, no value starts with ``-``, every value
+converts, every required flag is given and exactly one flag of each
+exclusive pair.  Any other argv (help, abbreviations, ``--flag=value``,
+negative values, refusals) goes to the argparse tree built from the same
+declaration on first use, which returns the same namespace for the argv the
+one-pass reader takes; so argparse alone prints help and usage errors.  The
+namespace carries the subcommand's handler: a function from it to ``(exit
+status, document)``.
 
 Exit codes: 0 success, 2 validation error, 3 search stopped without reaching
 tolerance (depth cap, cap table end or floating-point floor; the result
@@ -197,6 +205,49 @@ def _table(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, emit_table(rows, ["depth", "lo", "hi", "width", "width_bound"], args.format)
 
 
+def _limits(tol: float) -> dict:
+    return {"--tol": {"type": _positive_float, "default": tol}, "--depth-cap": {"type": _positive_int}}
+
+
+def _output(default_format: str = "json") -> dict:
+    return {"--format": {"choices": ("csv", "json"), "default": default_format}, "--out": {}}
+
+
+# Each subcommand once: its handler, help, the pair of flags of which exactly
+# one is required (or none), and each flag with its add_argument keywords.
+_COMMANDS = {
+    "eval": (_eval, "evaluate a radical to tolerance", ("--family", "--spec"), {
+        "--family": {"help": "golden|powertower|ramanujan|constant_raw:<c>|constant_norm:<a>"},
+        "--spec": {"help": "path to a spec document"},
+        **_limits(1e-9), **_output(),
+    }),
+    "u": (_u, "sample the transfinite golden-body radical", ("--r", "--grid"), {
+        "--r": {"type": float},
+        "--grid": {"help": "rmin:rmax:count, emits rows r,u_lo,u_hi"},
+        **_limits(1e-9), **_output(),
+    }),
+    "u-inv": (_u_inv, "invert the transfinite radical", (), {
+        "--y": {"type": float, "required": True},
+        **_limits(1e-6), **_output(),
+    }),
+    "caps": (_caps, "tail-supremum interval from a modulus", (), {
+        "--mh": {"type": _positive_float, "required": True},
+        "--eps": {"type": _positive_float, "required": True},
+        **_output(),
+    }),
+    "cf": (_cf, "continued-function evaluation", (), {
+        "--fn": {"choices": ("arctan",), "required": True},
+        "--terms": {"required": True, "help": "comma-separated non-negative terms"},
+        **_limits(1e-9), **_output(),
+    }),
+    "table": (_table, "per-depth convergence table", (), {
+        "--family": {"required": True},
+        "--depths": {"required": True, "help": "lo:hi:step"},
+        **_output("csv"),
+    }),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -206,59 +257,61 @@ def _build_parser() -> argparse.ArgumentParser:
     # run() resolves KAPPA_DEPTH_CAP also for the commands without --depth-cap
     parser.set_defaults(depth_cap=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, default_format: str = "json", limits: bool = True) -> None:
-        if limits:
-            p.add_argument("--tol", type=_positive_float, default=1e-9)
-            p.add_argument("--depth-cap", type=_positive_int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
-        p.add_argument("--out", default=None)
-
-    p_eval = sub.add_parser("eval", help="evaluate a radical to tolerance")
-    group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="golden|powertower|ramanujan|constant_raw:<c>|constant_norm:<a>")
-    group.add_argument("--spec", help="path to a spec document")
-    common(p_eval)
-    p_eval.set_defaults(handler=_eval)
-
-    p_u = sub.add_parser("u", help="sample the transfinite golden-body radical")
-    ugroup = p_u.add_mutually_exclusive_group(required=True)
-    ugroup.add_argument("--r", type=float)
-    ugroup.add_argument("--grid", help="rmin:rmax:count, emits rows r,u_lo,u_hi")
-    common(p_u)
-    p_u.set_defaults(handler=_u)
-
-    p_uinv = sub.add_parser("u-inv", help="invert the transfinite radical")
-    p_uinv.add_argument("--y", type=float, required=True)
-    common(p_uinv)
-    p_uinv.set_defaults(handler=_u_inv, tol=1e-6)
-
-    p_caps = sub.add_parser("caps", help="tail-supremum interval from a modulus")
-    p_caps.add_argument("--mh", type=_positive_float, required=True)
-    p_caps.add_argument("--eps", type=_positive_float, required=True)
-    common(p_caps, limits=False)
-    p_caps.set_defaults(handler=_caps)
-
-    p_cf = sub.add_parser("cf", help="continued-function evaluation")
-    p_cf.add_argument("--fn", choices=("arctan",), required=True)
-    p_cf.add_argument("--terms", required=True, help="comma-separated non-negative terms")
-    common(p_cf)
-    p_cf.set_defaults(handler=_cf)
-
-    p_table = sub.add_parser("table", help="per-depth convergence table")
-    p_table.add_argument("--family", required=True)
-    p_table.add_argument("--depths", required=True, help="lo:hi:step")
-    common(p_table, default_format="csv", limits=False)
-    p_table.set_defaults(handler=_table)
+    for command, (handler, help_text, exclusive, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group(required=True) if exclusive else p
+        for name, keywords in flags.items():
+            (group if name in exclusive else p).add_argument(name, **keywords)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _read(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for argv of the form the module
+    docstring describes, read from ``_COMMANDS`` in one pass; None for any
+    other argv."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    handler, _, exclusive, flags = entry
+    given = {}
+    for at in range(1, len(argv), 2):
+        name, text = argv[at], argv[at + 1]
+        keywords = flags.get(name)
+        if keywords is None or name in given or text.startswith("-"):
+            return None
+        convert, choices = keywords.get("type"), keywords.get("choices")
+        try:
+            value = text if convert is None else convert(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[name] = value
+    if exclusive and (exclusive[0] in given) == (exclusive[1] in given):
+        return None
+    args = argparse.Namespace(command=argv[0], handler=handler, depth_cap=None)
+    for name, keywords in flags.items():
+        if name in given:
+            value = given[name]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run the command, emit the document; returns the exit code."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own usage message
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse prints its own usage message
+            return int(exc.code or 0)
     try:
         if args.depth_cap is None:  # KAPPA_DEPTH_CAP is checked for every command
             args.depth_cap = _default_depth_cap()

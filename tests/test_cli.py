@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from nestrad import DEFAULT_DEPTH_CAP, PHI, cli
 
@@ -115,8 +119,9 @@ def test_readme_documents_are_byte_identical(invocation, capsys, tmp_path: Path)
 
 
 def test_shared_parser_is_reentrant(capsys, tmp_path: Path):
-    # One process, one parser: subcommand defaults (u-inv's --tol 1e-6,
-    # table's csv format) and rejected argv must not leak into later calls.
+    # One process, one reader and one argparse tree: subcommand defaults
+    # (u-inv's --tol 1e-6, table's csv format) and rejected argv must not leak
+    # into later calls on either path.
     invocations = sorted(README_DOCUMENTS)
 
     def run_all(order):
@@ -132,6 +137,127 @@ def test_shared_parser_is_reentrant(capsys, tmp_path: Path):
     status, out, err = run_cli(capsys, "u", "--r", "-3")  # refused by the handler
     assert (status, out) == (2, "") and err.startswith("nestrad: error: --r must be")
     run_all(reversed(invocations))
+
+
+# The one-pass reader against argparse, over a token alphabet: subcommands,
+# each flag in full, abbreviated and as --flag=value, help, "--", and values
+# that convert, fail to convert or start with "-".  Each flag's usual value
+# keeps most draws well-formed, so the reader's answers are compared too.
+USUAL = {
+    "--family": "golden", "--spec": "x.spec", "--tol": "1e-9", "--depth-cap": "8", "--format": "json",
+    "--out": "out.txt", "--r": "2", "--grid": "1:2:3", "--y": "2", "--mh": "2", "--eps": "0.5",
+    "--fn": "arctan", "--terms": "1,2", "--depths": "1:3:1",
+}
+OWN_FLAGS = {
+    "eval": ("--family", "--spec", "--tol", "--depth-cap", "--format", "--out"),
+    "u": ("--r", "--grid", "--tol", "--depth-cap", "--format", "--out"),
+    "u-inv": ("--y", "--tol", "--depth-cap", "--format", "--out"),
+    "caps": ("--mh", "--eps", "--format", "--out"),
+    "cf": ("--fn", "--terms", "--tol", "--depth-cap", "--format", "--out"),
+    "table": ("--family", "--depths", "--format", "--out"),
+}
+VALUES = (
+    "1e-9", "-3.5", "nan", "", "csv", "json", "xml", "1:2:3", "1:x", "golden", "arctan", "2", "1,2",
+    "-h", "--", "-", "-x",
+)
+PAIRS = {"eval": ("--family", "--spec"), "u": ("--r", "--grid")}
+FORMS = ("full",) * 40 + ("abbreviated", "equals", "flag only", "value only", "-h", "--")
+
+
+@st.composite
+def argv_tokens(draw):
+    command = draw(st.sampled_from((*OWN_FLAGS, "frobnicate")))
+    pair = PAIRS.get(command, ())
+    flags = [flag for flag in OWN_FLAGS.get(command, ()) if flag not in pair and draw(st.integers(0, 3))]
+    flags += draw(st.sampled_from((pair[:1], pair[1:], pair[:1], pair[1:], pair, ())))
+    if draw(st.integers(0, 3)) == 0:  # repeated or foreign flags
+        flags += draw(st.lists(st.sampled_from(sorted(USUAL)), min_size=1, max_size=2))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(st.sampled_from(VALUES)) if draw(st.integers(0, 3)) == 0 else USUAL[flag]
+        form = draw(st.sampled_from(FORMS))
+        if form == "full":
+            argv += [flag, value]
+        elif form == "abbreviated":
+            argv += [flag[: draw(st.integers(3, max(3, len(flag) - 1)))], value]
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "flag only":
+            argv.append(flag)
+        elif form == "value only":
+            argv.append(value)
+        else:
+            argv.append(form)
+    return argv
+
+
+def parse_with_argparse(argv):
+    """argparse's namespace for argv, or None when argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def fields(namespace):
+    # repr tells 1 from 1.0 and keeps NaN equal to itself
+    return {name: (type(value), repr(value)) for name, value in vars(namespace).items()}
+
+
+@settings(max_examples=500)
+@given(argv=argv_tokens())
+@example(argv=["u-inv", "--y", "2"])
+@example(argv=["eval", "--family", "golden", "--spec", "x"])
+@example(argv=["u", "--tol", "1e-9"])
+@example(argv=["caps", "--mh", "2", "--eps", "2", "--out", "-h"])
+def test_reader_declines_or_matches_argparse(argv):
+    namespace = cli._read(argv)
+    event("read in one pass" if namespace is not None else "left to argparse")
+    if namespace is not None:
+        reference = parse_with_argparse(argv)
+        assert reference is not None, argv
+        assert fields(namespace) == fields(reference), argv
+
+
+@pytest.mark.parametrize("invocation", sorted(README_DOCUMENTS))
+def test_reader_takes_the_readme_invocations(invocation, tmp_path: Path):
+    argv = readme_argv(invocation, tmp_path)
+    namespace = cli._read(argv)
+    assert namespace is not None
+    assert fields(namespace) == fields(parse_with_argparse(argv))
+
+
+# Forms that only argparse reads: help, abbreviations, --flag=value, negative
+# values and conflicting flags, each with its exit code and output.
+@pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"]])
+def test_help_is_printed_by_argparse(capsys, argv):
+    assert cli._read(argv) is None
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, err) == (0, "")
+    assert out.startswith("usage: nestrad")
+
+
+def test_abbreviated_and_equals_flags_give_the_full_form_document(capsys):
+    argv = ["eval", "--fam", "golden", "--tol=1e-10"]
+    assert cli._read(argv) is None
+    assert run_cli(capsys, *argv) == (0, README_DOCUMENTS["eval --family golden --tol 1e-10"], "")
+
+
+def test_negative_value_reaches_the_handler(capsys):
+    assert cli._read(["u", "--r=-3"]) is None
+    status, out, err = run_cli(capsys, "u", "--r=-3")
+    assert (status, out) == (2, "")
+    assert err.startswith("nestrad: error: --r must be")
+
+
+def test_conflicting_flags_are_refused_by_argparse(capsys):
+    argv = ["eval", "--family", "golden", "--spec", "x"]
+    assert cli._read(argv) is None
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: nestrad eval")
+    assert "argument --spec: not allowed with argument --family" in err
 
 
 class TestProcess:

@@ -27,7 +27,7 @@ from nestrad import (
     sqrt_nested_scaled,
     u_spec,
 )
-from nestrad.kappa import _fp_pad, phi_pow
+from nestrad.kappa import _fp_pad, _predicted_depth, phi_pow
 
 ALL_FAMILIES = [
     golden(),
@@ -247,6 +247,21 @@ class TestEnclosureInvariants:
         approximant, _ = sqrt_nested_scaled(spec.terms_lograw(depth - 1), r, r)
         bound = enclosure.analytic_width_bound + enclosure.fp_slack
         assert enclosure.lo - bound <= approximant <= enclosure.hi + bound
+
+
+class TestPredictedDepth:
+    """The fit through the widths at depths 4 and 8 declines with 0."""
+
+    def test_equal_widths_predict_nothing(self):
+        assert _predicted_depth(1e-3, 1e-3, 1e-9, 256) == 0
+
+    def test_growing_width_predicts_nothing(self):
+        assert _predicted_depth(1e-4, 1e-3, 1e-9, 256) == 0
+
+    def test_depth_past_the_limit_predicts_nothing(self):
+        # a tenfold shrink every 4 levels reaches 1e-12 near depth 48
+        assert 44 < _predicted_depth(1e-1, 1e-2, 1e-12, 256) <= 49
+        assert _predicted_depth(1e-1, 1e-2, 1e-12, 40) == 0
 
 
 class TestSearchWork:
