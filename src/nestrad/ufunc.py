@@ -30,7 +30,7 @@ measured enclosure, as a bisection probe's is.
   expected a tie or below y.  The second is the larger in the flat region,
   y - phi below about 1e-10, where tol/2 moves U by less than the noise.
 
-Every probe, predicted or not, is a ``u_eval`` call with ``exclude=y``.
+A predicted probe is a single ``kappa_enclosure`` call at depth n.
 
 Fallback.  A predicted probe that lies outside the bracket, or decides
 nothing at its depth, is dropped, and certified bisection goes on from the
@@ -70,42 +70,20 @@ def u_spec(r: float) -> SequenceSpec:
     return SequenceSpec((), OmegaTail(float(r)))
 
 
-def u_eval(
-    r: float,
-    tol: float = 1e-9,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    *,
-    exclude: float | None = None,
-    start: int = 4,
-) -> Enclosure:
+def u_eval(r: float, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP) -> Enclosure:
     """Enclosure of U(r) with width <= tol, at the shallowest such depth.
 
-    With ``exclude``, the depth instead doubles from ``start`` and stops at
-    the first enclosure of width <= tol or with ``exclude`` strictly
-    outside, so the width may exceed tol.  Raises RuntimeError when neither
-    happens within ``depth_cap``.
+    Raises RuntimeError when no enclosure within ``depth_cap`` is that narrow.
     """
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be finite and >= 0, got {r}")
-    if exclude is None:
-        result = kappa_limit(u_spec(r), tol, depth_cap)
-        enclosure, done = result.enclosure, result.converged
-        best = enclosure.width
-    else:
-        spec, depth, best = u_spec(r), min(start, depth_cap), math.inf
-        while True:
-            enclosure = kappa_enclosure(spec, depth)
-            best = min(best, enclosure.width)
-            done = enclosure.width <= tol or not enclosure.lo <= exclude <= enclosure.hi
-            if done or depth >= depth_cap:
-                break
-            depth = min(2 * depth, depth_cap)
-    if not done:
+    result = kappa_limit(u_spec(r), tol, depth_cap)
+    if not result.converged:
         raise RuntimeError(
             f"U({r}) did not reach width {tol} within depth {depth_cap}; "
-            f"best width {best}"
+            f"best width {result.enclosure.width}"
         )
-    return enclosure
+    return result.enclosure
 
 
 def _fold_inverse(y: float, depth: int) -> float:
@@ -143,8 +121,8 @@ def _probe_depth(y: float, tol: float, depth_cap: int) -> int:
 
 def _predicted_probes(y: float, tol: float, depth: int, ties_below: bool) -> list[float]:
     """Where to probe U at ``depth`` before bisecting, in order (module docstring)."""
-    root = _fold_inverse(y, depth)
     if not ties_below:
+        root = _fold_inverse(y, depth)
         return [0.5 * (root / phi_pow(depth - 1)) + 0.5 * root]
     pad = _fp_pad(depth, y * phi_pow(depth - 1))
     # bounds |F_n(F_n^-1(t)) - t| as evaluated: measured at most 0.41 of it for y from 1.6 to 1e308
@@ -152,6 +130,24 @@ def _predicted_probes(y: float, tol: float, depth: int, ties_below: bool) -> lis
     above = _fold_inverse(y + pad + noise, depth)
     below = max(math.nextafter(above - 0.5 * tol, math.inf), _fold_inverse(y + pad - noise, depth))
     return [above, below]
+
+
+def _bisection_probe(r: float, y: float, tol: float, depth_cap: int) -> Enclosure:
+    """First enclosure of U(r) at depths 4, 8, ... <= ``depth_cap`` that excludes y or is <= tol wide.
+
+    Raises RuntimeError when the enclosure at the cap does neither.
+    """
+    spec, depth, best = u_spec(r), min(4, depth_cap), math.inf
+    while True:
+        enclosure = kappa_enclosure(spec, depth)
+        best = min(best, enclosure.width)
+        if enclosure.width <= tol or not enclosure.lo <= y <= enclosure.hi:
+            return enclosure
+        if depth >= depth_cap:
+            raise RuntimeError(
+                f"U({r}) did not reach width {tol} within depth {depth_cap}; best width {best}"
+            )
+        depth = min(2 * depth, depth_cap)
 
 
 def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[float, float]:
@@ -171,18 +167,17 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
             raise RuntimeError(
                 f"U^-1({y}) cannot be bracketed to {tol}: floats near {r_lo} are {math.ulp(r_lo)} apart"
             )
-        if guesses is None:  # the first probe
+        # set up after the spacing check: it refuses y = 1e300 with tol = 1e-10,
+        # where _probe_depth raises OverflowError (LN_PHI / log1p(tol / 8y) is inf)
+        if guesses is None:
             depth = _probe_depth(y, tol, depth_cap)
             guesses = iter(_predicted_probes(y, tol, depth, ties_below))
         mid = next((r for r in guesses if r_lo < r < r_hi), None)
         if mid is None:
             mid = 0.5 * r_lo + 0.5 * r_hi
-            enclosure = u_eval(mid, 0.25 * tol, depth_cap, exclude=y)
-        else:
-            try:  # a predicted probe is evaluated at its depth only
-                enclosure = u_eval(mid, 0.25 * tol, depth, exclude=y, start=depth)
-            except RuntimeError:  # it decided nothing: drop it
-                continue
+            enclosure = _bisection_probe(mid, y, 0.25 * tol, depth_cap)
+        else:  # at its depth only: if it decides nothing, no test below holds and it is dropped
+            enclosure = kappa_enclosure(u_spec(mid), depth)
         if enclosure.lo > y:
             r_hi = math.nextafter(mid - (enclosure.lo - y), math.inf)
         elif enclosure.hi < y:

@@ -60,6 +60,10 @@ def accepts(name, call, result):
 
 
 GOLDEN_TABLE = ["table", "--family", "golden", "--depths"]
+BRACKET_1E300 = (
+    "U^-1(1e+300) cannot be bracketed to 1e-10: "
+    "floats near 6.1803398874989486e+299 are 7.435084542388915e+283 apart"
+)
 CASES = [
     refused_cli(["u", "--grid", "1:2"], "nestrad: error: --grid expects rmin:rmax:count, got '1:2'\n"),
     refused_cli(["u", "--grid", "1:x:3"], "nestrad: error: bad --grid value '1:x:3'\n"),
@@ -160,6 +164,13 @@ CASES = [
         ValueError,
         "tail bounds at depth 3 must be finite and >= 0, got (inf, 1.0)",
     ),
+    # floats near the root are too far apart; this is refused before the
+    # predicted depth is computed, which would overflow at this y and tol
+    refused_cli(
+        ["u-inv", "--y", "1e300", "--tol", "1e-10"],
+        f"nestrad: error: {BRACKET_1E300}\n",
+    ),
+    raises("u_inverse(1e300, 1e-10)", lambda tmp: u_inverse(1e300, 1e-10), RuntimeError, BRACKET_1E300),
     raises(
         "u_inverse(inf)",
         lambda tmp: u_inverse(math.inf),

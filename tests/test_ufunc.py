@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath as mp
@@ -158,6 +159,17 @@ class TestFallback:
             assert support.mp_u(hi, 128, 60, as_float=False) >= target
 
 
+class TestFoldInverse:
+    """The two early returns of the closed-form peel, which no search reaches."""
+
+    def test_below_the_fold_of_one(self):
+        # F_10(1) is within 1e-3 of phi > 1.5: a peel reaches v <= 1
+        assert nestrad.ufunc._fold_inverse(1.5, 10) == 1.0
+
+    def test_infinite_target(self):
+        assert nestrad.ufunc._fold_inverse(math.inf, 8) == math.inf
+
+
 class TestWorkCounts:
     """Enclosures spent per call: deterministic, so they guard the probe cost."""
 
@@ -183,19 +195,15 @@ class TestWorkCounts:
         sup_enclosure(SupQuery(1.0, 0.1))
         assert 1 <= len(depths) <= 4
 
-    def test_every_probe_is_a_u_eval_call(self, monkeypatch, depths):
-        probes = []
-        original = nestrad.ufunc.u_eval
-
-        def counted(r, *args, **kwargs):
-            probes.append(r)
-            return original(r, *args, **kwargs)
-
-        monkeypatch.setattr(nestrad.ufunc, "u_eval", counted)
+    def test_every_predicted_probe_is_one_enclosure(self, depths):
+        # u_inverse ties at its predicted depth; sup_enclosure's two probes
+        # each decide at it, with no doubling from depth 4
         u_inverse(3.0, 1e-6)
+        assert depths == [25]
+        depths.clear()
         sup_enclosure(SupQuery(1.0, 0.1))
-        # each of these probes settles at its first depth
-        assert len(probes) == len(depths) == 3
+        assert depths == [33, 33]
+        assert list(inspect.signature(u_eval).parameters) == ["r", "tol", "depth_cap"]
 
     def test_float_spacing_refusal_is_cheap(self, depths):
         with pytest.raises(RuntimeError):
