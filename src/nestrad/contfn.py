@@ -11,6 +11,17 @@ tail.  For arctan the ceiling is pi/2, so the depth-n error bound is the
 Functions with f(0) > 0 are rejected: without a fixed point at zero the
 one-sided bound above does not collapse, and the two-sided variant is out
 of scope.
+
+Floating-point policy: the one of :mod:`nestrad.kappa`, applied by the same
+helper.  [estimate, estimate + bound] is padded outward by 16 * n ulp per
+side, n the depth, and ``fp_slack`` records 2.5 pads.  The half pad it
+budgets for evaluation noise assumes, for arctan, at most 1 ulp per atan
+and 0.5 ulp per addition.  atan's slope is at most 1, and being concave with
+atan(0) = 0 it scales a relative error in its argument by at most 1, so
+errors never grow from level to level: the estimate and the iterated bound
+are each within 1.5 * n * 2**-52 relative, at most 3 * n ulp, of their exact
+values, and the sum estimate + bound rounds by half an ulp more.  A
+caller-supplied f carries the same obligation (:class:`OuterFunction`).
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ import math
 from collections.abc import Iterable
 
 from ._record import Record
-from .kappa import KappaResult
-from .nested import Enclosure, OuterFunction, nested_eval
+from .kappa import KappaResult, _fp_pad, _padded
+from .nested import OuterFunction, nested_eval
 
 __all__ = ["ContinuedSpec", "cf_eval", "cf_limit"]
 
@@ -60,8 +71,11 @@ def cf_eval(spec: ContinuedSpec, n: int) -> float:
 def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> KappaResult:
     """Enclosure at the shallowest depth whose error bound is within tol.
 
-    Walks the iterated bound down until it passes tol, evaluates the fold
-    there, and returns [estimate, estimate + bound].  If the available
+    Walks the iterated bound down until it plus both pads passes tol,
+    evaluates the fold there, and returns [estimate, estimate + bound]
+    padded by the module docstring's policy.  The pads are taken at
+    ceiling + bound, which is at least estimate + bound as the estimate never
+    exceeds the ceiling, so a converged width is within tol.  If the available
     terms, the depth cap, or the iteration limit run out first, the result
     carries ``converged=False`` with stop reason ``tail_exhausted`` (the
     terms ran out) or ``depth_cap`` (callers inspect the flag; the partial
@@ -74,14 +88,14 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
     deepest = min(deepest, ITERATION_LIMIT)
     if deepest < 1:
         raise ValueError("no terms available")
+    h = spec.h
     depth = 1
-    bound = spec.h.ceiling
-    while bound > tol and depth < deepest:
-        bound = spec.h.eval(bound)
+    bound = h.ceiling
+    while bound + 2.0 * _fp_pad(depth, h.ceiling + bound) > tol and depth < deepest:
+        bound = h.eval(bound)
         depth += 1
     estimate = cf_eval(spec, depth)
-    fp_slack = 8.0 * depth * math.ulp(max(estimate + bound, 1.0))
-    enclosure = Enclosure(estimate, estimate + bound, depth, bound, fp_slack)
-    if bound <= tol:
+    enclosure = _padded(estimate, estimate + bound, depth, bound)
+    if bound + 2.0 * _fp_pad(depth, h.ceiling + bound) <= tol:
         return KappaResult(enclosure, "converged")
     return KappaResult(enclosure, "tail_exhausted" if depth == len(spec.terms) else "depth_cap")

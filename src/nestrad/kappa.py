@@ -26,9 +26,10 @@ which goes to zero whenever the bounds tighten onto the tail supremum, so
 Floating-point policy: with lo_raw <= hi_raw the two folds as evaluated,
 enclosures are padded outward by pad(n) = 16 * n * ulp(hi_raw) per side
 (no pad when hi_raw is 0, which is exact), and the recorded ``fp_slack``
-additionally allows 8 * n ulp of evaluation noise.  The soundness contract
-is "valid in exact arithmetic, slack-widened in binary64"; there is no
-directed rounding.
+additionally allows 8 * n ulp of evaluation noise.  One helper applies it,
+to these enclosures and to :func:`nestrad.contfn.cf_limit`'s.  The soundness
+contract is "valid in exact arithmetic, slack-widened in binary64"; there is
+no directed rounding.
 
 Depth search.  :func:`kappa_limit` evaluates depths 4 and 8, fits a
 geometric rate to their widths, and evaluates the depth g where that rate
@@ -47,8 +48,8 @@ the search may return a different qualifying depth than a plain doubling
 would.
 
 Floating-point floor.  Let lo >= 2**-1022 be the lower end of an enclosure
-already evaluated and m = lo * (1 - 2**-20).  For depths below 2**20, no
-enclosure at depth n' >= n is narrower than
+already evaluated and m = lo * (1 - 2**-20).  No enclosure at depth n' >= n
+is narrower than
 
     F(n) = 1.5 * pad(n, m) - ulp(m),    pad(n, x) = 16 * n * ulp(x).
 
@@ -61,13 +62,15 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   ln_alpha - scale and the sum y + increment, and errors pass a level with
   factor <= 1 (the level is a log-sum-exp whose weights sum to 1).  With
   |ln alpha| <= 700 every x and y is below 2**11 in magnitude, so a level
-  adds at most 2**-42 to the error in the log, the final exp(scale + y)
-  adds 2**-44 more, and exp itself under one ulp: a depth-n' fold has
-  relative error eps <= (n' + 1) * 2**-41 < 2**-21.  (A level with a larger
-  |x| or |y| either carries weight below e**-700 or pushes the radical
-  below the least normal, where the floor is not used.)  Hence lo <= (1 +
-  eps) * v <= (1 + eps) * H <= (1 + eps) / (1 - eps) * hi_raw, and (1 -
-  2**-20) * (1 + eps) / (1 - eps) <= 1 gives m <= hi_raw.
+  adds at most 2**-42 to the error in the log, and the final step, exp(top)
+  * exp(y) or seed * exp(y), rounds each exp and the product once, under
+  2**-50 relative.  Levels past 1074 are folded as one maximum, one
+  rounding, so the count stops growing there: a depth-n' fold has relative
+  error eps <= (min(n', 1075) + 1) * 2**-41 < 2**-30 at every depth.  (A
+  level with a larger |x| or |y| either carries weight below e**-700 or
+  pushes the radical below the least normal, where the floor is not used.)
+  Hence lo <= (1 + eps) * v <= (1 + eps) * H <= (1 + eps) / (1 - eps) *
+  hi_raw, and (1 - 2**-20) * (1 + eps) / (1 - eps) <= 1 gives m <= hi_raw.
 * lo clamped at 0: width(n') >= hi >= hi_raw >= m, far above F.
 * lo not clamped, lo_raw possibly above hi_raw by rounding: width(n') >=
   2 * pad - (lo_raw - hi_raw) - ulp(M).  pad is a multiple of ulp(M), so
@@ -78,10 +81,10 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   hi_raw only by rounding noise, which the padding policy budgets at the
   half pad it records in ``fp_slack`` (the premise the enclosures' own
   soundness rests on).  With both seeds at or below the largest
-  coefficient the sides share their scale and round exp(scale + y)
-  monotonically, so only per-level noise remains; a seed above it gives
-  each side its own final rounding, up to |ln M| * 2**-53 relative, which
-  the half pad covers while |ln M| < 8 * n'.  So width(n') >= 1.5 * pad -
+  coefficient the sides share exp(top) and round its product with exp(y)
+  monotonically, so only per-level noise remains; a seed above it makes its
+  side seed * exp(y), under 2 ulp from the exact product, which the half
+  pad, at least 8 ulp(M), covers.  So width(n') >= 1.5 * pad -
   ulp(M) = (24 * n' - 1) * ulp(M) >= (24 * n - 1) * ulp(m) = F(n), as m <=
   hi_raw <= M.
 
@@ -166,11 +169,22 @@ def _fp_pad(depth: int, magnitude: float) -> float:
 def _fp_floor(depth: int, lo: float) -> float:
     """Least width of any enclosure at ``depth`` or deeper, given an enclosure's lower end lo.
 
-    The floor F of the module docstring; it needs lo >= 2**-1022 and depths
-    below 2**20.
+    The floor F of the module docstring; it needs lo >= 2**-1022.
     """
     m = lo * (1.0 - 2.0**-20)
     return 1.5 * _fp_pad(depth, m) - math.ulp(m)
+
+
+def _padded(lo_raw: float, hi_raw: float, depth: int, analytic: float) -> Enclosure:
+    """Enclosure of two folds as evaluated (lo_raw <= hi_raw up to rounding), padded by the policy."""
+    # an identically-zero fold is exact, so it needs no outward padding; both
+    # folds are >= 0, so the larger one is the magnitude
+    pad = _fp_pad(depth, lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
+    lo = lo_raw - pad
+    lo = lo if lo > 0.0 else 0.0
+    hi = hi_raw + pad
+    # both pads, plus half a pad (8 * depth ulp) of evaluation noise
+    return Enclosure(lo, lo if lo > hi else hi, depth, analytic, 2.5 * pad)
 
 
 def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
@@ -198,15 +212,8 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     lo_raw, hi_raw = sqrt_nested_scaled(
         spec.terms_lograw(depth - 1), lower, lower if lower > hi_seed else hi_seed
     )
-    # an identically-zero fold is exact, so it needs no outward padding; both
-    # folds are >= 0, so the larger one is the magnitude
-    pad = _fp_pad(depth, lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
-    lo = lo_raw - pad
-    lo = lo if lo > 0.0 else 0.0
-    hi = hi_raw + pad
     analytic = hi_seed - lower
-    # both pads, plus half a pad (8 * depth ulp) of evaluation noise
-    return Enclosure(lo, lo if lo > hi else hi, depth, analytic if analytic > 0.0 else 0.0, 2.5 * pad)
+    return _padded(lo_raw, hi_raw, depth, analytic if analytic > 0.0 else 0.0)
 
 
 def kappa_limit(
@@ -284,8 +291,7 @@ def kappa_limit(
             return KappaResult(best, "tail_exhausted" if limit == tail_limit else "depth_cap")
         previous, depth = depth, min(2 * depth, limit)
         # no enclosure this deep or deeper beats best (the floor, module docstring)
-        floor_applies = limit < 2**20 and best.lo >= sys.float_info.min
-        if floor_applies and _fp_floor(depth, best.lo) > best_width:
+        if best.lo >= sys.float_info.min and _fp_floor(depth, best.lo) > best_width:
             return KappaResult(best, "fp_floor")
 
 

@@ -32,9 +32,10 @@ __all__ = [
 _NEG_INF = float("-inf")
 _INF = float("inf")
 
-# Floor for the rescaling maximum; keeps all-zero inputs away from log(0)
-# while staying far below any normalized coefficient of interest.
-_SCALE_FLOOR_LOG = -512.0 * math.log(2.0)
+# Floor for the rescaling maximum: the least finite float, so that all-zero
+# inputs keep a finite scale while any nonzero input sets it.  A scale that is
+# no input would leave the dominant x = ln_alpha - scale rounded at ulp(x).
+_SCALE_FLOOR_LOG = -1.7976931348623157e308
 
 # 2**-k for k = 0..1074, every one an exact binary64 number; the fold's
 # scalings read level k's from here (see sqrt_nested_scaled).
@@ -50,7 +51,10 @@ class OuterFunction(Record):
     be ``math.inf``.  For arctan it is stored as pi/2 exactly, i.e. with one
     application of h already performed on the infinite argument.
     Concavity and monotonicity are caller obligations, spot-checked by the
-    randomized property suites.
+    randomized property suites.  So is accuracy: :func:`nestrad.contfn.cf_limit`
+    pads by 16 * depth ulp, which assumes that ``eval`` is within 1 ulp and
+    that its slope is at most 1, so errors never grow from level to level
+    (the budget in the :mod:`nestrad.contfn` docstring).
     """
 
     __slots__ = ("eval", "ceiling", "label")
@@ -142,6 +146,13 @@ def sqrt_nested_scaled(
     maximum over all of them at once, since rounding ln_alpha - scale is
     monotone in ln_alpha.
 
+    The last step returns exp(top) * exp(y_1) for a side whose scale top
+    set (top is the largest ln(alpha_k), or the scale floor when every
+    coefficient is zero) and seed * exp(y_1) for a side whose seed set it,
+    computing exp(top) once.  Each exp and the product round once; the sum
+    scale + y_1 would round at ulp(scale), up to about 709 * 2**-53
+    relative, and exp(log(seed)) need not give the seed back.
+
     The two seeds share one pass over ``ln_alphas``, but each side runs the
     float operations it would run alone, so each returned value depends only
     on ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
@@ -182,9 +193,11 @@ def sqrt_nested_scaled(
         if t > -746.0:
             y_hi += log1p(exp(t)) * s
     try:
-        return (
-            0.0 if y_lo == _NEG_INF else exp(scale_lo + y_lo),
-            0.0 if y_hi == _NEG_INF else exp(scale_hi + y_hi),
-        )
+        exp_top = exp(top) if scale_lo == top or scale_hi == top else 0.0
     except OverflowError:
-        raise ValueError("the nested radical exceeds binary64 (about 1.8e308)") from None
+        exp_top = _INF
+    lo = 0.0 if y_lo == _NEG_INF else (exp_top if scale_lo == top else lo_seed) * exp(y_lo)
+    hi = 0.0 if y_hi == _NEG_INF else (exp_top if scale_hi == top else hi_seed) * exp(y_hi)
+    if lo == _INF or hi == _INF:
+        raise ValueError("the nested radical exceeds binary64 (about 1.8e308)")
+    return lo, hi

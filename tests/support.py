@@ -122,10 +122,12 @@ def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
     """One side of the log-domain square-root fold, each level scaled by ``math.ldexp``.
 
     The level formula y += ldexp(log1p(exp(ldexp(x - y, k))), -k), kept as the
-    bit-exact oracle for the table-scaled fold in ``sqrt_nested_scaled``.
-    Raises ``OverflowError`` when the radical exceeds binary64.
+    bit-exact oracle for the table-scaled fold in ``sqrt_nested_scaled``, which
+    it also follows in the last step: exp(top) * exp(y) when a coefficient or
+    the scale floor set the scale, seed * exp(y) when the seed set it.  Raises
+    ``OverflowError`` when the radical exceeds binary64.
     """
-    top = max([-512.0 * math.log(2.0), *ln_alphas])
+    top = max([-1.7976931348623157e308, *ln_alphas])
     ln_seed = math.log(seed) if seed > 0.0 else -math.inf
     scale = max(ln_seed, top)
     y = ln_seed - scale
@@ -138,7 +140,12 @@ def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
                 y += math.ldexp(math.log1p(math.exp(math.ldexp(x - y, k))), -k)
             except OverflowError:  # exp of the gap would be 0
                 pass
-    return 0.0 if y == -math.inf else math.exp(scale + y)
+    if y == -math.inf:
+        return 0.0
+    value = (math.exp(top) if scale == top else seed) * math.exp(y)
+    if value == math.inf:
+        raise OverflowError("the radical exceeds binary64")
+    return value
 
 
 def norm_fold(values: Sequence[float], seed: float = 0.0) -> float:

@@ -285,6 +285,13 @@ class TestSearchWork:
         assert len(depths) <= 6
         assert max(depths) <= 128
 
+    def test_fp_floor_holds_at_a_huge_cap(self, depths):
+        # the floor holds at every depth, so the cap does not set how far the doubling runs
+        result = kappa_limit(golden(), 1e-300, depth_cap=2**21)
+        assert result.stop_reason == "fp_floor"
+        assert len(depths) <= 6
+        assert result.enclosure == kappa_limit(golden(), 1e-300, depth_cap=2**19).enclosure
+
     def test_predicted_depth_is_confirmed(self, depths):
         result = kappa_limit(golden(), 1e-8)
         assert result.converged
