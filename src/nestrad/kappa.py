@@ -58,17 +58,22 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
 * The fold's relative error, |ln alpha| up to 700, gives m <= hi_raw(n').
   Write H for the exact upper fold at n' and v for the exact radical of the
   same ln(alpha_k).  The construction is valid in exact arithmetic, so
-  every exact lower fold is <= v <= H.  Each fold level rounds x =
-  ln_alpha - scale and the sum y + increment, and errors pass a level with
-  factor <= 1 (the level is a log-sum-exp whose weights sum to 1).  With
-  |ln alpha| <= 700 every x and y is below 2**11 in magnitude, so a level
-  adds at most 2**-42 to the error in the log, and the final step, exp(top)
-  * exp(y) or seed * exp(y), rounds each exp and the product once, under
-  2**-50 relative.  Levels past 1074 are folded as one maximum, one
-  rounding, so the count stops growing there: a depth-n' fold has relative
-  error eps <= (min(n', 1075) + 1) * 2**-41 < 2**-30 at every depth.  (A
-  level with a larger |x| or |y| either carries weight below e**-700 or
-  pushes the radical below the least normal, where the floor is not used.)
+  every exact lower fold is <= v <= H.  A fold level, r = sqrt(exp(2**k *
+  x) + r), rounds x = ln_alpha - c (c the running scale), its exp within
+  1 ulp, and the sum and the sqrt within half an ulp each; a level that
+  moves the scale rounds c - ln_alpha instead, and its exp and product
+  with r.  Each sqrt halves a relative error on its way out, so a rounded
+  x or scale step reaches the value with the weight of a coefficient's
+  log, at most 1 (homogeneity, the :mod:`nestrad.nested` docstring).  With
+  |ln alpha| <= 700 every x and scale step is below 2**11 in magnitude, so
+  a level adds at most 2**-42 to the relative error, and the final step,
+  exp(top) * r or seed * r, rounds the exp and the product once, under
+  2**-50 relative.  Levels past 1074 are folded as one maximum, which
+  rounds nothing, so the count stops growing there: a depth-n' fold has
+  relative error eps <= (min(n', 1075) + 1) * 2**-41 < 2**-30 at every
+  depth.  (A level with a larger |x| either carries weight below e**-700
+  or pushes the radical below the least normal, where the floor is not
+  used.)
   Hence lo <= (1 + eps) * v <= (1 + eps) * H <= (1 + eps) / (1 - eps) *
   hi_raw, and (1 - 2**-20) * (1 + eps) / (1 - eps) <= 1 gives m <= hi_raw.
 * lo clamped at 0: width(n') >= hi >= hi_raw >= m, far above F.
@@ -81,9 +86,9 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   hi_raw only by rounding noise, which the padding policy budgets at the
   half pad it records in ``fp_slack`` (the premise the enclosures' own
   soundness rests on).  With both seeds at or below the largest
-  coefficient the sides share exp(top) and round its product with exp(y)
+  coefficient the sides share exp(top) and round its product with r
   monotonically, so only per-level noise remains; a seed above it makes its
-  side seed * exp(y), under 2 ulp from the exact product, which the half
+  side seed * r, under 2 ulp from the exact product, which the half
   pad, at least 8 ulp(M), covers.  So width(n') >= 1.5 * pad -
   ulp(M) = (24 * n' - 1) * ulp(M) >= (24 * n - 1) * ulp(m) = F(n), as m <=
   hi_raw <= M.
@@ -204,6 +209,11 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     if not (0.0 <= lower < _INF and 0.0 <= upper < _INF):
         raise ValueError(f"tail bounds at depth {depth} must be finite and >= 0, got ({lower}, {upper})")
     hi_seed = upper * phi_pow(depth - 1)
+    if hi_seed == _INF:
+        raise ValueError(
+            f"golden-boosted cap at depth {depth} exceeds binary64 (about 1.8e308): "
+            f"cap {upper} times phi ** 2**-{depth - 1}"
+        )
     if lower > hi_seed * (1.0 + 1e-12):
         raise ValueError(
             f"tail bounds at depth {depth} cannot bracket: lower seed {lower} exceeds "

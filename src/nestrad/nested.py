@@ -4,9 +4,10 @@ Two engines live here.  :func:`nested_eval` folds an arbitrary non-decreasing
 concave outer function over raw coefficients.  :func:`sqrt_nested_scaled`
 specializes to square roots with coefficients given as ln(alpha_k), the log
 of the normalized scale, and folds a lower and an upper seed in one pass: it
-rescales by the largest normalized value so that every scaled coefficient
-lies in [0, 1], and keeps every intermediate on the normalized log scale,
-which makes the fold immune to overflow at any depth.
+rescales by the largest normalized value folded so far, so that every
+scaled coefficient lies in [0, 1], and runs each level on that raw scale
+with one exp and one sqrt, which makes the fold immune to overflow at any
+depth and loses nothing to underflow.
 Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
@@ -29,7 +30,6 @@ __all__ = [
     "sqrt_nested_scaled",
 ]
 
-_NEG_INF = float("-inf")
 _INF = float("inf")
 
 # Floor for the rescaling maximum: the least finite float, so that all-zero
@@ -121,37 +121,40 @@ def sqrt_nested_scaled(
 
     ``ln_alphas`` holds ln(alpha_k) = 2**-k * ln(a_k) for k = 1..n (``-inf``
     encodes a zero coefficient) and each seed s is given on the same
-    normalized scale.  Each side rescales by its own largest normalized
-    value C = max(s, alpha_1..alpha_n); with x_k = ln(alpha_k / C) and y_k
-    the log of the normalized value of the radical from index k, the levels
-    obey
+    normalized scale.  Each side folds on the raw scale relative to a
+    running scale c, the largest of ln(s) and the ln(alpha_j) folded so far.
+    With x_k = ln(alpha_k) - c <= 0 and r = sqrt(W_{k+1}), where W_k is the
+    inner radical from index k divided by exp(2**k * c), level k is
 
-        y_k = max + 2**-k * log1p(exp(2**k * (min - max)))
+        r = sqrt(exp(2**k * x_k) + r).
 
-    over the pair (x_k, y_{k+1}): the log-sum-exp of the raw-scale recursion
-    v_k = sqrt(b_k + v_{k+1}) taken on the normalized scale, so neither the
-    huge raw coefficients nor the vanishing deep levels can overflow or be
-    flushed to zero.
+    A coefficient above c first becomes the scale and multiplies r by
+    exp(2**k * (c_old - c)); that is the radical's homogeneity.  So r starts
+    at 1 (0 for a zero seed, with c at the scale floor), the level that sets
+    the scale adds exp(0) = 1, and every later W is at least 1: r stays in
+    [1, 2) or at 0.  Nothing overflows, and an exp that underflows, in a
+    term or in a move of the scale, loses under 2**-1074 against W >= 1.  A
+    fixed scale would not do: zero coefficients between a unit coefficient
+    and a deep seed of 0.5 would flush 0.5 ** 2**k to 0 and give 1 for
+    sqrt(1.25).
 
-    The 2**k scalings divide and multiply by s = 2**-k, read from a table of
-    exact powers of two.  For k <= 1074, s is a normal or subnormal binary64
-    number, so each operation rounds the exactly scaled value once (a
-    quotient past binary64 becomes -inf).  Dividing by s, rather than multiplying by 2**k, which is no float past
-    1023, keeps an equal pair's gap at 0 (not 0 * inf) and scales a tiny
-    nonzero gap exactly.  A level whose scaled gap t is below -746 is
-    skipped, as exp(t) rounds to 0 there; that covers a zero coefficient,
-    whose gap is -inf (or NaN when both sides of the pair are -inf).  Past
-    level 1074 every increment is at most 2**-1075 * ln 2 and rounds to 0,
-    so such a level only keeps the larger of its pair; the fold takes that
-    maximum over all of them at once, since rounding ln_alpha - scale is
-    monotone in ln_alpha.
+    The 2**k scalings divide by s = 2**-k, read from a table of exact powers
+    of two.  For k <= 1074, s is a normal or subnormal binary64 number, so
+    each quotient rounds the exactly scaled value once (a quotient past
+    binary64 becomes -inf, and its exp 0).  Dividing by s, rather than
+    multiplying by 2**k, which is no float past 1023, keeps x = 0 at 0 (not
+    0 * inf) and scales a tiny nonzero x exactly; a zero coefficient has x
+    = -inf and adds 0.  Past level 1074 a level moves the log of the
+    normalized value by at most 2**-1075 * ln 2, which rounds to 0, so such
+    a level only keeps the larger of its pair; the fold takes that maximum
+    over all of them at once, as the side's starting scale with r = 1.
 
-    The last step returns exp(top) * exp(y_1) for a side whose scale top
-    set (top is the largest ln(alpha_k), or the scale floor when every
-    coefficient is zero) and seed * exp(y_1) for a side whose seed set it,
-    computing exp(top) once.  Each exp and the product round once; the sum
-    scale + y_1 would round at ulp(scale), up to about 709 * 2**-53
-    relative, and exp(log(seed)) need not give the seed back.
+    The last step returns exp(top) * r for a side whose scale top set (top
+    is the largest ln(alpha_k), or the scale floor when every coefficient
+    is zero) and seed * r for a side whose seed set it, computing exp(top)
+    once.  Each exp and the product round once, and exp(log(seed)) need not
+    give the seed back.  The product is 0 exactly when r is, which happens
+    only when every input of that side is zero.
 
     The two seeds share one pass over ``ln_alphas``, but each side runs the
     float operations it would run alone, so each returned value depends only
@@ -166,38 +169,32 @@ def sqrt_nested_scaled(
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
     top = max([_SCALE_FLOOR_LOG, *ln_alphas])
     log = math.log
-    # per side: the scale is the larger of ln(seed) and top, y the seed's log on it
-    y_lo = log(lo_seed) if lo_seed > 0.0 else _NEG_INF
-    scale_lo = top if top > y_lo else y_lo
-    y_lo -= scale_lo
-    y_hi = log(hi_seed) if hi_seed > 0.0 else _NEG_INF
-    scale_hi = top if top > y_hi else y_hi
-    y_hi -= scale_hi
+    scale_lo, r_lo = (log(lo_seed), 1.0) if lo_seed > 0.0 else (_SCALE_FLOOR_LOG, 0.0)
+    scale_hi, r_hi = (log(hi_seed), 1.0) if hi_seed > 0.0 else (_SCALE_FLOOR_LOG, 0.0)
     if len(ln_alphas) > _DEEPEST_LEVEL:  # levels that only keep the larger of their pair
         deep = max(ln_alphas[_DEEPEST_LEVEL:])
-        y_lo, y_hi = max(y_lo, deep - scale_lo), max(y_hi, deep - scale_hi)
+        if deep > scale_lo:
+            scale_lo, r_lo = deep, 1.0
+        if deep > scale_hi:
+            scale_hi, r_hi = deep, 1.0
         ln_alphas = ln_alphas[:_DEEPEST_LEVEL]
-    exp, log1p = math.exp, math.log1p
+    exp, sqrt = math.exp, math.sqrt
     for ln_alpha, s in zip(reversed(ln_alphas), _INV_POW2[len(ln_alphas) : 0 : -1]):
-        # per side: y becomes the larger of the pair and x the smaller
-        x = ln_alpha - scale_lo
-        if x > y_lo:
-            x, y_lo = y_lo, x
-        t = (x - y_lo) / s
-        if t > -746.0:
-            y_lo += log1p(exp(t)) * s
-        x = ln_alpha - scale_hi
-        if x > y_hi:
-            x, y_hi = y_hi, x
-        t = (x - y_hi) / s
-        if t > -746.0:
-            y_hi += log1p(exp(t)) * s
+        # per side: a coefficient above the scale becomes the scale, and r moves with it
+        if ln_alpha > scale_lo:
+            r_lo *= exp((scale_lo - ln_alpha) / s)
+            scale_lo = ln_alpha
+        r_lo = sqrt(exp((ln_alpha - scale_lo) / s) + r_lo)
+        if ln_alpha > scale_hi:
+            r_hi *= exp((scale_hi - ln_alpha) / s)
+            scale_hi = ln_alpha
+        r_hi = sqrt(exp((ln_alpha - scale_hi) / s) + r_hi)
     try:
         exp_top = exp(top) if scale_lo == top or scale_hi == top else 0.0
     except OverflowError:
         exp_top = _INF
-    lo = 0.0 if y_lo == _NEG_INF else (exp_top if scale_lo == top else lo_seed) * exp(y_lo)
-    hi = 0.0 if y_hi == _NEG_INF else (exp_top if scale_hi == top else hi_seed) * exp(y_hi)
+    lo = (exp_top if scale_lo == top else lo_seed) * r_lo
+    hi = (exp_top if scale_hi == top else hi_seed) * r_hi
     if lo == _INF or hi == _INF:
         raise ValueError("the nested radical exceeds binary64 (about 1.8e308)")
     return lo, hi

@@ -12,16 +12,16 @@ Inversion predicts the root, then confirms it.  For r >= 1 the depth-n
 enclosure of U(r) is, before padding, [F_n(r), F_n(r * c_n)] with c_n =
 phi ** 2**-(n-1), where F_n folds n - 1 ones over the seed: F_1(s) = s and
 F_n(s)**2 = 1 + F_{n-1}(s**2).  F_n inverts in closed form by peeling
-v -> v * v - 1; on the normalized log scale L_1 = ln y,
-
-    L_{k+1} = L_k + 2**-k * log1p(-exp(-2**k * L_k)),
-
-and F_n^-1(y) = exp(L_n).  In exact arithmetic R = F_n^-1(y) puts U^-1(y)
-in [R / c_n, R], as F_n(R) = y <= U(R) and U(R / c_n) <= F_n(R).  That
-width does not depend on U's slope (about 1e-4 near r = 1), so n follows
-from y and tol alone, clamped to the depth cap.  The float peel only
-chooses where to look: every end and every answer is certified by a
-measured enclosure, as a bisection probe's is.
+v_{k+1} = v_k * v_k - 1 from v_1 = y on the raw scale, and F_n^-1(y) =
+v_n ** 2**-(n-1).  Past v_k = 2**26, v * v - 1 and v * v agree to
+2**-52, so the later peels only square, and the peel returns
+exp(2**-(k-1) * ln v_k) from the last level k it reached.  In exact
+arithmetic R = F_n^-1(y) puts U^-1(y) in [R / c_n, R], as F_n(R) = y <=
+U(R) and U(R / c_n) <= F_n(R).  That width does not depend on U's slope
+(about 1e-4 near r = 1), so n follows from y and tol alone, clamped to
+the depth cap.  The float peel only chooses where to look: every end
+and every answer is certified by a measured enclosure, as a bisection
+probe's is.
 
 * ``u_inverse`` evaluates one depth-n enclosure at the middle of [R / c_n,
   R]; it normally holds y at width <= tol/4, a tie.
@@ -89,18 +89,16 @@ def u_eval(r: float, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP) -> E
 def _fold_inverse(y: float, depth: int) -> float:
     """F_n^-1(y) for n = depth in floating point: the seed whose depth-n lower fold is y.
 
-    Peels on the normalized log scale (module docstring).  Returns 1 when a
-    peel reaches v <= 1 (y at or below F_n(1)) and inf for y = inf.
+    Peels on the raw scale (module docstring).  Returns 1 when a peel
+    reaches v <= 1 (y at or below F_n(1)) and inf for y = inf.
     """
-    ln_v = math.log(y)
-    for k in range(1, depth):
-        shrink = math.exp(-math.ldexp(ln_v, k))  # v_k ** -2
-        if shrink >= 1.0:
+    v, k = y, 1
+    while k < depth and v <= 2.0**26:
+        if v <= 1.0:
             return 1.0
-        if shrink == 0.0:  # every later peel changes nothing
-            break
-        ln_v += math.ldexp(math.log1p(-shrink), -k)
-    return math.exp(ln_v)
+        v = v * v - 1.0
+        k += 1
+    return math.exp(math.ldexp(math.log(v), 1 - k))
 
 
 def _probe_depth(y: float, tol: float, depth_cap: int) -> int:

@@ -2,7 +2,7 @@
 
 The mpmath helpers evaluate radicals by direct high-precision truncation and
 serve as the independent side of every certified-value check; they never
-touch the log-domain engine under test.  The ``run_*_suite`` functions hold
+touch the fold engine under test.  The ``run_*_suite`` functions hold
 the randomized inequality checks so the unit tests and the acceptance suite
 can run them at different case counts.
 """
@@ -119,30 +119,38 @@ def ramanujan_sup_oracle(terms: int = 400, dps: int = 60) -> float:
 
 
 def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
-    """One side of the log-domain square-root fold, each level scaled by ``math.ldexp``.
+    """One side of the square-root fold, each level scaled by ``math.ldexp``.
 
-    The level formula y += ldexp(log1p(exp(ldexp(x - y, k))), -k), kept as the
-    bit-exact oracle for the table-scaled fold in ``sqrt_nested_scaled``, which
-    it also follows in the last step: exp(top) * exp(y) when a coefficient or
-    the scale floor set the scale, seed * exp(y) when the seed set it.  Raises
-    ``OverflowError`` when the radical exceeds binary64.
+    Level k runs r = sqrt(exp(ldexp(ln_alpha - c, k)) + r) against the running
+    scale c, the largest input folded so far; a coefficient above c first
+    multiplies r by exp(ldexp(c - ln_alpha, k)) and becomes c.  A level past
+    1074 only keeps the larger of its pair.  Kept as the bit-exact oracle for
+    the table-scaled fold in ``sqrt_nested_scaled``, which it also follows in
+    the last step: exp(top) * r when a coefficient or the scale floor set
+    the scale, seed * r when the seed set it.  Raises ``OverflowError`` when
+    the radical exceeds binary64.
     """
-    top = max([-1.7976931348623157e308, *ln_alphas])
-    ln_seed = math.log(seed) if seed > 0.0 else -math.inf
-    scale = max(ln_seed, top)
-    y = ln_seed - scale
+
+    def exp_scaled(x: float, k: int) -> float:
+        try:
+            return math.exp(math.ldexp(x, k))
+        except OverflowError:  # x is far below 0, so exp(x * 2**k) is 0
+            return 0.0
+
+    floor = -1.7976931348623157e308
+    top = max([floor, *ln_alphas])
+    scale, r = (math.log(seed), 1.0) if seed > 0.0 else (floor, 0.0)
     for k in range(len(ln_alphas), 0, -1):
-        x = ln_alphas[k - 1] - scale
-        if x > y:
-            x, y = y, x
-        if x != -math.inf:
-            try:
-                y += math.ldexp(math.log1p(math.exp(math.ldexp(x - y, k))), -k)
-            except OverflowError:  # exp of the gap would be 0
-                pass
-    if y == -math.inf:
-        return 0.0
-    value = (math.exp(top) if scale == top else seed) * math.exp(y)
+        ln_alpha = ln_alphas[k - 1]
+        if k > 1074:
+            if ln_alpha > scale:
+                scale, r = ln_alpha, 1.0
+            continue
+        if ln_alpha > scale:
+            r *= exp_scaled(scale - ln_alpha, k)
+            scale = ln_alpha
+        r = math.sqrt(exp_scaled(ln_alpha - scale, k) + r)
+    value = (math.exp(top) if scale == top else seed) * r
     if value == math.inf:
         raise OverflowError("the radical exceeds binary64")
     return value

@@ -136,6 +136,19 @@ class TestSqrtNestedScaled:
             )
             pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
             assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
+        # split pairs: the lo seed far below the largest coefficient, so its side
+        # moves its scale, and the hi seed above it, so its side keeps its own
+        for _ in range(200):
+            ln_alphas = [
+                -math.inf if rng.random() < 0.2 else rng.uniform(-700.0, 300.0)
+                for _ in range(rng.randint(1, 60))
+            ]
+            top = max(ln_alphas)
+            top = 0.0 if top == -math.inf else top
+            lo_seed = math.exp(rng.uniform(-700.0, top - 1.0))
+            hi_seed = math.exp(rng.uniform(top, 700.0))
+            pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
+            assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
 
 
 @st.composite

@@ -164,6 +164,17 @@ CASES = [
         ValueError,
         "tail bounds at depth 3 must be finite and >= 0, got (inf, 1.0)",
     ),
+    # the cap boosted by phi ** 2**-(depth - 1) overflows before any fold runs
+    refused_cli(
+        ["u", "--r", "1.7e308", "--tol", "1e300"],
+        "nestrad: error: golden-boosted cap at depth 4 exceeds binary64 (about 1.8e308): "
+        "cap 1.7e+308 times phi ** 2**-3\n",
+    ),
+    refused_cli(
+        ["u-inv", "--y", "1.7976931348623157e308", "--tol", "1e300"],
+        "nestrad: error: golden-boosted cap at depth 31 exceeds binary64 (about 1.8e308): "
+        "cap 1.797693134459443e+308 times phi ** 2**-30\n",
+    ),
     # floats near the root are too far apart; this is refused before the
     # predicted depth is computed, which would overflow at this y and tol
     refused_cli(

@@ -12,7 +12,15 @@ import mpmath as mp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nestrad import ARCTAN, ContinuedSpec, cf_limit, explicit, kappa_enclosure, u_spec
+from nestrad import (
+    ARCTAN,
+    ContinuedSpec,
+    cf_limit,
+    explicit,
+    kappa_enclosure,
+    sqrt_nested_scaled,
+    u_spec,
+)
 from nestrad.kappa import phi_pow
 
 DPS = 60
@@ -22,7 +30,7 @@ def exact_sqrt_fold(ln_alphas, seed):
     """sqrt(a_1 + ... sqrt(a_n + seed ** 2**n)) on the normalized scale, as an mpf.
 
     Level k is max + 2**-k * log1p(exp(t)), t = 2**k * (min - max), over the
-    pair (ln alpha_k, the level below): the same log-sum-exp the engine folds.
+    pair (ln alpha_k, the level below): the log-sum-exp of the engine's raw-scale step.
     A level with t below -10**4 adds less than e**-10000 relative and is skipped.
     """
     with mp.workdps(DPS):
@@ -79,6 +87,54 @@ def test_u_against_both_seed_folds(r, depth):
     ln_alphas = spec.terms_lograw(depth - 1)
     assert enclosure.lo <= exact_sqrt_fold(ln_alphas, lower), (r, depth, enclosure)
     assert exact_sqrt_fold(ln_alphas, upper * phi_pow(depth - 1)) <= enclosure.hi, (r, depth, enclosure)
+
+
+def _fold_inputs():
+    # ln(alpha_k) up to 700 in magnitude, zeros, and seeds from 0 to e**700
+    magnitude = st.sampled_from([1.0, 10.0, 700.0])
+    ln_alpha = st.one_of(st.just(-math.inf), st.floats(-1.0, 1.0))
+    ln_alphas = st.tuples(magnitude, st.lists(ln_alpha, max_size=300)).map(
+        lambda drawn: [drawn[0] * value for value in drawn[1]]
+    )
+    seed = st.one_of(
+        st.sampled_from([0.0, 1.0, math.exp(-700.0), math.exp(700.0)]),
+        st.floats(-700.0, 700.0).map(math.exp),
+    )
+    return st.tuples(ln_alphas, seed, seed)
+
+
+UNIT_ZEROS_HALF = [0.0] + [-math.inf] * 1099  # a unit coefficient, zeros, a seed of 0.5
+
+
+@settings(max_examples=100)
+@given(_fold_inputs())
+# one side below the largest coefficient and one above it, or far below it
+@example(([0.0] + [-math.inf] * 40, 0.5, 2.0))
+@example(([math.log(3.0), -5.0, -math.inf, -40.0], math.exp(-700.0), 3.5))
+@example(([-math.inf] * 30 + [350.0, -700.0], math.exp(-300.0), math.exp(300.0)))
+@example((UNIT_ZEROS_HALF, 0.5, 1.5))
+# deep folds around the binary64 exponent range
+@example(([0.0] * 1023, 0.5, 1.5))
+@example(([0.0] * 1024, 0.0, 1.0))
+@example(([-0.25] * 1073 + [0.0], 0.5, 2.0))
+@example((UNIT_ZEROS_HALF[:1075], 0.5, 0.0))
+@example(([0.0, -0.5] * 550, math.exp(-700.0), math.exp(700.0)))
+def test_fold_is_within_4_ulp(case):
+    ln_alphas, lo_seed, hi_seed = case
+    try:
+        folded = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
+    except ValueError as exc:  # both radicals are checked; one past binary64 is refused
+        assert "exceeds binary64" in str(exc)
+        return
+    for value, seed in zip(folded, (lo_seed, hi_seed)):
+        exact = exact_sqrt_fold(ln_alphas, seed)
+        assert abs(value - exact) <= 4 * math.ulp(float(exact)), (ln_alphas, seed, value, exact)
+
+
+def test_underflowing_seed_is_not_lost():
+    # 0.5 ** 2**1100 flushes to 0 on any fixed raw scale, which would give 1
+    lo, hi = sqrt_nested_scaled(UNIT_ZEROS_HALF, 0.5, 0.5)
+    assert lo == hi == math.sqrt(1.25)
 
 
 @settings(max_examples=60)

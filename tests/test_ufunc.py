@@ -13,6 +13,7 @@ from nestrad import (
     PHI,
     OmegaTail,
     SupQuery,
+    sqrt_nested_scaled,
     sup_enclosure,
     u_eval,
     u_inverse,
@@ -160,7 +161,22 @@ class TestFallback:
 
 
 class TestFoldInverse:
-    """The two early returns of the closed-form peel, which no search reaches."""
+    """The closed-form peel's round trip through the fold, and two early returns no search reaches."""
+
+    @given(
+        st.one_of(
+            st.floats(math.log10(PHI * (1.0 + 1e-15)), 300.0).map(lambda exponent: 10.0**exponent),
+            st.floats(-15.0, -9.0).map(lambda exponent: PHI + 10.0**exponent),  # the flat region
+        ),
+        st.integers(1, 64),
+    )
+    def test_round_trip_through_the_fold(self, y, depth):
+        root = nestrad.ufunc._fold_inverse(y, depth)
+        if root != 1.0:  # not clamped: the depth-n fold of n - 1 ones over root gives y back
+            back = sqrt_nested_scaled([0.0] * (depth - 1), root, root)[0]
+            # 16 ulp per level, plus the last step's exp of a rounded log: ln(y) + 2 ulp
+            bound = (16 * depth + math.log(y) + 2.0) * math.ulp(y)
+            assert abs(back - y) <= bound, (y, depth, root, back)
 
     def test_below_the_fold_of_one(self):
         # F_10(1) is within 1e-3 of phi > 1.5: a peel reaches v <= 1
