@@ -8,9 +8,7 @@ function), ``table`` (per-depth convergence table).
 Every subcommand accepts ``--format`` and ``--out``; ``--format`` defaults
 to ``csv`` for ``table`` and to ``json`` elsewhere.  ``eval``, ``u``,
 ``u-inv`` and ``cf`` also accept ``--tol`` (default 1e-9, for ``u-inv``
-1e-6) and ``--depth-cap``; ``caps`` and ``table`` refuse both.
-``KAPPA_DEPTH_CAP`` overrides the default depth cap of 256 and is validated
-on every call.
+1e-6) and ``--depth-cap`` (default 256); ``caps`` and ``table`` refuse both.
 
 Each subcommand's flags are declared once, in ``_COMMANDS``, with their
 ``add_argument`` keywords.  :func:`run` reads argv of the form
@@ -37,7 +35,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -122,19 +119,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_depth_cap() -> int:
-    raw = os.environ.get("KAPPA_DEPTH_CAP")
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecError(f"KAPPA_DEPTH_CAP must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise SpecError(f"KAPPA_DEPTH_CAP must be >= 1, got {raw!r}")
-    return value
-
-
 def _colon_triple(text: str, option: str, shape: str, types: tuple[type, type, type]) -> tuple:
     parts = text.split(":")
     if len(parts) == 3:
@@ -182,12 +166,12 @@ def _caps(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cf(args: argparse.Namespace) -> tuple[int, str]:
+    if not args.terms.replace(",", "").strip():
+        raise SpecError("--terms must list at least one term")
     try:
-        terms = [float(cell) for cell in args.terms.split(",") if cell.strip()]
+        terms = [float(cell) for cell in args.terms.split(",")]
     except ValueError:
         raise SpecError(f"bad --terms value {args.terms!r}") from None
-    if not terms:
-        raise SpecError("--terms must list at least one term")
     for term in terms:
         if term < 0.0 or not math.isfinite(term):
             raise SpecError(f"continued-function terms must be finite and >= 0, got {term}")
@@ -206,7 +190,8 @@ def _table(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _limits(tol: float) -> dict:
-    return {"--tol": {"type": _positive_float, "default": tol}, "--depth-cap": {"type": _positive_int}}
+    return {"--tol": {"type": _positive_float, "default": tol},
+            "--depth-cap": {"type": _positive_int, "default": DEFAULT_DEPTH_CAP}}
 
 
 def _output(default_format: str = "json") -> dict:
@@ -254,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nestrad",
         description="Certified evaluation of nested and transfinite square-root radicals.",
     )
-    # run() resolves KAPPA_DEPTH_CAP also for the commands without --depth-cap
-    parser.set_defaults(depth_cap=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, help_text, exclusive, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
@@ -290,7 +273,7 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
         given[name] = value
     if exclusive and (exclusive[0] in given) == (exclusive[1] in given):
         return None
-    args = argparse.Namespace(command=argv[0], handler=handler, depth_cap=None)
+    args = argparse.Namespace(command=argv[0], handler=handler)
     for name, keywords in flags.items():
         if name in given:
             value = given[name]
@@ -313,8 +296,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # argparse prints its own usage message
             return int(exc.code or 0)
     try:
-        if args.depth_cap is None:  # KAPPA_DEPTH_CAP is checked for every command
-            args.depth_cap = _default_depth_cap()
         status, document = args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"nestrad: error: {exc}", file=sys.stderr)

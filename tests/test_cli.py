@@ -266,7 +266,6 @@ class TestProcess:
     @staticmethod
     def run_module(*argv):
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop("KAPPA_DEPTH_CAP", None)
         return subprocess.run(
             [sys.executable, "-m", "nestrad", *argv],
             env=env, capture_output=True, text=True, timeout=60, check=False,
@@ -427,22 +426,10 @@ class TestEval:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
-    def test_env_depth_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("KAPPA_DEPTH_CAP", "8")
-        status, out, _ = run_cli(capsys, "eval", "--family", "golden", "--tol", "1e-10")
-        assert status == 3
-        assert json.loads(out)["depth"] <= 8
-
-    def test_env_depth_cap_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("KAPPA_DEPTH_CAP", "zero")
-        for argv in (
-            ("eval", "--family", "golden"),
-            ("caps", "--mh", "1", "--eps", "0.1"),
-            ("table", "--family", "golden", "--depths", "1:3:1"),
-        ):
-            status, _, err = run_cli(capsys, *argv)
-            assert status == 2, argv
-            assert "KAPPA_DEPTH_CAP" in err, argv
+    def test_environment_sets_no_depth_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("KAPPA_DEPTH_CAP", "0")
+        for invocation in ("eval --family golden --tol 1e-10", "caps --mh 1 --eps 0.1"):
+            assert run_cli(capsys, *invocation.split()) == (0, README_DOCUMENTS[invocation], "")
 
 
 class TestUCommands:
@@ -479,26 +466,17 @@ class TestUCommands:
         status, _, err = run_cli(capsys, "u", "--r", "-3")
         assert status == 2
 
-    def test_u_grid_honours_depth_cap(self, capsys, monkeypatch):
+    def test_u_grid_honours_depth_cap(self, capsys):
         # width 1e-9 needs depth 21 at r = 1; a grid cannot report unconverged rows
         status, out, err = run_cli(capsys, "u", "--grid", "1:2:3", "--depth-cap", "4")
         assert (status, out) == (2, "")
         assert "within depth 4" in err
-        monkeypatch.setenv("KAPPA_DEPTH_CAP", "4")
-        status, out, err = run_cli(capsys, "u", "--grid", "1:2:3")
-        assert (status, out) == (2, "")
-        assert "within depth 4" in err
 
-    def test_u_inv_honours_depth_cap(self, capsys, monkeypatch):
+    def test_u_inv_honours_depth_cap(self, capsys):
         # depth-4 enclosures of U are ~0.2 wide, far above tol/4
         status, out, err = run_cli(capsys, "u-inv", "--y", "3", "--tol", "1e-9", "--depth-cap", "4")
         assert (status, out) == (2, "")
         assert "within depth 4" in err
-        monkeypatch.setenv("KAPPA_DEPTH_CAP", "4")
-        status, out, err = run_cli(capsys, "u-inv", "--y", "3", "--tol", "1e-9")
-        assert (status, out) == (2, "")
-        assert "within depth 4" in err
-        monkeypatch.delenv("KAPPA_DEPTH_CAP")
         invocation = "u-inv --y 3 --tol 1e-6"
         status, out, _ = run_cli(capsys, *invocation.split(), "--depth-cap", str(DEFAULT_DEPTH_CAP))
         assert (status, out) == (0, README_DOCUMENTS[invocation])

@@ -47,7 +47,6 @@ FLAGS = {
     "cf": {"--fn": ("{}",), "--terms": ("{}", "1,{}"), **LIMITS, **OUTPUT},
     "table": {"--family": FAMILY, "--depths": ("{}:3:1", "1:{}:1", "1:3:{}"), **OUTPUT},
 }
-DEPTH_CAP_ENV = (None, "0", "x", "3")
 SPEC_FILE = "matrix.spec"
 
 
@@ -102,18 +101,7 @@ def check(argv, capsys):
 @pytest.mark.parametrize("cases", flag_cases())
 def test_flag_values_keep_the_exit_code_contract(cases, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # --out targets and the spec file land here
-    monkeypatch.delenv("KAPPA_DEPTH_CAP", raising=False)
     for argv, spec_text in cases:
         if spec_text is not None:
             (tmp_path / SPEC_FILE).write_text(spec_text + "\n", encoding="utf-8")
-        check(argv, capsys)
-
-
-@pytest.mark.parametrize("env", DEPTH_CAP_ENV)
-def test_depth_cap_environment_keeps_the_exit_code_contract(env, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("KAPPA_DEPTH_CAP", raising=False)
-    else:
-        monkeypatch.setenv("KAPPA_DEPTH_CAP", env)
-    for argv in BASELINES.values():
         check(argv, capsys)

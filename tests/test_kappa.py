@@ -181,9 +181,9 @@ class TestKappaLimit:
             kappa_limit(golden(), 1e-6, depth_cap=0)
 
 
-class TestKappaSubset:
-    """kappa over a finite index subset: the fold over the selected normalized
-    values, where the p-th selected value enters as value ** 2**p."""
+class TestNormFoldOracle:
+    """``support.norm_fold``, the oracle for kappa over a finite index subset:
+    the p-th selected normalized value enters as value ** 2**p."""
 
     def test_single_index(self):
         assert support.norm_fold([2.0]) == pytest.approx(2.0, rel=1e-14)
