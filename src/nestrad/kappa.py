@@ -69,7 +69,10 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   a level adds at most 2**-42 to the relative error, and the final step,
   exp(top) * r or seed * r, rounds the exp and the product once, under
   2**-50 relative.  Levels past 1074 are folded as one maximum, which
-  rounds nothing, so the count stops growing there: a depth-n' fold has
+  rounds nothing, and an inner level that a dominant seed swamps is skipped,
+  which rounds nothing either: it leaves the bits that running it would
+  (the :func:`nestrad.nested.sqrt_nested_scaled` docstring).  So the count
+  only shrinks, and stops growing at 1075: a depth-n' fold has
   relative error eps <= (min(n', 1075) + 1) * 2**-41 < 2**-30 at every
   depth.  (A level with a larger |x| either carries weight below e**-700
   or pushes the radical below the least normal, where the floor is not

@@ -6,8 +6,8 @@ specializes to square roots with coefficients given as ln(alpha_k), the log
 of the normalized scale, and folds a lower and an upper seed in one pass: it
 rescales by the largest normalized value folded so far, so that every
 scaled coefficient lies in [0, 1], and runs each level on that raw scale
-with one exp and one sqrt, which makes the fold immune to overflow at any
-depth and loses nothing to underflow.
+with one exp and one sqrt per level that runs, which makes the fold immune
+to overflow at any depth and loses nothing to underflow.
 Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
@@ -32,7 +32,7 @@ __all__ = [
 
 _INF = float("inf")
 
-# Floor for the rescaling maximum: the least finite float, so that all-zero
+# The scale a zero seed starts from: the least finite float, so that all-zero
 # inputs keep a finite scale while any nonzero input sets it.  A scale that is
 # no input would leave the dominant x = ln_alpha - scale rounded at ulp(x).
 _SCALE_FLOOR_LOG = -1.7976931348623157e308
@@ -149,12 +149,27 @@ def sqrt_nested_scaled(
     a level only keeps the larger of its pair; the fold takes that maximum
     over all of them at once, as the side's starting scale with r = 1.
 
+    Inner levels that a dominant seed swamps are skipped.  When both sides
+    start at r = 1 (a positive seed, or the past-1074 maximum), let low be
+    the smaller of the two starting scales.  From the innermost level
+    outward, a level whose quotient t = (ln_alpha - low) / s, rounded as the
+    fold rounds it, is at most -40 changes nothing on either side.  On a
+    side with scale c >= low the fold computes t' = (ln_alpha - c) / s <= t,
+    because rounding is monotone.  As fl(ln_alpha - low) < 0, ln_alpha lies
+    below both scales, so no scale moves.  And exp(t') < 2**-54, so
+    exp(t') + 1.0 rounds to 1.0 and sqrt(1.0) = 1.0: the side leaves the
+    level as it entered it, and the next level sees the same state.  The
+    test must be this quotient: ln_alpha <= low - 40 * 2**-k would round its
+    right side back to low once 40 * 2**-k falls below half an ulp of low,
+    and then skip a coefficient equal to the scale.  A zero seed skips
+    nothing.
+
     The last step returns exp(top) * r for a side whose scale top set (top
-    is the largest ln(alpha_k), or the scale floor when every coefficient
-    is zero) and seed * r for a side whose seed set it, computing exp(top)
-    once.  Each exp and the product round once, and exp(log(seed)) need not
-    give the seed back.  The product is 0 exactly when r is, which happens
-    only when every input of that side is zero.
+    is the largest ln(alpha_k), -inf when there is none) and seed * r for a
+    side whose seed set it, computing exp(top) once.  Each exp and the
+    product round once, and exp(log(seed)) need not give the seed back.  The
+    product is 0 exactly when r is, which happens only when every input of
+    that side is zero: then it is seed * r = 0 * 0.
 
     The two seeds share one pass over ``ln_alphas``, but each side runs the
     float operations it would run alone, so each returned value depends only
@@ -167,19 +182,26 @@ def sqrt_nested_scaled(
         for k, ln_alpha in enumerate(ln_alphas, start=1):
             if not ln_alpha < _INF:
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
-    top = max([_SCALE_FLOOR_LOG, *ln_alphas])
+    top = max(ln_alphas) if ln_alphas else -_INF
     log = math.log
     scale_lo, r_lo = (log(lo_seed), 1.0) if lo_seed > 0.0 else (_SCALE_FLOOR_LOG, 0.0)
     scale_hi, r_hi = (log(hi_seed), 1.0) if hi_seed > 0.0 else (_SCALE_FLOOR_LOG, 0.0)
-    if len(ln_alphas) > _DEEPEST_LEVEL:  # levels that only keep the larger of their pair
+    n = len(ln_alphas)
+    if n > _DEEPEST_LEVEL:  # levels that only keep the larger of their pair
         deep = max(ln_alphas[_DEEPEST_LEVEL:])
         if deep > scale_lo:
             scale_lo, r_lo = deep, 1.0
         if deep > scale_hi:
             scale_hi, r_hi = deep, 1.0
-        ln_alphas = ln_alphas[:_DEEPEST_LEVEL]
+        n = _DEEPEST_LEVEL
+    if r_lo == r_hi == 1.0:  # inner levels that leave both sides at r = 1
+        low = scale_lo if scale_lo < scale_hi else scale_hi
+        while n and (ln_alphas[n - 1] - low) / _INV_POW2[n] <= -40.0:
+            n -= 1
+    if n < len(ln_alphas):
+        ln_alphas = ln_alphas[:n]
     exp, sqrt = math.exp, math.sqrt
-    for ln_alpha, s in zip(reversed(ln_alphas), _INV_POW2[len(ln_alphas) : 0 : -1]):
+    for ln_alpha, s in zip(reversed(ln_alphas), _INV_POW2[n:0:-1]):
         # per side: a coefficient above the scale becomes the scale, and r moves with it
         if ln_alpha > scale_lo:
             r_lo *= exp((scale_lo - ln_alpha) / s)

@@ -1,18 +1,22 @@
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestrad.nested
 import support
 from nestrad import (
     ARCTAN,
     OuterFunction,
+    kappa_enclosure,
     nested_eval,
     power_tower,
     ramanujan,
     sqrt_nested_scaled,
+    u_spec,
 )
 
 
@@ -215,6 +219,101 @@ class TestTableScaledFold:
                 expected = tuple(support.ldexp_fold(ln_alphas, seed) for seed in (lo_seed, hi_seed))
                 pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
                 assert [value.hex() for value in pair] == [value.hex() for value in expected]
+
+
+@st.composite
+def _swamped_cases(draw):
+    """Folds whose inner levels sit at the threshold where a dominant seed swamps them.
+
+    ln(seed) runs from -700 to 700, often beyond 400 in magnitude, and the
+    other seed equals it, is zero, or lies anywhere on that range, in either
+    order.  From the innermost level outward a run of coefficients equals
+    ln(seed), lies (39, 40, 41) * 2**-k * (1 +- 1e-12) or up to 80 * 2**-k
+    below it, or is -inf; the outer levels lie far below the scale or at it.
+    Depths reach 1,100, and 40 to 64 are drawn often: there 40 * 2**-k falls
+    below half an ulp of a large scale.
+    """
+    depth = draw(st.one_of(st.integers(1, 64), st.integers(40, 64), st.integers(1, 1100)))
+    ln_seed = st.one_of(st.floats(-700.0, 700.0), st.floats(400.0, 700.0), st.floats(-700.0, -400.0))
+    seed = math.exp(draw(ln_seed))
+    other = draw(st.one_of(st.just(seed), st.just(0.0), st.floats(-700.0, 700.0).map(math.exp)))
+    lo_seed, hi_seed = draw(st.permutations((seed, other)))
+    scale = math.log(seed)  # the fold's own starting scale for that side
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    run = rng.randint(0, depth)
+
+    def inner(k):
+        roll = rng.random()
+        if roll < 0.3:
+            return scale
+        if roll < 0.75:
+            return scale - math.ldexp(rng.choice((39, 40, 41)) * rng.choice((1 - 1e-12, 1.0, 1 + 1e-12)), -k)
+        if roll < 0.9:
+            return scale - math.ldexp(rng.uniform(0.0, 80.0), -k)
+        return -math.inf
+
+    at_scale = rng.choice((0.0, 0.05, 0.5))  # levels at the scale blur the inner ones
+
+    def outer(k):
+        return scale if rng.random() < at_scale else scale - rng.uniform(1.0, 1000.0)
+
+    ln_alphas = [outer(k) if k <= depth - run else inner(k) for k in range(1, depth + 1)]
+    return ln_alphas, lo_seed, hi_seed
+
+
+class TestSwampedLevels:
+    """Inner levels a dominant seed leaves at r = 1 are skipped, and no output moves."""
+
+    @settings(max_examples=300)
+    @given(_swamped_cases())
+    def test_matches_ldexp_oracle(self, case):
+        ln_alphas, lo_seed, hi_seed = case
+        expected = [support.ldexp_fold(ln_alphas, seed).hex() for seed in (lo_seed, hi_seed)]
+        assert [value.hex() for value in sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)] == expected
+
+    def test_rounded_threshold_trap(self):
+        # past level 49, 40 * 2**-k is below half an ulp of 700, so a threshold
+        # ln_alpha <= 700 - 40 * 2**-k rounds back to 700 and would skip the 40
+        # coefficients equal to the scale
+        ln_alphas = [700.0 - 600.0 * 2.0**-k for k in range(1, 50)] + [700.0] * 40
+        seed = math.exp(700.0)
+        assert fold(ln_alphas, seed).hex() == support.ldexp_fold(ln_alphas, seed).hex()
+        assert fold(ln_alphas, seed) == 1.0142320547350052e304
+
+    @pytest.fixture
+    def exp_calls(self, monkeypatch):
+        """Counts the fold's calls to ``exp``, one per level that runs, per side."""
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        counted = types.SimpleNamespace(exp=exp, sqrt=math.sqrt, log=math.log)
+        monkeypatch.setattr(nestrad.nested, "math", counted)
+        return calls
+
+    @pytest.mark.parametrize("r,calls", [(1e3, 4), (1.5, 12)])
+    def test_u_runs_only_the_outer_levels(self, exp_calls, r, calls):
+        # ln(r) * 2**k passes 40 at k = 3 for r = 1e3 and at k = 7 for r = 1.5:
+        # levels 1-2 and 1-6 run, one exp per side each
+        kappa_enclosure(u_spec(r), 256)
+        assert len(exp_calls) == calls
+
+    def test_u_at_one_skips_nothing(self, exp_calls):
+        # every all-ones coefficient is at the scale: 255 levels per side, and exp(top)
+        kappa_enclosure(u_spec(1.0), 256)
+        assert len(exp_calls) == 2 * 255 + 1
+
+    def test_zero_lower_seed_skips_nothing(self, exp_calls):
+        sqrt_nested_scaled([-math.inf] * 50, 0.0, 1e300)
+        assert len(exp_calls) == 2 * 50
+
+    def test_innermost_coefficient_above_the_seed_skips_nothing(self, exp_calls):
+        # the innermost level moves both scales (one more exp per side), every
+        # level runs, and both sides end at exp(top)
+        sqrt_nested_scaled([-math.inf] * 49 + [1.0], 1.0, 2.0)
+        assert len(exp_calls) == 2 * 50 + 2 + 1
 
 
 class TestSeedGap:
