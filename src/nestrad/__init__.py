@@ -6,7 +6,7 @@ past every finite index (transfinite radicals), with explicit width bounds
 driven by golden-ratio tail caps.  On top of the enclosure engine sit the
 special function U(r) with its bracketed inverse, a tail-supremum estimator
 that converts convergence moduli into certified intervals, and a generic
-continued-function evaluator with iterated-ceiling error bounds.
+continued-function evaluator that encloses the limit between two tail seeds.
 """
 
 from . import caps, contfn, kappa, nested, seqspec, ufunc

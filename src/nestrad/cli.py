@@ -172,9 +172,6 @@ def _cf(args: argparse.Namespace) -> tuple[int, str]:
         terms = [float(cell) for cell in args.terms.split(",")]
     except ValueError:
         raise SpecError(f"bad --terms value {args.terms!r}") from None
-    for term in terms:
-        if term < 0.0 or not math.isfinite(term):
-            raise SpecError(f"continued-function terms must be finite and >= 0, got {term}")
     result = cf_limit(ContinuedSpec(ARCTAN, terms), args.tol, args.depth_cap)
     return _result_document(result, args.format)
 

@@ -26,8 +26,8 @@ which goes to zero whenever the bounds tighten onto the tail supremum, so
 Floating-point policy: with lo_raw <= hi_raw the two folds as evaluated,
 enclosures are padded outward by pad(n) = 16 * n * ulp(hi_raw) per side
 (no pad when hi_raw is 0, which is exact), and the recorded ``fp_slack``
-additionally allows 8 * n ulp of evaluation noise.  One helper applies it,
-to these enclosures and to :func:`nestrad.contfn.cf_limit`'s.  The soundness
+additionally allows 8 * n ulp of evaluation noise.  One helper pads these
+and the two folds of :func:`nestrad.contfn.cf_limit`.  The soundness
 contract is "valid in exact arithmetic, slack-widened in binary64"; there is
 no directed rounding.
 

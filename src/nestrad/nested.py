@@ -1,7 +1,7 @@
 """Finite nested evaluation h(a_1 + h(a_2 + ... h(a_n + seed))).
 
 Two engines live here.  :func:`nested_eval` folds an arbitrary non-decreasing
-concave outer function over raw coefficients.  :func:`sqrt_nested_scaled`
+outer function over raw coefficients.  :func:`sqrt_nested_scaled`
 specializes to square roots with coefficients given as ln(alpha_k), the log
 of the normalized scale, and folds a lower and an upper seed in one pass: it
 rescales by the largest normalized value folded so far, so that every
@@ -44,17 +44,17 @@ _DEEPEST_LEVEL = len(_INV_POW2) - 1
 
 
 class OuterFunction(Record):
-    """A non-decreasing concave function h on [0, inf), with its ceiling.
+    """A non-decreasing function h on [0, inf), with its ceiling.
 
     ``eval`` is h itself, so h(0) is ``eval(0.0)``; ``label`` names h in
     error messages.  ``ceiling`` is the supremum of h over [0, inf]; it may
-    be ``math.inf``.  For arctan it is stored as pi/2 exactly, i.e. with one
-    application of h already performed on the infinite argument.
-    Concavity and monotonicity are caller obligations, spot-checked by the
-    randomized property suites.  So is accuracy: :func:`nestrad.contfn.cf_limit`
-    pads by 16 * depth ulp, which assumes that ``eval`` is within 1 ulp and
-    that its slope is at most 1, so errors never grow from level to level
-    (the budget in the :mod:`nestrad.contfn` docstring).
+    be ``math.inf``.  For arctan it is pi/2, h applied to the infinite
+    argument.  Monotonicity, which traps the tail of
+    :func:`nestrad.contfn.cf_limit` between h(0) and the ceiling, is a caller
+    obligation.  So is accuracy: ``eval`` and ``ceiling`` within 1 ulp, and a
+    relative error in the argument passed on at most unchanged (x * h'(x) <=
+    h(x), true of concave h with h(0) >= 0), the budget of the
+    :mod:`nestrad.contfn` docstring.
     """
 
     __slots__ = ("eval", "ceiling", "label")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from nestrad import ARCTAN, ContinuedSpec, OuterFunction, cf_limit, nested_eval, sqrt_nested_scaled
+from nestrad import ARCTAN, OuterFunction, nested_eval, sqrt_nested_scaled
 
 REL_SLACK = 1e-12
 ABS_SLACK = 1e-15
@@ -32,12 +32,15 @@ def _slack(*values: float) -> float:
 
 
 def arctan_error_bound(n: int) -> float:
-    """The iterated-ceiling bound after n arctan terms, as ``cf_limit`` walks it.
+    """The iterated-ceiling bound after n arctan terms: atan applied n - 1 times to pi/2.
 
-    All-zero terms and a tolerance the bound cannot reach make ``cf_limit``
-    walk from the ceiling down to depth n.
+    It bounds how far the depth-n fold with seed 0 can lie from the limit,
+    whatever non-negative terms follow.
     """
-    return cf_limit(ContinuedSpec(ARCTAN, [0.0] * n), 1e-300, depth_cap=n).enclosure.analytic_width_bound
+    bound = math.pi / 2.0
+    for _ in range(n - 1):
+        bound = math.atan(bound)
+    return bound
 
 
 # ---------------------------------------------------------------------------

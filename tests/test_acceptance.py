@@ -16,15 +16,14 @@ from nestrad import (
     PHI,
     RAMANUJAN_SUP_BOUND,
     ARCTAN,
-    ContinuedSpec,
     SupQuery,
-    cf_eval,
     cli,
     constant_normalized,
     constant_raw,
     golden,
     kappa_enclosure,
     kappa_limit,
+    nested_eval,
     power_tower,
     ramanujan,
     sup_enclosure,
@@ -204,10 +203,9 @@ def test_criterion_09_continued_arctan():
     validity_ok = True
     for _ in range(200):
         terms = [rng.uniform(0.0, 3.0) for _ in range(40)]
-        spec = ContinuedSpec(ARCTAN, terms)
-        deep = cf_eval(spec, 40)
+        deep = nested_eval(ARCTAN, terms, 0.0)
         for n in range(1, 41):
-            if abs(deep - cf_eval(spec, n)) > bounds[n - 1] + 1e-12:
+            if abs(deep - nested_eval(ARCTAN, terms[:n], 0.0)) > bounds[n - 1] + 1e-12:
                 validity_ok = False
     ratio = support.arctan_error_bound(10**4) * math.sqrt(2 * 10**4 / 3.0)
     asymptotic_ok = 0.95 <= ratio <= 1.05

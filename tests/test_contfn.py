@@ -8,8 +8,8 @@ from nestrad import (
     ARCTAN,
     ContinuedSpec,
     OuterFunction,
-    cf_eval,
     cf_limit,
+    nested_eval,
 )
 
 # an outer function without a finite ceiling
@@ -17,20 +17,16 @@ LOG1P = OuterFunction(math.log1p, math.inf, "log1p")
 
 
 class TestCfEval:
+    # the depth-n fold with seed 0 is nested_eval over the first n terms
     def test_arctan_two_terms(self):
-        spec = ContinuedSpec(ARCTAN, [1.0, 1.0])
-        assert cf_eval(spec, 2) == pytest.approx(1.0602325257974874, rel=1e-14)
+        assert nested_eval(ARCTAN, [1.0, 1.0], 0.0) == pytest.approx(1.0602325257974874, rel=1e-14)
 
     def test_depth_zero(self):
-        assert cf_eval(ContinuedSpec(ARCTAN, []), 0) == 0.0
+        assert nested_eval(ARCTAN, [], 0.0) == 0.0
 
     def test_unbounded_outer_one_term(self):
-        spec = ContinuedSpec(LOG1P, [6.0, 216.0])
-        assert cf_eval(spec, 1) == pytest.approx(math.log(7.0), rel=1e-15)
-
-    def test_depth_beyond_terms(self):
-        with pytest.raises(ValueError):
-            cf_eval(ContinuedSpec(ARCTAN, [1.0]), 2)
+        terms = ContinuedSpec(LOG1P, [6.0, 216.0]).terms
+        assert nested_eval(LOG1P, terms[:1], 0.0) == pytest.approx(math.log(7.0), rel=1e-15)
 
 
 class TestCfErrorBound:
@@ -47,11 +43,6 @@ class TestCfErrorBound:
         with pytest.raises(ValueError, match="ceiling"):
             cf_limit(ContinuedSpec(LOG1P, [0.0] * 3), 0.1)
 
-    def test_needs_zero_fixed_point(self):
-        shifted = OuterFunction(lambda x: math.sqrt(x) + 1.0, math.inf, "shifted")
-        with pytest.raises(ValueError, match="fixed point"):
-            cf_limit(ContinuedSpec(shifted, [0.0] * 2), 0.1)
-
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             cf_limit(ContinuedSpec(ARCTAN, [0.0]), 0.1, depth_cap=0)
@@ -62,14 +53,16 @@ class TestCfLimit:
         result = cf_limit(ContinuedSpec(ARCTAN, [1.0, 1.0]), 2.0)
         assert result.converged
         assert result.enclosure.depth == 1
-        assert result.enclosure.analytic_width_bound == pytest.approx(math.pi / 2)
+        # the gap between the folds from the two seeds, atan(0) = 0 and pi/2
+        gap = math.atan(1.0 + math.pi / 2) - math.atan(1.0)
+        assert result.enclosure.analytic_width_bound == gap
 
     def test_all_ones_to_5_percent(self):
-        spec = ContinuedSpec(ARCTAN, [1.0] * 700)
-        result = cf_limit(spec, 0.05)
+        # the folds from both seeds contract onto the fixed point within three terms
+        result = cf_limit(ContinuedSpec(ARCTAN, [1.0] * 700), 0.05)
         assert result.converged
-        assert result.enclosure.depth == 602
-        assert result.enclosure.width <= 0.05 + 1e-12
+        assert result.enclosure.depth == 3
+        assert result.enclosure.width <= 0.05
         # oracle: the limit is the fixed point of x = arctan(1 + x)
         limit = 1.0
         for _ in range(200):
@@ -81,18 +74,30 @@ class TestCfLimit:
         assert result.converged
         assert result.enclosure.lo == 0.0
         assert result.enclosure.hi <= 0.05 + 1e-12
+        # all-zero terms fold the ceiling's iterates, the slowest the gap can shrink
+        assert result.enclosure.analytic_width_bound == support.arctan_error_bound(result.enclosure.depth + 1)
 
     def test_unconverged_when_terms_run_out(self):
-        result = cf_limit(ContinuedSpec(ARCTAN, [1.0] * 10), 0.05)
+        result = cf_limit(ContinuedSpec(ARCTAN, [0.0] * 10), 0.05)
         assert not result.converged
         assert result.stop_reason == "tail_exhausted"
         assert result.enclosure.depth == 10
         assert result.enclosure.analytic_width_bound > 0.05
 
     def test_unconverged_at_depth_cap(self):
-        result = cf_limit(ContinuedSpec(ARCTAN, [1.0] * 700), 0.05, depth_cap=10)
+        result = cf_limit(ContinuedSpec(ARCTAN, [0.0] * 700), 0.05, depth_cap=10)
         assert result.stop_reason == "depth_cap"
         assert result.enclosure.depth == 10
+
+    def test_shallowest_converged_depth(self):
+        # every depth below the one returned is wider than tol
+        spec = ContinuedSpec(ARCTAN, [0.5] * 100)
+        for tol in (0.3, 1e-3, 1e-9, 1e-12):
+            result = cf_limit(spec, tol)
+            depth = result.enclosure.depth
+            assert result.converged and result.enclosure.width <= tol
+            if depth > 1:
+                assert not cf_limit(spec, tol, depth_cap=depth - 1).converged
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,11 +112,24 @@ class TestErrorBoundValidity:
         bounds = [support.arctan_error_bound(n) for n in range(1, 41)]
         for _ in range(50):
             terms = [rng.uniform(0.0, 3.0) for _ in range(40)]
-            spec = ContinuedSpec(ARCTAN, terms)
-            deep = cf_eval(spec, 40)
+            deep = nested_eval(ARCTAN, terms, 0.0)
             for n in range(1, 41):
-                shallow = cf_eval(spec, n)
+                shallow = nested_eval(ARCTAN, terms[:n], 0.0)
                 assert abs(deep - shallow) <= bounds[n - 1] + 1e-12
+
+    def test_two_fold_gap_within_the_iterated_bound(self):
+        # the gap at depth n is at most the n-fold iterate of arctan from pi/2
+        # (the contfn docstring), and equal to it on all-zero terms
+        rng = random.Random(43)
+        for _ in range(50):
+            terms = [0.0 if rng.random() < 0.5 else rng.uniform(0.0, 3.0) for _ in range(40)]
+            for n in range(1, 41):
+                enclosure = cf_limit(ContinuedSpec(ARCTAN, terms[:n]), 1e-300).enclosure
+                assert enclosure.analytic_width_bound <= support.arctan_error_bound(enclosure.depth + 1)
+        for n in range(1, 41):
+            enclosure = cf_limit(ContinuedSpec(ARCTAN, [0.0] * n), 1e-300).enclosure
+            assert enclosure.depth == n
+            assert enclosure.analytic_width_bound == support.arctan_error_bound(n + 1)
 
     def test_asymptotic_decay(self):
         bound = support.arctan_error_bound(10**4)

@@ -11,7 +11,9 @@ import math
 import pytest
 
 from nestrad import cli
+from nestrad.contfn import ContinuedSpec, cf_limit
 from nestrad.kappa import kappa_enclosure
+from nestrad.nested import ARCTAN
 from nestrad.seqspec import (
     CapTableTail,
     ConstantRawTail,
@@ -94,6 +96,16 @@ CASES = [
     refused_cli(
         ["cf", "--fn", "arctan", "--terms", "1,-1"],
         "nestrad: error: continued-function terms must be finite and >= 0, got -1.0\n",
+    ),
+    # refused when the spec is made, not only when a fold reaches the term
+    *(
+        raises(
+            f"cf_limit terms [1.0, {term}]",
+            lambda tmp, term=term: cf_limit(ContinuedSpec(ARCTAN, [1.0, term]), 2.0),
+            ValueError,
+            f"continued-function terms must be finite and >= 0, got {term}",
+        )
+        for term in (-5.0, math.nan)
     ),
     raises(
         "emit_table row",

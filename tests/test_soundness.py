@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nestrad import (
     ARCTAN,
     ContinuedSpec,
+    OuterFunction,
     cf_limit,
     explicit,
     kappa_enclosure,
@@ -45,12 +46,12 @@ def exact_sqrt_fold(ln_alphas, seed):
         return mp.exp(level)
 
 
-def exact_atan_fold(terms, seed):
-    """atan(t_1 + atan(t_2 + ... atan(t_n + seed))) as an mpf."""
+def exact_atan_fold(terms, seed, shift=0):
+    """h(t_1 + h(t_2 + ... h(t_n + seed))) as an mpf, for h(x) = shift + atan(x)."""
     with mp.workdps(DPS):
         value = mp.mpf(seed)
         for term in reversed(terms):
-            value = mp.atan(term + value)
+            value = shift + mp.atan(term + value)
         return value
 
 
@@ -137,18 +138,36 @@ def test_underflowing_seed_is_not_lost():
     assert lo == hi == math.sqrt(1.25)
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=301),
-    st.floats(-1.0, 0.3).map(lambda exponent: 10.0**exponent),
-)
-@example([7.8, 2.5, 0.5, 1.6, 3.7, 8.7, 3.8, 1.0], 0.7)
-def test_cf_arctan_stream(terms, tol):
-    result = cf_limit(ContinuedSpec(ARCTAN, terms), tol)
+def check_cf_stream(h, shift, terms, tol):
+    """The enclosure holds the folds from both exact seeds, h(0) = shift and shift + pi/2."""
+    result = cf_limit(ContinuedSpec(h, terms), tol)
     enclosure = result.enclosure
     observed = terms[: enclosure.depth]
-    assert enclosure.lo <= exact_atan_fold(observed, 0.0), (terms, tol, enclosure)
+    assert enclosure.lo <= exact_atan_fold(observed, shift, shift), (terms, tol, enclosure)
     with mp.workdps(DPS):
-        ceiling = mp.pi / 2
-    assert exact_atan_fold(observed, ceiling) <= enclosure.hi, (terms, tol, enclosure)
+        ceiling = shift + mp.pi / 2
+    assert exact_atan_fold(observed, ceiling, shift) <= enclosure.hi, (terms, tol, enclosure)
     assert not result.converged or enclosure.width <= tol, (terms, tol, enclosure)
+
+
+CF_STREAMS = (
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=301),
+    st.floats(-12.0, 0.3).map(lambda exponent: 10.0**exponent),
+)
+
+
+@settings(max_examples=60)
+@given(*CF_STREAMS)
+@example([7.8, 2.5, 0.5, 1.6, 3.7, 8.7, 3.8, 1.0], 0.7)
+def test_cf_arctan_stream(terms, tol):
+    check_cf_stream(ARCTAN, 0, terms, tol)
+
+
+# an outer function with h(0) > 0: the lower seed is h(0) = 1, not 0
+SHIFTED_ARCTAN = OuterFunction(lambda x: 1.0 + math.atan(x), 1.0 + math.pi / 2.0, "1 + arctan")
+
+
+@settings(max_examples=60)
+@given(*CF_STREAMS)
+def test_cf_shifted_arctan_stream(terms, tol):
+    check_cf_stream(SHIFTED_ARCTAN, 1, terms, tol)
