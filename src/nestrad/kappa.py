@@ -9,16 +9,17 @@ to the limit of the approximants
 
 where an optional transfinite coefficient alpha_omega enters as the
 innermost seed of every truncation.  For a sequence with per-depth seed
-bounds ``(lower_seed, upper_cap)`` the enclosure at depth n is
+logs ``(ln_lower, ln_cap)`` the enclosure at depth n is
 
-    lo = fold(prefix 1..n-1, seed lower_seed)
-    hi = fold(prefix 1..n-1, seed upper_cap * phi ** 2**-(n-1))
+    lo = fold(ln alpha_1..n-1, ln seed ln_lower)
+    hi = fold(ln alpha_1..n-1, ln seed ln_hi),  ln_hi = ln_cap + 2**-(n-1) * ln(phi)
 
 The golden boost on the cap is what makes hi an upper bound: a constant
-tail at the cap folds to exactly cap * phi, and phi ** 2**-(n-1) is that
-value pulled back to the seed scale at depth n.  The width obeys
+tail at the cap folds to exactly cap * phi, and the added 2**-(n-1) *
+ln(phi) is that factor pulled back to the seed scale at depth n; ``LN_PHI``
+exceeds ln(phi), and the rounded sum is stepped up once.  The width obeys
 
-    hi - lo <= upper_cap * phi ** 2**-(n-1) - lower_seed,
+    hi - lo <= exp(ln_hi) - exp(ln_lower),
 
 which goes to zero whenever the bounds tighten onto the tail supremum, so
 :func:`kappa_limit` can search for the shallowest adequate depth.
@@ -28,8 +29,8 @@ enclosures are padded outward by pad(n) = 16 * n * ulp(hi_raw) per side
 (no pad when hi_raw is 0, which is exact), and the recorded ``fp_slack``
 additionally allows 8 * n ulp of evaluation noise.  One helper pads these
 and the two folds of :func:`nestrad.contfn.cf_limit`.  The soundness
-contract is "valid in exact arithmetic, slack-widened in binary64"; there is
-no directed rounding.
+contract is "valid in exact arithmetic, slack-widened in binary64"; the
+boost's one step up is the only directed rounding.
 
 Depth search.  :func:`kappa_limit` evaluates depths 4 and 8, fits a
 geometric rate to their widths, and evaluates the depth g where that rate
@@ -67,10 +68,10 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   log, at most 1 (homogeneity, the :mod:`nestrad.nested` docstring).  With
   |ln alpha| <= 700 every x and scale step is below 2**11 in magnitude, so
   a level adds at most 2**-42 to the relative error, and the final step,
-  exp(top) * r or seed * r, rounds the exp and the product once, under
-  2**-50 relative.  Levels past 1074 are folded as one maximum, which
-  rounds nothing, and an inner level that a dominant seed swamps is skipped,
-  which rounds nothing either: it leaves the bits that running it would
+  exp(c) * r, rounds the exp and the product once, under 2**-50 relative.
+  Levels past 1074 are folded as one maximum, which rounds nothing, and an
+  inner level that a dominant seed swamps is skipped, which rounds nothing
+  either: it leaves the bits that running it would
   (the :func:`nestrad.nested.sqrt_nested_scaled` docstring).  So the count
   only shrinks, and stops growing at 1075: a depth-n' fold has
   relative error eps <= (min(n', 1075) + 1) * 2**-41 < 2**-30 at every
@@ -88,11 +89,10 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   on the same ln(alpha_k) with seeds lower <= upper, so lo_raw exceeds
   hi_raw only by rounding noise, which the padding policy budgets at the
   half pad it records in ``fp_slack`` (the premise the enclosures' own
-  soundness rests on).  With both seeds at or below the largest
-  coefficient the sides share exp(top) and round its product with r
-  monotonically, so only per-level noise remains; a seed above it makes its
-  side seed * r, under 2 ulp from the exact product, which the half
-  pad, at least 8 ulp(M), covers.  So width(n') >= 1.5 * pad -
+  soundness rests on).  Sides that end at one scale share its exp and round
+  its product with r monotonically, so only per-level noise remains; a side
+  with its own scale ends under 2 ulp from exp(c) * r, which the half pad,
+  at least 8 ulp(M), covers.  So width(n') >= 1.5 * pad -
   ulp(M) = (24 * n' - 1) * ulp(M) >= (24 * n - 1) * ulp(m) = F(n), as m <=
   hi_raw <= M.
 
@@ -208,24 +208,19 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     limit = spec.max_depth()
     if limit is not None and depth > limit:
         depth = limit
-    lower, upper = spec.tail_bounds(depth)
-    if not (0.0 <= lower < _INF and 0.0 <= upper < _INF):
-        raise ValueError(f"tail bounds at depth {depth} must be finite and >= 0, got ({lower}, {upper})")
-    hi_seed = upper * phi_pow(depth - 1)
-    if hi_seed == _INF:
+    ln_lower, ln_cap = spec.tail_bounds(depth)
+    # one step up from the rounded sum covers the exact boost; a zero cap stays -inf
+    ln_hi = math.nextafter(ln_cap + math.ldexp(LN_PHI, 1 - depth), _INF) if ln_cap > -_INF else ln_cap
+    if ln_hi + 1e-12 < ln_lower < _INF:  # a NaN or +inf seed is the fold's to refuse
         raise ValueError(
-            f"golden-boosted cap at depth {depth} exceeds binary64 (about 1.8e308): "
-            f"cap {upper} times phi ** 2**-{depth - 1}"
-        )
-    if lower > hi_seed * (1.0 + 1e-12):
-        raise ValueError(
-            f"tail bounds at depth {depth} cannot bracket: lower seed {lower} exceeds "
-            f"golden-boosted cap {hi_seed}"
+            f"tail bounds at depth {depth} cannot bracket: ln lower seed {ln_lower} exceeds "
+            f"ln golden-boosted cap {ln_hi}"
         )
     lo_raw, hi_raw = sqrt_nested_scaled(
-        spec.terms_lograw(depth - 1), lower, lower if lower > hi_seed else hi_seed
+        spec.terms_lograw(depth - 1), ln_lower, ln_lower if ln_lower > ln_hi else ln_hi
     )
-    analytic = hi_seed - lower
+    # the fold refused either side past binary64, so neither exp overflows
+    analytic = math.exp(ln_hi) - math.exp(ln_lower)
     return _padded(lo_raw, hi_raw, depth, analytic if analytic > 0.0 else 0.0)
 
 

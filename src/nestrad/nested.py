@@ -2,8 +2,8 @@
 
 Two engines live here.  :func:`nested_eval` folds an arbitrary non-decreasing
 outer function over raw coefficients.  :func:`sqrt_nested_scaled`
-specializes to square roots with coefficients given as ln(alpha_k), the log
-of the normalized scale, and folds a lower and an upper seed in one pass: it
+specializes to square roots with coefficients and seeds given as logs on
+the normalized scale, ln(alpha_k), and folds both seeds in one pass: it
 rescales by the largest normalized value folded so far, so that every
 scaled coefficient lies in [0, 1], and runs each level on that raw scale
 with one exp and one sqrt per level that runs, which makes the fold immune
@@ -115,13 +115,13 @@ def nested_eval(h: OuterFunction, terms: Sequence[float], seed: float) -> float:
 
 
 def sqrt_nested_scaled(
-    ln_alphas: Sequence[float], lo_seed: float, hi_seed: float
+    ln_alphas: Sequence[float], ln_lo_seed: float, ln_hi_seed: float
 ) -> tuple[float, float]:
-    """Both folds sqrt(a_1 + sqrt(a_2 + ... sqrt(a_n + s ** 2**n))), s = lo_seed and hi_seed.
+    """Both folds sqrt(a_1 + sqrt(a_2 + ... sqrt(a_n + s ** 2**n))), ln(s) = ln_lo_seed and ln_hi_seed.
 
-    ``ln_alphas`` holds ln(alpha_k) = 2**-k * ln(a_k) for k = 1..n (``-inf``
-    encodes a zero coefficient) and each seed s is given on the same
-    normalized scale.  Each side folds on the raw scale relative to a
+    ``ln_alphas`` holds ln(alpha_k) = 2**-k * ln(a_k) for k = 1..n and each
+    seed is given by its log on the same scale (``-inf`` encodes a zero
+    coefficient or seed).  Each side folds on the raw scale relative to a
     running scale c, the largest of ln(s) and the ln(alpha_j) folded so far.
     With x_k = ln(alpha_k) - c <= 0 and r = sqrt(W_{k+1}), where W_k is the
     inner radical from index k divided by exp(2**k * c), level k is
@@ -164,28 +164,24 @@ def sqrt_nested_scaled(
     and then skip a coefficient equal to the scale.  A zero seed skips
     nothing.
 
-    The last step returns exp(top) * r for a side whose scale top set (top
-    is the largest ln(alpha_k), -inf when there is none) and seed * r for a
-    side whose seed set it, computing exp(top) once.  Each exp and the
-    product round once, and exp(log(seed)) need not give the seed back.  The
-    product is 0 exactly when r is, which happens only when every input of
-    that side is zero: then it is seed * r = 0 * 0.
+    The last step returns exp(c) * r per side, with one exp for both sides
+    when their scales are equal.  The exp and the product round once each.
+    The product is 0 exactly when r is, which happens only when every input
+    of that side is zero: then c is the scale floor and exp(c) is 0 too.
 
     The two seeds share one pass over ``ln_alphas``, but each side runs the
     float operations it would run alone, so each returned value depends only
     on ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
     raises ``ValueError`` when a radical exceeds binary64.
     """
-    if not (0.0 <= lo_seed < _INF and 0.0 <= hi_seed < _INF):
-        raise ValueError(f"seeds must be finite and >= 0, got {lo_seed} and {hi_seed}")
+    if not (ln_lo_seed < _INF and ln_hi_seed < _INF):  # a NaN or +inf seed
+        raise ValueError(f"seed logs must lie in [-inf, inf), got {ln_lo_seed} and {ln_hi_seed}")
     if not sum(ln_alphas) < _INF:  # a NaN or +inf term, or a sum past binary64
         for k, ln_alpha in enumerate(ln_alphas, start=1):
             if not ln_alpha < _INF:
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
-    top = max(ln_alphas) if ln_alphas else -_INF
-    log = math.log
-    scale_lo, r_lo = (log(lo_seed), 1.0) if lo_seed > 0.0 else (_SCALE_FLOOR_LOG, 0.0)
-    scale_hi, r_hi = (log(hi_seed), 1.0) if hi_seed > 0.0 else (_SCALE_FLOOR_LOG, 0.0)
+    scale_lo, r_lo = (ln_lo_seed, 1.0) if ln_lo_seed > -_INF else (_SCALE_FLOOR_LOG, 0.0)
+    scale_hi, r_hi = (ln_hi_seed, 1.0) if ln_hi_seed > -_INF else (_SCALE_FLOOR_LOG, 0.0)
     n = len(ln_alphas)
     if n > _DEEPEST_LEVEL:  # levels that only keep the larger of their pair
         deep = max(ln_alphas[_DEEPEST_LEVEL:])
@@ -212,11 +208,10 @@ def sqrt_nested_scaled(
             scale_hi = ln_alpha
         r_hi = sqrt(exp((ln_alpha - scale_hi) / s) + r_hi)
     try:
-        exp_top = exp(top) if scale_lo == top or scale_hi == top else 0.0
+        exp_lo = exp(scale_lo)
+        lo, hi = exp_lo * r_lo, (exp_lo if scale_hi == scale_lo else exp(scale_hi)) * r_hi
     except OverflowError:
-        exp_top = _INF
-    lo = (exp_top if scale_lo == top else lo_seed) * r_lo
-    hi = (exp_top if scale_hi == top else hi_seed) * r_hi
+        lo = hi = _INF
     if lo == _INF or hi == _INF:
         raise ValueError("the nested radical exceeds binary64 (about 1.8e308)")
     return lo, hi

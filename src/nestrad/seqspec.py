@@ -13,19 +13,19 @@ edges, as input scales of :func:`explicit` and of the ``terms_*`` lines of
 A :class:`SequenceSpec` is a finite prefix of ln(alpha_k) values plus a
 tail model.  The tail model plays two roles: it extends the sequence past
 the stored prefix when an evaluation needs deeper coefficients, and it
-reports per-depth seed bounds ``(lower_seed, upper_cap)`` used to bracket
-the tail's contribution.  The two bounds carry different obligations:
+reports per-depth seed bounds ``(ln_lower, ln_cap)``, logs like the
+coefficients (``-inf`` for 0), used to bracket the tail's contribution.
+The two bounds carry different obligations:
 
-* ``lower_seed`` at depth ``n`` must not exceed the normalized value of the
-  whole tail radical from index ``n`` (seeding with it can only shrink the
-  result);
-* ``upper_cap`` at depth ``n`` must dominate every normalized coefficient
-  from index ``n`` onward (capping with it, golden-boosted, can only grow
-  the result).
+* ``ln_lower`` at depth ``n`` must not exceed the log of the normalized
+  value of the whole tail radical from index ``n`` (seeding with it can
+  only shrink the result);
+* ``ln_cap`` at depth ``n`` must be at least every ln(alpha_k) with
+  ``k >= n`` (capping with it, golden-boosted, can only grow the result).
 
 Because a tail's *value* generally exceeds its coefficient supremum, a tight
-``lower_seed`` may legitimately be larger than ``upper_cap``; validity of an
-enclosure only requires ``lower_seed <= upper_cap * phi ** (2 ** -(n-1))``,
+``ln_lower`` may legitimately be larger than ``ln_cap``; validity of an
+enclosure only requires ``ln_lower <= ln_cap + 2**-(n-1) * ln(phi)``,
 which the evaluation engine checks.
 
 All types here are immutable after construction and every function is pure,
@@ -67,6 +67,11 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
+def _ln(value: float) -> float:
+    """ln(value) for value >= 0, with -inf for 0."""
+    return math.log(value) if value > 0.0 else _NEG_INF
+
+
 class SpecError(ValueError):
     """Malformed sequence-spec document or tail description."""
 
@@ -75,8 +80,8 @@ class SpecError(ValueError):
 
 
 def _check_ln_alpha(ln_alpha: float, index: int) -> None:
-    # alpha_k = exp(ln_alpha) must be a finite double that is zero exactly
-    # when ln_alpha is -inf: tail bounds read coefficients back on that scale.
+    # alpha_k = exp(ln_alpha) must be a finite double that is zero exactly when
+    # ln_alpha is -inf: the fold refuses one past binary64 only later, unnamed.
     if ln_alpha == _NEG_INF:
         return
     try:
@@ -95,7 +100,7 @@ class TailModel(Record):
 
     Subclasses are records that provide ``ln_alphas(first, last)``
     (ln(alpha_k) for k = first..last, or raise if coefficients past the
-    prefix are unknown) and ``bounds(n)`` (the per-depth seed pair).
+    prefix are unknown) and ``bounds(n)`` (the per-depth seed logs).
     """
 
     __slots__ = ()
@@ -116,7 +121,7 @@ class ZeroTail(TailModel):
         return [_NEG_INF] * (last - first + 1)
 
     def bounds(self, n: int) -> tuple[float, float]:
-        return (0.0, 0.0)
+        return (_NEG_INF, _NEG_INF)
 
 
 class ConstantNormalizedTail(TailModel):
@@ -125,19 +130,19 @@ class ConstantNormalizedTail(TailModel):
     The tail supremum is exactly ``alpha``, so both seed bounds equal it.
     """
 
-    __slots__ = ("alpha",)
+    __slots__ = ("alpha", "_ln_alpha")
 
     def __init__(self, alpha: float):
         if not (alpha >= 0.0 and math.isfinite(alpha)):
             raise ValueError(f"tail alpha must be finite and >= 0, got {alpha}")
         self._set_alpha(self, alpha)
+        self._set__ln_alpha(self, _ln(alpha))
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
-        ln_alpha = math.log(self.alpha) if self.alpha > 0.0 else _NEG_INF
-        return [ln_alpha] * (last - first + 1)
+        return [self._ln_alpha] * (last - first + 1)
 
     def bounds(self, n: int) -> tuple[float, float]:
-        return (self.alpha, self.alpha)
+        return (self._ln_alpha, self._ln_alpha)
 
 
 class ConstantRawTail(TailModel):
@@ -155,24 +160,24 @@ class ConstantRawTail(TailModel):
     enclosure exact at every depth.
     """
 
-    __slots__ = ("raw",)
+    __slots__ = ("raw", "_ln_raw", "_ln_fixed_point")
 
     def __init__(self, raw: float):
         if not (raw >= 0.0 and math.isfinite(raw)):
             raise ValueError(f"tail raw value must be finite and >= 0, got {raw}")
         self._set_raw(self, raw)
+        self._set__ln_raw(self, _ln(raw))
+        self._set__ln_fixed_point(self, math.log(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * raw))))
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
-        ln_raw = math.log(self.raw) if self.raw > 0.0 else _NEG_INF
+        ln_raw = self._ln_raw
         return [math.ldexp(ln_raw, -k) for k in range(first, last + 1)]
 
     def bounds(self, n: int) -> tuple[float, float]:
         if self.raw == 0.0:
-            return (0.0, 0.0)
-        fixed_point = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * self.raw))
-        lower = math.exp(math.ldexp(math.log(fixed_point), 1 - n))
-        upper = max(1.0, math.exp(math.ldexp(math.log(self.raw), -n)))
-        return (lower, upper)
+            return (_NEG_INF, _NEG_INF)
+        ln_cap = math.ldexp(self._ln_raw, -n)
+        return (math.ldexp(self._ln_fixed_point, 1 - n), ln_cap if ln_cap > 0.0 else 0.0)
 
 
 class CapTableTail(TailModel):
@@ -180,9 +185,9 @@ class CapTableTail(TailModel):
 
     The table only certifies bounds; it cannot extend the coefficient
     sequence, so evaluation depth is pinned at ``len(prefix) + 1``.  Rows are
-    ``(n, lower_seed, upper_cap)``.  Queries past the last row fall back to
-    ``(0, last_upper_cap)``: a cap stays valid for deeper tails, a lower seed
-    does not.  Queries before the first row are refused.
+    ``(n, lower_seed, upper_cap)``, logged once here.  Queries past the last
+    row fall back to ``(0, last_upper_cap)``: a cap stays valid for deeper
+    tails, a lower seed does not.  Queries before the first row are refused.
     """
 
     __slots__ = ("rows", "_table", "_last")
@@ -198,7 +203,7 @@ class CapTableTail(TailModel):
                 raise SpecError(f"duplicate cap table depth {n}")
             if not (lower >= 0.0 and upper >= 0.0 and math.isfinite(lower) and math.isfinite(upper)):
                 raise SpecError(f"cap table bounds at depth {n} must be finite and >= 0")
-            table[n] = (lower, upper)
+            table[n] = (_ln(lower), _ln(upper))
         self._set_rows(self, rows)
         # derived lookup state, built once; private slots are not fields
         self._set__table(self, table)
@@ -211,7 +216,7 @@ class CapTableTail(TailModel):
         if n in self._table:
             return self._table[n]
         if n > self._last:
-            return (0.0, self._table[self._last][1])
+            return (_NEG_INF, self._table[self._last][1])
         raise SpecError(f"cap table does not cover depth {n}")
 
 
@@ -227,19 +232,19 @@ class OmegaTail(TailModel):
     seed, so both bounds coincide.
     """
 
-    __slots__ = ("omega_value",)
+    __slots__ = ("omega_value", "_ln_cap")
 
     def __init__(self, omega_value: float):
         if not (omega_value >= 0.0 and math.isfinite(omega_value)):
             raise ValueError(f"omega value must be finite and >= 0, got {omega_value}")
         self._set_omega_value(self, omega_value)
+        self._set__ln_cap(self, math.log(max(1.0, omega_value)))
 
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [0.0] * (last - first + 1)
 
     def bounds(self, n: int) -> tuple[float, float]:
-        cap = max(1.0, self.omega_value)
-        return (cap, cap)
+        return (self._ln_cap, self._ln_cap)
 
 
 def _ramanujan_table() -> tuple[float, ...]:
@@ -261,6 +266,7 @@ _RAMANUJAN_V = _ramanujan_table()
 # the (1 + 1e-13) bump keeps the constant an upper bound despite it and the
 # summation rounding.
 RAMANUJAN_SUP_BOUND = math.exp(_RAMANUJAN_V[-1]) * (1.0 + 1e-13)
+_LN_RAMANUJAN_SUP = math.log(RAMANUJAN_SUP_BOUND)
 
 
 class RamanujanTail(TailModel):
@@ -280,7 +286,7 @@ class RamanujanTail(TailModel):
         return known + [_RAMANUJAN_V[-1]] * (last - first + 1 - len(known))
 
     def bounds(self, n: int) -> tuple[float, float]:
-        return (math.exp(_RAMANUJAN_V[min(n, len(_RAMANUJAN_V)) - 1]), RAMANUJAN_SUP_BOUND)
+        return (_RAMANUJAN_V[min(n, len(_RAMANUJAN_V)) - 1], _LN_RAMANUJAN_SUP)
 
 
 class SequenceSpec(Record):
@@ -311,7 +317,7 @@ class SequenceSpec(Record):
         return len(self.prefix) + 1 if isinstance(self.tail, CapTableTail) else None
 
     def tail_bounds(self, n: int) -> tuple[float, float]:
-        """Seed bounds at depth n, folding in prefix coefficients >= n."""
+        """Seed bounds ``(ln_lower, ln_cap)`` at depth n, folding in prefix coefficients >= n."""
         if n < 1:
             raise ValueError(f"depth must be >= 1, got {n}")
         prefix = self.prefix
@@ -320,8 +326,8 @@ class SequenceSpec(Record):
         # Any single coefficient is a valid lower seed, and the cap must
         # dominate every coefficient from n on.
         lower, upper = self.tail.bounds(len(prefix) + 1)
-        alpha = math.exp(max(prefix[n - 1:]))
-        return (alpha if alpha > lower else lower, alpha if alpha > upper else upper)
+        ln_alpha = max(prefix[n - 1:])
+        return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
 
 def golden() -> SequenceSpec:
     """All-ones radical sqrt(1 + sqrt(1 + ...)), whose value is phi."""

@@ -121,17 +121,17 @@ def ramanujan_sup_oracle(terms: int = 400, dps: int = 60) -> float:
         return float(mp.e**v)
 
 
-def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
+def ldexp_fold(ln_alphas: Sequence[float], ln_seed: float) -> float:
     """One side of the square-root fold, each level scaled by ``math.ldexp``.
 
-    Level k runs r = sqrt(exp(ldexp(ln_alpha - c, k)) + r) against the running
-    scale c, the largest input folded so far; a coefficient above c first
-    multiplies r by exp(ldexp(c - ln_alpha, k)) and becomes c.  A level past
-    1074 only keeps the larger of its pair.  Kept as the bit-exact oracle for
-    the table-scaled fold in ``sqrt_nested_scaled``, which it also follows in
-    the last step: exp(top) * r when a coefficient or the scale floor set
-    the scale, seed * r when the seed set it.  Raises ``OverflowError`` when
-    the radical exceeds binary64.
+    The seed is given by its log, ``-inf`` for a zero seed.  Level k runs
+    r = sqrt(exp(ldexp(ln_alpha - c, k)) + r) against the running scale c,
+    the largest input folded so far; a coefficient above c first multiplies
+    r by exp(ldexp(c - ln_alpha, k)) and becomes c.  A level past 1074 only
+    keeps the larger of its pair.  Kept as the bit-exact oracle for the
+    table-scaled fold in ``sqrt_nested_scaled``, which it also follows in the
+    last step, exp(c) * r.  Raises ``OverflowError`` when the radical exceeds
+    binary64.
     """
 
     def exp_scaled(x: float, k: int) -> float:
@@ -140,9 +140,7 @@ def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
         except OverflowError:  # x is far below 0, so exp(x * 2**k) is 0
             return 0.0
 
-    floor = -1.7976931348623157e308
-    top = max([floor, *ln_alphas])
-    scale, r = (math.log(seed), 1.0) if seed > 0.0 else (floor, 0.0)
+    scale, r = (ln_seed, 1.0) if ln_seed > -math.inf else (-1.7976931348623157e308, 0.0)
     for k in range(len(ln_alphas), 0, -1):
         ln_alpha = ln_alphas[k - 1]
         if k > 1074:
@@ -153,15 +151,20 @@ def ldexp_fold(ln_alphas: Sequence[float], seed: float) -> float:
             r *= exp_scaled(scale - ln_alpha, k)
             scale = ln_alpha
         r = math.sqrt(exp_scaled(ln_alpha - scale, k) + r)
-    value = (math.exp(top) if scale == top else seed) * r
+    value = math.exp(scale) * r  # raises OverflowError past binary64
     if value == math.inf:
         raise OverflowError("the radical exceeds binary64")
     return value
 
 
+def ln(value: float) -> float:
+    """ln(value) for value >= 0, with -inf for 0: a seed on the fold's log scale."""
+    return math.log(value) if value > 0.0 else -math.inf
+
+
 def norm_fold(values: Sequence[float], seed: float = 0.0) -> float:
     """Square-root fold of normalized values: position p enters as value ** 2**p."""
-    return sqrt_nested_scaled([math.log(v) if v > 0.0 else -math.inf for v in values], seed, seed)[0]
+    return sqrt_nested_scaled([ln(v) for v in values], ln(seed), ln(seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ def run_seed_gap_suite(cases: int, rng: random.Random) -> None:
             ln_alphas.append(math.log(alpha) if alpha > 0 else float("-inf"))
         lower = rng.uniform(0.0, 2.0)
         upper = lower if rng.random() < 0.05 else lower + rng.uniform(0.0, 2.0)
-        low_value, high_value = sqrt_nested_scaled(ln_alphas, lower, upper)
+        low_value, high_value = sqrt_nested_scaled(ln_alphas, ln(lower), ln(upper))
         gap = high_value - low_value
         limit = (upper - lower) * (1.0 + REL_SLACK) + ABS_SLACK
         assert -ABS_SLACK <= gap <= limit, (ln_alphas, upper, lower, gap)

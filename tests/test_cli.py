@@ -28,35 +28,35 @@ README_SPEC = "terms_raw=[2,2,2]\ntail=constant_raw:2\n"
 
 README_DOCUMENTS = {
     "eval --family golden --tol 1e-10": (
-        '{"lo": 1.6180339887070132, "hi": 1.6180339887499695, '
-        '"mid": 1.6180339887284914, "width": 4.2956305179586707e-11, '
+        '{"lo": 1.6180339887070132, "hi": 1.6180339887499693, '
+        '"mid": 1.6180339887284911, "width": 4.2956083134981782e-11, '
         '"width_bound": 4.5891965005928625e-07, "depth": 21, "converged": true}\n'
     ),
     "eval --family constant_raw:6": (
         '{"lo": 2.9999999999999072, "hi": 3.000000000429174, '
         '"mid": 3.0000000002145404, "width": 4.2926684429289708e-10, '
-        '"width_bound": 6.8008653302698008e-05, "depth": 13, "converged": true}\n'
+        '"width_bound": 6.8008653302475963e-05, "depth": 13, "converged": true}\n'
     ),
     "eval --spec my_radical.spec": (
         '{"lo": 1.9999999999998863, "hi": 2.0000000002623519, '
         '"mid": 2.0000000001311191, "width": 2.6246560480558401e-10, '
-        '"width_bound": 4.108928490120789e-06, "depth": 16, "converged": true}\n'
+        '"width_bound": 4.1089284898987444e-06, "depth": 16, "converged": true}\n'
     ),
     "table --family ramanujan --depths 4:32:4": (
         'depth,lo,hi,width,width_bound\n'
-        '4,2.5598301653000894,3.1437368709335094,0.58390670563341995,0.71903065796224563\n'
-        '8,2.9627230042795225,3.0082770584238383,0.045554054144315792,0.059444528785594919\n'
-        '12,2.9973274414786117,3.0005029514942403,0.0031755100156285465,0.0041985432090583252\n'
-        '16,2.9998179175844637,3.0000309713042572,0.00021305371979352117,0.00028386017106551975\n'
-        '20,2.9999878805993521,3.000001917583321,1.4036983968956918e-05,1.8803467700667653e-05\n'
-        '24,2.9999992042360066,3.0000001190677468,9.1483174013973212e-07,1.2303817391590144e-06\n'
-        '28,2.9999999482157982,3.0000000074062965,5.9190498280514703e-08,7.9850461798258721e-08\n'
-        '32,2.9999999966512387,3.0000000004615885,3.8103498134489655e-09,5.1526742872454179e-09\n'
+        '4,2.5598301653000899,3.1437368709335098,0.58390670563341995,0.71903065796224608\n'
+        '8,2.9627230042795225,3.0082770584238387,0.045554054144316236,0.059444528785595363\n'
+        '12,2.9973274414786117,3.0005029514942412,0.0031755100156294347,0.0041985432090592134\n'
+        '16,2.9998179175844637,3.0000309713042577,0.00021305371979396526,0.00028386017106640793\n'
+        '20,2.9999878805993521,3.0000019175833215,1.4036983969401007e-05,1.8803467701111742e-05\n'
+        '24,2.9999992042360066,3.0000001190677463,9.1483173969564291e-07,1.2303817396031036e-06\n'
+        '28,2.9999999482157982,3.0000000074062978,5.9190499612782332e-08,7.985046268643714e-08\n'
+        '32,2.9999999966512387,3.0000000004615894,3.8103507016273852e-09,5.1526751754238376e-09\n'
     ),
     "u --r 2 --tol 1e-6": (
-        '{"r": 2, "lo": 2.2642652660461091, "hi": 2.2642660502954568, '
-        '"mid": 2.2642656581707827, "width": 7.8424934768506205e-07, '
-        '"width_bound": 9.1783930011857251e-07, "depth": 21, "converged": true}\n'
+        '{"r": 2, "lo": 2.2642652660461091, "hi": 2.2642660502954572, '
+        '"mid": 2.2642656581707832, "width": 7.8424934812915126e-07, '
+        '"width_bound": 9.1783930056266172e-07, "depth": 21, "converged": true}\n'
     ),
     "u --grid 1:10:25 --format csv": (
         'r,u_lo,u_hi\n'
@@ -64,27 +64,27 @@ README_DOCUMENTS = {
         '1.375,1.7809722416811473,1.7809722424754499\n'
         '1.75,2.0566763604660316,2.0566763610955943\n'
         '2.125,2.3722727720986723,2.372272772930534\n'
-        '2.5,2.7074906601176392,2.7074906606286211\n'
-        '2.875,3.0539050832609518,3.0539050838634139\n'
-        '3.25,3.4073366259846201,3.4073366266765786\n'
-        '3.625,3.7654654255383782,3.7654654263185536\n'
-        '4,4.1268971950230791,4.1268971958910523\n'
-        '4.375,4.4907421714274554,4.4907421723821486\n'
-        '4.75,4.8564052072647517,4.8564052077857118\n'
-        '5.125,5.2234728085158215,5.2234728090797358\n'
-        '5.5,5.5916485439396375,5.5916485445463673\n'
-        '5.875,5.9607142383687455,5.9607142390181851\n'
-        '6.25,6.3305056746250132,6.3305056753170739\n'
-        '6.625,6.7008968379204177,6.7008968386550283\n'
-        '7,7.0717893876930011,7.0717893884701013\n'
-        '7.375,7.4431054364031404,7.4431054372226804\n'
-        '7.75,7.8147824818495355,7.8147824827114718\n'
-        '8.125,8.1867697780572684,8.1867697789625034\n'
-        '8.5,8.5590256890963161,8.5590256900438799\n'
-        '8.875,8.931515728172803,8.9315157291626708\n'
-        '9.25,9.3042110832161029,9.304211083733172\n'
-        '9.625,9.6770874935278801,9.6770874940660772\n'
-        '10,10.050124383557366,10.050124384116684\n'
+        '2.5,2.7074906601176392,2.7074906606286215\n'
+        '2.875,3.0539050832609518,3.0539050838634143\n'
+        '3.25,3.4073366259846201,3.407336626676579\n'
+        '3.625,3.7654654255383786,3.7654654263185545\n'
+        '4,4.1268971950230791,4.1268971958910532\n'
+        '4.375,4.4907421714274554,4.4907421723821495\n'
+        '4.75,4.8564052072647517,4.8564052077857136\n'
+        '5.125,5.2234728085158224,5.2234728090797367\n'
+        '5.5,5.5916485439396375,5.5916485445463691\n'
+        '5.875,5.9607142383687455,5.9607142390181869\n'
+        '6.25,6.3305056746250141,6.3305056753170756\n'
+        '6.625,6.7008968379204186,6.7008968386550309\n'
+        '7,7.0717893876930003,7.0717893884701031\n'
+        '7.375,7.4431054364031404,7.4431054372226821\n'
+        '7.75,7.8147824818495346,7.8147824827114762\n'
+        '8.125,8.1867697780572666,8.1867697789625087\n'
+        '8.5,8.5590256890963161,8.5590256900438852\n'
+        '8.875,8.9315157281728048,8.9315157291626797\n'
+        '9.25,9.3042110832161047,9.3042110837331755\n'
+        '9.625,9.6770874935278801,9.6770874940660825\n'
+        '10,10.050124383557367,10.050124384116689\n'
     ),
     "u-inv --y 3 --tol 1e-6": (
         '{"y": 3, "r": 2.8172244572074625, "tol": 9.9999999999999995e-07}\n'

@@ -244,7 +244,7 @@ class TestEnclosureInvariants:
         # with the enclosure to within its width bound
         spec = u_spec(r)
         enclosure = kappa_enclosure(spec, depth)
-        approximant, _ = sqrt_nested_scaled(spec.terms_lograw(depth - 1), r, r)
+        approximant, _ = sqrt_nested_scaled(spec.terms_lograw(depth - 1), math.log(r), math.log(r))
         bound = enclosure.analytic_width_bound + enclosure.fp_slack
         assert enclosure.lo - bound <= approximant <= enclosure.hi + bound
 
@@ -451,12 +451,14 @@ def _reference_enclosure(spec, depth):
     limit = spec.max_depth()
     if limit is not None:
         depth = min(depth, limit)
-    lower, upper = spec.tail_bounds(depth)
-    hi_seed = upper * phi_pow(depth - 1)
-    lo_raw, hi_raw = sqrt_nested_scaled(spec.terms_lograw(depth - 1), lower, max(hi_seed, lower))
+    ln_lower, ln_cap = spec.tail_bounds(depth)
+    ln_hi = ln_cap + math.ldexp(math.log(PHI), 1 - depth)
+    ln_hi = math.nextafter(ln_hi, math.inf) if ln_cap != -math.inf else ln_hi
+    lo_raw, hi_raw = sqrt_nested_scaled(spec.terms_lograw(depth - 1), ln_lower, max(ln_hi, ln_lower))
     pad = _fp_pad(depth, max(abs(hi_raw), abs(lo_raw))) if hi_raw != 0.0 else 0.0
     lo = max(0.0, lo_raw - pad)
-    return (lo, max(hi_raw + pad, lo), depth, max(0.0, hi_seed - lower), 2.5 * pad)
+    analytic = max(0.0, math.exp(ln_hi) - math.exp(ln_lower))
+    return (lo, max(hi_raw + pad, lo), depth, analytic, 2.5 * pad)
 
 
 _ZERO = {"raw": 0.0, "lograw": -math.inf, "norm": 0.0}

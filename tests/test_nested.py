@@ -24,9 +24,9 @@ def ln_alpha_ones(count):
     return [0.0] * count
 
 
-def fold(ln_alphas, seed):
-    """The square-root fold with one seed on both sides."""
-    lo, hi = sqrt_nested_scaled(ln_alphas, seed, seed)
+def fold(ln_alphas, ln_seed):
+    """The square-root fold with one seed, given by its log, on both sides."""
+    lo, hi = sqrt_nested_scaled(ln_alphas, ln_seed, ln_seed)
     assert lo == hi
     return lo
 
@@ -34,10 +34,10 @@ def fold(ln_alphas, seed):
 class TestNestedEval:
     def test_single_sqrt(self):
         # sqrt(2 + 2): the raw seed 2 enters at depth 1 as 2 ** (1/2)
-        assert fold([math.log(2.0) / 2], math.sqrt(2.0)) == pytest.approx(2.0, rel=1e-15)
+        assert fold([math.log(2.0) / 2], math.log(2.0) / 2) == pytest.approx(2.0, rel=1e-15)
 
     def test_two_level_sqrt(self):
-        value = fold([math.log(7.0) / 2, math.log(3.0) / 4], 0.0)
+        value = fold([math.log(7.0) / 2, math.log(3.0) / 4], -math.inf)
         assert value == pytest.approx(2.955004366759697, rel=1e-15)
         assert value == pytest.approx(support.mp_nested_sqrt_raw([7.0, 3.0]), rel=1e-14)
 
@@ -65,66 +65,69 @@ class TestNestedEval:
 
 class TestSqrtNestedScaled:
     def test_empty_terms_identity(self):
-        assert fold([], 5.0) == pytest.approx(5.0, rel=1e-15)
+        assert fold([], math.log(5.0)) == pytest.approx(5.0, rel=1e-15)
 
     def test_all_zero(self):
-        assert sqrt_nested_scaled([float("-inf")] * 4, 0.0, 0.0) == (0.0, 0.0)
+        assert sqrt_nested_scaled([float("-inf")] * 4, -math.inf, -math.inf) == (0.0, 0.0)
 
     def test_matches_plain_arithmetic_small(self):
         # small raw coefficients where the direct fold is exact enough
         raw = [7.0, 3.0]
         ws = [math.log(7.0) / 2, math.log(3.0) / 4]
-        assert fold(ws, 0.0) == pytest.approx(
+        assert fold(ws, -math.inf) == pytest.approx(
             support.mp_nested_sqrt_raw(raw), rel=1e-14
         )
 
     def test_golden_depth_30(self):
         phi = (1 + math.sqrt(5.0)) / 2
-        value = fold(ln_alpha_ones(30), 1.0)
+        value = fold(ln_alpha_ones(30), 0.0)
         assert value == pytest.approx(phi, abs=1e-6)
         assert value == pytest.approx(support.mp_golden_truncation(30), rel=1e-13)
 
     def test_ramanujan_depth_24_hits_3(self):
         spec = ramanujan()
-        value = fold(spec.terms_lograw(24), 0.0)
+        value = fold(spec.terms_lograw(24), -math.inf)
         assert value == pytest.approx(3.0, abs=1e-5)
         assert value == pytest.approx(support.mp_ramanujan_pushed(24), rel=1e-12)
-        deeper = fold(spec.terms_lograw(32), 0.0)
+        deeper = fold(spec.terms_lograw(32), -math.inf)
         assert abs(deeper - support.mp_ramanujan_pushed(32)) <= 1e-12
 
     def test_seed_scale_is_positional(self):
         # seed s at depth n contributes s ** 2**n inside the innermost radical
         ws = [math.log(6.0) / 2]
-        value = fold(ws, 3.0 ** 0.5)
+        value = fold(ws, math.log(3.0) / 2)
         assert value == pytest.approx(3.0, rel=1e-14)
 
     @pytest.mark.parametrize("spec,expect", [(ramanujan(), 3.0), (power_tower(), None)])
     def test_depth_256_stays_finite(self, spec, expect):
-        value = fold(spec.terms_lograw(256), 0.0)
+        value = fold(spec.terms_lograw(256), -math.inf)
         assert math.isfinite(value)
         if expect is not None:
             assert value == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            sqrt_nested_scaled([0.0], -1.0, 1.0)
-        with pytest.raises(ValueError):
-            sqrt_nested_scaled([0.0], 1.0, math.inf)
+        # a seed log must lie in [-inf, inf): a NaN or +inf seed is refused
+        for ln_lo_seed, ln_hi_seed in ((math.nan, 0.0), (0.0, math.inf), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match=r"seed logs must lie in \[-inf, inf\)"):
+                sqrt_nested_scaled([0.0], ln_lo_seed, ln_hi_seed)
         with pytest.raises(ValueError, match="index 2"):
-            sqrt_nested_scaled([0.0, math.nan], 1.0, 1.0)
+            sqrt_nested_scaled([0.0, math.nan], 0.0, 0.0)
         with pytest.raises(ValueError, match="index 1"):
-            sqrt_nested_scaled([math.inf, -math.inf], 1.0, 1.0)
+            sqrt_nested_scaled([math.inf, -math.inf], 0.0, 0.0)
         # finite terms pass the check even when their sum overflows; this radical exceeds binary64
         with pytest.raises(ValueError, match="exceeds binary64"):
-            sqrt_nested_scaled([1e308, 1e308], 1.0, 1.0)
+            sqrt_nested_scaled([1e308, 1e308], 0.0, 0.0)
 
     def test_radical_past_binary64_is_a_value_error(self):
         # both seeds and the coefficient are finite; only the value overflows
         ln_alpha = math.log(1.5e308)
         with pytest.raises(ValueError, match="exceeds binary64"):
-            sqrt_nested_scaled([ln_alpha], 0.0, 1.65e308)
+            sqrt_nested_scaled([ln_alpha], -math.inf, math.log(1.65e308))
         with pytest.raises(ValueError, match="exceeds binary64"):
-            sqrt_nested_scaled([ln_alpha], 1.5e308, 1.5e308)
+            sqrt_nested_scaled([ln_alpha], ln_alpha, ln_alpha)
+        # a seed log past ln(1.8e308) overflows on its own, at its side's last step
+        with pytest.raises(ValueError, match="exceeds binary64"):
+            sqrt_nested_scaled([], -math.inf, 710.0)
 
     def test_each_side_matches_its_own_fold(self):
         # one pass for both seeds runs each side's own float operations, so
@@ -136,7 +139,7 @@ class TestSqrtNestedScaled:
                 for _ in range(rng.randint(0, 40))
             ]
             lo_seed, hi_seed = (
-                0.0 if rng.random() < 0.1 else math.exp(rng.uniform(-20.0, 20.0)) for _ in range(2)
+                -math.inf if rng.random() < 0.1 else rng.uniform(-20.0, 20.0) for _ in range(2)
             )
             pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
             assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
@@ -149,8 +152,8 @@ class TestSqrtNestedScaled:
             ]
             top = max(ln_alphas)
             top = 0.0 if top == -math.inf else top
-            lo_seed = math.exp(rng.uniform(-700.0, top - 1.0))
-            hi_seed = math.exp(rng.uniform(top, 700.0))
+            lo_seed = rng.uniform(-700.0, top - 1.0)
+            hi_seed = rng.uniform(top, 700.0)
             pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
             assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
 
@@ -161,7 +164,7 @@ def _fold_cases(draw):
 
     A base value repeats (equal gaps whenever it is the scale), sits a tiny
     step off (gaps near the least subnormal), or gives way to -inf and to
-    ln alpha anywhere in [-720, 720]; seeds run from 0 to e**700.
+    ln alpha anywhere in [-720, 720]; seed logs run from -inf to 700.
     """
     depth = draw(st.one_of(st.integers(0, 40), st.integers(0, 1100), st.integers(1020, 1100)))
     base = draw(st.one_of(st.just(0.0), st.floats(-720.0, 720.0), st.floats(-1.0, 1.0)))
@@ -181,7 +184,7 @@ def _fold_cases(draw):
         return base + rng.uniform(-3.0, 3.0) * 10.0 ** -rng.randint(0, 17)
 
     seed = st.one_of(
-        st.just(0.0), st.just(1.0), st.floats(0.0, 5.0), st.floats(-700.0, 700.0).map(math.exp)
+        st.just(-math.inf), st.just(0.0), st.floats(0.0, 5.0).map(support.ln), st.floats(-700.0, 700.0)
     )
     lo_seed, hi_seed = sorted((draw(seed), draw(seed)))
     return [ln_alpha() for _ in range(depth)], lo_seed, hi_seed
@@ -215,7 +218,7 @@ class TestTableScaledFold:
         # all-equal coefficients at the scale: y collects subnormal increments
         # past level 1023, and the next levels see gaps near 2**-1074
         for ln_alphas in ([0.0] * depth, [0.0, 5e-324] * (depth // 2)):
-            for lo_seed, hi_seed in ((1.0, 1.0), (0.0, 1.0), (1.0, 1.5)):
+            for lo_seed, hi_seed in ((0.0, 0.0), (-math.inf, 0.0), (0.0, math.log(1.5))):
                 expected = tuple(support.ldexp_fold(ln_alphas, seed) for seed in (lo_seed, hi_seed))
                 pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
                 assert [value.hex() for value in pair] == [value.hex() for value in expected]
@@ -226,8 +229,8 @@ def _swamped_cases(draw):
     """Folds whose inner levels sit at the threshold where a dominant seed swamps them.
 
     ln(seed) runs from -700 to 700, often beyond 400 in magnitude, and the
-    other seed equals it, is zero, or lies anywhere on that range, in either
-    order.  From the innermost level outward a run of coefficients equals
+    other seed log equals it, is -inf, or lies anywhere on that range, in
+    either order.  From the innermost level outward a run of coefficients equals
     ln(seed), lies (39, 40, 41) * 2**-k * (1 +- 1e-12) or up to 80 * 2**-k
     below it, or is -inf; the outer levels lie far below the scale or at it.
     Depths reach 1,100, and 40 to 64 are drawn often: there 40 * 2**-k falls
@@ -235,10 +238,9 @@ def _swamped_cases(draw):
     """
     depth = draw(st.one_of(st.integers(1, 64), st.integers(40, 64), st.integers(1, 1100)))
     ln_seed = st.one_of(st.floats(-700.0, 700.0), st.floats(400.0, 700.0), st.floats(-700.0, -400.0))
-    seed = math.exp(draw(ln_seed))
-    other = draw(st.one_of(st.just(seed), st.just(0.0), st.floats(-700.0, 700.0).map(math.exp)))
-    lo_seed, hi_seed = draw(st.permutations((seed, other)))
-    scale = math.log(seed)  # the fold's own starting scale for that side
+    scale = draw(ln_seed)  # the fold's own starting scale for that side
+    other = draw(st.one_of(st.just(scale), st.just(-math.inf), st.floats(-700.0, 700.0)))
+    lo_seed, hi_seed = draw(st.permutations((scale, other)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     run = rng.randint(0, depth)
 
@@ -276,9 +278,8 @@ class TestSwampedLevels:
         # ln_alpha <= 700 - 40 * 2**-k rounds back to 700 and would skip the 40
         # coefficients equal to the scale
         ln_alphas = [700.0 - 600.0 * 2.0**-k for k in range(1, 50)] + [700.0] * 40
-        seed = math.exp(700.0)
-        assert fold(ln_alphas, seed).hex() == support.ldexp_fold(ln_alphas, seed).hex()
-        assert fold(ln_alphas, seed) == 1.0142320547350052e304
+        assert fold(ln_alphas, 700.0).hex() == support.ldexp_fold(ln_alphas, 700.0).hex()
+        assert fold(ln_alphas, 700.0) == 1.0142320547350052e304
 
     @pytest.fixture
     def exp_calls(self, monkeypatch):
@@ -296,23 +297,26 @@ class TestSwampedLevels:
     @pytest.mark.parametrize("r,calls", [(1e3, 4), (1.5, 12)])
     def test_u_runs_only_the_outer_levels(self, exp_calls, r, calls):
         # ln(r) * 2**k passes 40 at k = 3 for r = 1e3 and at k = 7 for r = 1.5:
-        # levels 1-2 and 1-6 run, one exp per side each
+        # levels 1-2 and 1-6 run, one exp per side each; the boosted cap's log
+        # lies one step above ln(r), so each side ends with its own exp
         kappa_enclosure(u_spec(r), 256)
-        assert len(exp_calls) == calls
+        assert len(exp_calls) == calls + 2
 
     def test_u_at_one_skips_nothing(self, exp_calls):
-        # every all-ones coefficient is at the scale: 255 levels per side, and exp(top)
+        # every all-ones coefficient is at the lower scale, 0, and below the
+        # boosted cap's, 2**-255 * ln(phi): 255 levels and one last exp per side
         kappa_enclosure(u_spec(1.0), 256)
-        assert len(exp_calls) == 2 * 255 + 1
+        assert len(exp_calls) == 2 * 255 + 2
 
     def test_zero_lower_seed_skips_nothing(self, exp_calls):
-        sqrt_nested_scaled([-math.inf] * 50, 0.0, 1e300)
-        assert len(exp_calls) == 2 * 50
+        # 50 levels per side, and the last step's exp of each side's scale
+        sqrt_nested_scaled([-math.inf] * 50, -math.inf, math.log(1e300))
+        assert len(exp_calls) == 2 * 50 + 2
 
     def test_innermost_coefficient_above_the_seed_skips_nothing(self, exp_calls):
         # the innermost level moves both scales (one more exp per side), every
-        # level runs, and both sides end at exp(top)
-        sqrt_nested_scaled([-math.inf] * 49 + [1.0], 1.0, 2.0)
+        # level runs, and both sides end at one scale, with one exp
+        sqrt_nested_scaled([-math.inf] * 49 + [1.0], 0.0, math.log(2.0))
         assert len(exp_calls) == 2 * 50 + 2 + 1
 
 
@@ -321,19 +325,19 @@ class TestSeedGap:
 
     def test_zero_terms_degenerate_to_seed_difference(self):
         zeros = [float("-inf")] * 3
-        lo, hi = sqrt_nested_scaled(zeros, 0.4, 0.9)
+        lo, hi = sqrt_nested_scaled(zeros, math.log(0.4), math.log(0.9))
         gap = hi - lo
         assert gap == pytest.approx(0.5, abs=1e-15)
 
     def test_golden_terms_contract(self):
         ones = ln_alpha_ones(10)
-        lo, hi = sqrt_nested_scaled(ones, 1.0, 1.2)
+        lo, hi = sqrt_nested_scaled(ones, 0.0, math.log(1.2))
         gap = hi - lo
         assert 0.0 < gap <= 0.2
 
     def test_equal_seeds(self):
         ones = ln_alpha_ones(5)
-        lo, hi = sqrt_nested_scaled(ones, 1.0, 1.0)
+        lo, hi = sqrt_nested_scaled(ones, 0.0, 0.0)
         assert hi - lo == 0.0
 
 
@@ -341,10 +345,10 @@ class TestSeedGapPair:
     """Seed swings over smaller coefficients dominate those over larger ones."""
 
     def test_worked_example(self):
-        # raw seeds 0 and 1 are 0 and 1 on the normalized scale too
-        low, high = sqrt_nested_scaled([-math.inf, -math.inf], 0.0, 1.0)
+        # raw seeds 0 and 1 are 0 and 1 on the normalized scale too, with logs -inf and 0
+        low, high = sqrt_nested_scaled([-math.inf, -math.inf], -math.inf, 0.0)
         gap_small = high - low
-        low, high = sqrt_nested_scaled([math.log(7.0) / 2, math.log(3.0) / 4], 0.0, 1.0)
+        low, high = sqrt_nested_scaled([math.log(7.0) / 2, math.log(3.0) / 4], -math.inf, 0.0)
         gap_large = high - low
         assert gap_small == pytest.approx(1.0, rel=1e-15)
         assert gap_large == pytest.approx(3.0 - 2.955004366759697, rel=1e-12)

@@ -27,16 +27,30 @@ from nestrad.seqspec import (
 from nestrad.ufunc import u_inverse
 
 
-class InfiniteSeedTail(TailModel):
-    """A tail whose lower seed is infinite at every depth."""
+class FixedSeedTail(TailModel):
+    """A tail of ones whose seed logs are the same pair at every depth."""
 
-    __slots__ = ()
+    __slots__ = ("ln_lower", "ln_cap")
+
+    def __init__(self, ln_lower, ln_cap):
+        self._set_ln_lower(self, ln_lower)
+        self._set_ln_cap(self, ln_cap)
 
     def ln_alphas(self, first, last):
         return [0.0] * (last - first + 1)
 
     def bounds(self, n):
-        return (math.inf, 1.0)
+        return (self.ln_lower, self.ln_cap)
+
+
+def non_finite_seed(name, ln_lower, ln_cap, got):
+    # the boosted cap at depth 3 is ln_cap + ln(phi) / 4, one step up
+    return raises(
+        name,
+        lambda tmp: kappa_enclosure(SequenceSpec((), FixedSeedTail(ln_lower, ln_cap)), 3),
+        ValueError,
+        f"seed logs must lie in [-inf, inf), got {got}",
+    )
 
 
 def cap_file(text):
@@ -170,22 +184,24 @@ CASES = [
         SpecError,
         "line 3: duplicate tail line",
     ),
-    raises(
-        "infinite lower seed",
-        lambda tmp: kappa_enclosure(SequenceSpec((), InfiniteSeedTail()), 3),
-        ValueError,
-        "tail bounds at depth 3 must be finite and >= 0, got (inf, 1.0)",
+    # a NaN or +inf seed log, from either bound, is refused by the fold
+    non_finite_seed("infinite lower seed", math.inf, 0.0, "inf and inf"),
+    non_finite_seed("NaN lower seed", math.nan, 0.0, "nan and 0.12030295626490088"),
+    non_finite_seed("infinite cap", 0.0, math.inf, "0.0 and inf"),
+    non_finite_seed("NaN cap", 0.0, math.nan, "0.0 and nan"),
+    # 4 * 1e308 overflows, so the fixed point's log and the lower seed's are +inf
+    refused_cli(
+        ["eval", "--family", "constant_raw:1e308"],
+        "nestrad: error: seed logs must lie in [-inf, inf), got inf and inf\n",
     ),
-    # the cap boosted by phi ** 2**-(depth - 1) overflows before any fold runs
+    # the cap's log, golden-boosted, is finite; the fold's last step overflows
     refused_cli(
         ["u", "--r", "1.7e308", "--tol", "1e300"],
-        "nestrad: error: golden-boosted cap at depth 4 exceeds binary64 (about 1.8e308): "
-        "cap 1.7e+308 times phi ** 2**-3\n",
+        "nestrad: error: the nested radical exceeds binary64 (about 1.8e308)\n",
     ),
     refused_cli(
         ["u-inv", "--y", "1.7976931348623157e308", "--tol", "1e300"],
-        "nestrad: error: golden-boosted cap at depth 31 exceeds binary64 (about 1.8e308): "
-        "cap 1.797693134459443e+308 times phi ** 2**-30\n",
+        "nestrad: error: the nested radical exceeds binary64 (about 1.8e308)\n",
     ),
     # floats near the root are too far apart; this is refused before the
     # predicted depth is computed, which would overflow at this y and tol

@@ -42,7 +42,7 @@ class TestTerm:
 
     def test_golden_term(self):
         assert ln_alpha(golden(), 5) == 0.0
-        assert golden().tail_bounds(5) == (1.0, 1.0)
+        assert golden().tail_bounds(5) == (0.0, 0.0)
 
     def test_power_tower_term(self):
         spec = power_tower()
@@ -62,7 +62,7 @@ class TestTerm:
         for scale, zero in (("raw", 0.0), ("norm", 0.0), ("lograw", float("-inf"))):
             spec = explicit([1.0, 1.0, 1.0, zero], scale=scale)
             assert ln_alpha(spec, 4) == float("-inf")
-            assert spec.tail_bounds(4) == (0.0, 0.0)
+            assert spec.tail_bounds(4) == (-math.inf, -math.inf)
             assert log_raw(spec, 4) == float("-inf")
 
     def test_negative_rejected(self):
@@ -134,12 +134,12 @@ class TestTerm:
 class TestTailModels:
     def test_zero_tail(self):
         tail = ZeroTail()
-        assert tail.bounds(7) == (0.0, 0.0)
+        assert tail.bounds(7) == (-math.inf, -math.inf)
         assert tail.ln_alphas(9, 10) == [float("-inf")] * 2
 
     def test_constant_normalized_tail(self):
         tail = ConstantNormalizedTail(2.0)
-        assert tail.bounds(3) == (2.0, 2.0)
+        assert tail.bounds(3) == (math.log(2.0), math.log(2.0))
         assert tail.ln_alphas(4, 4) == [math.log(2.0)]
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 6.0])
@@ -148,7 +148,7 @@ class TestTailModels:
         # for a constant raw tail it equals it (fixed point of sqrt(c + x))
         tail = ConstantRawTail(c)
         for n in (2, 5, 9):
-            lower, upper = tail.bounds(n)
+            lower, upper = (math.exp(bound) for bound in tail.bounds(n))
             truth = support.mp_constant_raw_tail_norm(c, n)
             assert lower == pytest.approx(truth, rel=1e-13)
             assert lower <= truth * (1 + 1e-12)
@@ -157,20 +157,20 @@ class TestTailModels:
 
     def test_constant_raw_zero(self):
         tail = ConstantRawTail(0.0)
-        assert tail.bounds(4) == (0.0, 0.0)
+        assert tail.bounds(4) == (-math.inf, -math.inf)
 
     def test_omega_tail(self):
         tail = OmegaTail(2.5)
-        assert tail.bounds(6) == (2.5, 2.5)
-        assert OmegaTail(0.25).bounds(6) == (1.0, 1.0)
+        assert tail.bounds(6) == (math.log(2.5), math.log(2.5))
+        assert OmegaTail(0.25).bounds(6) == (0.0, 0.0)
         assert tail.ln_alphas(3, 5) == [0.0] * 3
 
     def test_cap_table_bounds(self):
         tail = CapTableTail(((4, 0.5, 1.5), (8, 0.9, 1.2)))
-        assert tail.bounds(4) == (0.5, 1.5)
-        assert tail.bounds(8) == (0.9, 1.2)
+        assert tail.bounds(4) == (math.log(0.5), math.log(1.5))
+        assert tail.bounds(8) == (math.log(0.9), math.log(1.2))
         # deeper queries: a cap stays valid, a lower seed does not
-        assert tail.bounds(20) == (0.0, 1.2)
+        assert tail.bounds(20) == (-math.inf, math.log(1.2))
         with pytest.raises(SpecError):
             tail.bounds(2)
         with pytest.raises(SpecError):
@@ -204,8 +204,8 @@ class TestRamanujanFamily:
     def test_tail_bounds(self):
         spec = ramanujan()
         lower, upper = spec.tail_bounds(10)
-        assert lower == math.exp(ln_alpha(spec, 10))
-        assert upper == RAMANUJAN_SUP_BOUND
+        assert lower == ln_alpha(spec, 10)
+        assert upper == math.log(RAMANUJAN_SUP_BOUND)
 
 
 def _ramanujan_chain(count):
@@ -232,7 +232,7 @@ class TestRamanujanTable:
     def test_bounds(self):
         tail = ramanujan().tail
         for n in range(1, 1501):
-            assert tail.bounds(n) == (math.exp(self.CHAIN[n - 1]), RAMANUJAN_SUP_BOUND), n
+            assert tail.bounds(n) == (self.CHAIN[n - 1], math.log(RAMANUJAN_SUP_BOUND)), n
 
     def test_sup_bound_is_unchanged(self):
         assert RAMANUJAN_SUP_BOUND == math.exp(self.CHAIN[300]) * (1.0 + 1e-13)
@@ -256,20 +256,20 @@ class TestSequenceSpec:
 
     def test_golden_tail_bounds(self):
         for n in (1, 3, 17):
-            assert golden().tail_bounds(n) == (1.0, 1.0)
+            assert golden().tail_bounds(n) == (0.0, 0.0)
 
     def test_zero_tail_bounds(self):
         spec = explicit([6.0])
-        assert spec.tail_bounds(2) == (0.0, 0.0)
+        assert spec.tail_bounds(2) == (-math.inf, -math.inf)
         # at depth 1 the stored coefficient itself seeds both sides
         lower, upper = spec.tail_bounds(1)
-        assert lower == upper == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        assert lower == upper == pytest.approx(math.log(6.0) / 2, rel=1e-15)
 
     def test_prefix_terms_fold_into_bounds(self):
         spec = explicit([2.0, 1.5], scale="norm", tail=ConstantNormalizedTail(1.0))
-        assert spec.tail_bounds(1) == (2.0, 2.0)
-        assert spec.tail_bounds(2) == (1.5, 1.5)
-        assert spec.tail_bounds(3) == (1.0, 1.0)
+        assert spec.tail_bounds(1) == (math.log(2.0), math.log(2.0))
+        assert spec.tail_bounds(2) == (math.log(1.5), math.log(1.5))
+        assert spec.tail_bounds(3) == (0.0, 0.0)
 
     def test_terms_lograw_extends(self):
         spec = explicit([4.0], tail=ConstantNormalizedTail(1.0))
@@ -368,7 +368,7 @@ class TestParseRender:
         cap.write_text("n,lower_seed,upper_cap\n4,0.5,1.5\n8,0.9,1.2\n", encoding="utf-8")
         spec = parse_spec(f"terms_norm=[1,1,1]\ntail=cap:{cap.name}", cap_base=tmp_path)
         assert isinstance(spec.tail, CapTableTail)
-        assert spec.tail.bounds(4) == (0.5, 1.5)
+        assert spec.tail.bounds(4) == (math.log(0.5), math.log(1.5))
         table = load_cap_table(cap)
         assert table.rows == ((4, 0.5, 1.5), (8, 0.9, 1.2))
 
@@ -390,18 +390,18 @@ class TestParseRender:
 
 def _reference_constant_raw_bounds(raw, n):
     if raw == 0.0:
-        return (0.0, 0.0)
+        return (-math.inf, -math.inf)
     fixed_point = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * raw))
-    lower = math.exp(math.ldexp(math.log(fixed_point), 1 - n))
-    return (lower, max(1.0, math.exp(math.ldexp(math.log(raw), -n))))
+    lower = math.ldexp(math.log(fixed_point), 1 - n)
+    return (lower, max(0.0, math.ldexp(math.log(raw), -n)))
 
 
 def _reference_tail_bounds(spec, n):
     p = len(spec.prefix)
     lower, upper = spec.tail.bounds(max(n, p + 1))
     if n <= p:
-        alpha = math.exp(max(spec.prefix[n - 1:]))
-        lower, upper = max(lower, alpha), max(upper, alpha)
+        ln_alpha = max(spec.prefix[n - 1:])
+        lower, upper = max(lower, ln_alpha), max(upper, ln_alpha)
     return (lower, upper)
 
 

@@ -1,9 +1,10 @@
 """lo <= exact <= hi against mpmath at 60 digits, on randomized enclosures.
 
 The exact side folds the binary64 inputs the engine folds (each ln(alpha_k),
-each seed, each term) in mpmath, so a miss is the engine's own rounding and
-never an input conversion.  Every ``@example`` is a case whose enclosure
-once excluded its exact fold.
+each seed's log, each term) in mpmath, so a miss is the engine's own
+rounding and never an input conversion.  The golden boost of a cap is added
+exactly.  Every ``@example`` is a case whose enclosure once excluded its
+exact fold.
 """
 
 import math
@@ -14,28 +15,36 @@ from hypothesis import strategies as st
 
 from nestrad import (
     ARCTAN,
+    CapTableTail,
+    ConstantNormalizedTail,
+    ConstantRawTail,
     ContinuedSpec,
+    OmegaTail,
     OuterFunction,
+    RamanujanTail,
+    SequenceSpec,
+    ZeroTail,
     cf_limit,
     explicit,
     kappa_enclosure,
     sqrt_nested_scaled,
     u_spec,
 )
-from nestrad.kappa import phi_pow
 
 DPS = 60
 
 
-def exact_sqrt_fold(ln_alphas, seed):
+def exact_sqrt_fold(ln_alphas, ln_seed):
     """sqrt(a_1 + ... sqrt(a_n + seed ** 2**n)) on the normalized scale, as an mpf.
+
+    ``ln_seed`` is the seed's log, taken exactly: a float, -inf or an mpf.
 
     Level k is max + 2**-k * log1p(exp(t)), t = 2**k * (min - max), over the
     pair (ln alpha_k, the level below): the log-sum-exp of the engine's raw-scale step.
     A level with t below -10**4 adds less than e**-10000 relative and is skipped.
     """
     with mp.workdps(DPS):
-        level = mp.log(seed) if seed > 0.0 else mp.ninf
+        level = mp.mpf(ln_seed)
         for k in range(len(ln_alphas), 0, -1):
             x = mp.mpf(ln_alphas[k - 1])
             high, low = max(x, level), min(x, level)
@@ -71,55 +80,94 @@ def _lograw_prefixes():
 def test_lograw_prefix_on_a_zero_tail(lograw):
     spec = explicit(lograw, scale="lograw")
     enclosure = kappa_enclosure(spec, len(lograw) + 1)
-    exact = exact_sqrt_fold(spec.terms_lograw(len(lograw)), 0.0)
+    exact = exact_sqrt_fold(spec.terms_lograw(len(lograw)), -math.inf)
     assert enclosure.lo <= exact <= enclosure.hi, (lograw, enclosure, exact)
 
 
+DEPTHS = st.one_of(st.integers(1, 256), st.sampled_from([1024, 1075, 1100]))
+
+
+def check_both_seed_folds(spec, depth):
+    """lo is below the exact fold from the lower seed, hi above the one from the exactly boosted cap."""
+    try:
+        enclosure = kappa_enclosure(spec, depth)
+    except ValueError as exc:  # a radical past binary64 is refused
+        assert "exceeds binary64" in str(exc), (spec, depth)
+        return
+    depth = enclosure.depth  # a cap table clamps it
+    ln_lower, ln_cap = spec.tail_bounds(depth)
+    ln_alphas = spec.terms_lograw(depth - 1)
+    with mp.workdps(DPS):
+        ln_hi = mp.mpf(ln_cap) + mp.ldexp(mp.log(mp.phi), 1 - depth)
+    assert enclosure.lo <= exact_sqrt_fold(ln_alphas, ln_lower), (spec, depth, enclosure)
+    assert exact_sqrt_fold(ln_alphas, ln_hi) <= enclosure.hi, (spec, depth, enclosure)
+
+
 @settings(max_examples=60)
-@given(
-    st.floats(0.0, 300.0).map(lambda exponent: 10.0**exponent),
-    st.one_of(st.integers(1, 256), st.sampled_from([1024, 1075, 1100])),
-)
+@given(st.floats(0.0, 300.0).map(lambda exponent: 10.0**exponent), DEPTHS)
 @example(2.3390306250953095e237, 3)
 def test_u_against_both_seed_folds(r, depth):
-    spec = u_spec(r)
-    enclosure = kappa_enclosure(spec, depth)
-    lower, upper = spec.tail_bounds(depth)
-    ln_alphas = spec.terms_lograw(depth - 1)
-    assert enclosure.lo <= exact_sqrt_fold(ln_alphas, lower), (r, depth, enclosure)
-    assert exact_sqrt_fold(ln_alphas, upper * phi_pow(depth - 1)) <= enclosure.hi, (r, depth, enclosure)
+    check_both_seed_folds(u_spec(r), depth)
+
+
+def _tails(prefix_length):
+    # every tail kind; a cap table's one row sits at the depth its prefix pins
+    magnitude = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+    cap_row = st.tuples(st.floats(0.0, 1.0), magnitude).map(
+        lambda drawn: CapTableTail(((prefix_length + 1, drawn[0] * drawn[1], drawn[1]),))
+    )
+    return st.one_of(
+        st.just(ZeroTail()),
+        st.one_of(st.just(0.0), magnitude).map(ConstantRawTail),
+        st.one_of(st.just(0.0), magnitude).map(ConstantNormalizedTail),
+        st.just(RamanujanTail()),
+        st.one_of(st.just(0.0), st.floats(0.0, 300.0).map(lambda exponent: 10.0**exponent)).map(OmegaTail),
+        cap_row,
+    )
+
+
+@st.composite
+def _tail_specs(draw):
+    # a bare tail, or a lograw prefix of up to 4 coefficients before it
+    lograw = draw(st.one_of(st.just([]), _lograw_prefixes()))
+    tail = draw(_tails(len(lograw)))
+    return explicit(lograw, scale="lograw", tail=tail) if lograw else SequenceSpec((), tail)
+
+
+@settings(max_examples=300)
+@given(_tail_specs(), DEPTHS)
+def test_every_tail_against_both_seed_folds(spec, depth):
+    check_both_seed_folds(spec, depth)
 
 
 def _fold_inputs():
-    # ln(alpha_k) up to 700 in magnitude, zeros, and seeds from 0 to e**700
+    # ln(alpha_k) up to 700 in magnitude, zeros, and seed logs from -inf to 700
     magnitude = st.sampled_from([1.0, 10.0, 700.0])
     ln_alpha = st.one_of(st.just(-math.inf), st.floats(-1.0, 1.0))
     ln_alphas = st.tuples(magnitude, st.lists(ln_alpha, max_size=300)).map(
         lambda drawn: [drawn[0] * value for value in drawn[1]]
     )
-    seed = st.one_of(
-        st.sampled_from([0.0, 1.0, math.exp(-700.0), math.exp(700.0)]),
-        st.floats(-700.0, 700.0).map(math.exp),
-    )
-    return st.tuples(ln_alphas, seed, seed)
+    ln_seed = st.one_of(st.sampled_from([-math.inf, 0.0, -700.0, 700.0]), st.floats(-700.0, 700.0))
+    return st.tuples(ln_alphas, ln_seed, ln_seed)
 
 
 UNIT_ZEROS_HALF = [0.0] + [-math.inf] * 1099  # a unit coefficient, zeros, a seed of 0.5
+LN_HALF, LN_1_5, LN_2 = math.log(0.5), math.log(1.5), math.log(2.0)
 
 
 @settings(max_examples=100)
 @given(_fold_inputs())
 # one side below the largest coefficient and one above it, or far below it
-@example(([0.0] + [-math.inf] * 40, 0.5, 2.0))
-@example(([math.log(3.0), -5.0, -math.inf, -40.0], math.exp(-700.0), 3.5))
-@example(([-math.inf] * 30 + [350.0, -700.0], math.exp(-300.0), math.exp(300.0)))
-@example((UNIT_ZEROS_HALF, 0.5, 1.5))
+@example(([0.0] + [-math.inf] * 40, LN_HALF, LN_2))
+@example(([math.log(3.0), -5.0, -math.inf, -40.0], -700.0, math.log(3.5)))
+@example(([-math.inf] * 30 + [350.0, -700.0], -300.0, 300.0))
+@example((UNIT_ZEROS_HALF, LN_HALF, LN_1_5))
 # deep folds around the binary64 exponent range
-@example(([0.0] * 1023, 0.5, 1.5))
-@example(([0.0] * 1024, 0.0, 1.0))
-@example(([-0.25] * 1073 + [0.0], 0.5, 2.0))
-@example((UNIT_ZEROS_HALF[:1075], 0.5, 0.0))
-@example(([0.0, -0.5] * 550, math.exp(-700.0), math.exp(700.0)))
+@example(([0.0] * 1023, LN_HALF, LN_1_5))
+@example(([0.0] * 1024, -math.inf, 0.0))
+@example(([-0.25] * 1073 + [0.0], LN_HALF, LN_2))
+@example((UNIT_ZEROS_HALF[:1075], LN_HALF, -math.inf))
+@example(([0.0, -0.5] * 550, -700.0, 700.0))
 def test_fold_is_within_4_ulp(case):
     ln_alphas, lo_seed, hi_seed = case
     try:
@@ -134,7 +182,7 @@ def test_fold_is_within_4_ulp(case):
 
 def test_underflowing_seed_is_not_lost():
     # 0.5 ** 2**1100 flushes to 0 on any fixed raw scale, which would give 1
-    lo, hi = sqrt_nested_scaled(UNIT_ZEROS_HALF, 0.5, 0.5)
+    lo, hi = sqrt_nested_scaled(UNIT_ZEROS_HALF, LN_HALF, LN_HALF)
     assert lo == hi == math.sqrt(1.25)
 
 
