@@ -69,7 +69,7 @@ _NEG_INF = float("-inf")
 
 def _ln(value: float) -> float:
     """ln(value) for value >= 0, with -inf for 0."""
-    return math.log(value) if value > 0.0 else _NEG_INF
+    return math.log(value) if value != 0.0 else _NEG_INF
 
 
 class SpecError(ValueError):
@@ -100,7 +100,7 @@ class TailModel(Record):
 
     Subclasses are records that provide ``ln_alphas(first, last)``
     (ln(alpha_k) for k = first..last, or raise if coefficients past the
-    prefix are unknown) and ``bounds(n)`` (the per-depth seed logs).
+    prefix are unknown) and ``ln_bounds(n)`` (the per-depth seed logs).
     """
 
     __slots__ = ()
@@ -108,7 +108,7 @@ class TailModel(Record):
     def ln_alphas(self, first: int, last: int) -> list[float]:
         raise NotImplementedError
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         raise NotImplementedError
 
 
@@ -120,7 +120,7 @@ class ZeroTail(TailModel):
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [_NEG_INF] * (last - first + 1)
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         return (_NEG_INF, _NEG_INF)
 
 
@@ -141,7 +141,7 @@ class ConstantNormalizedTail(TailModel):
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [self._ln_alpha] * (last - first + 1)
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         return (self._ln_alpha, self._ln_alpha)
 
 
@@ -173,7 +173,7 @@ class ConstantRawTail(TailModel):
         ln_raw = self._ln_raw
         return [math.ldexp(ln_raw, -k) for k in range(first, last + 1)]
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         if self.raw == 0.0:
             return (_NEG_INF, _NEG_INF)
         ln_cap = math.ldexp(self._ln_raw, -n)
@@ -212,7 +212,7 @@ class CapTableTail(TailModel):
     def ln_alphas(self, first: int, last: int) -> list[float]:
         raise SpecError("cap-table tails certify bounds only and cannot supply coefficients")
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         if n in self._table:
             return self._table[n]
         if n > self._last:
@@ -243,7 +243,7 @@ class OmegaTail(TailModel):
     def ln_alphas(self, first: int, last: int) -> list[float]:
         return [0.0] * (last - first + 1)
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         return (self._ln_cap, self._ln_cap)
 
 
@@ -285,7 +285,7 @@ class RamanujanTail(TailModel):
         known = list(_RAMANUJAN_V[first - 1:last])
         return known + [_RAMANUJAN_V[-1]] * (last - first + 1 - len(known))
 
-    def bounds(self, n: int) -> tuple[float, float]:
+    def ln_bounds(self, n: int) -> tuple[float, float]:
         return (_RAMANUJAN_V[min(n, len(_RAMANUJAN_V)) - 1], _LN_RAMANUJAN_SUP)
 
 
@@ -322,10 +322,10 @@ class SequenceSpec(Record):
             raise ValueError(f"depth must be >= 1, got {n}")
         prefix = self.prefix
         if n > len(prefix):
-            return self.tail.bounds(n)
+            return self.tail.ln_bounds(n)
         # Any single coefficient is a valid lower seed, and the cap must
         # dominate every coefficient from n on.
-        lower, upper = self.tail.bounds(len(prefix) + 1)
+        lower, upper = self.tail.ln_bounds(len(prefix) + 1)
         ln_alpha = max(prefix[n - 1:])
         return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
 
@@ -355,9 +355,9 @@ def constant_normalized(alpha: float) -> SequenceSpec:
 
 
 _TO_LN_ALPHA = {
-    "raw": lambda raw, k: math.ldexp(math.log(raw), -k) if raw != 0.0 else _NEG_INF,
+    "raw": lambda raw, k: math.ldexp(_ln(raw), -k),
     "lograw": lambda log_raw, k: math.ldexp(log_raw, -k),
-    "norm": lambda alpha, k: math.log(alpha) if alpha != 0.0 else _NEG_INF,
+    "norm": lambda alpha, k: _ln(alpha),
 }
 
 

@@ -39,7 +39,7 @@ class FixedSeedTail(TailModel):
     def ln_alphas(self, first, last):
         return [0.0] * (last - first + 1)
 
-    def bounds(self, n):
+    def ln_bounds(self, n):
         return (self.ln_lower, self.ln_cap)
 
 

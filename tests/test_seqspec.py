@@ -134,12 +134,12 @@ class TestTerm:
 class TestTailModels:
     def test_zero_tail(self):
         tail = ZeroTail()
-        assert tail.bounds(7) == (-math.inf, -math.inf)
+        assert tail.ln_bounds(7) == (-math.inf, -math.inf)
         assert tail.ln_alphas(9, 10) == [float("-inf")] * 2
 
     def test_constant_normalized_tail(self):
         tail = ConstantNormalizedTail(2.0)
-        assert tail.bounds(3) == (math.log(2.0), math.log(2.0))
+        assert tail.ln_bounds(3) == (math.log(2.0), math.log(2.0))
         assert tail.ln_alphas(4, 4) == [math.log(2.0)]
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 6.0])
@@ -148,7 +148,7 @@ class TestTailModels:
         # for a constant raw tail it equals it (fixed point of sqrt(c + x))
         tail = ConstantRawTail(c)
         for n in (2, 5, 9):
-            lower, upper = (math.exp(bound) for bound in tail.bounds(n))
+            lower, upper = (math.exp(bound) for bound in tail.ln_bounds(n))
             truth = support.mp_constant_raw_tail_norm(c, n)
             assert lower == pytest.approx(truth, rel=1e-13)
             assert lower <= truth * (1 + 1e-12)
@@ -157,22 +157,22 @@ class TestTailModels:
 
     def test_constant_raw_zero(self):
         tail = ConstantRawTail(0.0)
-        assert tail.bounds(4) == (-math.inf, -math.inf)
+        assert tail.ln_bounds(4) == (-math.inf, -math.inf)
 
     def test_omega_tail(self):
         tail = OmegaTail(2.5)
-        assert tail.bounds(6) == (math.log(2.5), math.log(2.5))
-        assert OmegaTail(0.25).bounds(6) == (0.0, 0.0)
+        assert tail.ln_bounds(6) == (math.log(2.5), math.log(2.5))
+        assert OmegaTail(0.25).ln_bounds(6) == (0.0, 0.0)
         assert tail.ln_alphas(3, 5) == [0.0] * 3
 
     def test_cap_table_bounds(self):
         tail = CapTableTail(((4, 0.5, 1.5), (8, 0.9, 1.2)))
-        assert tail.bounds(4) == (math.log(0.5), math.log(1.5))
-        assert tail.bounds(8) == (math.log(0.9), math.log(1.2))
+        assert tail.ln_bounds(4) == (math.log(0.5), math.log(1.5))
+        assert tail.ln_bounds(8) == (math.log(0.9), math.log(1.2))
         # deeper queries: a cap stays valid, a lower seed does not
-        assert tail.bounds(20) == (-math.inf, math.log(1.2))
+        assert tail.ln_bounds(20) == (-math.inf, math.log(1.2))
         with pytest.raises(SpecError):
-            tail.bounds(2)
+            tail.ln_bounds(2)
         with pytest.raises(SpecError):
             tail.ln_alphas(5, 5)
 
@@ -232,7 +232,7 @@ class TestRamanujanTable:
     def test_bounds(self):
         tail = ramanujan().tail
         for n in range(1, 1501):
-            assert tail.bounds(n) == (self.CHAIN[n - 1], math.log(RAMANUJAN_SUP_BOUND)), n
+            assert tail.ln_bounds(n) == (self.CHAIN[n - 1], math.log(RAMANUJAN_SUP_BOUND)), n
 
     def test_sup_bound_is_unchanged(self):
         assert RAMANUJAN_SUP_BOUND == math.exp(self.CHAIN[300]) * (1.0 + 1e-13)
@@ -368,7 +368,7 @@ class TestParseRender:
         cap.write_text("n,lower_seed,upper_cap\n4,0.5,1.5\n8,0.9,1.2\n", encoding="utf-8")
         spec = parse_spec(f"terms_norm=[1,1,1]\ntail=cap:{cap.name}", cap_base=tmp_path)
         assert isinstance(spec.tail, CapTableTail)
-        assert spec.tail.bounds(4) == (math.log(0.5), math.log(1.5))
+        assert spec.tail.ln_bounds(4) == (math.log(0.5), math.log(1.5))
         table = load_cap_table(cap)
         assert table.rows == ((4, 0.5, 1.5), (8, 0.9, 1.2))
 
@@ -398,7 +398,7 @@ def _reference_constant_raw_bounds(raw, n):
 
 def _reference_tail_bounds(spec, n):
     p = len(spec.prefix)
-    lower, upper = spec.tail.bounds(max(n, p + 1))
+    lower, upper = spec.tail.ln_bounds(max(n, p + 1))
     if n <= p:
         ln_alpha = max(spec.prefix[n - 1:])
         lower, upper = max(lower, ln_alpha), max(upper, ln_alpha)
@@ -442,7 +442,7 @@ class TestProbeHelpersBitForBit:
     @given(_RAWS, st.integers(1, 1100), st.integers(0, 20))
     def test_constant_raw_tail(self, raw, n, count):
         tail = ConstantRawTail(raw)
-        assert repr(tail.bounds(n)) == repr(_reference_constant_raw_bounds(raw, n))
+        assert repr(tail.ln_bounds(n)) == repr(_reference_constant_raw_bounds(raw, n))
         ln_raw = math.log(raw) if raw > 0.0 else -math.inf
         expected = [math.ldexp(ln_raw, -k) for k in range(n, n + count)]
         assert repr(tail.ln_alphas(n, n + count - 1)) == repr(expected)
