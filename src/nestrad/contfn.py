@@ -21,6 +21,23 @@ half pad of evaluation noise rests on the accuracy budget of
 half an ulp for the addition, a relative error in the argument passes
 through h at most unchanged, and each seed is within 1 ulp, so each fold is
 within (1.5 * n + 1) * 2**-52 relative, at most (3 * n + 2) ulp, of exact.
+
+Floating-point floor.  No enclosure at depth n' >= n >= 2 is narrower than
+the floor F(n) of :mod:`nestrad.kappa`, taken at the lower end lo >=
+2**-1022 of an enclosure already evaluated.  From the budget: the exact
+folds at n' are ordered, F_n'(h(0)) <= F_n'(ceiling), and each fold as
+evaluated is within (3 * n' + 2) ulp(M) of its own, M the larger fold.  So
+hi_raw - lo_raw >= -(6 * n' + 4) ulp(M), and with the padding arithmetic
+of the kappa floor proof the width is at least 2 * pad - (6 * n' + 5)
+ulp(M) = (26 * n' - 5) ulp(M) >= (24 * n' - 1) ulp(M) = 1.5 * pad -
+ulp(M), as n' >= 2 (a lo clamped at 0 leaves a width of at least hi_raw,
+far above F).  The nesting in n bounds the deeper fold from below: the
+exact lower fold rises with n, lo lies below its own fold, and every fold
+is under 2**-22 relative from exact for n' below 2**29, so m = lo * (1 -
+2**-20) <= M.  Hence width(n') >= (24 * n' - 1) ulp(M) >= (24 * n - 1)
+ulp(m) = F(n).  So :func:`cf_limit` stops doubling, with ``fp_floor``, once
+F at the next doubling depth exceeds the narrowest width found: no deeper
+enclosure could replace it, and none can reach tol.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ import math
 from collections.abc import Iterable
 
 from ._record import Record
-from .kappa import KappaResult, _padded
+from .kappa import KappaResult, _fp_floor, _padded
 from .nested import Enclosure, OuterFunction, nested_eval
 
 __all__ = ["ContinuedSpec", "cf_limit"]
@@ -54,10 +71,12 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
 
     Doubles the depth (1, 2, 4, ..., up to the last term or the depth cap)
     until an enclosure is within tol, then bisects below it, so the depth d
-    returned has width(d) <= tol < width(d - 1) or d = 1.  No fold passes
-    the last term, so the search needs no floor.  Unconverged, it returns the
-    narrowest enclosure found with stop reason ``tail_exhausted`` (the terms
-    ran out) or ``depth_cap``; it still holds whatever terms follow.
+    returned has width(d) <= tol < width(d - 1) or d = 1.  Unconverged, it
+    returns the narrowest enclosure found with stop reason
+    ``tail_exhausted`` (the terms ran out), ``depth_cap``, or ``fp_floor``:
+    the floor of the module docstring at the next doubling depth exceeds
+    that enclosure's width, so no deeper one is narrower or within tol.  It
+    still holds whatever terms follow.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -78,7 +97,11 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
     while found.width > tol:
         if found.depth == deepest:
             return KappaResult(best, "tail_exhausted" if deepest == len(terms) else "depth_cap")
-        bad, found = found.depth, enclosure(min(2 * found.depth, deepest))
+        depth = min(2 * found.depth, deepest)
+        # no enclosure this deep or deeper beats best (the floor, module docstring)
+        if _fp_floor(depth, best.lo) > best.width:
+            return KappaResult(best, "fp_floor")
+        bad, found = found.depth, enclosure(depth)
         if found.width < best.width:
             best = found
     while found.depth - bad > 1:  # width(bad) > tol >= width(found)

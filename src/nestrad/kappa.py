@@ -69,10 +69,12 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   |ln alpha| <= 700 every x and scale step is below 2**11 in magnitude, so
   a level adds at most 2**-42 to the relative error, and the final step,
   exp(c) * r, rounds the exp and the product once, under 2**-50 relative.
-  Levels past 1074 are folded as one maximum, which rounds nothing, and an
-  inner level that a dominant seed swamps is skipped, which rounds nothing
-  either: it leaves the bits that running it would
-  (the :func:`nestrad.nested.sqrt_nested_scaled` docstring).  So the count
+  Levels past 1074 are folded as one maximum, which rounds nothing; an
+  inner level that a side's scale swamps is skipped, which rounds nothing
+  either, and a run of levels equal to the scale is read from a table of
+  golden iterates, which rounds no more than running them: each leaves the
+  bits that running its levels would (the
+  :func:`nestrad.nested.sqrt_nested_scaled` docstring).  So the count
   only shrinks, and stops growing at 1075: a depth-n' fold has
   relative error eps <= (min(n', 1075) + 1) * 2**-41 < 2**-30 at every
   depth.  (A level with a larger |x| either carries weight below e**-700
@@ -153,7 +155,7 @@ class KappaResult(Record):
     deeper coefficients; this wins when the cap is the same depth) or
     ``fp_floor`` (no enclosure at the next doubling depth or deeper can be
     narrower than the one returned: the floor of the :mod:`nestrad.kappa`
-    docstring).
+    docstring, which also bounds :func:`nestrad.contfn.cf_limit`).
     """
 
     __slots__ = ("enclosure", "stop_reason")
@@ -177,8 +179,10 @@ def _fp_pad(depth: int, magnitude: float) -> float:
 def _fp_floor(depth: int, lo: float) -> float:
     """Least width of any enclosure at ``depth`` or deeper, given an enclosure's lower end lo.
 
-    The floor F of the module docstring; it needs lo >= 2**-1022.
+    The floor F of the module docstring, proved for lo >= 2**-1022; 0 below that.
     """
+    if lo < sys.float_info.min:
+        return 0.0
     m = lo * (1.0 - 2.0**-20)
     return 1.5 * _fp_pad(depth, m) - math.ulp(m)
 
@@ -219,8 +223,15 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     lo_raw, hi_raw = sqrt_nested_scaled(
         spec.terms_lograw(depth - 1), ln_lower, ln_lower if ln_lower > ln_hi else ln_hi
     )
-    # the fold refused either side past binary64, so neither exp overflows
-    analytic = math.exp(ln_hi) - math.exp(ln_lower)
+    # exp(ln_hi) - exp(ln_lower) without the cancellation; the fold refused
+    # either side past binary64, so neither exp overflows
+    if ln_lower == -_INF:
+        analytic = math.exp(ln_hi)
+    else:
+        try:
+            analytic = math.exp(ln_lower) * math.expm1(ln_hi - ln_lower)
+        except OverflowError:  # seeds over e**709 apart: the difference cancels nothing
+            analytic = math.exp(ln_hi) - math.exp(ln_lower)
     return _padded(lo_raw, hi_raw, depth, analytic if analytic > 0.0 else 0.0)
 
 
@@ -299,7 +310,7 @@ def kappa_limit(
             return KappaResult(best, "tail_exhausted" if limit == tail_limit else "depth_cap")
         previous, depth = depth, min(2 * depth, limit)
         # no enclosure this deep or deeper beats best (the floor, module docstring)
-        if best.lo >= sys.float_info.min and _fp_floor(depth, best.lo) > best_width:
+        if _fp_floor(depth, best.lo) > best_width:
             return KappaResult(best, "fp_floor")
 
 

@@ -30,33 +30,33 @@ README_DOCUMENTS = {
     "eval --family golden --tol 1e-10": (
         '{"lo": 1.6180339887070132, "hi": 1.6180339887499693, '
         '"mid": 1.6180339887284911, "width": 4.2956083134981782e-11, '
-        '"width_bound": 4.5891965005928625e-07, "depth": 21, "converged": true}\n'
+        '"width_bound": 4.5891965013129433e-07, "depth": 21, "converged": true}\n'
     ),
     "eval --family constant_raw:6": (
         '{"lo": 2.9999999999999072, "hi": 3.000000000429174, '
         '"mid": 3.0000000002145404, "width": 4.2926684429289708e-10, '
-        '"width_bound": 6.8008653302475963e-05, "depth": 13, "converged": true}\n'
+        '"width_bound": 6.8008653302651224e-05, "depth": 13, "converged": true}\n'
     ),
     "eval --spec my_radical.spec": (
         '{"lo": 1.9999999999998863, "hi": 2.0000000002623519, '
         '"mid": 2.0000000001311191, "width": 2.6246560480558401e-10, '
-        '"width_bound": 4.1089284898987444e-06, "depth": 16, "converged": true}\n'
+        '"width_bound": 4.1089284899326892e-06, "depth": 16, "converged": true}\n'
     ),
     "table --family ramanujan --depths 4:32:4": (
         'depth,lo,hi,width,width_bound\n'
-        '4,2.5598301653000899,3.1437368709335098,0.58390670563341995,0.71903065796224608\n'
-        '8,2.9627230042795225,3.0082770584238387,0.045554054144316236,0.059444528785595363\n'
-        '12,2.9973274414786117,3.0005029514942412,0.0031755100156294347,0.0041985432090592134\n'
-        '16,2.9998179175844637,3.0000309713042577,0.00021305371979396526,0.00028386017106640793\n'
-        '20,2.9999878805993521,3.0000019175833215,1.4036983969401007e-05,1.8803467701111742e-05\n'
-        '24,2.9999992042360066,3.0000001190677463,9.1483173969564291e-07,1.2303817396031036e-06\n'
-        '28,2.9999999482157982,3.0000000074062978,5.9190499612782332e-08,7.985046268643714e-08\n'
-        '32,2.9999999966512387,3.0000000004615894,3.8103507016273852e-09,5.1526751754238376e-09\n'
+        '4,2.5598301653000899,3.1437368709335098,0.58390670563341995,0.71903065796224652\n'
+        '8,2.9627230042795225,3.0082770584238387,0.045554054144316236,0.05944452878559512\n'
+        '12,2.9973274414786117,3.0005029514942412,0.0031755100156294347,0.004198543209059157\n'
+        '16,2.9998179175844637,3.0000309713042577,0.00021305371979396526,0.00028386017106663371\n'
+        '20,2.9999878805993521,3.0000019175833215,1.4036983969401007e-05,1.8803467701135385e-05\n'
+        '24,2.9999992042360066,3.0000001190677463,9.1483173969564291e-07,1.2303817397845569e-06\n'
+        '28,2.9999999482157982,3.0000000074062978,5.9190499612782332e-08,7.985046280973561e-08\n'
+        '32,2.9999999966512387,3.0000000004615894,3.8103507016273852e-09,5.1526751267565033e-09\n'
     ),
     "u --r 2 --tol 1e-6": (
         '{"r": 2, "lo": 2.2642652660461091, "hi": 2.2642660502954572, '
         '"mid": 2.2642656581707832, "width": 7.8424934812915126e-07, '
-        '"width_bound": 9.1783930056266172e-07, "depth": 21, "converged": true}\n'
+        '"width_bound": 9.1783930044934142e-07, "depth": 21, "converged": true}\n'
     ),
     "u --grid 1:10:25 --format csv": (
         'r,u_lo,u_hi\n'

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nestrad.contfn
 import support
 from nestrad import (
     ARCTAN,
@@ -11,6 +12,7 @@ from nestrad import (
     cf_limit,
     nested_eval,
 )
+from nestrad.kappa import _padded
 
 # an outer function without a finite ceiling
 LOG1P = OuterFunction(math.log1p, math.inf, "log1p")
@@ -88,6 +90,26 @@ class TestCfLimit:
         result = cf_limit(ContinuedSpec(ARCTAN, [0.0] * 700), 0.05, depth_cap=10)
         assert result.stop_reason == "depth_cap"
         assert result.enclosure.depth == 10
+
+    def test_stops_at_the_fp_floor(self, monkeypatch):
+        # at tol 1e-13 the pads outgrow the gap (3.3e-16 at depth 32): the
+        # floor at depth 64, 1.5 pads less an ulp, exceeds depth 32's width,
+        # so the doubling stops there instead of folding on to the cap
+        spec = ContinuedSpec(ARCTAN, [0.5] * 300)
+        folds = []
+
+        def counted(h, terms, seed):
+            folds.append(len(terms))
+            return nested_eval(h, terms, seed)
+
+        monkeypatch.setattr(nestrad.contfn, "nested_eval", counted)
+        result = cf_limit(spec, 1e-13, 256)
+        assert result.stop_reason == "fp_floor"
+        assert (result.enclosure.depth, result.enclosure.width) == (32, 1.1401990462900358e-13)
+        assert (len(folds), sum(folds)) == (12, 126)  # depths 1, 2, 4, ..., 32, two folds each
+        for depth in (64, 65, 128, 256, 300):  # no deeper enclosure is narrower
+            lo, hi = (nested_eval(ARCTAN, spec.terms[:depth], seed) for seed in (0.0, ARCTAN.ceiling))
+            assert _padded(lo, hi, depth, hi - lo).width > result.enclosure.width
 
     def test_shallowest_converged_depth(self):
         # every depth below the one returned is wider than tol

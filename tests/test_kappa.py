@@ -3,7 +3,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nestrad.kappa
@@ -64,6 +64,17 @@ class TestKappaEnclosure:
         assert enclosure.hi == pytest.approx(PHI, rel=1e-12)
         assert enclosure.width <= phi_pow(4) - 1.0 + enclosure.fp_slack
         assert enclosure.analytic_width_bound == pytest.approx(phi_pow(4) - 1.0, rel=1e-12)
+
+    def test_golden_width_bound_matches_mpmath(self):
+        # exp(ln_lower) * expm1(ln_hi - ln_lower) keeps the bound within 2 ulp
+        # of the exact phi ** 2**-(n-1) - 1, where a difference of two exps
+        # near 1 cancels: 3.9% off at depth 50
+        with mp.workdps(50):
+            phi = (1 + mp.sqrt(5)) / 2
+            for depth in range(20, 61):
+                exact = phi ** (mp.mpf(2) ** (1 - depth)) - 1
+                bound = kappa_enclosure(golden(), depth).analytic_width_bound
+                assert abs(bound - exact) <= 2.0**-51 * exact, depth
 
     def test_finite_radical_collapses(self):
         enclosure = kappa_enclosure(explicit([6.0]), 2)
@@ -457,8 +468,12 @@ def _reference_enclosure(spec, depth):
     lo_raw, hi_raw = sqrt_nested_scaled(spec.terms_lograw(depth - 1), ln_lower, max(ln_hi, ln_lower))
     pad = _fp_pad(depth, max(abs(hi_raw), abs(lo_raw))) if hi_raw != 0.0 else 0.0
     lo = max(0.0, lo_raw - pad)
-    analytic = max(0.0, math.exp(ln_hi) - math.exp(ln_lower))
-    return (lo, max(hi_raw + pad, lo), depth, analytic, 2.5 * pad)
+    # exp(ln_hi) - exp(ln_lower) through expm1, or as that difference where expm1 overflows
+    try:
+        gap = math.exp(ln_hi) if ln_lower == -math.inf else math.exp(ln_lower) * math.expm1(ln_hi - ln_lower)
+    except OverflowError:
+        gap = math.exp(ln_hi) - math.exp(ln_lower)
+    return (lo, max(hi_raw + pad, lo), depth, max(0.0, gap), 2.5 * pad)
 
 
 _ZERO = {"raw": 0.0, "lograw": -math.inf, "norm": 0.0}
@@ -489,6 +504,8 @@ def _enclosure_cases(draw):
 class TestEnclosureArithmetic:
     @settings(max_examples=400)
     @given(_enclosure_cases())
+    # seeds over e**709 apart, where expm1 overflows and the width bound is the plain difference
+    @example((explicit([], tail=CapTableTail(((1, 1e-200, 1e200),))), 1))
     def test_matches_the_reference_bit_for_bit(self, case):
         spec, depth = case
         enclosure = kappa_enclosure(spec, depth)

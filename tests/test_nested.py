@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestrad.kappa
 import nestrad.nested
 import support
 from nestrad import (
     ARCTAN,
     OuterFunction,
+    constant_normalized,
+    constant_raw,
+    golden,
     kappa_enclosure,
     nested_eval,
     power_tower,
@@ -225,17 +229,58 @@ class TestTableScaledFold:
 
 
 @st.composite
+def _long_settled_cases(draw):
+    """Folds of 64 to 1,100 levels, which settle each side's inner levels on their own.
+
+    Outward from the innermost level: up to 3 levels far below ln(seed) or
+    -inf, then a run of one value out to a random prefix.  The run equals
+    either seed (-0.0 against 0.0 too), lies a gap below ln(seed) that
+    swamps it from some level on (one ulp up to 1e3, or exactly 40 * 2**-j),
+    or is -inf; the prefix holds any of these values and values above.  The
+    other seed equals ln(seed), is its other signed zero, lies one step or
+    2**-(n-1) * ln(phi) above it, lies anywhere above it up to 700, or is
+    -inf.
+    """
+    depth = draw(st.one_of(st.integers(64, 300), st.integers(1000, 1100)))
+    scale = draw(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-700.0, 700.0), st.floats(-1.0, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    above = (
+        scale,
+        -scale if scale == 0.0 else scale,
+        math.nextafter(scale, math.inf),
+        scale + math.ldexp(nestrad.kappa.LN_PHI, 1 - depth),
+        rng.uniform(scale, 700.0),
+        -math.inf,
+    )
+    other = rng.choice(above)
+    lo_seed, hi_seed = draw(st.permutations((scale, other)))
+    gap = rng.choice((math.ulp(scale), 1e-13, 1e-8, 1.0, 1e3, math.ldexp(40.0, -rng.randint(1, 1100))))
+    value = rng.choice((scale, -scale if scale == 0.0 else scale, other, scale - gap, -math.inf))
+    run_end = rng.randint(0, depth // 2)
+    innermost = rng.choice((0, 0, 1, 3))
+
+    def prefix():
+        return rng.choice((value, scale - gap, scale, -math.inf, scale - rng.uniform(0.0, 80.0), scale + 1.0))
+
+    ln_alphas = [prefix() for _ in range(run_end)] + [value] * (depth - run_end - innermost)
+    return ln_alphas + [rng.choice((-math.inf, scale - 1e3)) for _ in range(innermost)], lo_seed, hi_seed
+
+
+@st.composite
 def _swamped_cases(draw):
     """Folds whose inner levels sit at the threshold where a dominant seed swamps them.
 
-    ln(seed) runs from -700 to 700, often beyond 400 in magnitude, and the
-    other seed log equals it, is -inf, or lies anywhere on that range, in
+    Half the draws are long folds (:func:`_long_settled_cases`).  In the
+    rest ln(seed) runs from -700 to 700, often beyond 400 in magnitude, and
+    the other seed log equals it, is -inf, or lies anywhere on that range, in
     either order.  From the innermost level outward a run of coefficients equals
     ln(seed), lies (39, 40, 41) * 2**-k * (1 +- 1e-12) or up to 80 * 2**-k
     below it, or is -inf; the outer levels lie far below the scale or at it.
     Depths reach 1,100, and 40 to 64 are drawn often: there 40 * 2**-k falls
     below half an ulp of a large scale.
     """
+    if draw(st.booleans()):
+        return draw(_long_settled_cases())
     depth = draw(st.one_of(st.integers(1, 64), st.integers(40, 64), st.integers(1, 1100)))
     ln_seed = st.one_of(st.floats(-700.0, 700.0), st.floats(400.0, 700.0), st.floats(-700.0, -400.0))
     scale = draw(ln_seed)  # the fold's own starting scale for that side
@@ -264,7 +309,7 @@ def _swamped_cases(draw):
 
 
 class TestSwampedLevels:
-    """Inner levels a dominant seed leaves at r = 1 are skipped, and no output moves."""
+    """Inner levels whose result is known are skipped or read from a table, and no output moves."""
 
     @settings(max_examples=300)
     @given(_swamped_cases())
@@ -290,23 +335,39 @@ class TestSwampedLevels:
             calls.append(x)
             return math.exp(x)
 
-        counted = types.SimpleNamespace(exp=exp, sqrt=math.sqrt, log=math.log)
+        counted = types.SimpleNamespace(**vars(math))  # every function the fold calls
+        counted.exp = exp
         monkeypatch.setattr(nestrad.nested, "math", counted)
         return calls
 
     @pytest.mark.parametrize("r,calls", [(1e3, 4), (1.5, 12)])
     def test_u_runs_only_the_outer_levels(self, exp_calls, r, calls):
-        # ln(r) * 2**k passes 40 at k = 3 for r = 1e3 and at k = 7 for r = 1.5:
-        # levels 1-2 and 1-6 run, one exp per side each; the boosted cap's log
-        # lies one step above ln(r), so each side ends with its own exp
+        # 255 levels of ln alpha = 0 settle per side.  The lower scale is ln(r)
+        # and the boosted cap's log one step above it, so on both sides d = 0 -
+        # c has -d = m * 2**e with m >= 0.625: 6.91 = 0.86 * 2**3 for r = 1e3
+        # and 0.405 = 0.81 * 2**-1 for r = 1.5, swamped from level 6 - e = 3
+        # and 7 on.  Levels 1-2 and 1-6 run, one exp per side each, and each
+        # side ends with its own exp, as the scales differ.
         kappa_enclosure(u_spec(r), 256)
         assert len(exp_calls) == calls + 2
 
-    def test_u_at_one_skips_nothing(self, exp_calls):
-        # every all-ones coefficient is at the lower scale, 0, and below the
-        # boosted cap's, 2**-255 * ln(phi): 255 levels and one last exp per side
+    def test_u_at_one_reads_the_lower_side_from_the_table(self, exp_calls):
+        # every all-ones coefficient equals the lower scale, 0, so the lower
+        # side reads all 255 levels from the golden iterates with no exp.  The
+        # boosted cap's log, 2**-255 * ln(phi) one step up, swamps no level
+        # (at level 255 the quotient is about -ln(phi)), so the upper side
+        # runs all 255 alone; then one last exp per side, as the scales differ.
         kappa_enclosure(u_spec(1.0), 256)
-        assert len(exp_calls) == 2 * 255 + 2
+        assert len(exp_calls) == 255 + 2
+
+    def test_powertower_runs_the_upper_side_to_level_58(self, exp_calls):
+        # ln alpha = ln 2 at every level: the lower side reads all 255 from the
+        # golden iterates.  The boosted cap's log rounds to ln 2 and steps up
+        # once, to ln 2 + 2**-53, so d = -2**-53 = -0.5 * 2**-52 swamps from
+        # level 7 + 52 = 59 on (m = 0.5 < 0.625): the upper side runs levels
+        # 1-58 alone, then one last exp per side
+        kappa_enclosure(power_tower(), 256)
+        assert len(exp_calls) == 58 + 2
 
     def test_zero_lower_seed_skips_nothing(self, exp_calls):
         # 50 levels per side, and the last step's exp of each side's scale
@@ -318,6 +379,39 @@ class TestSwampedLevels:
         # level runs, and both sides end at one scale, with one exp
         sqrt_nested_scaled([-math.inf] * 49 + [1.0], 0.0, math.log(2.0))
         assert len(exp_calls) == 2 * 50 + 2 + 1
+
+
+_NAMED_SPECS = {
+    "golden": golden(),
+    "powertower": power_tower(),
+    "ramanujan": ramanujan(),
+    "constant_raw:6": constant_raw(6.0),
+    "constant_raw:1e200": constant_raw(1e200),
+    "constant_norm:1.5": constant_normalized(1.5),
+    "constant_norm:0.5": constant_normalized(0.5),
+    **{f"U({r})": u_spec(r) for r in (1.0, 1.5, 3.0, 1e3, 1e300)},
+}
+
+
+class TestLongFoldsOnEveryFamily:
+    """Each side of every family's fold equals the ldexp oracle around and far past 64 levels."""
+
+    @pytest.mark.parametrize("depth", [63, 64, 65, 256, 1024, 1075, 1100])
+    @pytest.mark.parametrize("name", sorted(_NAMED_SPECS))
+    def test_kappa_inputs_match_the_oracle(self, monkeypatch, name, depth):
+        folds = []
+
+        def recorded(ln_alphas, ln_lo_seed, ln_hi_seed):
+            pair = sqrt_nested_scaled(ln_alphas, ln_lo_seed, ln_hi_seed)
+            folds.append((ln_alphas, (ln_lo_seed, ln_hi_seed), pair))
+            return pair
+
+        monkeypatch.setattr(nestrad.kappa, "sqrt_nested_scaled", recorded)
+        kappa_enclosure(_NAMED_SPECS[name], depth)
+        [(ln_alphas, seeds, pair)] = folds
+        assert len(ln_alphas) == depth - 1
+        expected = [support.ldexp_fold(ln_alphas, seed).hex() for seed in seeds]
+        assert [value.hex() for value in pair] == expected
 
 
 class TestSeedGap:
