@@ -62,13 +62,15 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   every exact lower fold is <= v <= H.  A fold level, r = sqrt(exp(2**k *
   x) + r), rounds x = ln_alpha - c (c the running scale), its exp within
   1 ulp, and the sum and the sqrt within half an ulp each; a level that
-  moves the scale rounds c - ln_alpha instead, and its exp and product
-  with r.  Each sqrt halves a relative error on its way out, so a rounded
-  x or scale step reaches the value with the weight of a coefficient's
-  log, at most 1 (homogeneity, the :mod:`nestrad.nested` docstring).  With
-  |ln alpha| <= 700 every x and scale step is below 2**11 in magnitude, so
-  a level adds at most 2**-42 to the relative error, and the final step,
-  exp(c) * r, rounds the exp and the product once, under 2**-50 relative.
+  moves the scale, r = sqrt(1.0 + r * exp(2**k * (c - ln_alpha))), rounds
+  c - ln_alpha instead, its exp, the product with r, the sum and the sqrt,
+  and its own term, 1, is exact.  Each sqrt halves a relative error on its
+  way out, so a rounded x or scale step reaches the value with the weight
+  of a coefficient's log, at most 1 (homogeneity, the :mod:`nestrad.nested`
+  docstring).  With |ln alpha| <= 700 every x and scale step is below
+  2**11 in magnitude, so a level adds at most 2**-42 to the relative
+  error, and the final step, exp(c) * r, rounds the exp and the product
+  once, under 2**-50 relative.
   Levels past 1074 are folded as one maximum, which rounds nothing; an
   inner level that a side's scale swamps is skipped, which rounds nothing
   either, and a run of levels equal to the scale is read from a table of
@@ -255,26 +257,26 @@ def kappa_limit(
     tail_limit = spec.max_depth()
     limit = depth_cap if tail_limit is None else min(depth_cap, tail_limit)
     seen: dict[int, Enclosure] = {}
-    widths: dict[int, float] = {}
     best: Enclosure | None = None
     best_width = _INF
 
     def width(depth: int) -> float:
         nonlocal best, best_width
-        found = widths.get(depth)
-        if found is None:
-            enclosure = seen[depth] = kappa_enclosure(spec, depth)
-            found = widths[depth] = enclosure.width
-            if best is None or found < best_width:
-                best, best_width = enclosure, found
+        enclosure = seen.get(depth)
+        if enclosure is not None:
+            return enclosure.hi - enclosure.lo
+        enclosure = seen[depth] = kappa_enclosure(spec, depth)
+        found = enclosure.hi - enclosure.lo
+        if best is None or found < best_width:
+            best, best_width = enclosure, found
         return found
 
     def bisect(bad: int, good: int) -> KappaResult:
         # width(bad) > tol >= width(good); depth 0 stands for "nothing shallower".
         # Narrow to the shallowest depth inside within tol and the deepest wider one below it.
-        for depth in sorted(widths):
+        for depth, enclosure in sorted(seen.items()):
             if bad < depth < good:
-                if widths[depth] <= tol:
+                if enclosure.hi - enclosure.lo <= tol:
                     good = depth
                     break
                 bad = depth
@@ -286,23 +288,23 @@ def kappa_limit(
                 bad = mid
         return KappaResult(seen[good], "converged")
 
-    def pads_fit(depth: int) -> bool:
-        # both sides of an enclosure carry a pad, so skip a depth the pads alone overshoot
-        return 2.0 * _fp_pad(depth, seen[8].hi) <= tol
-
     previous, depth = 0, min(4, limit)
     while True:
         if width(depth) <= tol:
             return bisect(previous, depth)
         if depth == 8:
-            guess = _predicted_depth(widths[4], widths[8], tol, limit)
-            if guess > 8 and pads_fit(guess):
+            guess = _predicted_depth(width(4), width(8), tol, limit)
+            # both sides of an enclosure carry a pad, so skip a depth the pads
+            # alone overshoot; 16 * depth ulp is exact short of overflow, so
+            # depth * pad(1) is pad(depth) bit for bit
+            pads_per_level = 2.0 * _fp_pad(1, seen[8].hi)
+            if guess > 8 and guess * pads_per_level <= tol:
                 step = 1
                 if width(guess) <= tol:  # gallop down to a depth wider than tol
                     while guess - step > 8 and width(guess - step) <= tol:
                         step = 2 * step + 1
                     return bisect(8, guess)
-                while guess + step < limit and pads_fit(guess + step):  # gallop up
+                while guess + step < limit and (guess + step) * pads_per_level <= tol:  # gallop up
                     if width(guess + step) <= tol:
                         return bisect(8, guess + step)
                     step *= 2

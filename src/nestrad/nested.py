@@ -7,7 +7,9 @@ the normalized scale, ln(alpha_k), and folds both seeds in one pass: it
 rescales by the largest normalized value folded so far, so that every
 scaled coefficient lies in [0, 1], and runs each level on that raw scale
 with one exp and one sqrt per level that runs, which makes the fold immune
-to overflow at any depth and loses nothing to underflow.
+to overflow at any depth and loses nothing to underflow.  A level that
+raises the scale spends its exp on moving r; its own term is exp(0) = 1,
+added as 1.0.
 Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
@@ -156,14 +158,21 @@ def sqrt_nested_scaled(
         r = sqrt(exp(2**k * x_k) + r).
 
     A coefficient above c first becomes the scale and multiplies r by
-    exp(2**k * (c_old - c)); that is the radical's homogeneity.  So r starts
-    at 1 (0 for a zero seed, with c at the scale floor), the level that sets
-    the scale adds exp(0) = 1, and every later W is at least 1: r stays in
-    [1, 2) or at 0.  Nothing overflows, and an exp that underflows, in a
-    term or in a move of the scale, loses under 2**-1074 against W >= 1.  A
-    fixed scale would not do: zero coefficients between a unit coefficient
-    and a deep seed of 0.5 would flush 0.5 ** 2**k to 0 and give 1 for
-    sqrt(1.25).
+    exp(2**k * (c_old - c)); that is the radical's homogeneity.  Its own
+    term is then exp(2**k * 0) = 1, so the level runs
+
+        r = sqrt(1.0 + r * exp(2**k * (c_old - c))),
+
+    one exp, as every other level that runs.  Adding 1.0 gives the sum that
+    adding its exp would, bit for bit: the finite ln_alpha gives x =
+    fl(ln_alpha - ln_alpha) = +0.0 and a quotient +0.0 by s, and exp(+0.0)
+    = 1 exactly (C99 Annex F).  So r starts at 1 (0 for a zero seed, with c
+    at the scale floor), the level that sets the scale adds 1, and every
+    later W is at least 1: r stays in [1, 2) or at 0.  Nothing overflows,
+    and an exp that underflows, in a term or in a move of the scale, loses
+    under 2**-1074 against W >= 1.  A fixed scale would not do: zero
+    coefficients between a unit coefficient and a deep seed of 0.5 would
+    flush 0.5 ** 2**k to 0 and give 1 for sqrt(1.25).
 
     The 2**k scalings divide by s = 2**-k, read from a table of exact powers
     of two.  For k <= 1074, s is a normal or subnormal binary64 number, so
@@ -245,8 +254,14 @@ def sqrt_nested_scaled(
         for k, ln_alpha in enumerate(ln_alphas, start=1):
             if not ln_alpha < _INF:
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
-    scale_lo, r_lo = (ln_lo_seed, 1.0) if ln_lo_seed > -_INF else (_SCALE_FLOOR_LOG, 0.0)
-    scale_hi, r_hi = (ln_hi_seed, 1.0) if ln_hi_seed > -_INF else (_SCALE_FLOOR_LOG, 0.0)
+    if ln_lo_seed > -_INF:
+        scale_lo, r_lo = ln_lo_seed, 1.0
+    else:
+        scale_lo, r_lo = _SCALE_FLOOR_LOG, 0.0
+    if ln_hi_seed > -_INF:
+        scale_hi, r_hi = ln_hi_seed, 1.0
+    else:
+        scale_hi, r_hi = _SCALE_FLOOR_LOG, 0.0
     n = len(ln_alphas)
     if n > _DEEPEST_LEVEL:  # levels that only keep the larger of their pair
         deep = max(ln_alphas[_DEEPEST_LEVEL:])
@@ -271,19 +286,23 @@ def sqrt_nested_scaled(
         elif n_hi > n_lo:
             scale_hi, r_hi = _fold_side(ln_alphas, n_lo, n_hi, scale_hi, r_hi)
         n = n_lo if n_lo < n_hi else n_hi
-    if n < len(ln_alphas):
-        ln_alphas = ln_alphas[:n]
-    exp, sqrt = math.exp, math.sqrt
-    for ln_alpha, s in zip(reversed(ln_alphas), _INV_POW2[n:0:-1]):
-        # per side: a coefficient above the scale becomes the scale, and r moves with it
+    exp, sqrt, inv_pow2 = math.exp, math.sqrt, _INV_POW2
+    while n:
+        ln_alpha = ln_alphas[n - 1]
+        s = inv_pow2[n]
+        n -= 1
+        # per side: a coefficient above the scale becomes the scale, r moves
+        # with it, and the level adds exp(0) = 1
         if ln_alpha > scale_lo:
-            r_lo *= exp((scale_lo - ln_alpha) / s)
+            r_lo = sqrt(1.0 + r_lo * exp((scale_lo - ln_alpha) / s))
             scale_lo = ln_alpha
-        r_lo = sqrt(exp((ln_alpha - scale_lo) / s) + r_lo)
+        else:
+            r_lo = sqrt(exp((ln_alpha - scale_lo) / s) + r_lo)
         if ln_alpha > scale_hi:
-            r_hi *= exp((scale_hi - ln_alpha) / s)
+            r_hi = sqrt(1.0 + r_hi * exp((scale_hi - ln_alpha) / s))
             scale_hi = ln_alpha
-        r_hi = sqrt(exp((ln_alpha - scale_hi) / s) + r_hi)
+        else:
+            r_hi = sqrt(exp((ln_alpha - scale_hi) / s) + r_hi)
     try:
         exp_lo = exp(scale_lo)
         lo, hi = exp_lo * r_lo, (exp_lo if scale_hi == scale_lo else exp(scale_hi)) * r_hi
@@ -330,10 +349,14 @@ def _fold_side(
     ln_alphas: Sequence[float], stop: int, n: int, scale: float, r: float
 ) -> tuple[float, float]:
     """One side's levels n down to stop + 1, run as the loop of :func:`sqrt_nested_scaled` runs them."""
-    exp, sqrt = math.exp, math.sqrt
-    for ln_alpha, s in zip(reversed(ln_alphas[stop:n]), _INV_POW2[n:stop:-1]):
+    exp, sqrt, inv_pow2 = math.exp, math.sqrt, _INV_POW2
+    while n > stop:
+        ln_alpha = ln_alphas[n - 1]
+        s = inv_pow2[n]
+        n -= 1
         if ln_alpha > scale:
-            r *= exp((scale - ln_alpha) / s)
+            r = sqrt(1.0 + r * exp((scale - ln_alpha) / s))
             scale = ln_alpha
-        r = sqrt(exp((ln_alpha - scale) / s) + r)
+        else:
+            r = sqrt(exp((ln_alpha - scale) / s) + r)
     return scale, r

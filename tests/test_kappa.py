@@ -276,7 +276,11 @@ class TestPredictedDepth:
 
 
 class TestSearchWork:
-    """Enclosures per kappa_limit call: deterministic, so they guard the search cost."""
+    """Depths probed per kappa_limit call: deterministic, so they guard the search cost.
+
+    The lists are exact: each probe must reach ``nestrad.kappa.kappa_enclosure``
+    through its module binding, or the benchmark's tracer would not see it.
+    """
 
     @pytest.fixture
     def depths(self, monkeypatch):
@@ -293,40 +297,40 @@ class TestSearchWork:
     def test_fp_floor_ends_the_doubling(self, depths):
         result = kappa_limit(golden(), 1e-300, depth_cap=2048)
         assert result.stop_reason == "fp_floor"
-        assert len(depths) <= 6
-        assert max(depths) <= 128
+        assert depths == [4, 8, 16, 32]
 
     def test_fp_floor_holds_at_a_huge_cap(self, depths):
         # the floor holds at every depth, so the cap does not set how far the doubling runs
         result = kappa_limit(golden(), 1e-300, depth_cap=2**21)
         assert result.stop_reason == "fp_floor"
-        assert len(depths) <= 6
+        assert depths == [4, 8, 16, 32]
         assert result.enclosure == kappa_limit(golden(), 1e-300, depth_cap=2**19).enclosure
 
     def test_predicted_depth_is_confirmed(self, depths):
+        # the guess 17 is within tol and 16 is not
         result = kappa_limit(golden(), 1e-8)
         assert result.converged
-        assert len(depths) <= 5
+        assert depths == [4, 8, 17, 16]
 
     def test_ramanujan_tight_tol_stops_at_the_floor(self, depths):
         # depth 64 is narrowest; the floor of depth 128 already exceeds its width
         result = kappa_limit(ramanujan(), 1e-15)
         assert result.stop_reason == "fp_floor"
         assert result.enclosure.depth == 64
-        assert len(depths) <= 5
+        assert depths == [4, 8, 16, 32, 64]
 
     def test_gallop_down_from_a_missed_prediction(self, depths):
-        # the guess 25 and 24 are both within tol
+        # the guess 25 and 24 are both within tol; 22 is not, and neither is 23, which bisection probes
         result = kappa_limit(ramanujan(), 1e-6)
         assert result.converged
-        assert len(depths) <= 6
+        assert depths == [4, 8, 25, 24, 22, 23]
 
     def test_gallop_up_from_a_missed_prediction(self, depths):
-        # the guess 36 is wider than tol; a few depths past it are not
+        # the guess 36 is wider than tol, and so are 37 and 38; the gallop
+        # stops at 40, within tol, and bisection finds 39 wider
         result = kappa_limit(constant_raw(0.128009), 2.97e-13)
         assert result.converged
-        assert len(depths) <= 7
-        assert 128 not in depths
+        assert depths == [4, 8, 36, 37, 38, 40, 39]
 
     def test_no_depth_evaluated_twice(self, depths):
         for spec in ALL_FAMILIES:

@@ -328,7 +328,7 @@ class TestSwampedLevels:
 
     @pytest.fixture
     def exp_calls(self, monkeypatch):
-        """Counts the fold's calls to ``exp``, one per level that runs, per side."""
+        """Counts the fold's calls to ``exp``: one per level that runs, per side, and the last step's."""
         calls = []
 
         def exp(x):
@@ -375,10 +375,20 @@ class TestSwampedLevels:
         assert len(exp_calls) == 2 * 50 + 2
 
     def test_innermost_coefficient_above_the_seed_skips_nothing(self, exp_calls):
-        # the innermost level moves both scales (one more exp per side), every
-        # level runs, and both sides end at one scale, with one exp
+        # the innermost level moves both scales, which takes no second exp:
+        # its term is exp(0) = 1, added as 1.0.  Every level runs, and both
+        # sides end at one scale, with one exp
         sqrt_nested_scaled([-math.inf] * 49 + [1.0], 0.0, math.log(2.0))
-        assert len(exp_calls) == 2 * 50 + 2 + 1
+        assert len(exp_calls) == 2 * 50 + 1
+
+    def test_scale_moving_at_every_level_takes_one_exp_per_level(self, exp_calls):
+        # raw 6 at every level: ln alpha_k = 2**-k * ln 6 rises outward, and
+        # level 19's 2**-19 * ln 6 = 3.42e-6 lies above both seed logs (2.10e-6
+        # and 1.71e-6 + 2**-19 * ln(phi) = 2.63e-6), so every level moves both
+        # scales and runs with one exp per side.  Both sides end at ln alpha_1,
+        # with one exp
+        kappa_enclosure(constant_raw(6.0), 20)
+        assert len(exp_calls) == 2 * 19 + 1
 
 
 _NAMED_SPECS = {
@@ -394,9 +404,9 @@ _NAMED_SPECS = {
 
 
 class TestLongFoldsOnEveryFamily:
-    """Each side of every family's fold equals the ldexp oracle around and far past 64 levels."""
+    """Each side of every family's fold equals the ldexp oracle, from short folds to far past 64 levels."""
 
-    @pytest.mark.parametrize("depth", [63, 64, 65, 256, 1024, 1075, 1100])
+    @pytest.mark.parametrize("depth", [2, 8, 33, 63, 64, 65, 256, 1024, 1075, 1100])
     @pytest.mark.parametrize("name", sorted(_NAMED_SPECS))
     def test_kappa_inputs_match_the_oracle(self, monkeypatch, name, depth):
         folds = []
