@@ -64,7 +64,11 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   1 ulp, and the sum and the sqrt within half an ulp each; a level that
   moves the scale, r = sqrt(1.0 + r * exp(2**k * (c - ln_alpha))), rounds
   c - ln_alpha instead, its exp, the product with r, the sum and the sqrt,
-  and its own term, 1, is exact.  Each sqrt halves a relative error on its
+  and its own term, 1, is exact.  A level whose coefficient equals the
+  scale rounds only the sum and the sqrt: its x is +-0 and its term exactly
+  1.  An exp that two sides at one scale share, and the levels one side
+  runs for two sides that have met, round exactly what each side would
+  round alone.  Each sqrt halves a relative error on its
   way out, so a rounded x or scale step reaches the value with the weight
   of a coefficient's log, at most 1 (homogeneity, the :mod:`nestrad.nested`
   docstring).  With |ln alpha| <= 700 every x and scale step is below

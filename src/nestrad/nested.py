@@ -6,13 +6,19 @@ specializes to square roots with coefficients and seeds given as logs on
 the normalized scale, ln(alpha_k), and folds both seeds in one pass: it
 rescales by the largest normalized value folded so far, so that every
 scaled coefficient lies in [0, 1], and runs each level on that raw scale
-with one exp and one sqrt per level that runs, which makes the fold immune
+with at most one exp and one sqrt per side, which makes the fold immune
 to overflow at any depth and loses nothing to underflow.  A level that
 raises the scale spends its exp on moving r; its own term is exp(0) = 1,
-added as 1.0.
+added as 1.0, and so is the term of a level equal to the scale, with no
+exp at all.
 Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
+
+The sides run in seed order, so the lower side's scale never exceeds the
+upper one's.  Once a coefficient above both gives them one scale, each
+level's exp serves both sides, and once their r are equal too, the sides
+have met and one side runs the rest for both.
 
 Inner levels whose outcome is known are not run: levels that a dominant
 seed swamps leave r at exactly 1, and from r = 1 a run of coefficients
@@ -163,14 +169,17 @@ def sqrt_nested_scaled(
 
         r = sqrt(1.0 + r * exp(2**k * (c_old - c))),
 
-    one exp, as every other level that runs.  Adding 1.0 gives the sum that
+    one exp, as an ordinary level takes.  Adding 1.0 gives the sum that
     adding its exp would, bit for bit: the finite ln_alpha gives x =
     fl(ln_alpha - ln_alpha) = +0.0 and a quotient +0.0 by s, and exp(+0.0)
-    = 1 exactly (C99 Annex F).  So r starts at 1 (0 for a zero seed, with c
-    at the scale floor), the level that sets the scale adds 1, and every
-    later W is at least 1: r stays in [1, 2) or at 0.  Nothing overflows,
-    and an exp that underflows, in a term or in a move of the scale, loses
-    under 2**-1074 against W >= 1.  A fixed scale would not do: zero
+    = 1 exactly (C99 Annex F).  A level whose coefficient equals c runs r =
+    sqrt(1.0 + r) with no exp, for the same reason: x = fl(ln_alpha - c) is
+    +-0.0, the division by s keeps it +-0.0, and exp(+-0.0) = 1 exactly.
+    So r starts at 1 (0 for a zero seed, with c at the scale floor), the
+    level that sets the scale adds 1, and every later W is at least 1: r
+    stays in [1, 2) or at 0.  Nothing overflows, and an exp that
+    underflows, in a term or in a move of the scale, loses under 2**-1074
+    against W >= 1.  A fixed scale would not do: zero
     coefficients between a unit coefficient and a deep seed of 0.5 would
     flush 0.5 ** 2**k to 0 and give 1 for sqrt(1.25).
 
@@ -185,13 +194,33 @@ def sqrt_nested_scaled(
     a level only keeps the larger of its pair; the fold takes that maximum
     over all of them at once, as the side's starting scale with r = 1.
 
+    The sides run in seed order: when ln_lo_seed > ln_hi_seed the seeds
+    are swapped on entry and the two values on return.  Each side's scale
+    is the running maximum of its seed and the coefficients folded so far,
+    which keeps the order, so scale_lo <= scale_hi at every level.  While
+    scale_lo < scale_hi, a level above scale_hi moves both sides, each
+    with its own exp, and leaves them at one scale; any other level is an
+    ordinary one on the upper side and, on the lower side, one of
+
+        ln_alpha <  c:  r = sqrt(exp((ln_alpha - c) / s) + r),
+        ln_alpha == c:  r = sqrt(1.0 + r), with no exp,
+        ln_alpha >  c:  the move above.
+
+    At one scale the two sides compute the same quotient, (ln_alpha - c) /
+    s for a term or (c - ln_alpha) / s for a move, so one exp serves both,
+    bit for bit (scales 0.0 and -0.0 change at most the sign of a zero
+    quotient, whose exp is 1 either way).  Sides at one scale with equal r
+    have met: from there each would run the same float operations on the
+    same values, so one side runs the remaining levels and both return its
+    value.  Seeds that are equal meet before the first level.
+
     In a fold of fewer than 64 levels, inner levels that a dominant seed
     swamps are skipped.  When both sides start at r = 1 (a positive seed, or
-    the past-1074 maximum), let low be the smaller of the two starting
-    scales.  From the innermost level outward, a level whose quotient t =
-    (ln_alpha - low) / s, rounded as the fold rounds it, is at most -40
-    changes nothing on either side.  On a
-    side with scale c >= low the fold computes t' = (ln_alpha - c) / s <= t,
+    the past-1074 maximum), let low be the lower side's starting scale, the
+    smaller of the two.  From the innermost level outward, a level whose
+    quotient t = (ln_alpha - low) / s, rounded as the fold rounds it, is at
+    most -40 changes nothing on either side.  On a side with scale
+    c >= low the fold computes t' = (ln_alpha - c) / s <= t,
     because rounding is monotone.  As fl(ln_alpha - low) < 0, ln_alpha lies
     below both scales, so no scale moves.  And exp(t') < 2**-54, so
     exp(t') + 1.0 rounds to 1.0 and sqrt(1.0) = 1.0: the side leaves the
@@ -215,15 +244,13 @@ def sqrt_nested_scaled(
       exactly from level 6 - e on, or 7 - e when m < 0.625.  The run is
       dropped from that level inward at once, and the levels outside it are
       tested one by one, as above.
-    * Golden run.  A level with ln_alpha == c has x = +-0.0, which the
-      division by s keeps, and exp(+-0.0) = 1 exactly (C99 Annex F).  So it
-      computes sqrt(1.0 + r) and moves no scale.  From r = 1, a run of m
-      such levels leaves r at the m-th binary64 iterate of r <-
-      sqrt(1.0 + r), read from a table.  The iterates rise (the first step
-      does, and a monotone rounded step keeps the order), so they reach a
-      fixpoint, after 31 steps, where any longer run stays.  The run must
-      start at r = 1, so it is read only at the side's inner end or right
-      after the levels the side swamps.
+    * Golden run.  A level with ln_alpha == c computes sqrt(1.0 + r), as
+      above, and moves no scale.  From r = 1, a run of m such levels leaves
+      r at the m-th binary64 iterate of r <- sqrt(1.0 + r), read from a
+      table.  The iterates rise (the first step does, and a monotone rounded
+      step keeps the order), so they reach a fixpoint, after 31 steps, where
+      any longer run stays.  The run must start at r = 1, so it is read only
+      at the side's inner end or right after the levels the side swamps.
 
     Then the side with more levels left runs them alone, and both sides run
     the rest together, as in a shorter fold.  Each level that runs does the
@@ -243,9 +270,11 @@ def sqrt_nested_scaled(
     The product is 0 exactly when r is, which happens only when every input
     of that side is zero: then c is the scale floor and exp(c) is 0 too.
 
-    The two seeds share one pass over ``ln_alphas``, but each side runs the
-    float operations it would run alone, so each returned value depends only
-    on ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
+    The two seeds share one pass over ``ln_alphas``, but each side's value
+    is the one its own fold would give: an exp left out is exactly 1, a
+    shared exp is the one each side would compute, and a met side runs the
+    operations the other would.  So each returned value depends only on
+    ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
     raises ``ValueError`` when a radical exceeds binary64.
     """
     if not (ln_lo_seed < _INF and ln_hi_seed < _INF):  # a NaN or +inf seed
@@ -254,6 +283,9 @@ def sqrt_nested_scaled(
         for k, ln_alpha in enumerate(ln_alphas, start=1):
             if not ln_alpha < _INF:
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
+    swapped = ln_lo_seed > ln_hi_seed
+    if swapped:  # run the sides in seed order, so that scale_lo <= scale_hi throughout
+        ln_lo_seed, ln_hi_seed = ln_hi_seed, ln_lo_seed
     if ln_lo_seed > -_INF:
         scale_lo, r_lo = ln_lo_seed, 1.0
     else:
@@ -272,8 +304,7 @@ def sqrt_nested_scaled(
         n = _DEEPEST_LEVEL
     if n < _SETTLED_FOLD:
         if r_lo == r_hi == 1.0:  # inner levels that leave both sides at r = 1
-            low = scale_lo if scale_lo < scale_hi else scale_hi
-            while n and (ln_alphas[n - 1] - low) / _INV_POW2[n] <= -40.0:
+            while n and (ln_alphas[n - 1] - scale_lo) / _INV_POW2[n] <= -40.0:
                 n -= 1
     else:  # each side settles its own inner levels, and the longer side runs on alone
         n_lo, n_hi = n, n
@@ -287,22 +318,44 @@ def sqrt_nested_scaled(
             scale_hi, r_hi = _fold_side(ln_alphas, n_lo, n_hi, scale_hi, r_hi)
         n = n_lo if n_lo < n_hi else n_hi
     exp, sqrt, inv_pow2 = math.exp, math.sqrt, _INV_POW2
-    while n:
+    if scale_lo < scale_hi:  # two scales, until a coefficient above both joins them
+        while n:
+            ln_alpha = ln_alphas[n - 1]
+            s = inv_pow2[n]
+            n -= 1
+            if ln_alpha > scale_hi:  # both sides move to one scale
+                r_lo = sqrt(1.0 + r_lo * exp((scale_lo - ln_alpha) / s))
+                r_hi = sqrt(1.0 + r_hi * exp((scale_hi - ln_alpha) / s))
+                scale_lo = scale_hi = ln_alpha
+                break
+            r_hi = sqrt(exp((ln_alpha - scale_hi) / s) + r_hi)
+            if ln_alpha < scale_lo:
+                r_lo = sqrt(exp((ln_alpha - scale_lo) / s) + r_lo)
+            elif ln_alpha == scale_lo:  # exp(+-0.0 / s) = 1
+                r_lo = sqrt(1.0 + r_lo)
+            else:
+                r_lo = sqrt(1.0 + r_lo * exp((scale_lo - ln_alpha) / s))
+                scale_lo = ln_alpha
+    while n:  # one scale: each exp serves both sides
+        if r_lo == r_hi:  # the sides have met, and one run serves both
+            scale_lo, r_lo = _fold_side(ln_alphas, 0, n, scale_lo, r_lo)
+            scale_hi, r_hi = scale_lo, r_lo
+            break
         ln_alpha = ln_alphas[n - 1]
         s = inv_pow2[n]
         n -= 1
-        # per side: a coefficient above the scale becomes the scale, r moves
-        # with it, and the level adds exp(0) = 1
-        if ln_alpha > scale_lo:
-            r_lo = sqrt(1.0 + r_lo * exp((scale_lo - ln_alpha) / s))
-            scale_lo = ln_alpha
+        if ln_alpha < scale_lo:
+            term = exp((ln_alpha - scale_lo) / s)
+            r_lo = sqrt(term + r_lo)
+            r_hi = sqrt(term + r_hi)
+        elif ln_alpha == scale_lo:
+            r_lo = sqrt(1.0 + r_lo)
+            r_hi = sqrt(1.0 + r_hi)
         else:
-            r_lo = sqrt(exp((ln_alpha - scale_lo) / s) + r_lo)
-        if ln_alpha > scale_hi:
-            r_hi = sqrt(1.0 + r_hi * exp((scale_hi - ln_alpha) / s))
-            scale_hi = ln_alpha
-        else:
-            r_hi = sqrt(exp((ln_alpha - scale_hi) / s) + r_hi)
+            move = exp((scale_lo - ln_alpha) / s)
+            r_lo = sqrt(1.0 + r_lo * move)
+            r_hi = sqrt(1.0 + r_hi * move)
+            scale_lo = scale_hi = ln_alpha
     try:
         exp_lo = exp(scale_lo)
         lo, hi = exp_lo * r_lo, (exp_lo if scale_hi == scale_lo else exp(scale_hi)) * r_hi
@@ -310,7 +363,7 @@ def sqrt_nested_scaled(
         lo = hi = _INF
     if lo == _INF or hi == _INF:
         raise ValueError("the nested radical exceeds binary64 (about 1.8e308)")
-    return lo, hi
+    return (hi, lo) if swapped else (lo, hi)
 
 
 def _settled(ln_alphas: Sequence[float], n: int, c: float) -> tuple[int, float]:
@@ -348,15 +401,21 @@ def _run_start(ln_alphas: Sequence[float], n: int, first: int) -> int:
 def _fold_side(
     ln_alphas: Sequence[float], stop: int, n: int, scale: float, r: float
 ) -> tuple[float, float]:
-    """One side's levels n down to stop + 1, run as the loop of :func:`sqrt_nested_scaled` runs them."""
+    """One side's levels n down to stop + 1, with the lower side's three-way level.
+
+    :func:`sqrt_nested_scaled` runs the longer side of a long fold here, and
+    the remaining levels of two sides that have met.
+    """
     exp, sqrt, inv_pow2 = math.exp, math.sqrt, _INV_POW2
     while n > stop:
         ln_alpha = ln_alphas[n - 1]
         s = inv_pow2[n]
         n -= 1
-        if ln_alpha > scale:
+        if ln_alpha < scale:
+            r = sqrt(exp((ln_alpha - scale) / s) + r)
+        elif ln_alpha == scale:
+            r = sqrt(1.0 + r)
+        else:
             r = sqrt(1.0 + r * exp((scale - ln_alpha) / s))
             scale = ln_alpha
-        else:
-            r = sqrt(exp((ln_alpha - scale) / s) + r)
     return scale, r

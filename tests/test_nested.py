@@ -135,8 +135,15 @@ class TestSqrtNestedScaled:
 
     def test_each_side_matches_its_own_fold(self):
         # one pass for both seeds runs each side's own float operations, so
-        # every value equals the fold with that seed on both sides, bit for bit
+        # every value equals that seed's ldexp-scaled fold, bit for bit, also
+        # where the sides share a scale or meet and run as one
         rng = random.Random(107)
+
+        def check(ln_alphas, lo_seed, hi_seed):
+            pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
+            expected = [support.ldexp_fold(ln_alphas, seed).hex() for seed in (lo_seed, hi_seed)]
+            assert [value.hex() for value in pair] == expected
+
         for _ in range(500):
             ln_alphas = [
                 -math.inf if rng.random() < 0.1 else rng.uniform(-300.0, 300.0) * rng.random() ** 4
@@ -145,8 +152,7 @@ class TestSqrtNestedScaled:
             lo_seed, hi_seed = (
                 -math.inf if rng.random() < 0.1 else rng.uniform(-20.0, 20.0) for _ in range(2)
             )
-            pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
-            assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
+            check(ln_alphas, lo_seed, hi_seed)
         # split pairs: the lo seed far below the largest coefficient, so its side
         # moves its scale, and the hi seed above it, so its side keeps its own
         for _ in range(200):
@@ -158,8 +164,23 @@ class TestSqrtNestedScaled:
             top = 0.0 if top == -math.inf else top
             lo_seed = rng.uniform(-700.0, top - 1.0)
             hi_seed = rng.uniform(top, 700.0)
-            pair = sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)
-            assert pair == (fold(ln_alphas, lo_seed), fold(ln_alphas, hi_seed))
+            check(ln_alphas, lo_seed, hi_seed)
+        # shared scales: an innermost coefficient above both seeds joins the
+        # sides' scales, and the 20-60 levels outside it bring their r together
+        for _ in range(200):
+            base = rng.uniform(-20.0, 20.0)
+            seeds = [base, base + rng.choice((2.0**-40, 1e-12, 1.0))]
+            top = seeds[1] + rng.choice((2.0**-45, 1e-12, 0.5))
+            outer = [top - rng.choice((0.0, 1e-12, 1.0)) * rng.random() for _ in range(rng.randint(20, 60))]
+            check(outer + [top], *rng.sample(seeds, 2))
+        # norm prefixes with seeds M and M + 2**-(n-1) * ln(phi) stepped up, as
+        # kappa_enclosure builds them, and equal seeds
+        for _ in range(300):
+            ln_alphas = [support.ln(rng.uniform(0.0, 3.0)) for _ in range(rng.randint(0, 63))]
+            ln_lower = support.ln(rng.uniform(0.0, 3.0))
+            ln_hi = math.nextafter(ln_lower + math.ldexp(nestrad.kappa.LN_PHI, -len(ln_alphas)), math.inf)
+            check(ln_alphas, ln_lower, ln_hi)
+            check(ln_alphas, ln_lower, ln_lower)
 
 
 @st.composite
@@ -190,7 +211,7 @@ def _fold_cases(draw):
     seed = st.one_of(
         st.just(-math.inf), st.just(0.0), st.floats(0.0, 5.0).map(support.ln), st.floats(-700.0, 700.0)
     )
-    lo_seed, hi_seed = sorted((draw(seed), draw(seed)))
+    lo_seed, hi_seed = draw(st.permutations((draw(seed), draw(seed))))
     return [ln_alpha() for _ in range(depth)], lo_seed, hi_seed
 
 
@@ -328,7 +349,7 @@ class TestSwampedLevels:
 
     @pytest.fixture
     def exp_calls(self, monkeypatch):
-        """Counts the fold's calls to ``exp``: one per level that runs, per side, and the last step's."""
+        """Counts the fold's calls to ``exp``: at most one per level that runs and side, and the last step's."""
         calls = []
 
         def exp(x):
@@ -374,21 +395,38 @@ class TestSwampedLevels:
         sqrt_nested_scaled([-math.inf] * 50, -math.inf, math.log(1e300))
         assert len(exp_calls) == 2 * 50 + 2
 
-    def test_innermost_coefficient_above_the_seed_skips_nothing(self, exp_calls):
-        # the innermost level moves both scales, which takes no second exp:
-        # its term is exp(0) = 1, added as 1.0.  Every level runs, and both
-        # sides end at one scale, with one exp
+    def test_innermost_coefficient_above_both_seeds_meets_the_sides(self, exp_calls):
+        # the innermost level moves both scales to 1.0, one exp per side; its
+        # term is exp(0) = 1, added as 1.0.  exp(2**50 * (c - 1.0)) is 0 on
+        # both sides, so both leave it at r = 1 and have met: one side runs the
+        # 49 zero levels for both, and the shared scale ends with one exp
         sqrt_nested_scaled([-math.inf] * 49 + [1.0], 0.0, math.log(2.0))
-        assert len(exp_calls) == 2 * 50 + 1
+        assert len(exp_calls) == 2 + 49 + 1
+
+    def test_equal_seeds_run_as_one_side(self, exp_calls):
+        # the sides start met: one side runs the 30 levels, the innermost
+        # moves the scale from ln 0.5 to 0 with one exp, the 29 outside it
+        # equal the scale and take none, and the last step takes one
+        sqrt_nested_scaled([0.0] * 30, math.log(0.5), math.log(0.5))
+        assert len(exp_calls) == 2
+
+    def test_golden_lower_side_takes_no_exp(self, exp_calls):
+        # 19 levels of ln alpha = 0: each equals the lower scale, 0, so the
+        # lower side adds 1.0 with no exp, while the upper side, on the boosted
+        # cap's scale, takes one per level; then one last exp per side
+        kappa_enclosure(golden(), 20)
+        assert len(exp_calls) == 19 + 2
 
     def test_scale_moving_at_every_level_takes_one_exp_per_level(self, exp_calls):
         # raw 6 at every level: ln alpha_k = 2**-k * ln 6 rises outward, and
         # level 19's 2**-19 * ln 6 = 3.42e-6 lies above both seed logs (2.10e-6
         # and 1.71e-6 + 2**-19 * ln(phi) = 2.63e-6), so every level moves both
-        # scales and runs with one exp per side.  Both sides end at ln alpha_1,
-        # with one exp
+        # scales.  Level 19 moves each side from its own scale, one exp per
+        # side; from then on the sides share a scale, and each of the 18
+        # levels outside moves both with one exp.  The shared scale, ln alpha_1,
+        # ends with one exp
         kappa_enclosure(constant_raw(6.0), 20)
-        assert len(exp_calls) == 2 * 19 + 1
+        assert len(exp_calls) == 2 + 18 + 1
 
 
 _NAMED_SPECS = {
