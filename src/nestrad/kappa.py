@@ -17,7 +17,10 @@ logs ``(ln_lower, ln_cap)`` the enclosure at depth n is
 The golden boost on the cap is what makes hi an upper bound: a constant
 tail at the cap folds to exactly cap * phi, and the added 2**-(n-1) *
 ln(phi) is that factor pulled back to the seed scale at depth n; ``LN_PHI``
-exceeds ln(phi), and the rounded sum is stepped up once.  The width obeys
+exceeds ln(phi), and the rounded sum is stepped up once.  Each probe reads
+the boost 2**-(n-1) * LN_PHI from a table indexed by depth, built at import
+with ldexp, which is exact; from depth 1075 on, where it underflows to 0,
+the probe calls ldexp itself.  The width obeys
 
     hi - lo <= exp(ln_hi) - exp(ln_lower),
 
@@ -110,8 +113,10 @@ depth or deeper could replace it, and none can reach tol.  Depths between
 the last one evaluated and that depth are not searched, as a plain
 doubling would not search them either; where the analytic width still
 falls there, one of them can be narrower, though never below its own F.
-The pad and F come from one helper, so a change to the padding policy
-changes both.
+The pad and F share one policy: :func:`_padded` computes 16 * n ulp in
+place, and F takes it from ``_fp_pad``; the tests compare every enclosure
+bit for bit with one padded by ``_fp_pad``, so a change to the policy must
+change both.
 
 Everything here is pure; results are immutable.
 """
@@ -134,6 +139,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_MIN_NORMAL = sys.float_info.min
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LN_PHI = math.log(PHI)
@@ -141,6 +147,9 @@ LN_PHI = math.log(PHI)
 # Beyond depth 256 the width bound phi**2**-n - 1 is far below binary64
 # resolution, so deeper probing cannot tighten anything.
 DEFAULT_DEPTH_CAP = 256
+
+# The cap's golden boost 2**-(n-1) * LN_PHI at depth n (module docstring).
+_LN_BOOST = [math.ldexp(LN_PHI, 1 - depth) for depth in range(1075)]
 
 
 def phi_pow(n: int) -> float:
@@ -187,7 +196,7 @@ def _fp_floor(depth: int, lo: float) -> float:
 
     The floor F of the module docstring, proved for lo >= 2**-1022; 0 below that.
     """
-    if lo < sys.float_info.min:
+    if lo < _MIN_NORMAL:
         return 0.0
     m = lo * (1.0 - 2.0**-20)
     return 1.5 * _fp_pad(depth, m) - math.ulp(m)
@@ -195,9 +204,9 @@ def _fp_floor(depth: int, lo: float) -> float:
 
 def _padded(lo_raw: float, hi_raw: float, depth: int, analytic: float) -> Enclosure:
     """Enclosure of two folds as evaluated (lo_raw <= hi_raw up to rounding), padded by the policy."""
-    # an identically-zero fold is exact, so it needs no outward padding; both
-    # folds are >= 0, so the larger one is the magnitude
-    pad = _fp_pad(depth, lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
+    # _fp_pad's pad, computed in place; an identically-zero fold is exact, so it needs
+    # no outward padding; both folds are >= 0, so the larger one is the magnitude
+    pad = 16.0 * depth * math.ulp(lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
     lo = lo_raw - pad
     lo = lo if lo > 0.0 else 0.0
     hi = hi_raw + pad
@@ -220,7 +229,8 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
         depth = limit
     ln_lower, ln_cap = spec.tail_bounds(depth)
     # one step up from the rounded sum covers the exact boost; a zero cap stays -inf
-    ln_hi = math.nextafter(ln_cap + math.ldexp(LN_PHI, 1 - depth), _INF) if ln_cap > -_INF else ln_cap
+    boost = _LN_BOOST[depth] if depth < 1075 else math.ldexp(LN_PHI, 1 - depth)
+    ln_hi = math.nextafter(ln_cap + boost, _INF) if ln_cap > -_INF else ln_cap
     if ln_hi + 1e-12 < ln_lower < _INF:  # a NaN or +inf seed is the fold's to refuse
         raise ValueError(
             f"tail bounds at depth {depth} cannot bracket: ln lower seed {ln_lower} exceeds "
@@ -278,9 +288,9 @@ def kappa_limit(
     def bisect(bad: int, good: int) -> KappaResult:
         # width(bad) > tol >= width(good); depth 0 stands for "nothing shallower".
         # Narrow to the shallowest depth inside within tol and the deepest wider one below it.
-        for depth, enclosure in sorted(seen.items()):
+        for depth in sorted(seen):
             if bad < depth < good:
-                if enclosure.hi - enclosure.lo <= tol:
+                if width(depth) <= tol:
                     good = depth
                     break
                 bad = depth
@@ -292,12 +302,13 @@ def kappa_limit(
                 bad = mid
         return KappaResult(seen[good], "converged")
 
-    previous, depth = 0, min(4, limit)
+    previous, depth, previous_width = 0, min(4, limit), _INF
     while True:
-        if width(depth) <= tol:
+        found = width(depth)
+        if found <= tol:
             return bisect(previous, depth)
-        if depth == 8:
-            guess = _predicted_depth(width(4), width(8), tol, limit)
+        if depth == 8:  # the doubling came from depth 4
+            guess = _predicted_depth(previous_width, found, tol, limit)
             # both sides of an enclosure carry a pad, so skip a depth the pads
             # alone overshoot; 16 * depth ulp is exact short of overflow, so
             # depth * pad(1) is pad(depth) bit for bit
@@ -314,7 +325,7 @@ def kappa_limit(
                     step *= 2
         if depth >= limit:
             return KappaResult(best, "tail_exhausted" if limit == tail_limit else "depth_cap")
-        previous, depth = depth, min(2 * depth, limit)
+        previous, depth, previous_width = depth, min(2 * depth, limit), found
         # no enclosure this deep or deeper beats best (the floor, module docstring)
         if _fp_floor(depth, best.lo) > best_width:
             return KappaResult(best, "fp_floor")
@@ -325,8 +336,9 @@ def _predicted_depth(width_4: float, width_8: float, tol: float, limit: int) -> 
 
     Returns 0 when the widths do not shrink or the depth lies past ``limit``.
     """
-    rate = math.log(width_4) - math.log(width_8)
+    ln_width_8 = math.log(width_8)
+    rate = math.log(width_4) - ln_width_8
     if not rate > 0.0:
         return 0
-    depth = 8.0 + 4.0 * (math.log(width_8) - math.log(tol)) / rate
+    depth = 8.0 + 4.0 * (ln_width_8 - math.log(tol)) / rate
     return math.ceil(depth) if depth <= limit else 0

@@ -290,15 +290,23 @@ class RamanujanTail(TailModel):
 
 
 class SequenceSpec(Record):
-    """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model."""
+    """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model.
 
-    __slots__ = ("prefix", "tail")
+    A spec with a prefix computes its seed bounds at the prefix depths once,
+    when it is built (:func:`_prefix_bounds`), into a private slot that
+    equality, hashing, ``repr`` and pickling do not see; a spec with an empty
+    prefix leaves the slot unset.
+    """
+
+    __slots__ = ("prefix", "tail", "_bounds")
 
     def __init__(self, prefix: tuple[float, ...], tail: TailModel):
         for index, ln_alpha in enumerate(prefix, start=1):
             _check_ln_alpha(ln_alpha, index)
         self._set_prefix(self, prefix)
         self._set_tail(self, tail)
+        if prefix:
+            self._set__bounds(self, _prefix_bounds(prefix, tail))
 
     def terms_lograw(self, count: int) -> list[float]:
         """ln(alpha_k) for k = 1..count, extending past the prefix if needed.
@@ -317,17 +325,46 @@ class SequenceSpec(Record):
         return len(self.prefix) + 1 if isinstance(self.tail, CapTableTail) else None
 
     def tail_bounds(self, n: int) -> tuple[float, float]:
-        """Seed bounds ``(ln_lower, ln_cap)`` at depth n, folding in prefix coefficients >= n."""
+        """Seed bounds ``(ln_lower, ln_cap)`` at depth n, folding in prefix coefficients >= n.
+
+        At a prefix depth these come from the table built with the spec: m =
+        max(prefix[n-1:]) in place of either tail bound it exceeds, a tie
+        going to the shallowest coefficient, as with ``max()``.
+        """
         if n < 1:
             raise ValueError(f"depth must be >= 1, got {n}")
         prefix = self.prefix
         if n > len(prefix):
             return self.tail.ln_bounds(n)
-        # Any single coefficient is a valid lower seed, and the cap must
-        # dominate every coefficient from n on.
-        lower, upper = self.tail.ln_bounds(len(prefix) + 1)
-        ln_alpha = max(prefix[n - 1:])
-        return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
+        bounds = self._bounds
+        if bounds is None:  # the tail refuses depth len(prefix) + 1; let it say so
+            return self.tail.ln_bounds(len(prefix) + 1)
+        return bounds[n - 1]
+
+
+def _prefix_bounds(
+    prefix: tuple[float, ...], tail: TailModel
+) -> tuple[tuple[float, float], ...] | None:
+    """``tail_bounds(n)`` for n = 1..len(prefix), or None if the tail refuses depth len(prefix) + 1.
+
+    Any single coefficient is a valid lower seed, and the cap must dominate
+    every coefficient from n on.  On a tie the shallowest coefficient stays,
+    the one ``max()`` returns: with -0.0 and 0.0 the sign shows.  On None (a
+    cap table that starts deeper) :meth:`SequenceSpec.tail_bounds` asks the
+    tail again, so the refusal comes where it always came.
+    """
+    try:
+        lower, upper = tail.ln_bounds(len(prefix) + 1)
+    except SpecError:
+        return None
+    bounds = []
+    top = prefix[-1]
+    for ln_alpha in reversed(prefix):
+        if ln_alpha >= top:
+            top = ln_alpha
+        bounds.append((top if top > lower else lower, top if top > upper else upper))
+    return tuple(reversed(bounds))
+
 
 def golden() -> SequenceSpec:
     """All-ones radical sqrt(1 + sqrt(1 + ...)), whose value is phi."""

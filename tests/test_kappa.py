@@ -380,8 +380,9 @@ class TestSearchAgainstScan:
         spec, tol, depth_cap = case
         result = kappa_limit(spec, tol, depth_cap)
         depth = result.enclosure.depth
+        # whatever the stop reason, the search returns the public enclosure at its depth
+        assert repr(result.enclosure) == repr(kappa_enclosure(spec, depth))
         if result.converged:
-            assert result.enclosure == kappa_enclosure(spec, depth)
             assert result.enclosure.width <= tol
             if depth > 1:
                 assert kappa_enclosure(spec, depth - 1).width > tol
@@ -510,9 +511,19 @@ class TestEnclosureArithmetic:
     @given(_enclosure_cases())
     # seeds over e**709 apart, where expm1 overflows and the width bound is the plain difference
     @example((explicit([], tail=CapTableTail(((1, 1e-200, 1e200),))), 1))
+    # the last depth of the boost table and the first two past it
+    @example((constant_raw(6.0), 1074))
+    @example((constant_raw(6.0), 1075))
+    @example((golden(), 1100))
     def test_matches_the_reference_bit_for_bit(self, case):
         spec, depth = case
         enclosure = kappa_enclosure(spec, depth)
         fields = (enclosure.lo, enclosure.hi, enclosure.depth, enclosure.analytic_width_bound, enclosure.fp_slack)
         # repr tells -0.0 from 0.0
         assert repr(fields) == repr(_reference_enclosure(spec, depth))
+
+    def test_boost_table_is_ldexp_up_to_where_the_boost_underflows(self):
+        boosts = [math.ldexp(nestrad.kappa.LN_PHI, 1 - depth) for depth in range(1200)]
+        # every boost is >= +0.0, so == is bit identity
+        assert nestrad.kappa._LN_BOOST == boosts[:1075]
+        assert boosts[1074] > 0.0 and not any(boosts[1075:])

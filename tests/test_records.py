@@ -101,6 +101,18 @@ def test_private_slots_stay_out_of_equality_hash_repr_and_pickle():
     assert pickle.loads(pickle.dumps(table))._table == table._table
 
 
+def test_spec_bound_table_stays_out_of_equality_hash_repr_and_pickle():
+    # a spec with a prefix holds its prefix-depth seed bounds in a private slot
+    for spec in (explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0)), golden()):
+        rebuilt = SequenceSpec(spec.prefix, spec.tail)
+        clone = pickle.loads(pickle.dumps(spec))
+        for other in (rebuilt, clone):
+            assert other == spec and hash(other) == hash(spec) and repr(other) == repr(spec)
+            assert [other.tail_bounds(n) for n in range(1, 6)] == [spec.tail_bounds(n) for n in range(1, 6)]
+    assert SequenceSpec._fields == ("prefix", "tail")
+    assert repr(u_spec(2.0)) == "SequenceSpec(prefix=(), tail=OmegaTail(omega_value=2.0))"
+
+
 def test_equality_is_type_aware():
     assert ConstantNormalizedTail(2.0) != OmegaTail(2.0)
     assert ZeroTail() != RamanujanTail()

@@ -2,7 +2,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -271,6 +271,15 @@ class TestSequenceSpec:
         assert spec.tail_bounds(2) == (math.log(1.5), math.log(1.5))
         assert spec.tail_bounds(3) == (0.0, 0.0)
 
+    def test_cap_table_starting_deeper_refuses_at_prefix_depths(self):
+        # the table of prefix-depth bounds needs the tail's bounds at depth 3,
+        # which this cap table refuses: the spec builds, and tail_bounds refuses
+        spec = explicit([2.0, 1.5], scale="norm", tail=CapTableTail(((5, 0.5, 1.0),)))
+        for n in (1, 2, 3):
+            with pytest.raises(SpecError, match="cap table does not cover depth 3"):
+                spec.tail_bounds(n)
+        assert spec.tail_bounds(5) == (math.log(0.5), 0.0)
+
     def test_terms_lograw_extends(self):
         spec = explicit([4.0], tail=ConstantNormalizedTail(1.0))
         ws = spec.terms_lograw(3)
@@ -423,7 +432,8 @@ _SCALE_VALUES = {
 @st.composite
 def _specs(draw):
     scale = draw(st.sampled_from(sorted(_SCALE_VALUES)))
-    values = draw(st.lists(_SCALE_VALUES[scale], max_size=8))
+    # up to 64 terms, the benchmark's longest prefix
+    values = draw(st.lists(_SCALE_VALUES[scale], max_size=64))
     tail = draw(
         st.one_of(
             st.just(ZeroTail()),
@@ -435,6 +445,27 @@ def _specs(draw):
         )
     )
     return explicit(values, scale=scale, tail=tail)
+
+
+def _tie_examples(test):
+    """Prefixes whose coefficients tie, at every prefix depth and the first past it.
+
+    Every tail kind, each with a bound at 0.0 where it has one, so that the
+    sign of a zero chosen by a tie shows in repr.
+    """
+    for prefix in ((0.0, -0.0), (-0.0, 0.0), (0.75, -math.inf, 0.75)):
+        tails = (
+            ZeroTail(),
+            ConstantNormalizedTail(1.0),
+            ConstantRawTail(1.0),
+            OmegaTail(0.5),
+            ramanujan().tail,
+            CapTableTail(((len(prefix) + 1, 1.0, 1.0),)),
+        )
+        for tail in tails:
+            for n in range(1, len(prefix) + 2):
+                test = example(SequenceSpec(prefix, tail), n)(test)
+    return test
 
 
 class TestProbeHelpersBitForBit:
@@ -449,6 +480,7 @@ class TestProbeHelpersBitForBit:
 
     @settings(max_examples=300)
     @given(_specs(), st.integers(1, 300))
+    @_tie_examples
     def test_tail_bounds_and_terms(self, spec, n):
         assert repr(spec.tail_bounds(n)) == repr(_reference_tail_bounds(spec, n))
         count = n - 1
