@@ -17,10 +17,7 @@ logs ``(ln_lower, ln_cap)`` the enclosure at depth n is
 The golden boost on the cap is what makes hi an upper bound: a constant
 tail at the cap folds to exactly cap * phi, and the added 2**-(n-1) *
 ln(phi) is that factor pulled back to the seed scale at depth n; ``LN_PHI``
-exceeds ln(phi), and the rounded sum is stepped up once.  Each probe reads
-the boost 2**-(n-1) * LN_PHI from a table indexed by depth, built at import
-with ldexp, which is exact; from depth 1075 on, where it underflows to 0,
-the probe calls ldexp itself.  The width obeys
+exceeds ln(phi), and the rounded sum is stepped up once.  The width obeys
 
     hi - lo <= exp(ln_hi) - exp(ln_lower),
 
@@ -113,10 +110,8 @@ depth or deeper could replace it, and none can reach tol.  Depths between
 the last one evaluated and that depth are not searched, as a plain
 doubling would not search them either; where the analytic width still
 falls there, one of them can be narrower, though never below its own F.
-The pad and F share one policy: :func:`_padded` computes 16 * n ulp in
-place, and F takes it from ``_fp_pad``; the tests compare every enclosure
-bit for bit with one padded by ``_fp_pad``, so a change to the policy must
-change both.
+The pad and F come from one helper, so a change to the padding policy
+changes both.
 
 Everything here is pure; results are immutable.
 """
@@ -147,9 +142,6 @@ LN_PHI = math.log(PHI)
 # Beyond depth 256 the width bound phi**2**-n - 1 is far below binary64
 # resolution, so deeper probing cannot tighten anything.
 DEFAULT_DEPTH_CAP = 256
-
-# The cap's golden boost 2**-(n-1) * LN_PHI at depth n (module docstring).
-_LN_BOOST = [math.ldexp(LN_PHI, 1 - depth) for depth in range(1075)]
 
 
 def phi_pow(n: int) -> float:
@@ -204,9 +196,9 @@ def _fp_floor(depth: int, lo: float) -> float:
 
 def _padded(lo_raw: float, hi_raw: float, depth: int, analytic: float) -> Enclosure:
     """Enclosure of two folds as evaluated (lo_raw <= hi_raw up to rounding), padded by the policy."""
-    # _fp_pad's pad, computed in place; an identically-zero fold is exact, so it needs
-    # no outward padding; both folds are >= 0, so the larger one is the magnitude
-    pad = 16.0 * depth * math.ulp(lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
+    # an identically-zero fold is exact, so it needs no outward padding; both
+    # folds are >= 0, so the larger one is the magnitude
+    pad = _fp_pad(depth, lo_raw if lo_raw > hi_raw else hi_raw) if hi_raw != 0.0 else 0.0
     lo = lo_raw - pad
     lo = lo if lo > 0.0 else 0.0
     hi = hi_raw + pad
@@ -229,8 +221,7 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
         depth = limit
     ln_lower, ln_cap = spec.tail_bounds(depth)
     # one step up from the rounded sum covers the exact boost; a zero cap stays -inf
-    boost = _LN_BOOST[depth] if depth < 1075 else math.ldexp(LN_PHI, 1 - depth)
-    ln_hi = math.nextafter(ln_cap + boost, _INF) if ln_cap > -_INF else ln_cap
+    ln_hi = math.nextafter(ln_cap + math.ldexp(LN_PHI, 1 - depth), _INF) if ln_cap > -_INF else ln_cap
     if ln_hi + 1e-12 < ln_lower < _INF:  # a NaN or +inf seed is the fold's to refuse
         raise ValueError(
             f"tail bounds at depth {depth} cannot bracket: ln lower seed {ln_lower} exceeds "

@@ -101,6 +101,8 @@ class TailModel(Record):
     Subclasses are records that provide ``ln_alphas(first, last)``
     (ln(alpha_k) for k = first..last, or raise if coefficients past the
     prefix are unknown) and ``ln_bounds(n)`` (the per-depth seed logs).
+    Both depend on their arguments only: a spec with a prefix asks its tail
+    for ``ln_bounds(len(prefix) + 1)`` once, when it is built.
     """
 
     __slots__ = ()
@@ -292,21 +294,20 @@ class RamanujanTail(TailModel):
 class SequenceSpec(Record):
     """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model.
 
-    A spec with a prefix computes its seed bounds at the prefix depths once,
-    when it is built (:func:`_prefix_bounds`), into a private slot that
-    equality, hashing, ``repr`` and pickling do not see; a spec with an empty
-    prefix leaves the slot unset.
+    A spec with a prefix computes what :meth:`tail_bounds` needs at the
+    prefix depths once, when it is built (:func:`_prefix_bounds`), into a
+    private slot that equality, hashing, ``repr`` and pickling do not see.
     """
 
     __slots__ = ("prefix", "tail", "_bounds")
 
     def __init__(self, prefix: tuple[float, ...], tail: TailModel):
-        for index, ln_alpha in enumerate(prefix, start=1):
-            _check_ln_alpha(ln_alpha, index)
+        if prefix:  # u_spec builds one with an empty prefix for every U^-1 probe
+            for index, ln_alpha in enumerate(prefix, start=1):
+                _check_ln_alpha(ln_alpha, index)
+            self._set__bounds(self, _prefix_bounds(prefix, tail))
         self._set_prefix(self, prefix)
         self._set_tail(self, tail)
-        if prefix:
-            self._set__bounds(self, _prefix_bounds(prefix, tail))
 
     def terms_lograw(self, count: int) -> list[float]:
         """ln(alpha_k) for k = 1..count, extending past the prefix if needed.
@@ -327,43 +328,52 @@ class SequenceSpec(Record):
     def tail_bounds(self, n: int) -> tuple[float, float]:
         """Seed bounds ``(ln_lower, ln_cap)`` at depth n, folding in prefix coefficients >= n.
 
-        At a prefix depth these come from the table built with the spec: m =
-        max(prefix[n-1:]) in place of either tail bound it exceeds, a tie
-        going to the shallowest coefficient, as with ``max()``.
+        At a prefix depth n, max(prefix[n-1:]) replaces either bound of the
+        tail at depth len(prefix) + 1 that it exceeds; a tie keeps the
+        shallowest coefficient, as ``max()`` does.
         """
         if n < 1:
             raise ValueError(f"depth must be >= 1, got {n}")
         prefix = self.prefix
         if n > len(prefix):
             return self.tail.ln_bounds(n)
+        # Any single coefficient is a valid lower seed, and the cap must
+        # dominate every coefficient from n on.
         bounds = self._bounds
-        if bounds is None:  # the tail refuses depth len(prefix) + 1; let it say so
-            return self.tail.ln_bounds(len(prefix) + 1)
-        return bounds[n - 1]
+        if bounds is None:  # the tail raised when the spec was built: ask it again here
+            lower, upper = self.tail.ln_bounds(len(prefix) + 1)
+            ln_alpha = max(prefix[n - 1:])
+        else:
+            tops, lower, upper = bounds
+            ln_alpha = tops[n - 1]
+        return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
 
 
 def _prefix_bounds(
     prefix: tuple[float, ...], tail: TailModel
-) -> tuple[tuple[float, float], ...] | None:
-    """``tail_bounds(n)`` for n = 1..len(prefix), or None if the tail refuses depth len(prefix) + 1.
+) -> tuple[list[float], float, float] | None:
+    """``(tops, lower, upper)``: tops[n-1] = max(prefix[n-1:]), the tail's bounds past the prefix.
 
-    Any single coefficient is a valid lower seed, and the cap must dominate
-    every coefficient from n on.  On a tie the shallowest coefficient stays,
-    the one ``max()`` returns: with -0.0 and 0.0 the sign shows.  On None (a
-    cap table that starts deeper) :meth:`SequenceSpec.tail_bounds` asks the
-    tail again, so the refusal comes where it always came.
+    The tail's bounds are those at depth len(prefix) + 1.  On a tie the
+    shallowest coefficient stays, the one ``max()`` returns: with -0.0 and
+    0.0 the sign shows.  None if the tail raises, whatever the error (a cap
+    table that starts deeper, a tail without bounds):
+    :meth:`SequenceSpec.tail_bounds` then asks the tail at each call, as a
+    spec without the table would, so the spec builds and the error comes
+    where it always came.
     """
     try:
         lower, upper = tail.ln_bounds(len(prefix) + 1)
-    except SpecError:
+    except Exception:
         return None
-    bounds = []
+    tops = []
     top = prefix[-1]
     for ln_alpha in reversed(prefix):
         if ln_alpha >= top:
             top = ln_alpha
-        bounds.append((top if top > lower else lower, top if top > upper else upper))
-    return tuple(reversed(bounds))
+        tops.append(top)
+    tops.reverse()
+    return tops, lower, upper
 
 
 def golden() -> SequenceSpec:

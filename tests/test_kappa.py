@@ -511,7 +511,7 @@ class TestEnclosureArithmetic:
     @given(_enclosure_cases())
     # seeds over e**709 apart, where expm1 overflows and the width bound is the plain difference
     @example((explicit([], tail=CapTableTail(((1, 1e-200, 1e200),))), 1))
-    # the last depth of the boost table and the first two past it
+    # the last depth whose golden boost is above 0, and the first two where it underflows
     @example((constant_raw(6.0), 1074))
     @example((constant_raw(6.0), 1075))
     @example((golden(), 1100))
@@ -521,9 +521,3 @@ class TestEnclosureArithmetic:
         fields = (enclosure.lo, enclosure.hi, enclosure.depth, enclosure.analytic_width_bound, enclosure.fp_slack)
         # repr tells -0.0 from 0.0
         assert repr(fields) == repr(_reference_enclosure(spec, depth))
-
-    def test_boost_table_is_ldexp_up_to_where_the_boost_underflows(self):
-        boosts = [math.ldexp(nestrad.kappa.LN_PHI, 1 - depth) for depth in range(1200)]
-        # every boost is >= +0.0, so == is bit identity
-        assert nestrad.kappa._LN_BOOST == boosts[:1075]
-        assert boosts[1074] > 0.0 and not any(boosts[1075:])

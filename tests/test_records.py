@@ -102,7 +102,7 @@ def test_private_slots_stay_out_of_equality_hash_repr_and_pickle():
 
 
 def test_spec_bound_table_stays_out_of_equality_hash_repr_and_pickle():
-    # a spec with a prefix holds its prefix-depth seed bounds in a private slot
+    # a spec with a prefix holds its suffix maxima and its tail's bounds in a private slot
     for spec in (explicit([1.5, 0.0, 7.25], tail=OmegaTail(2.0)), golden()):
         rebuilt = SequenceSpec(spec.prefix, spec.tail)
         clone = pickle.loads(pickle.dumps(spec))

@@ -280,6 +280,22 @@ class TestSequenceSpec:
                 spec.tail_bounds(n)
         assert spec.tail_bounds(5) == (math.log(0.5), 0.0)
 
+    def test_tail_that_raises_builds_and_raises_at_prefix_depths(self):
+        # whatever a tail raises when the spec is built, tail_bounds raises it
+        # at each prefix depth, where a spec that asks the tail every time would
+        class Refusing(ZeroTail):
+            __slots__ = ()
+
+            def ln_bounds(self, n):
+                raise ValueError(f"no bounds at depth {n}")
+
+        for tail, error in ((Refusing(), ValueError), (object(), AttributeError)):
+            spec = SequenceSpec((0.5, 0.25), tail)
+            assert spec.terms_lograw(2) == [0.5, 0.25]
+            for n in (1, 2, 3):
+                with pytest.raises(error):
+                    spec.tail_bounds(n)
+
     def test_terms_lograw_extends(self):
         spec = explicit([4.0], tail=ConstantNormalizedTail(1.0))
         ws = spec.terms_lograw(3)
