@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import shutil
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -230,9 +231,28 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, formatting its usage text once per terminal width.
+
+    argparse sizes the text to ``shutil.get_terminal_size().columns``, read
+    at each call, so a caller that changes ``COLUMNS`` still gets its text.
+    Subparsers take this class too.
+    """
+
+    _usage = None
+
+    def format_usage(self) -> str:
+        if getattr(self, "color", False):  # Python 3.14 may colour it by the stream
+            return super().format_usage()
+        columns = shutil.get_terminal_size().columns
+        if self._usage is None or self._usage[0] != columns:
+            self._usage = (columns, super().format_usage())
+        return self._usage[1]
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nestrad",
         description="Certified evaluation of nested and transfinite square-root radicals.",
     )

@@ -35,10 +35,19 @@ boost's one step up is the only directed rounding.
 Depth search.  :func:`kappa_limit` evaluates depths 4 and 8, fits a
 geometric rate to their widths, and evaluates the depth g where that rate
 reaches tol, unless the two pads at g alone exceed tol.  If width(g) <= tol
-it gallops down, evaluating g - 1, g - 3, g - 7, ... until one is wider
-than tol (or would be 8 or less); if width(g) > tol it gallops up,
+it evaluates g - 1 and returns g if that is wider than tol.  Otherwise,
+where width(g) is 0 or not below width(g - 1), the widths sit on the pad
+floor and give no rate, so it bisects between 8 and g - 1.  Where they
+still fall, it refits the rate to g - 1 and g and steps back to the depth
+c where that rate brings the width up to tol, raised to at least 9 and
+then lowered to at most g - 2 (8, already evaluated, when g is 10): a
+fit from depths 4 and 8 overshoots where the log-width falls faster deep
+than shallow, as Ramanujan's does, or where it falls off a cliff when a
+prefix ends.  If width(c) > tol it bisects between c and g - 1; if not,
+it gallops down, evaluating c - 1, c - 3, c - 7, ... until one is wider
+than tol (or would be 8 or less).  If width(g) > tol it gallops up,
 evaluating g + 1, g + 2, g + 4, ... while the two pads alone leave room
-for tol and the depth stays below the limit.  If neither brackets tol it
+for tol and the depth stays below the limit.  If nothing brackets tol it
 doubles the depth (16, 32, ...) until one is within tol.  Either way it
 then bisects between the deepest depth known to be wider than tol and the
 shallowest known to be within it, narrowed by every depth already
@@ -247,6 +256,10 @@ def kappa_limit(
 ) -> KappaResult:
     """Shallowest enclosure with width <= tol, by the module docstring's depth search.
 
+    A depth g predicted from depths 4 and 8 is confirmed by width(g - 1).
+    Past a guess wider than tol the search gallops up; below a guess that
+    overshoots it refits the rate to g - 1 and g, or bisects where the
+    widths sit on the pad floor.
     The returned depth d has width(d) <= tol < width(d - 1) (or d = 1), and
     every doubling depth (4, 8, 16, ...) evaluated below d is wider than
     tol; "shallowest" means exactly this.  Where widths are non-increasing,
@@ -306,10 +319,23 @@ def kappa_limit(
             pads_per_level = 2.0 * _fp_pad(1, seen[8].hi)
             if guess > 8 and guess * pads_per_level <= tol:
                 step = 1
-                if width(guess) <= tol:  # gallop down to a depth wider than tol
-                    while guess - step > 8 and width(guess - step) <= tol:
+                at_guess = width(guess)
+                if at_guess <= tol:
+                    below = width(guess - 1)
+                    if below > tol:
+                        return KappaResult(seen[guess], "converged")
+                    # the local log-width rate, 0 where widths are flat or rising: the pad floor
+                    rate = math.log(below) - math.log(at_guess) if 0.0 < at_guess < below else 0.0
+                    if not rate > 0.0:
+                        return bisect(8, guess - 1)
+                    # step back along that rate to where the width reaches tol
+                    back = (math.log(tol) - math.log(below)) / rate
+                    cand = min(guess - 2, max(9, math.ceil(guess - 1 - back)))
+                    if width(cand) > tol:
+                        return bisect(cand, guess - 1)
+                    while cand - step > 8 and width(cand - step) <= tol:  # gallop down
                         step = 2 * step + 1
-                    return bisect(8, guess)
+                    return bisect(8, cand)
                 while guess + step < limit and (guess + step) * pads_per_level <= tol:  # gallop up
                     if width(guess + step) <= tol:
                         return bisect(8, guess + step)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -137,6 +138,20 @@ def test_shared_parser_is_reentrant(capsys, tmp_path: Path):
     status, out, err = run_cli(capsys, "u", "--r", "-3")  # refused by the handler
     assert (status, out) == (2, "") and err.startswith("nestrad: error: --r must be")
     run_all(reversed(invocations))
+
+
+def test_usage_follows_the_terminal_width(capsys, monkeypatch):
+    # the parser keeps its usage text per width; each refusal must still print
+    # the text argparse itself formats at the width of the moment
+    parser = cli._build_parser()
+    texts = []
+    for columns in ("200", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        status, out, err = run_cli(capsys)
+        usage = argparse.ArgumentParser.format_usage(parser)
+        assert (status, out) == (2, "") and err.startswith(usage)
+        texts.append(usage)
+    assert texts[0] == texts[2] != texts[1]
 
 
 # The one-pass reader against argparse, over a token alphabet: subcommands,

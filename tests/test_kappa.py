@@ -278,8 +278,13 @@ class TestPredictedDepth:
 class TestSearchWork:
     """Depths probed per kappa_limit call: deterministic, so they guard the search cost.
 
-    The lists are exact: each probe must reach ``nestrad.kappa.kappa_enclosure``
-    through its module binding, or the benchmark's tracer would not see it.
+    Each branch of the search has a case: the fp floor ending the doubling; a
+    confirmed guess; the gallop up past a guess wider than tol; and, below a
+    guess that overshoots, the step back along the rate refitted to the guess
+    and the depth under it, that step followed by a gallop down, the step
+    clamped at 8, and the bisection from 8 where the widths sit on the pad
+    floor.  The lists are exact: each probe must reach ``nestrad.kappa.kappa_enclosure`` through its
+    module binding, or the benchmark's tracer would not see it.
     """
 
     @pytest.fixture
@@ -319,11 +324,37 @@ class TestSearchWork:
         assert result.enclosure.depth == 64
         assert depths == [4, 8, 16, 32, 64]
 
-    def test_gallop_down_from_a_missed_prediction(self, depths):
-        # the guess 25 and 24 are both within tol; 22 is not, and neither is 23, which bisection probes
+    def test_local_rate_steps_back_from_a_missed_prediction(self, depths):
+        # the guess 25 and 24 are both within tol; the rate from 25 to 24 reaches
+        # tol at 23.87, and 23, the clamp at guess - 2, is wider, so 24 is returned
         result = kappa_limit(ramanujan(), 1e-6)
         assert result.converged
-        assert depths == [4, 8, 25, 24, 22, 23]
+        assert result.enclosure.depth == 24
+        assert depths == [4, 8, 25, 24, 23]
+
+    def test_local_rate_then_gallop_down(self, depths):
+        # the rate from 44 to 43 steps back to 42, which is within tol; the
+        # gallop down from it finds 41 wider
+        result = kappa_limit(ramanujan(), 5.8982524821815e-12)
+        assert result.converged
+        assert result.enclosure.depth == 42
+        assert depths == [4, 8, 44, 43, 42, 41]
+
+    def test_local_rate_clamps_at_a_guess_of_10(self, depths):
+        # the guess 10 and 9 are both within tol; the step back clamps at 8,
+        # already evaluated and wider, so nothing more is probed
+        result = kappa_limit(ramanujan(), 0.024)
+        assert result.converged
+        assert result.enclosure.depth == 9
+        assert depths == [4, 8, 10, 9]
+
+    def test_flat_floor_bisects_below_a_missed_prediction(self, depths):
+        # the width falls to the pad floor at 14, just past the dominant last
+        # coefficient, so 41 is wider than 40 and the search bisects (8, 40)
+        result = kappa_limit(explicit([1.0] * 12 + [2.0], scale="norm"), 1e-12)
+        assert result.converged
+        assert result.enclosure.depth == 14
+        assert depths == [4, 8, 41, 40, 24, 16, 12, 14, 13]
 
     def test_gallop_up_from_a_missed_prediction(self, depths):
         # the guess 36 is wider than tol, and so are 37 and 38; the gallop
@@ -362,7 +393,7 @@ _VALUES = {
 @st.composite
 def _search_cases(draw):
     scale = draw(st.sampled_from(sorted(_VALUES)))
-    values = draw(st.lists(_VALUES[scale], max_size=6))
+    values = draw(st.lists(_VALUES[scale], max_size=40))
     tail = draw(_tails())
     if isinstance(tail, tuple):
         tail = CapTableTail(((len(values) + 1, tail[1], tail[2]),))
