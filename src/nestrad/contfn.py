@@ -35,9 +35,11 @@ far above F).  The nesting in n bounds the deeper fold from below: the
 exact lower fold rises with n, lo lies below its own fold, and every fold
 is under 2**-22 relative from exact for n' below 2**29, so m = lo * (1 -
 2**-20) <= M.  Hence width(n') >= (24 * n' - 1) ulp(M) >= (24 * n - 1)
-ulp(m) = F(n).  So :func:`cf_limit` stops doubling, with ``fp_floor``, once
-F at the next doubling depth exceeds the narrowest width found: no deeper
-enclosure could replace it, and none can reach tol.
+ulp(m) = F(n).  :func:`cf_limit` runs the depth search of
+:mod:`nestrad.kappa` from depth 1, so it tests the floor at doubling depths
+of 2 or more, and stops with ``fp_floor`` as that search does for radicals:
+once F at the next doubling depth exceeds the narrowest width found, no
+deeper enclosure could replace it, and none can reach tol.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from collections.abc import Iterable
 
 from ._record import Record
-from .kappa import KappaResult, _fp_floor, _padded
+from .kappa import KappaResult, _padded, _search
 from .nested import Enclosure, OuterFunction, nested_eval
 
 __all__ = ["ContinuedSpec", "cf_limit"]
@@ -67,47 +69,30 @@ class ContinuedSpec(Record):
 
 
 def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> KappaResult:
-    """Shallowest two-seed enclosure with width <= tol, padded by the module docstring's policy.
+    """Shallowest two-seed enclosure with width <= tol, by :mod:`nestrad.kappa`'s depth search.
 
-    Doubles the depth (1, 2, 4, ..., up to the last term or the depth cap)
-    until an enclosure is within tol, then bisects below it, so the depth d
-    returned has width(d) <= tol < width(d - 1) or d = 1.  Unconverged, it
-    returns the narrowest enclosure found with stop reason
-    ``tail_exhausted`` (the terms ran out), ``depth_cap``, or ``fp_floor``:
-    the floor of the module docstring at the next doubling depth exceeds
-    that enclosure's width, so no deeper one is narrower or within tol.  It
-    still holds whatever terms follow.
+    The search starts at depth 1 and runs to the last term or the depth
+    cap.  The depth d returned has width(d) <= tol < width(d - 1) or d = 1,
+    and every doubling depth (1, 2, 4, ...) evaluated below d is wider than
+    tol.  Unconverged, it returns the narrowest enclosure found with stop
+    reason ``tail_exhausted`` (the terms ran out), ``depth_cap`` or
+    ``fp_floor`` (the floor of the module docstring), as
+    :func:`nestrad.kappa.kappa_limit` does.  It still holds whatever terms
+    follow.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    h, terms = spec.h, spec.terms
-    if not math.isfinite(h.ceiling):
-        raise ValueError(f"outer function {h.label!r} needs a finite ceiling")
-    deepest = len(terms) if depth_cap is None else min(depth_cap, len(terms))
-    if deepest < 1:
+    if not math.isfinite(spec.h.ceiling):
+        raise ValueError(f"outer function {spec.h.label!r} needs a finite ceiling")
+    if depth_cap is not None and depth_cap < 1:
+        raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
+    count = len(spec.terms)
+    if count < 1:
         raise ValueError("no terms available")
-    seeds = (h.eval(0.0), h.ceiling)
+    deepest = count if depth_cap is None else min(depth_cap, count)
+    return _search(_enclosure, spec, tol, 1, deepest, deepest == count)
 
-    def enclosure(depth: int) -> Enclosure:
-        lo_raw, hi_raw = (nested_eval(h, terms[:depth], seed) for seed in seeds)
-        return _padded(lo_raw, hi_raw, depth, hi_raw - lo_raw if hi_raw > lo_raw else 0.0)
 
-    bad, found = 0, enclosure(1)
-    best = found
-    while found.width > tol:
-        if found.depth == deepest:
-            return KappaResult(best, "tail_exhausted" if deepest == len(terms) else "depth_cap")
-        depth = min(2 * found.depth, deepest)
-        # no enclosure this deep or deeper beats best (the floor, module docstring)
-        if _fp_floor(depth, best.lo) > best.width:
-            return KappaResult(best, "fp_floor")
-        bad, found = found.depth, enclosure(depth)
-        if found.width < best.width:
-            best = found
-    while found.depth - bad > 1:  # width(bad) > tol >= width(found)
-        probe = enclosure((bad + found.depth) // 2)
-        if probe.width <= tol:
-            found = probe
-        else:
-            bad = probe.depth
-    return KappaResult(found, "converged")
+def _enclosure(spec: ContinuedSpec, depth: int) -> Enclosure:
+    """The folds of the first ``depth`` terms from the seeds h(0) and the ceiling, padded."""
+    h, terms = spec.h, spec.terms
+    lo_raw, hi_raw = (nested_eval(h, terms[:depth], seed) for seed in (h.eval(0.0), h.ceiling))
+    return _padded(lo_raw, hi_raw, depth, hi_raw - lo_raw if hi_raw > lo_raw else 0.0)

@@ -32,30 +32,31 @@ and the two folds of :func:`nestrad.contfn.cf_limit`.  The soundness
 contract is "valid in exact arithmetic, slack-widened in binary64"; the
 boost's one step up is the only directed rounding.
 
-Depth search.  :func:`kappa_limit` evaluates depths 4 and 8, fits a
-geometric rate to their widths, and evaluates the depth g where that rate
-reaches tol, unless the two pads at g alone exceed tol.  If width(g) <= tol
-it evaluates g - 1 and returns g if that is wider than tol.  Otherwise,
-where width(g) is 0 or not below width(g - 1), the widths sit on the pad
-floor and give no rate, so it bisects between 8 and g - 1.  Where they
-still fall, it refits the rate to g - 1 and g and steps back to the depth
-c where that rate brings the width up to tol, raised to at least 9 and
-then lowered to at most g - 2 (8, already evaluated, when g is 10): a
-fit from depths 4 and 8 overshoots where the log-width falls faster deep
-than shallow, as Ramanujan's does, or where it falls off a cliff when a
-prefix ends.  If width(c) > tol it bisects between c and g - 1; if not,
-it gallops down, evaluating c - 1, c - 3, c - 7, ... until one is wider
-than tol (or would be 8 or less).  If width(g) > tol it gallops up,
-evaluating g + 1, g + 2, g + 4, ... while the two pads alone leave room
-for tol and the depth stays below the limit.  If nothing brackets tol it
-doubles the depth (16, 32, ...) until one is within tol.  Either way it
-then bisects between the deepest depth known to be wider than tol and the
-shallowest known to be within it, narrowed by every depth already
-evaluated; no depth is evaluated twice.  Widths are not monotone in depth:
-once the analytic width falls below the pad, the 2 * pad(n) term grows
-with n.  So a depth below the one returned may still be within tol, and
-the search may return a different qualifying depth than a plain doubling
-would.
+Depth search.  One search serves both limits, from depth 4 in
+:func:`kappa_limit` and from depth 1 in :func:`nestrad.contfn.cf_limit`.
+It doubles the depth; at 8 it fits a geometric rate to the widths at 4 and
+8 and evaluates the depth g where that rate reaches tol, unless the two
+pads at g alone exceed tol.  If width(g) <= tol it evaluates g - 1 and
+returns g if that is wider than tol.  Otherwise, where width(g) is 0 or not
+below width(g - 1), the widths sit on the pad floor and give no rate, so it
+bisects between 8 and g - 1.  Where they still fall, it refits the rate to
+g - 1 and g and steps back to the depth c where that rate brings the width
+up to tol, raised to at least 9 and then lowered to at most g - 2 (8,
+already evaluated, when g is 10): a fit from depths 4 and 8 overshoots
+where the log-width falls faster deep than shallow, as Ramanujan's does, or
+where it falls off a cliff when a prefix ends.  If width(c) > tol it
+bisects between c and g - 1; if not, it gallops down, evaluating c - 1,
+c - 3, c - 7, ... until one is wider than tol (or would be 8 or less).  If
+width(g) > tol it gallops up, evaluating g + 1, g + 2, g + 4, ... while the
+two pads alone leave room for tol and the depth stays below the limit.  If
+nothing brackets tol it doubles the depth (16, 32, ...) until one is within
+tol.  Either way it then bisects between the deepest depth known to be
+wider than tol and the shallowest known to be within it, narrowed by every
+depth already evaluated; no depth is evaluated twice.  Widths are not
+monotone in depth: once the analytic width falls below the pad, the
+2 * pad(n) term grows with n.  So a depth below the one returned may still
+be within tol, and the search may return a different qualifying depth than
+a plain doubling would.
 
 Floating-point floor.  Let lo >= 2**-1022 be the lower end of an enclosure
 already evaluated and m = lo * (1 - 2**-20).  No enclosure at depth n' >= n
@@ -129,6 +130,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 
 from ._record import Record
 from .nested import Enclosure, sqrt_nested_scaled
@@ -171,7 +173,7 @@ class KappaResult(Record):
     deeper coefficients; this wins when the cap is the same depth) or
     ``fp_floor`` (no enclosure at the next doubling depth or deeper can be
     narrower than the one returned: the floor of the :mod:`nestrad.kappa`
-    docstring, which also bounds :func:`nestrad.contfn.cf_limit`).
+    docstring, and of the :mod:`nestrad.contfn` one for continued functions).
     """
 
     __slots__ = ("enclosure", "stop_reason")
@@ -251,10 +253,8 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     return _padded(lo_raw, hi_raw, depth, analytic if analytic > 0.0 else 0.0)
 
 
-def kappa_limit(
-    spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> KappaResult:
-    """Shallowest enclosure with width <= tol, by the module docstring's depth search.
+def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_CAP) -> KappaResult:
+    """Shallowest enclosure with width <= tol, by the module docstring's depth search from depth 4.
 
     A depth g predicted from depths 4 and 8 is confirmed by width(g - 1).
     Past a guess wider than tol the search gallops up; below a guess that
@@ -268,12 +268,25 @@ def kappa_limit(
     :class:`KappaResult`) rather than raising: a partial enclosure is still
     certified.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
     if depth_cap < 1:
         raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
     tail_limit = spec.max_depth()
     limit = depth_cap if tail_limit is None else min(depth_cap, tail_limit)
+    # kappa_enclosure is read from the module at each call, so rebinding it reaches the search
+    return _search(kappa_enclosure, spec, tol, 4, limit, limit == tail_limit)
+
+
+def _search(
+    enclose: Callable[..., Enclosure], subject: object, tol: float, first: int, limit: int, exhausted: bool
+) -> KappaResult:
+    """The module docstring's depth search over ``enclose(subject, depth)`` up to ``limit``.
+
+    It starts at ``first`` (or ``limit``, if shallower) and doubles.  An
+    unconverged search that reaches ``limit`` stops with ``tail_exhausted``
+    if ``exhausted``, else with ``depth_cap``.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
     seen: dict[int, Enclosure] = {}
     best: Enclosure | None = None
     best_width = _INF
@@ -283,7 +296,7 @@ def kappa_limit(
         enclosure = seen.get(depth)
         if enclosure is not None:
             return enclosure.hi - enclosure.lo
-        enclosure = seen[depth] = kappa_enclosure(spec, depth)
+        enclosure = seen[depth] = enclose(subject, depth)
         found = enclosure.hi - enclosure.lo
         if best is None or found < best_width:
             best, best_width = enclosure, found
@@ -306,7 +319,7 @@ def kappa_limit(
                 bad = mid
         return KappaResult(seen[good], "converged")
 
-    previous, depth, previous_width = 0, min(4, limit), _INF
+    previous, depth, previous_width = 0, min(first, limit), _INF
     while True:
         found = width(depth)
         if found <= tol:
@@ -341,7 +354,7 @@ def kappa_limit(
                         return bisect(8, guess + step)
                     step *= 2
         if depth >= limit:
-            return KappaResult(best, "tail_exhausted" if limit == tail_limit else "depth_cap")
+            return KappaResult(best, "tail_exhausted" if exhausted else "depth_cap")
         previous, depth, previous_width = depth, min(2 * depth, limit), found
         # no enclosure this deep or deeper beats best (the floor, module docstring)
         if _fp_floor(depth, best.lo) > best_width:

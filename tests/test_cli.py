@@ -154,6 +154,29 @@ def test_usage_follows_the_terminal_width(capsys, monkeypatch):
     assert texts[0] == texts[2] != texts[1]
 
 
+def test_coloured_usage_is_never_cached(monkeypatch):
+    # Python 3.14 may colour the usage by the stream, so a parser with a
+    # truthy color attribute formats it afresh at each call, even at one width
+    parser = cli._build_parser()
+    calls = []
+    format_usage = argparse.ArgumentParser.format_usage
+
+    def counted(self):
+        calls.append(self)
+        return format_usage(self)
+
+    monkeypatch.setenv("COLUMNS", "120")
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", counted)
+    parser.format_usage()
+    calls.clear()
+    assert parser.format_usage() == parser.format_usage()
+    assert calls == []  # uncoloured, the width's text is cached
+    monkeypatch.setattr(parser, "color", True, raising=False)
+    first, second = parser.format_usage(), parser.format_usage()
+    assert calls == [parser, parser]
+    assert first == second
+
+
 # The one-pass reader against argparse, over a token alphabet: subcommands,
 # each flag in full, abbreviated and as --flag=value, help, "--", and values
 # that convert, fail to convert or start with "-".  Each flag's usual value
@@ -567,6 +590,16 @@ class TestCfCommand:
     def test_bad_terms(self, capsys):
         status, _, err = run_cli(capsys, "cf", "--fn", "arctan", "--terms", "1,x")
         assert status == 2
+
+    def test_300_ones_converge_below_the_fp_floor(self, capsys):
+        # the widths dip under tol at depth 19, before the pads grow; the
+        # search's guess from depths 4 and 8 finds it, where a doubling to 32
+        # would stop at the floor, unconverged
+        terms = ",".join(["1"] * 300)
+        status, out, _ = run_cli(capsys, "cf", "--fn", "arctan", "--terms", terms, "--tol", "2e-13")
+        assert status == 0
+        doc = json.loads(out)
+        assert (doc["converged"], doc["depth"]) == (True, 19)
 
 
 class TestTableCommand:

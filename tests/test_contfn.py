@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nestrad.contfn
 import support
@@ -12,10 +14,16 @@ from nestrad import (
     cf_limit,
     nested_eval,
 )
-from nestrad.kappa import _padded
+from nestrad.kappa import _fp_floor, _padded
 
 # an outer function without a finite ceiling
 LOG1P = OuterFunction(math.log1p, math.inf, "log1p")
+
+
+def _enclosure(terms, depth):
+    """The two-seed enclosure at ``depth``, built from the folds as cf_limit pads them."""
+    lo, hi = (nested_eval(ARCTAN, terms[:depth], seed) for seed in (0.0, ARCTAN.ceiling))
+    return _padded(lo, hi, depth, hi - lo if hi > lo else 0.0)
 
 
 class TestCfEval:
@@ -46,8 +54,14 @@ class TestCfErrorBound:
             cf_limit(ContinuedSpec(LOG1P, [0.0] * 3), 0.1)
 
     def test_depth_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="depth cap"):
             cf_limit(ContinuedSpec(ARCTAN, [0.0]), 0.1, depth_cap=0)
+
+    def test_refusals_name_their_cause(self):
+        with pytest.raises(ValueError, match="depth cap must be >= 1, got -3"):
+            cf_limit(ContinuedSpec(ARCTAN, [0.0]), 0.1, depth_cap=-3)
+        with pytest.raises(ValueError, match="no terms available"):
+            cf_limit(ContinuedSpec(ARCTAN, []), 0.1, depth_cap=5)
 
 
 class TestCfLimit:
@@ -93,8 +107,10 @@ class TestCfLimit:
 
     def test_stops_at_the_fp_floor(self, monkeypatch):
         # at tol 1e-13 the pads outgrow the gap (3.3e-16 at depth 32): the
-        # floor at depth 64, 1.5 pads less an ulp, exceeds depth 32's width,
-        # so the doubling stops there instead of folding on to the cap
+        # guess from depths 4 and 8, 27, and its neighbour 28 are wider than
+        # tol, so the search resumes doubling, and the floor at depth 64, 1.5
+        # pads less an ulp, exceeds depth 32's width, so it stops there
+        # instead of folding on to the cap
         spec = ContinuedSpec(ARCTAN, [0.5] * 300)
         folds = []
 
@@ -106,10 +122,20 @@ class TestCfLimit:
         result = cf_limit(spec, 1e-13, 256)
         assert result.stop_reason == "fp_floor"
         assert (result.enclosure.depth, result.enclosure.width) == (32, 1.1401990462900358e-13)
-        assert (len(folds), sum(folds)) == (12, 126)  # depths 1, 2, 4, ..., 32, two folds each
+        # depths 1, 2, 4, 8, 27, 28, 16 and 32, two folds each
+        assert (len(folds), sum(folds)) == (16, 236)
         for depth in (64, 65, 128, 256, 300):  # no deeper enclosure is narrower
             lo, hi = (nested_eval(ARCTAN, spec.terms[:depth], seed) for seed in (0.0, ARCTAN.ceiling))
             assert _padded(lo, hi, depth, hi - lo).width > result.enclosure.width
+
+    def test_converges_where_the_widths_dip_under_tol(self):
+        # the guess from depths 4 and 8 lands on depth 19, under tol before
+        # the pads grow; a plain doubling would jump to 32 and stop at the floor
+        spec = ContinuedSpec(ARCTAN, [1.0] * 300)
+        result = cf_limit(spec, 2e-13)
+        assert result.converged
+        assert (result.enclosure.depth, result.enclosure.width) == (19, 1.545430450278218e-13)
+        assert _enclosure(spec.terms, 18).width > 2e-13
 
     def test_shallowest_converged_depth(self):
         # every depth below the one returned is wider than tol
@@ -126,6 +152,52 @@ class TestCfLimit:
             cf_limit(ContinuedSpec(ARCTAN, [1.0]), 0.0)
         with pytest.raises(ValueError):
             cf_limit(ContinuedSpec(ARCTAN, []), 0.1)
+
+
+@st.composite
+def _search_cases(draw):
+    # all zeros, U(0, 1) or U(0, 10), up to 300 terms
+    high = draw(st.sampled_from((0.0, 1.0, 10.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    terms = [rng.uniform(0.0, high) for _ in range(draw(st.integers(1, 300)))]
+    tol = 10.0 ** draw(st.floats(-15.0, math.log10(2.0)))
+    return terms, tol, draw(st.sampled_from((None, 5, 64)))
+
+
+class TestSearchAgainstScan:
+    """cf_limit checked against enclosures evaluated depth by depth."""
+
+    @settings(max_examples=200)
+    @given(_search_cases())
+    @example(([0.5] * 300, 1e-13, None))
+    @example(([0.0] * 300, 1e-5, None))
+    def test_search_matches_exhaustive_scan(self, case):
+        terms, tol, depth_cap = case
+        result = cf_limit(ContinuedSpec(ARCTAN, terms), tol, depth_cap)
+        depth = result.enclosure.depth
+        # whatever the stop reason, the search returns the enclosure at its depth
+        assert repr(result.enclosure) == repr(_enclosure(terms, depth))
+        if result.converged:
+            assert result.enclosure.width <= tol
+            if depth > 1:
+                assert _enclosure(terms, depth - 1).width > tol
+            return
+        assert result.stop_reason in ("depth_cap", "tail_exhausted", "fp_floor")
+        # the doubling depths 1, 2, 4, ... below the deepest depth, and that depth
+        deepest = len(terms) if depth_cap is None else min(depth_cap, len(terms))
+        scan = [d for d in (2**k for k in range(9)) if d < deepest] + [deepest]
+        widths = [_enclosure(terms, d).width for d in scan]
+        assert min(widths) > tol
+        assert result.enclosure.width <= min(widths)
+        if result.stop_reason == "fp_floor":
+            # the floor bounds every deeper width from below, and the search
+            # stopped where it exceeds the returned width
+            for deeper in range(depth + 1, min(deepest, 4 * depth) + 1):
+                width = _enclosure(terms, deeper).width
+                floor = _fp_floor(deeper, result.enclosure.lo)
+                assert width >= floor, deeper
+                if floor > result.enclosure.width:
+                    assert width >= result.enclosure.width, deeper
 
 
 class TestErrorBoundValidity:
