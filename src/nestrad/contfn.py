@@ -88,7 +88,7 @@ def cf_limit(spec: ContinuedSpec, tol: float, depth_cap: int | None = None) -> K
     if count < 1:
         raise ValueError("no terms available")
     deepest = count if depth_cap is None else min(depth_cap, count)
-    return _search(_enclosure, spec, tol, 1, deepest, deepest == count)
+    return _search(_enclosure, spec, tol, 1, deepest, "tail_exhausted" if deepest == count else "depth_cap")
 
 
 def _enclosure(spec: ContinuedSpec, depth: int) -> Enclosure:

@@ -33,20 +33,25 @@ contract is "valid in exact arithmetic, slack-widened in binary64"; the
 boost's one step up is the only directed rounding.
 
 Depth search.  One search serves both limits, from depth 4 in
-:func:`kappa_limit` and from depth 1 in :func:`nestrad.contfn.cf_limit`.
+:func:`kappa_limit` and from depth 1 in :func:`nestrad.contfn.cf_limit`,
+up to a limit: the shallowest of the depth cap, the last depth that the
+tail or the terms supply and, for :func:`kappa_limit`, a spec's swamp depth
+(below).
 It doubles the depth; at 8 it fits a geometric rate to the widths at 4 and
 8 and evaluates the depth g where that rate reaches tol, unless the two
-pads at g alone exceed tol.  If width(g) <= tol it evaluates g - 1 and
+pads at g alone exceed tol; a g past a swamp depth that is the limit
+becomes that depth.  If width(g) <= tol it evaluates g - 1 and
 returns g if that is wider than tol.  Otherwise, where width(g) is 0 or not
 below width(g - 1), the widths sit on the pad floor and give no rate, so it
 bisects between 8 and g - 1.  Where they still fall, it refits the rate to
-g - 1 and g and steps back to the depth c where that rate brings the width
+g - 1 and g and steps back to the depth b where that rate brings the width
 up to tol, raised to at least 9 and then lowered to at most g - 2 (8,
 already evaluated, when g is 10): a fit from depths 4 and 8 overshoots
 where the log-width falls faster deep than shallow, as Ramanujan's does, or
-where it falls off a cliff when a prefix ends.  If width(c) > tol it
-bisects between c and g - 1; if not, it gallops down, evaluating c - 1,
-c - 3, c - 7, ... until one is wider than tol (or would be 8 or less).  If
+where it falls off a cliff when a prefix ends with no swamp depth.  If
+width(b) > tol it bisects between b and g - 1; if not, it gallops down,
+evaluating b - 1, b - 3, b - 7, ... until one is wider than tol (or would
+be 8 or less).  If
 width(g) > tol it gallops up, evaluating g + 1, g + 2, g + 4, ... while the
 two pads alone leave room for tol and the depth stays below the limit.  If
 nothing brackets tol it doubles the depth (16, 32, ...) until one is within
@@ -123,6 +128,43 @@ falls there, one of them can be narrower, though never below its own F.
 The pad and F come from one helper, so a change to the padding policy
 changes both.
 
+Swamp depth.  A spec with a prefix of p coefficients finds its swamp
+depth c when it is built (:func:`nestrad.seqspec._prefix_bounds`): the
+least k + 1 such that the coefficient alpha_k swamps both seeds at every
+depth from k + 1 on.  Let B_k be the largest of the tail's two seed logs at
+depth p + 1 and the ln(alpha_j) with k < j <= p, and U_k = nextafter(B_k +
+2**-k * ``LN_PHI``, +inf).  For k <= 1074, alpha_k swamps when (U_k - ln
+alpha_k) / 2**-k <= -40, rounded as the fold rounds it; only a coefficient
+above the tail's bounds and every later coefficient can.  Then at every
+depth n >= c both folds give one value X, the same at each depth:
+
+* Each side enters level k at a running scale of at most U_k.  The lower
+  seed is at most B_k: within the prefix it is a later coefficient or the
+  tail's lower seed at p + 1, and past it a tail's seed logs never exceed
+  the larger one at p + 1 (the :class:`nestrad.seqspec.TailModel`
+  premise).  The upper seed is the lower one or the boosted cap,
+  nextafter(ln_cap(n) + 2**(1 - n) * ``LN_PHI``, +inf), which is at most
+  U_k as ln_cap(n) <= B_k, 1 - n <= -k and rounding is monotone (a zero cap
+  takes no boost, and a zero seed's scale floor, the least finite float,
+  is nextafter(-inf, +inf)).  The coefficients after k, the tail's (at
+  most its cap at p + 1) and the past-1074 maximum are at most B_k.
+* So level k moves both sides to the scale ln alpha_k, and adds to 1.0 a
+  product r * exp(t) with r < 2 and t <= -40 (rounding is monotone), below
+  2 * e**-40 < 2**-53: both sides leave level k at r = 1.0.
+* From there both sides run the same operations on the same values, at
+  every such depth, so lo_raw = hi_raw = X; the fold's shortcuts leave the
+  bits of its plain loop (the :mod:`nestrad.nested` docstring).
+
+The pad 16 * n * ulp(X) grows with n, lo = X - pad is exact or clamped at
+0, and hi = X + pad rounds monotonically, so no enclosure at depth c or
+deeper is narrower than the one at c, and none converges where c does not.
+So :func:`kappa_limit` searches no deeper than a swamp depth that lies
+below its cap and the tail's end, and an unconverged search that reaches
+it stops there with stop reason ``fp_floor``.  The argument needs only that
+the two raw folds agree and that the pad does not shrink with depth, not
+the pad's size.  A :func:`kappa_enclosure` call deeper than c still folds
+and pads at the depth asked for.
+
 Everything here is pure; results are immutable.
 """
 
@@ -134,7 +176,7 @@ from collections.abc import Callable
 
 from ._record import Record
 from .nested import Enclosure, sqrt_nested_scaled
-from .seqspec import SequenceSpec
+from .seqspec import LN_PHI, SequenceSpec
 
 __all__ = [
     "PHI",
@@ -148,7 +190,6 @@ _INF = float("inf")
 _MIN_NORMAL = sys.float_info.min
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-LN_PHI = math.log(PHI)
 
 # Beyond depth 256 the width bound phi**2**-n - 1 is far below binary64
 # resolution, so deeper probing cannot tighten anything.
@@ -173,7 +214,9 @@ class KappaResult(Record):
     deeper coefficients; this wins when the cap is the same depth) or
     ``fp_floor`` (no enclosure at the next doubling depth or deeper can be
     narrower than the one returned: the floor of the :mod:`nestrad.kappa`
-    docstring, and of the :mod:`nestrad.contfn` one for continued functions).
+    docstring, and of the :mod:`nestrad.contfn` one for continued functions;
+    or the search reached the spec's swamp depth, where no deeper enclosure
+    is narrower, the swamp depth of the :mod:`nestrad.kappa` docstring).
     """
 
     __slots__ = ("enclosure", "stop_reason")
@@ -256,6 +299,9 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
 def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_CAP) -> KappaResult:
     """Shallowest enclosure with width <= tol, by the module docstring's depth search from depth 4.
 
+    The search runs up to the depth cap, the tail's last depth or the
+    spec's swamp depth, whichever is shallowest; a tie goes to the cap
+    table's ``tail_exhausted``, then to ``depth_cap``.
     A depth g predicted from depths 4 and 8 is confirmed by width(g - 1).
     Past a guess wider than tol the search gallops up; below a guess that
     overshoots it refits the rate to g - 1 and g, or bisects where the
@@ -270,20 +316,26 @@ def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_C
     """
     if depth_cap < 1:
         raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
+    limit, stop = depth_cap, "depth_cap"
     tail_limit = spec.max_depth()
-    limit = depth_cap if tail_limit is None else min(depth_cap, tail_limit)
+    if tail_limit is not None and tail_limit <= limit:
+        limit, stop = tail_limit, "tail_exhausted"
+    swamp = spec._swamp_depth()
+    if swamp is not None and swamp < limit:
+        limit, stop = swamp, "fp_floor"
     # kappa_enclosure is read from the module at each call, so rebinding it reaches the search
-    return _search(kappa_enclosure, spec, tol, 4, limit, limit == tail_limit)
+    return _search(kappa_enclosure, spec, tol, 4, limit, stop)
 
 
 def _search(
-    enclose: Callable[..., Enclosure], subject: object, tol: float, first: int, limit: int, exhausted: bool
+    enclose: Callable[..., Enclosure], subject: object, tol: float, first: int, limit: int, stop: str
 ) -> KappaResult:
     """The module docstring's depth search over ``enclose(subject, depth)`` up to ``limit``.
 
     It starts at ``first`` (or ``limit``, if shallower) and doubles.  An
-    unconverged search that reaches ``limit`` stops with ``tail_exhausted``
-    if ``exhausted``, else with ``depth_cap``.
+    unconverged search that reaches ``limit`` stops with ``stop``, its
+    reason; with ``fp_floor`` (a swamp depth) a guess past ``limit`` probes
+    ``limit``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -325,7 +377,8 @@ def _search(
         if found <= tol:
             return bisect(previous, depth)
         if depth == 8:  # the doubling came from depth 4
-            guess = _predicted_depth(previous_width, found, tol, limit)
+            # past a swamp depth no width is narrower than the limit's, so probe the limit
+            guess = _predicted_depth(previous_width, found, tol, limit, limit if stop == "fp_floor" else 0)
             # both sides of an enclosure carry a pad, so skip a depth the pads
             # alone overshoot; 16 * depth ulp is exact short of overflow, so
             # depth * pad(1) is pad(depth) bit for bit
@@ -354,21 +407,21 @@ def _search(
                         return bisect(8, guess + step)
                     step *= 2
         if depth >= limit:
-            return KappaResult(best, "tail_exhausted" if exhausted else "depth_cap")
+            return KappaResult(best, stop)
         previous, depth, previous_width = depth, min(2 * depth, limit), found
         # no enclosure this deep or deeper beats best (the floor, module docstring)
         if _fp_floor(depth, best.lo) > best_width:
             return KappaResult(best, "fp_floor")
 
 
-def _predicted_depth(width_4: float, width_8: float, tol: float, limit: int) -> int:
+def _predicted_depth(width_4: float, width_8: float, tol: float, limit: int, past: int = 0) -> int:
     """Depth where widths shrinking geometrically from depth 4 to 8 reach tol.
 
-    Returns 0 when the widths do not shrink or the depth lies past ``limit``.
+    Returns 0 when the widths do not shrink, and ``past`` when the depth lies past ``limit``.
     """
     ln_width_8 = math.log(width_8)
     rate = math.log(width_4) - ln_width_8
     if not rate > 0.0:
         return 0
     depth = 8.0 + 4.0 * (ln_width_8 - math.log(tol)) / rate
-    return math.ceil(depth) if depth <= limit else 0
+    return math.ceil(depth) if depth <= limit else past

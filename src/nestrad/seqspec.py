@@ -41,6 +41,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from ._record import Record
+from .nested import _DEEPEST_LEVEL, _INV_POW2
 
 __all__ = [
     "SpecError",
@@ -65,6 +66,10 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
+
+# ln(phi); kappa_enclosure boosts the cap at depth n by 2**-(n-1) times it
+LN_PHI = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
 
 def _ln(value: float) -> float:
@@ -103,6 +108,15 @@ class TailModel(Record):
     prefix are unknown) and ``ln_bounds(n)`` (the per-depth seed logs).
     Both depend on their arguments only: a spec with a prefix asks its tail
     for ``ln_bounds(len(prefix) + 1)`` once, when it is built.
+
+    The larger of the two seed logs must not grow with depth: at no depth
+    past n does it exceed its value at n.  The swamp depth of the
+    :mod:`nestrad.kappa` docstring rests on this.  The built-in tails keep
+    it: both seeds of :class:`ConstantRawTail` fall with depth, the lower
+    seed of :class:`RamanujanTail` rises but stays below its constant cap,
+    the other tails' seeds are constant, and a :class:`CapTableTail` pins
+    the depth.  A tail that breaks it still gets certified enclosures; the
+    depth search may then stop with one that is not the narrowest.
     """
 
     __slots__ = ()
@@ -295,8 +309,9 @@ class SequenceSpec(Record):
     """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model.
 
     A spec with a prefix computes what :meth:`tail_bounds` needs at the
-    prefix depths once, when it is built (:func:`_prefix_bounds`), into a
-    private slot that equality, hashing, ``repr`` and pickling do not see.
+    prefix depths, and its swamp depth, once, when it is built
+    (:func:`_prefix_bounds`), into a private slot that equality, hashing,
+    ``repr`` and pickling do not see.
     """
 
     __slots__ = ("prefix", "tail", "_bounds")
@@ -325,6 +340,11 @@ class SequenceSpec(Record):
         """Deepest usable evaluation depth: ``len(prefix) + 1`` for a cap-table tail, else None."""
         return len(self.prefix) + 1 if isinstance(self.tail, CapTableTail) else None
 
+    def _swamp_depth(self) -> int | None:
+        """The swamp depth that :func:`_prefix_bounds` found, or None."""
+        bounds = self._bounds if self.prefix else None
+        return None if bounds is None else bounds[3]
+
     def tail_bounds(self, n: int) -> tuple[float, float]:
         """Seed bounds ``(ln_lower, ln_cap)`` at depth n, folding in prefix coefficients >= n.
 
@@ -344,15 +364,15 @@ class SequenceSpec(Record):
             lower, upper = self.tail.ln_bounds(len(prefix) + 1)
             ln_alpha = max(prefix[n - 1:])
         else:
-            tops, lower, upper = bounds
+            tops, lower, upper, _ = bounds
             ln_alpha = tops[n - 1]
         return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
 
 
 def _prefix_bounds(
     prefix: tuple[float, ...], tail: TailModel
-) -> tuple[list[float], float, float] | None:
-    """``(tops, lower, upper)``: tops[n-1] = max(prefix[n-1:]), the tail's bounds past the prefix.
+) -> tuple[list[float], float, float, int | None] | None:
+    """``(tops, lower, upper, swamp)``: tops[n-1] = max(prefix[n-1:]), the tail's bounds past the prefix.
 
     The tail's bounds are those at depth len(prefix) + 1.  On a tie the
     shallowest coefficient stays, the one ``max()`` returns: with -0.0 and
@@ -361,19 +381,34 @@ def _prefix_bounds(
     :meth:`SequenceSpec.tail_bounds` then asks the tail at each call, as a
     spec without the table would, so the spec builds and the error comes
     where it always came.
+
+    ``swamp`` is the swamp depth of the :mod:`nestrad.kappa` docstring, or
+    None.  Only a coefficient above B_k, the largest of the tail's bounds
+    and the coefficients after it, can swamp, so the loop that keeps the
+    suffix maxima tests only those.
     """
     try:
         lower, upper = tail.ln_bounds(len(prefix) + 1)
     except Exception:
         return None
     tops = []
-    top = prefix[-1]
+    top = _NEG_INF
+    most = lower if lower > upper else upper  # B_k: the tail's bounds and every coefficient after k
+    swamp = None
     for ln_alpha in reversed(prefix):
         if ln_alpha >= top:
+            if ln_alpha > most:  # only a coefficient above B_k can swamp
+                k = len(prefix) - len(tops)
+                # U_k >= B_k, so a coefficient that fails the test from B_k fails it from U_k
+                if k <= _DEEPEST_LEVEL and (most - ln_alpha) / _INV_POW2[k] <= -40.0:
+                    s = _INV_POW2[k]
+                    if (math.nextafter(most + s * LN_PHI, _INF) - ln_alpha) / s <= -40.0:
+                        swamp = k + 1
+                most = ln_alpha
             top = ln_alpha
         tops.append(top)
     tops.reverse()
-    return tops, lower, upper
+    return tops, lower, upper, swamp
 
 
 def golden() -> SequenceSpec:

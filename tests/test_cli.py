@@ -374,6 +374,16 @@ class TestEval:
         assert doc["converged"] is False
         assert doc["lo"] <= PHI <= doc["hi"]
 
+    def test_spec_file_stops_at_its_swamp_depth(self, capsys, tmp_path: Path):
+        # the last coefficient swamps both seeds at depth 14 and deeper, so no
+        # deeper enclosure is narrower and the search stops there unconverged
+        spec = tmp_path / "radical.spec"
+        spec.write_text("terms_norm=[1,1,1,1,1,1,1,1,1,1,1,1,2]\ntail=zero\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, "eval", "--spec", str(spec), "--tol", "1e-300")
+        assert (status, err) == (3, "")
+        doc = json.loads(out)
+        assert (doc["depth"], doc["width"], doc["converged"]) == (14, 1.9895196601282805e-13, False)
+
     def test_depth_cap_exit_code(self, capsys):
         status, out, _ = run_cli(
             capsys, "eval", "--family", "golden", "--tol", "1e-10", "--depth-cap", "8"

@@ -3,7 +3,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nestrad.kappa
@@ -15,6 +15,7 @@ from nestrad import (
     ConstantRawTail,
     OmegaTail,
     RamanujanTail,
+    SequenceSpec,
     ZeroTail,
     constant_normalized,
     constant_raw,
@@ -279,12 +280,14 @@ class TestSearchWork:
     """Depths probed per kappa_limit call: deterministic, so they guard the search cost.
 
     Each branch of the search has a case: the fp floor ending the doubling; a
-    confirmed guess; the gallop up past a guess wider than tol; and, below a
+    confirmed guess; the gallop up past a guess wider than tol; below a
     guess that overshoots, the step back along the rate refitted to the guess
     and the depth under it, that step followed by a gallop down, the step
     clamped at 8, and the bisection from 8 where the widths sit on the pad
-    floor.  The lists are exact: each probe must reach ``nestrad.kappa.kappa_enclosure`` through its
-    module binding, or the benchmark's tracer would not see it.
+    floor; and a guess past a spec's swamp depth, which probes that depth,
+    where an unconverged search stops.  The lists are exact: each probe must
+    reach ``nestrad.kappa.kappa_enclosure`` through its module binding, or
+    the benchmark's tracer would not see it.
     """
 
     @pytest.fixture
@@ -349,12 +352,31 @@ class TestSearchWork:
         assert depths == [4, 8, 10, 9]
 
     def test_flat_floor_bisects_below_a_missed_prediction(self, depths):
-        # the width falls to the pad floor at 14, just past the dominant last
-        # coefficient, so 41 is wider than 40 and the search bisects (8, 40)
-        result = kappa_limit(explicit([1.0] * 12 + [2.0], scale="norm"), 1e-12)
+        # no coefficient swamps, yet the widths at the guess 27 and at 26 sit
+        # on the pad floor, 27 wider than 26, so the search bisects (8, 26)
+        spec = explicit(_FLAT_FLOOR_NORMS, scale="norm", tail=ConstantNormalizedTail(2.417086578086079))
+        assert spec._swamp_depth() is None
+        result = kappa_limit(spec, 8.425984284144247e-09)
+        assert result.converged
+        assert result.enclosure.depth == 9
+        assert depths == [4, 8, 27, 26, 17, 13, 11, 10, 9]
+
+    def test_guess_past_the_swamp_depth_probes_it(self, depths):
+        # the last coefficient swamps both seeds from depth 14 on, so the guess
+        # 41 becomes 14, which is within tol where 13 is not
+        spec = explicit([1.0] * 12 + [2.0], scale="norm")
+        assert spec._swamp_depth() == 14
+        result = kappa_limit(spec, 1e-12)
         assert result.converged
         assert result.enclosure.depth == 14
-        assert depths == [4, 8, 41, 40, 24, 16, 12, 14, 13]
+        assert depths == [4, 8, 14, 13]
+
+    def test_unconverged_search_stops_at_the_swamp_depth(self, depths):
+        # no width reaches 1e-300, and none past 14 is narrower than 14's
+        result = kappa_limit(explicit([1.0] * 12 + [2.0], scale="norm"), 1e-300)
+        assert result.stop_reason == "fp_floor"
+        assert result.enclosure.depth == 14
+        assert depths == [4, 8, 14]
 
     def test_gallop_up_from_a_missed_prediction(self, depths):
         # the guess 36 is wider than tol, and so are 37 and 38; the gallop
@@ -364,11 +386,26 @@ class TestSearchWork:
         assert depths == [4, 8, 36, 37, 38, 40, 39]
 
     def test_no_depth_evaluated_twice(self, depths):
-        for spec in ALL_FAMILIES:
+        swamped = [
+            explicit([1.0] * 12 + [2.0], scale="norm"),
+            explicit([2.0, 0.0, 5.0, 0.0, 3e20], tail=ConstantRawTail(6.0)),
+            explicit([0.5, 3.0] + [1.0] * 6 + [1.5], scale="norm", tail=ConstantNormalizedTail(1.0)),
+            explicit([1.0] * 30 + [2.0, 0.5], scale="norm", tail=OmegaTail(0.5)),
+        ]
+        assert all(spec._swamp_depth() is not None for spec in swamped)
+        for spec in ALL_FAMILIES + swamped:
             for tol in (1e-4, 1e-9, 1e-13, 1e-15):
                 depths.clear()
                 kappa_limit(spec, tol)
                 assert len(depths) == len(set(depths)), (spec.tail, tol, depths)
+
+
+# the seed-101 benchmark's explicit norm prefix of length 15 with a constant_norm tail
+_FLAT_FLOOR_NORMS = [
+    1.4584361284823708, 2.8350832690219536, 1.9401151533044252, 1.0954291102523301, 0.0,
+    1.5944536594406062, 1.7587637685218849, 2.6904469156659685, 0.33846867655834456, 0.0,
+    0.8660981638694023, 0.4463181724183446, 0.12753709837389582, 0.0, 1.9328148105662903,
+]
 
 
 def _tails():
@@ -434,6 +471,123 @@ class TestSearchAgainstScan:
                 assert width >= floor(deeper, result.enclosure.lo), deeper
                 if floor(deeper, result.enclosure.lo) > result.enclosure.width:
                     assert width >= result.enclosure.width, deeper
+
+    @settings(max_examples=300)
+    @given(_search_cases())
+    @example((explicit([1.0] * 12 + [2.0], scale="norm"), 1e-13, 256))
+    def test_a_result_at_the_swamp_depth_is_the_narrowest(self, case):
+        # past a swamp depth c no width is narrower than c's, and the search probes none
+        spec, tol, depth_cap = case
+        swamp = spec._swamp_depth()
+        probes = []
+        enclosure_of = nestrad.kappa.kappa_enclosure
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nestrad.kappa, "kappa_enclosure", lambda s, d: probes.append(d) or enclosure_of(s, d))
+            result = kappa_limit(spec, tol, depth_cap)
+        if swamp is None:
+            return
+        assert max(probes) <= swamp, probes
+        if result.enclosure.depth == swamp:
+            for deeper in range(swamp + 1, min(4 * swamp, depth_cap) + 1):
+                assert kappa_enclosure(spec, deeper).width >= result.enclosure.width, deeper
+
+
+def _raw_folds(spec, depth):
+    # the two folds that kappa_enclosure pads, from its seeds
+    ln_lower, ln_cap = spec.tail_bounds(depth)
+    ln_hi = ln_cap + math.ldexp(math.log(PHI), 1 - depth)
+    ln_hi = math.nextafter(ln_hi, math.inf) if ln_cap != -math.inf else ln_hi
+    return sqrt_nested_scaled(spec.terms_lograw(depth - 1), ln_lower, max(ln_hi, ln_lower))
+
+
+def _swamps(spec, k):
+    # the swamp test of the kappa docstring for coefficient k, from its definition
+    lower, upper = spec.tail.ln_bounds(len(spec.prefix) + 1)
+    most = max([lower, upper, *spec.prefix[k:]])
+    ceiling = math.nextafter(most + math.ldexp(math.log(PHI), -k), math.inf)
+    return k <= 1074 and (ceiling - spec.prefix[k - 1]) / 2.0**-k <= -40.0
+
+
+_HUGE = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+_SWAMP_VALUES = {
+    "raw": st.one_of(st.just(0.0), st.floats(0.0, 50.0), _HUGE),
+    "lograw": st.one_of(st.just(-math.inf), st.floats(-8.0, 8.0), st.floats(-690.0, 690.0)),
+    "norm": st.one_of(st.just(0.0), st.floats(0.0, 4.0), _HUGE),
+}
+_SWAMP_TAILS = st.one_of(
+    st.just(ZeroTail()),
+    st.one_of(st.floats(0.0, 4.0), _HUGE).map(ConstantNormalizedTail),
+    st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda exponent: 10.0**exponent)).map(ConstantRawTail),
+    st.floats(0.0, 4.0).map(OmegaTail),
+    st.just(RamanujanTail()),
+)
+
+
+@st.composite
+def _swamp_specs(draw):
+    scale = draw(st.sampled_from(sorted(_SWAMP_VALUES)))
+    values = draw(st.lists(_SWAMP_VALUES[scale], min_size=1, max_size=64))
+    return explicit(values, scale=scale, tail=draw(_SWAMP_TAILS))
+
+
+class TestSwampDepth:
+    """The swamp depth of the kappa docstring: its test, its premise and its consequence."""
+
+    @settings(max_examples=300)
+    @given(_swamp_specs())
+    def test_is_the_shallowest_coefficient_that_swamps(self, spec):
+        swamping = [k for k in range(1, len(spec.prefix) + 1) if _swamps(spec, k)]
+        assert spec._swamp_depth() == (swamping[0] + 1 if swamping else None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_swamp_specs())
+    @example(explicit([1.0] * 12 + [2.0], scale="norm"))
+    @example(explicit([1e300, 1.0], scale="norm", tail=ConstantRawTail(1e300)))
+    def test_folds_agree_and_widths_grow_from_it(self, spec):
+        swamp = spec._swamp_depth()
+        assume(swamp is not None)
+        # the short fold, the settling one from 64 levels and the past-1074 maximum
+        depths = sorted({swamp, swamp + 1, 2 * swamp, 70, 1100})
+        at_swamp = _raw_folds(spec, swamp)
+        widths = []
+        for depth in depths:
+            lo_raw, hi_raw = _raw_folds(spec, depth)
+            assert repr((lo_raw, hi_raw)) == repr((at_swamp[0], at_swamp[0])), depth
+            widths.append(kappa_enclosure(spec, depth).width)
+        assert widths == sorted(widths)
+
+    @settings(max_examples=150)
+    @given(_swamp_specs())
+    def test_a_coefficient_one_float_under_the_threshold_does_not_swamp(self, spec):
+        swamp = spec._swamp_depth()
+        assume(swamp is not None)
+        k, tail = swamp - 1, spec.tail
+        # zero the coefficients before k, so that only k and those after it can swamp
+        zeroed = (-math.inf,) * (k - 1) + spec.prefix[k - 1:]
+        assert SequenceSpec(zeroed, tail)._swamp_depth() == swamp
+        lower, upper = tail.ln_bounds(len(zeroed) + 1)
+        most = max([lower, upper, *zeroed[k:]])
+        assume(most > -math.inf)  # a zero ceiling: every coefficient above it swamps
+        # the least ln alpha_k that swamps, from an estimate a few floats off
+        ceiling = math.nextafter(most + math.ldexp(math.log(PHI), -k), math.inf)
+        least = ceiling + 40.0 * 2.0**-k
+        passes = lambda ln_alpha: (ceiling - ln_alpha) / 2.0**-k <= -40.0
+        while not passes(least):
+            least = math.nextafter(least, math.inf)
+        while passes(math.nextafter(least, -math.inf)):
+            least = math.nextafter(least, -math.inf)
+        assume(least < 709.0)
+        for ln_alpha, swamps in ((least, True), (math.nextafter(least, -math.inf), False)):
+            nudged = SequenceSpec(zeroed[:k - 1] + (ln_alpha,) + zeroed[k:], tail)._swamp_depth()
+            assert (nudged == swamp) if swamps else (nudged is None or nudged > swamp), ln_alpha
+
+    @settings(max_examples=300)
+    @given(_SWAMP_TAILS, st.integers(0, 1100))
+    def test_no_seed_log_exceeds_its_maximum_past_the_prefix(self, tail, length):
+        # the TailModel premise: the larger seed log does not grow with depth
+        most = max(tail.ln_bounds(length + 1))
+        for depth in range(length + 2, length + 301):
+            assert max(tail.ln_bounds(depth)) <= most, depth
 
 
 def _probe_path_cases():
