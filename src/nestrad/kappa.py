@@ -40,7 +40,9 @@ tail or the terms supply and, for :func:`kappa_limit`, a spec's swamp depth
 It doubles the depth; at 8 it fits a geometric rate to the widths at 4 and
 8 and evaluates the depth g where that rate reaches tol, unless the two
 pads at g alone exceed tol; a g past a swamp depth that is the limit
-becomes that depth.  If width(g) <= tol it evaluates g - 1 and
+becomes that depth.  In :func:`kappa_limit`, where the explicit bound is
+tight, g is first lowered to a depth known to be within tol (the
+explicit-bound cap, below).  If width(g) <= tol it evaluates g - 1 and
 returns g if that is wider than tol.  Otherwise, where width(g) is 0 or not
 below width(g - 1), the widths sit on the pad floor and give no rate, so it
 bisects between 8 and g - 1.  Where they still fall, it refits the rate to
@@ -62,6 +64,31 @@ monotone in depth: once the analytic width falls below the pad, the
 2 * pad(n) term grows with n.  So a depth below the one returned may still
 be within tol, and the search may return a different qualifying depth than
 a plain doubling would.
+
+Explicit-bound cap.  Write A(n) for the ``analytic_width_bound`` at
+depth n, read from the seed bounds at n without folding, and S(n) = 2.5 *
+pad(n, (hi(8) + tol) * (1 + 2**-20)), hi(8) the upper end of the depth-8
+enclosure.  A depth n with A(n) + S(n) <= tol is within tol.  Proof: every
+enclosure obeys width(n) <= A(n) + 2.5 * pad(n, M), M the larger raw fold
+(the padding policy above).  With L <= H the exact folds at n and v the
+radical, L <= v and H - L <= A(n) up to A's rounding, a few ulp, so H <=
+v + A(n) <= hi(8) + tol, as the depth-8 enclosure contains v and A(n) <=
+tol; both raw folds lie within a relative 2**-30 of their exact ones, and
+so at most 2**-30 above H (the floor's proof, below).  The factor 1 +
+2**-20 covers both roundings, so M is at most the magnitude in S(n), ulp
+is non-decreasing, and width(n) <= A(n) + S(n) <= tol.
+The search reads A only where it is tight at depth 8: A(8) <= 4 *
+width(8).  The constant 4 is measured, not derived.  A(8) / width(8) is
+about 1.3 for Ramanujan's tail and 1.1 for U(2.5)'s, and about 20.6 for
+golden, powertower and constant_norm:2 and 658 for constant_raw:6, whose
+widths fall faster than A, which halves per level: there A reaches tol
+only past g, so a read would be wasted.  Where the gate holds and g > 9,
+the search reads A(g - 1); if g - 1 fits, it bisects (8, g - 1) for the
+shallowest depth that fits and takes it as g.  The bisection assumes that
+A + S falls with depth; where it does not, g is lowered less, never to a
+depth wider than tol.  :func:`nestrad.contfn.cf_limit` reads no bound: its
+``analytic_width_bound`` is the difference of its two folds, known only by
+folding.
 
 Floating-point floor.  Let lo >= 2**-1022 be the lower end of an enclosure
 already evaluated and m = lo * (1 - 2**-20).  No enclosure at depth n' >= n
@@ -284,15 +311,17 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     lo_raw, hi_raw = sqrt_nested_scaled(
         spec.terms_lograw(depth - 1), ln_lower, ln_lower if ln_lower > ln_hi else ln_hi
     )
-    # exp(ln_hi) - exp(ln_lower) without the cancellation; the fold refused
-    # either side past binary64, so neither exp overflows
+    # exp(ln_hi) - exp(ln_lower), through expm1 where the difference would
+    # cancel; past a log gap of 1 it cancels at most a factor 1 - 1/e, while
+    # expm1 would carry the gap's rounding, up to 2**-53 relative per unit of
+    # gap.  The fold refused either side past binary64, so no exp overflows
+    gap = ln_hi - ln_lower
     if ln_lower == -_INF:
         analytic = math.exp(ln_hi)
+    elif gap > 1.0:
+        analytic = math.exp(ln_hi) - math.exp(ln_lower)
     else:
-        try:
-            analytic = math.exp(ln_lower) * math.expm1(ln_hi - ln_lower)
-        except OverflowError:  # seeds over e**709 apart: the difference cancels nothing
-            analytic = math.exp(ln_hi) - math.exp(ln_lower)
+        analytic = math.exp(ln_lower) * math.expm1(gap)
     return _padded(lo_raw, hi_raw, depth, analytic if analytic > 0.0 else 0.0)
 
 
@@ -302,7 +331,9 @@ def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_C
     The search runs up to the depth cap, the tail's last depth or the
     spec's swamp depth, whichever is shallowest; a tie goes to the cap
     table's ``tail_exhausted``, then to ``depth_cap``.
-    A depth g predicted from depths 4 and 8 is confirmed by width(g - 1).
+    A depth g predicted from depths 4 and 8, lowered where the explicit
+    bound is tight to the shallowest depth that the bound and the pads put
+    within tol, is confirmed by width(g - 1).
     Past a guess wider than tol the search gallops up; below a guess that
     overshoots it refits the rate to g - 1 and g, or bisects where the
     widths sit on the pad floor.
@@ -324,18 +355,47 @@ def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_C
     if swamp is not None and swamp < limit:
         limit, stop = swamp, "fp_floor"
     # kappa_enclosure is read from the module at each call, so rebinding it reaches the search
-    return _search(kappa_enclosure, spec, tol, 4, limit, stop)
+    return _search(kappa_enclosure, spec, tol, 4, limit, stop, _analytic_gap)
+
+
+def _analytic_gap(spec: SequenceSpec, depth: int) -> float:
+    """``kappa_enclosure(spec, depth).analytic_width_bound``, read without folding.
+
+    For a depth no deeper than the spec's max depth.  It is inf where that
+    enclosure could not bracket or an exp overflows, so a read raises only
+    what ``spec.tail_bounds`` raises.  :func:`kappa_enclosure` repeats the
+    arithmetic inline, as its every probe would pay for a call.
+    """
+    ln_lower, ln_cap = spec.tail_bounds(depth)
+    ln_hi = math.nextafter(ln_cap + math.ldexp(LN_PHI, 1 - depth), _INF) if ln_cap > -_INF else ln_cap
+    if not ln_lower <= ln_hi:  # a NaN or +inf seed, or a lower seed above the boosted cap
+        return _INF
+    gap = ln_hi - ln_lower
+    try:
+        if ln_lower == -_INF or gap > 1.0:  # exp(-inf) is 0.0, and x - 0.0 is x
+            return math.exp(ln_hi) - math.exp(ln_lower)
+        return math.exp(ln_lower) * math.expm1(gap)
+    except OverflowError:  # the fold at this depth would exceed binary64
+        return _INF
 
 
 def _search(
-    enclose: Callable[..., Enclosure], subject: object, tol: float, first: int, limit: int, stop: str
+    enclose: Callable[..., Enclosure],
+    subject: object,
+    tol: float,
+    first: int,
+    limit: int,
+    stop: str,
+    gap: Callable[..., float] | None = None,
 ) -> KappaResult:
     """The module docstring's depth search over ``enclose(subject, depth)`` up to ``limit``.
 
     It starts at ``first`` (or ``limit``, if shallower) and doubles.  An
     unconverged search that reaches ``limit`` stops with ``stop``, its
     reason; with ``fp_floor`` (a swamp depth) a guess past ``limit`` probes
-    ``limit``.
+    ``limit``.  ``gap(subject, depth)``, where given, reads the enclosure's
+    ``analytic_width_bound`` without enclosing; the search caps its guess
+    with it where the bound is tight at depth 8 (the module docstring).
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -379,6 +439,9 @@ def _search(
         if depth == 8:  # the doubling came from depth 4
             # past a swamp depth no width is narrower than the limit's, so probe the limit
             guess = _predicted_depth(previous_width, found, tol, limit, limit if stop == "fp_floor" else 0)
+            # where the explicit bound is tight, lower the guess to a depth it puts within tol
+            if gap is not None and guess > 9 and seen[8].analytic_width_bound <= 4.0 * found:
+                guess = _capped_guess(gap, subject, tol, guess, seen[8].hi)
             # both sides of an enclosure carry a pad, so skip a depth the pads
             # alone overshoot; 16 * depth ulp is exact short of overflow, so
             # depth * pad(1) is pad(depth) bit for bit
@@ -412,6 +475,30 @@ def _search(
         # no enclosure this deep or deeper beats best (the floor, module docstring)
         if _fp_floor(depth, best.lo) > best_width:
             return KappaResult(best, "fp_floor")
+
+
+def _capped_guess(gap: Callable[..., float], subject: object, tol: float, guess: int, hi_8: float) -> int:
+    """The shallowest depth n in (8, guess) with A(n) + S(n) <= tol, else ``guess``.
+
+    A is ``gap`` and S the slack of the module docstring's explicit-bound
+    cap; the bisection assumes that A + S falls with depth.
+    """
+    # S > 0, so an A(g - 1) above tol rules out g - 1 and, A falling, every shallower depth
+    at_deepest = gap(subject, guess - 1)
+    if not at_deepest <= tol:
+        return guess
+    # 2.5 * 16 * depth ulp is exact short of overflow, so depth * S(1) is S(depth) bit for bit
+    slack_per_level = 2.5 * _fp_pad(1, (hi_8 + tol) * (1.0 + 2.0**-20))
+    if at_deepest + (guess - 1) * slack_per_level > tol:
+        return guess
+    lo, hi = 8, guess - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gap(subject, mid) + mid * slack_per_level <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _predicted_depth(width_4: float, width_8: float, tol: float, limit: int, past: int = 0) -> int:

@@ -3,7 +3,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import nestrad.kappa
@@ -28,7 +28,7 @@ from nestrad import (
     sqrt_nested_scaled,
     u_spec,
 )
-from nestrad.kappa import _fp_pad, _predicted_depth, phi_pow
+from nestrad.kappa import DEFAULT_DEPTH_CAP, _fp_pad, _predicted_depth, phi_pow
 
 ALL_FAMILIES = [
     golden(),
@@ -280,7 +280,8 @@ class TestSearchWork:
     """Depths probed per kappa_limit call: deterministic, so they guard the search cost.
 
     Each branch of the search has a case: the fp floor ending the doubling; a
-    confirmed guess; the gallop up past a guess wider than tol; below a
+    confirmed guess; a guess lowered by the explicit bound, and a loose bound
+    that is never read; the gallop up past a guess wider than tol; below a
     guess that overshoots, the step back along the rate refitted to the guess
     and the depth under it, that step followed by a gallop down, the step
     clamped at 8, and the bisection from 8 where the widths sit on the pad
@@ -300,6 +301,14 @@ class TestSearchWork:
             return original(spec, depth)
 
         monkeypatch.setattr(nestrad.kappa, "kappa_enclosure", counted)
+        return seen
+
+    @pytest.fixture
+    def bound_reads(self, monkeypatch):
+        # every tail_bounds call: one per probe, and one per read of the explicit bound
+        seen = []
+        original = SequenceSpec.tail_bounds
+        monkeypatch.setattr(SequenceSpec, "tail_bounds", lambda spec, n: seen.append(n) or original(spec, n))
         return seen
 
     def test_fp_floor_ends_the_doubling(self, depths):
@@ -335,13 +344,33 @@ class TestSearchWork:
         assert result.enclosure.depth == 24
         assert depths == [4, 8, 25, 24, 23]
 
-    def test_local_rate_then_gallop_down(self, depths):
-        # the rate from 44 to 43 steps back to 42, which is within tol; the
-        # gallop down from it finds 41 wider
+    def test_loose_bound_is_not_read(self, depths, bound_reads):
+        # golden's explicit bound is about 20 times its width at depth 8, so
+        # the search reads no bound: one tail_bounds call per probe
+        result = kappa_limit(golden(), 1e-8)
+        assert result.converged
+        assert depths == [4, 8, 17, 16]
+        assert bound_reads == depths
+
+    def test_explicit_bound_caps_the_guess(self, depths, bound_reads):
+        # the fit from 4 and 8 guesses 44; the bound and the pads put 43, not
+        # 42, within tol.  42 is within tol all the same, so the step back
+        # from 43 lands on 41, wider; seven reads of the bound found 43
         result = kappa_limit(ramanujan(), 5.8982524821815e-12)
         assert result.converged
         assert result.enclosure.depth == 42
-        assert depths == [4, 8, 44, 43, 42, 41]
+        assert depths == [4, 8, 43, 42, 41]
+        assert len(bound_reads) == len(depths) + 7
+
+    def test_local_rate_then_gallop_down(self, depths):
+        # a loose bound (about 7.4 times the width at depth 8) leaves the guess
+        # 19; 19 and 18 are within tol, the rate from 19 to 18 steps back to
+        # 16, also within tol, and the gallop down from it finds 15 wider
+        spec = explicit([0.0, 12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], tail=ConstantNormalizedTail(0.97))
+        result = kappa_limit(spec, 2.3e-07)
+        assert result.converged
+        assert result.enclosure.depth == 16
+        assert depths == [4, 8, 19, 18, 16, 15]
 
     def test_local_rate_clamps_at_a_guess_of_10(self, depths):
         # the guess 10 and 9 are both within tol; the step back clamps at 8,
@@ -490,6 +519,113 @@ class TestSearchAgainstScan:
         if result.enclosure.depth == swamp:
             for deeper in range(swamp + 1, min(4 * swamp, depth_cap) + 1):
                 assert kappa_enclosure(spec, deeper).width >= result.enclosure.width, deeper
+
+
+def _outcome(function, *args):
+    # what a call returns, or the class and message of what it raises
+    try:
+        return repr(function(*args))
+    except Exception as error:  # noqa: BLE001 - the class is the point
+        return f"{type(error).__name__}: {error}"
+
+
+def _caps_of(spec, tol, depth_cap):
+    # (guess, capped guess) for each time a kappa_limit search caps its guess
+    caps = []
+    capped_guess = nestrad.kappa._capped_guess
+
+    def recorded(gap, subject, tol, guess, hi_8):
+        caps.append((guess, capped_guess(gap, subject, tol, guess, hi_8)))
+        return caps[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nestrad.kappa, "_capped_guess", recorded)
+        kappa_limit(spec, tol, depth_cap)
+    return caps
+
+
+_MAX = 1.7976931348623157e308
+# specs at binary64's edge, each at the tolerances below: a cap-table row
+# whose upper cap is the largest float, and lograw prefixes whose last ln
+# alpha_k sits near 709.7, past which exp overflows
+_EDGE_SPECS = [
+    explicit([1.0] * 20, scale="norm", tail=CapTableTail(((21, 1.0, _MAX),))),
+    explicit([], tail=CapTableTail(((1, 0.5, _MAX),))),
+    *(
+        explicit([-math.inf] * (k - 1) + [math.ldexp(ln_alpha, k)], scale="lograw", tail=tail)
+        for ln_alpha in (709.7, 709.78)
+        for k in (1, 9, 12, 20)
+        for tail in (RamanujanTail(), OmegaTail(1.0), ZeroTail())
+    ),
+]
+_EDGE_TOLS = (1e-12, 1e-4, 1e292, 1e295, 1e300)
+
+
+class TestExplicitBoundCap:
+    """The guess the explicit bound caps: its premise, its reads and its edges (the kappa docstring)."""
+
+    @settings(max_examples=300)
+    @given(_search_cases())
+    # seeds e**644 apart: through expm1 the bound lost 2.9e-14 relative, more than the slack
+    @example((explicit([], tail=CapTableTail(((1, 3.9413477433545844e-280, 2.0),))), 1e-4, 1))
+    def test_width_within_the_slacked_bound(self, case):
+        # the premise of the cap, on random specs at random depths 1-300
+        spec, _, depth = case
+        enclosure = kappa_enclosure(spec, depth)
+        assert enclosure.width <= enclosure.analytic_width_bound + enclosure.fp_slack
+
+    @settings(max_examples=300)
+    @given(_search_cases())
+    @example((ramanujan(), 5.8982524821815e-12, 256))
+    def test_a_capped_guess_is_within_tol(self, case):
+        spec, tol, depth_cap = case
+        caps = _caps_of(spec, tol, depth_cap)
+        assert len(caps) <= 1
+        if not caps:
+            event("no bound read")
+            return
+        guess, capped = caps[0]
+        event("guess capped" if capped < guess else "guess kept")
+        assert 8 < capped <= guess
+        if capped < guess:
+            assert kappa_enclosure(spec, capped).width <= tol
+
+    def test_every_capped_guess_of_a_tight_bound_is_within_tol(self):
+        # Ramanujan's and the omega tails' bounds are tight, so their searches read them
+        capped_any = False
+        for spec in (ramanujan(), u_spec(1.0), u_spec(2.5), u_spec(4.0)):
+            for tol in (factor * 10.0**-exponent for exponent in range(4, 16) for factor in (1.0, 1.7, 3.1, 5.9)):
+                for guess, capped in _caps_of(spec, tol, DEFAULT_DEPTH_CAP):
+                    if capped < guess:
+                        capped_any = True
+                        assert kappa_enclosure(spec, capped).width <= tol, (spec.tail, tol, guess, capped)
+        assert capped_any
+
+    @pytest.mark.parametrize("spec", _EDGE_SPECS)
+    def test_a_bound_read_raises_nothing_the_enclosure_would_not(self, spec):
+        for depth in range(1, min(60, spec.max_depth() or 60) + 1):
+            gap = _outcome(nestrad.kappa._analytic_gap, spec, depth)
+            enclosure = _outcome(kappa_enclosure, spec, depth)
+            if "Error" in gap:
+                assert gap.split(":")[0] == enclosure.split(":")[0], depth
+
+    @pytest.mark.parametrize("spec", _EDGE_SPECS + [ramanujan(), u_spec(2.5)])
+    def test_answers_or_refuses_as_the_uncapped_search(self, spec, monkeypatch):
+        # with no bound to read, kappa_limit runs the search without the cap
+        cases = [(tol, cap) for tol in _EDGE_TOLS for cap in (DEFAULT_DEPTH_CAP, *range(1, 12))]
+        capped = [_outcome(kappa_limit, spec, tol, cap) for tol, cap in cases]
+        monkeypatch.setattr(nestrad.kappa, "_analytic_gap", None)
+        assert capped == [_outcome(kappa_limit, spec, tol, cap) for tol, cap in cases]
+
+    def test_the_edge_specs_read_the_bound(self, monkeypatch):
+        # so the two tests above do not pass vacuously
+        reads = []
+        read = nestrad.kappa._analytic_gap
+        monkeypatch.setattr(nestrad.kappa, "_analytic_gap", lambda spec, n: reads.append(n) or read(spec, n))
+        for spec in _EDGE_SPECS:
+            for tol in _EDGE_TOLS:
+                _outcome(kappa_limit, spec, tol)
+        assert reads
 
 
 def _raw_folds(spec, depth):
@@ -658,11 +794,11 @@ def _reference_enclosure(spec, depth):
     lo_raw, hi_raw = sqrt_nested_scaled(spec.terms_lograw(depth - 1), ln_lower, max(ln_hi, ln_lower))
     pad = _fp_pad(depth, max(abs(hi_raw), abs(lo_raw))) if hi_raw != 0.0 else 0.0
     lo = max(0.0, lo_raw - pad)
-    # exp(ln_hi) - exp(ln_lower) through expm1, or as that difference where expm1 overflows
-    try:
-        gap = math.exp(ln_hi) if ln_lower == -math.inf else math.exp(ln_lower) * math.expm1(ln_hi - ln_lower)
-    except OverflowError:
+    # exp(ln_hi) - exp(ln_lower), through expm1 where the logs are at most 1 apart
+    if ln_hi - ln_lower > 1.0 or ln_lower == -math.inf:
         gap = math.exp(ln_hi) - math.exp(ln_lower)
+    else:
+        gap = math.exp(ln_lower) * math.expm1(ln_hi - ln_lower)
     return (lo, max(hi_raw + pad, lo), depth, max(0.0, gap), 2.5 * pad)
 
 
@@ -694,7 +830,7 @@ def _enclosure_cases(draw):
 class TestEnclosureArithmetic:
     @settings(max_examples=400)
     @given(_enclosure_cases())
-    # seeds over e**709 apart, where expm1 overflows and the width bound is the plain difference
+    # seeds over e**709 apart, where expm1 would overflow: the width bound is the plain difference
     @example((explicit([], tail=CapTableTail(((1, 1e-200, 1e200),))), 1))
     # the last depth whose golden boost is above 0, and the first two where it underflows
     @example((constant_raw(6.0), 1074))
@@ -706,3 +842,13 @@ class TestEnclosureArithmetic:
         fields = (enclosure.lo, enclosure.hi, enclosure.depth, enclosure.analytic_width_bound, enclosure.fp_slack)
         # repr tells -0.0 from 0.0
         assert repr(fields) == repr(_reference_enclosure(spec, depth))
+
+    @settings(max_examples=300)
+    @given(_enclosure_cases())
+    def test_a_bound_read_is_the_enclosures_bound(self, case):
+        # the explicit-bound cap's read, bit for bit, wherever it is finite
+        spec, depth = case
+        depth = min(depth, spec.max_depth() or depth)
+        gap = nestrad.kappa._analytic_gap(spec, depth)
+        if gap != math.inf:
+            assert repr(gap) == _outcome(lambda: kappa_enclosure(spec, depth).analytic_width_bound)
