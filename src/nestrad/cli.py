@@ -18,9 +18,14 @@ converts, every required flag is given and exactly one flag of each
 exclusive pair.  Any other argv (help, abbreviations, ``--flag=value``,
 negative values, refusals) goes to the argparse tree built from the same
 declaration on first use, which returns the same namespace for the argv the
-one-pass reader takes; so argparse alone prints help and usage errors.  The
+one-pass reader takes; so argparse alone prints help and usage errors.  Only
+that argv imports argparse (and with it gettext) and shutil, and only a
+``cap:`` tail imports csv, so a well-formed request loads neither.  The
 namespace carries the subcommand's handler: a function from it to ``(exit
 status, document)``.
+
+A document that cannot be written, to ``--out`` or to a standard output
+whose reader has gone, is reported on one line with exit 2.
 
 Exit codes: 0 success, 2 validation error, 3 search stopped without reaching
 tolerance (depth cap, cap table end or floating-point floor; the result
@@ -32,19 +37,18 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
-import shutil
+import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
+from types import SimpleNamespace
 
 from .caps import SupQuery, sup_enclosure
 from .contfn import ContinuedSpec, cf_limit
 from .kappa import DEFAULT_DEPTH_CAP, KappaResult, kappa_enclosure, kappa_limit
 from .nested import ARCTAN
-from .seqspec import SpecError, make_family, parse_spec
+from .seqspec import SpecError, _path, make_family, parse_spec
 from .ufunc import u_inverse, u_spec, u_table
 
 __all__ = ["run", "main", "emit_table"]
@@ -109,14 +113,16 @@ def _result_document(
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -130,19 +136,21 @@ def _colon_triple(text: str, option: str, shape: str, types: tuple[type, type, t
     raise SpecError(f"{option} expects {shape}, got {text!r}")
 
 
-def _eval(args: argparse.Namespace) -> tuple[int, str]:
+def _eval(args: SimpleNamespace) -> tuple[int, str]:
     if args.family is not None:
         spec = make_family(args.family)
     else:
+        path = _path(args.spec)
         try:
-            text = Path(args.spec).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as stream:
+                text = stream.read()
         except OSError as exc:
             raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from None
-        spec = parse_spec(text, cap_base=Path(args.spec).parent)
+        spec = parse_spec(text, cap_base=os.path.dirname(path))
     return _result_document(kappa_limit(spec, args.tol, args.depth_cap), args.format)
 
 
-def _u(args: argparse.Namespace) -> tuple[int, str]:
+def _u(args: SimpleNamespace) -> tuple[int, str]:
     if args.grid is not None:
         r_min, r_max, count = _colon_triple(args.grid, "--grid", "rmin:rmax:count", (float, float, int))
         rows = u_table(r_min, r_max, count, args.tol, args.depth_cap)
@@ -154,19 +162,19 @@ def _u(args: argparse.Namespace) -> tuple[int, str]:
     return _result_document(result, args.format, [("r", r)])
 
 
-def _u_inv(args: argparse.Namespace) -> tuple[int, str]:
+def _u_inv(args: SimpleNamespace) -> tuple[int, str]:
     r = u_inverse(args.y, args.tol, args.depth_cap)
     return EXIT_OK, _emit_object([("y", args.y), ("r", r), ("tol", args.tol)], args.format)
 
 
-def _caps(args: argparse.Namespace) -> tuple[int, str]:
+def _caps(args: SimpleNamespace) -> tuple[int, str]:
     query = SupQuery(args.mh, args.eps)
     lo, hi = sup_enclosure(query)
     pairs = [("m_h", query.m_h), ("epsilon", query.epsilon), ("lo", lo), ("hi", hi)]
     return EXIT_OK, _emit_object(pairs, args.format)
 
 
-def _cf(args: argparse.Namespace) -> tuple[int, str]:
+def _cf(args: SimpleNamespace) -> tuple[int, str]:
     if not args.terms.replace(",", "").strip():
         raise SpecError("--terms must list at least one term")
     try:
@@ -177,7 +185,7 @@ def _cf(args: argparse.Namespace) -> tuple[int, str]:
     return _result_document(result, args.format)
 
 
-def _table(args: argparse.Namespace) -> tuple[int, str]:
+def _table(args: SimpleNamespace) -> tuple[int, str]:
     spec = make_family(args.family)
     lo, hi, step = _colon_triple(args.depths, "--depths", "lo:hi:step", (int, int, int))
     if lo < 1 or hi < lo or step < 1:
@@ -231,27 +239,30 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, formatting its usage text once per terminal width.
-
-    argparse sizes the text to ``shutil.get_terminal_size().columns``, read
-    at each call, so a caller that changes ``COLUMNS`` still gets its text.
-    Subparsers take this class too.
-    """
-
-    _usage = None
-
-    def format_usage(self) -> str:
-        if getattr(self, "color", False):  # Python 3.14 may colour it by the stream
-            return super().format_usage()
-        columns = shutil.get_terminal_size().columns
-        if self._usage is None or self._usage[0] != columns:
-            self._usage = (columns, super().format_usage())
-        return self._usage[1]
-
-
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse tree of ``_COMMANDS``, which imports argparse on first use."""
+    import argparse
+    import shutil
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, formatting its usage text once per terminal width.
+
+        argparse sizes the text to ``shutil.get_terminal_size().columns``, read
+        at each call, so a caller that changes ``COLUMNS`` still gets its text.
+        Subparsers take this class too.
+        """
+
+        _usage = None
+
+        def format_usage(self) -> str:
+            if getattr(self, "color", False):  # Python 3.14 may colour it by the stream
+                return super().format_usage()
+            columns = shutil.get_terminal_size().columns
+            if self._usage is None or self._usage[0] != columns:
+                self._usage = (columns, super().format_usage())
+            return self._usage[1]
+
     parser = _Parser(
         prog="nestrad",
         description="Certified evaluation of nested and transfinite square-root radicals.",
@@ -266,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(argv: Sequence[str]) -> argparse.Namespace | None:
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse returns for argv of the form the module
     docstring describes, read from ``_COMMANDS`` in one pass; None for any
     other argv."""
@@ -283,14 +294,14 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
         convert, choices = keywords.get("type"), keywords.get("choices")
         try:
             value = text if convert is None else convert(text)
-        except (ValueError, argparse.ArgumentTypeError):
+        except Exception:  # ValueError, or a converter's ArgumentTypeError: argparse reports it
             return None
         if choices is not None and value not in choices:
             return None
         given[name] = value
     if exclusive and (exclusive[0] in given) == (exclusive[1] in given):
         return None
-    args = argparse.Namespace(command=argv[0], handler=handler)
+    args = SimpleNamespace(command=argv[0], handler=handler)
     for name, keywords in flags.items():
         if name in given:
             value = given[name]
@@ -309,7 +320,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = _read(argv)
     if args is None:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:  # argparse prints its own usage message
             return int(exc.code or 0)
     try:
@@ -317,16 +328,25 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"nestrad: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.out is not None:
-        try:
-            Path(args.out).write_text(document, encoding="utf-8")
-        except OSError as exc:
-            print(f"nestrad: error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(document)
+    try:
+        if args.out is None:
+            sys.stdout.write(document)
+            sys.stdout.flush()
+        else:
+            with open(_path(args.out), "w", encoding="utf-8") as stream:
+                stream.write(document)
+    except OSError as exc:
+        target = "standard output" if args.out is None else repr(args.out)
+        print(f"nestrad: error: cannot write {target}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    try:
+        sys.stdout.flush()  # what argparse printed; run flushes each document
+    except OSError:  # the reader has gone: as the signal module's note on SIGPIPE
+        # does, point fd 1 at devnull, so that the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)

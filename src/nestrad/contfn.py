@@ -17,7 +17,8 @@ it when every term is 0.
 Floating-point policy: the one of :mod:`nestrad.kappa`, applied by the same
 helper: 16 * n ulp per side, n the depth, and ``fp_slack`` of 2.5 pads.  Its
 half pad of evaluation noise rests on the accuracy budget of
-:class:`nestrad.nested.OuterFunction`: a level adds at most 1 ulp for h and
+:class:`nestrad.nested.OuterFunction`, which ``tests/test_libm.py`` checks
+for ``ARCTAN``: a level adds at most 1 ulp for h and
 half an ulp for the addition, a relative error in the argument passes
 through h at most unchanged, and each seed is within 1 ulp, so each fold is
 within (1.5 * n + 1) * 2**-52 relative, at most (3 * n + 2) ulp, of exact.

@@ -103,7 +103,8 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   same ln(alpha_k).  The construction is valid in exact arithmetic, so
   every exact lower fold is <= v <= H.  A fold level, r = sqrt(exp(2**k *
   x) + r), rounds x = ln_alpha - c (c the running scale), its exp within
-  1 ulp, and the sum and the sqrt within half an ulp each; a level that
+  1 ulp (the libm budget that ``tests/test_libm.py`` checks), and the sum
+  and the sqrt within half an ulp each; a level that
   moves the scale, r = sqrt(1.0 + r * exp(2**k * (c - ln_alpha))), rounds
   c - ln_alpha instead, its exp, the product with r, the sum and the sqrt,
   and its own term, 1, is exact.  A level whose coefficient equals the

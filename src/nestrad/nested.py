@@ -86,7 +86,8 @@ class OuterFunction(Record):
     be ``math.inf``.  For arctan it is pi/2, h applied to the infinite
     argument.  Monotonicity, which traps the tail of
     :func:`nestrad.contfn.cf_limit` between h(0) and the ceiling, is a caller
-    obligation.  So is accuracy: ``eval`` and ``ceiling`` within 1 ulp, and a
+    obligation.  So is accuracy: ``eval`` and ``ceiling`` within 1 ulp (for
+    ``ARCTAN``, the libm budget that ``tests/test_libm.py`` checks), and a
     relative error in the argument passed on at most unchanged (x * h'(x) <=
     h(x), true of concave h with h(0) >= 0), the budget of the
     :mod:`nestrad.contfn` docstring.

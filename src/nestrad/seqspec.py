@@ -34,11 +34,9 @@ so everything is safe to share across threads.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import os
 from collections.abc import Sequence
-from pathlib import Path
 
 from ._record import Record
 from .nested import _DEEPEST_LEVEL, _INV_POW2
@@ -484,10 +482,21 @@ def make_family(token: str) -> SequenceSpec:
     raise SpecError(f"unknown family {token!r}")
 
 
-def load_cap_table(source: str | Path) -> CapTableTail:
+def _path(path: str | os.PathLike[str]) -> str:
+    """``str(pathlib.PurePosixPath(path))``, the name its OSErrors give: no empty or ``.`` parts."""
+    path = os.fspath(path)
+    root = path[: len(path) - len(path.lstrip("/"))]
+    parts = "/".join(part for part in path.split("/") if part not in ("", "."))
+    return ("//" if root == "//" else root[:1]) + parts or "."
+
+
+def load_cap_table(source: str | os.PathLike[str]) -> CapTableTail:
     """Cap table from a CSV file with header ``n,lower_seed,upper_cap``."""
-    text = Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    import csv
+    import io
+
+    with open(_path(source), encoding="utf-8") as stream:
+        reader = csv.reader(io.StringIO(stream.read()))
     try:
         header = next(reader)
     except StopIteration:
@@ -527,7 +536,9 @@ _NUMERIC_TAILS = {
 }
 
 
-def _parse_tail(value: str, line: int | None = None, cap_base: Path | None = None) -> TailModel:
+def _parse_tail(
+    value: str, line: int | None = None, cap_base: str | os.PathLike[str] | None = None
+) -> TailModel:
     """Tail from a ``kind`` or ``kind:param`` token; ``line`` prefixes errors."""
     kind, colon, param = value.partition(":")
     kind = kind.strip().lower()
@@ -543,9 +554,7 @@ def _parse_tail(value: str, line: int | None = None, cap_base: Path | None = Non
     if kind == "cap":
         if not param:
             raise SpecError("tail cap needs a file path, e.g. cap:bounds.csv", line)
-        path = Path(param)
-        if cap_base is not None and not path.is_absolute():
-            path = cap_base / path
+        path = _path(param if cap_base is None else os.path.join(cap_base, param))
         try:
             return load_cap_table(path)
         except OSError as exc:
@@ -553,7 +562,7 @@ def _parse_tail(value: str, line: int | None = None, cap_base: Path | None = Non
     raise SpecError(f"unknown tail {value!r}", line)
 
 
-def parse_spec(text: str, cap_base: Path | None = None) -> SequenceSpec:
+def parse_spec(text: str, cap_base: str | os.PathLike[str] | None = None) -> SequenceSpec:
     """Parse a spec document: one ``key=value`` per line.
 
     Keys: ``family=<token>`` on its own, or exactly one of ``terms_raw`` /

@@ -302,11 +302,11 @@ class TestProcess:
     """``python -m nestrad`` from the source tree, without an install."""
 
     @staticmethod
-    def run_module(*argv):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+    def run_module(*argv, stdout=subprocess.PIPE, **environ):
+        env = dict(os.environ, PYTHONPATH=str(SRC), **environ)
         return subprocess.run(
             [sys.executable, "-m", "nestrad", *argv],
-            env=env, capture_output=True, text=True, timeout=60, check=False,
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, check=False,
         )
 
     def test_readme_document(self):
@@ -319,6 +319,28 @@ class TestProcess:
         done = self.run_module("eval")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("usage: nestrad eval")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        ("argv", "status", "stderr"),
+        [
+            (["eval", "--family", "golden"], 2, "nestrad: error: cannot write standard output: "),
+            (["eval", "-h"], 0, ""),  # argparse drops its help and keeps its status
+        ],
+    )
+    def test_closed_stdout_pipe(self, argv, status, stderr, unbuffered):
+        # the read end is closed before the process starts, so every write to
+        # standard output fails, in run or in the interpreter's last flush of a
+        # buffered stream: at most one error line, and never a traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.run_module(*argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert done.returncode == status
+        assert done.stderr.startswith(stderr) and done.stderr.count("\n") == (1 if stderr else 0)
+        assert "Traceback" not in done.stderr
 
 
 class TestEval:

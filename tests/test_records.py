@@ -1,6 +1,7 @@
 """The public value types are immutable records, and importing them is cheap."""
 
 import copy
+import json
 import math
 import os
 import pickle
@@ -161,12 +162,18 @@ def test_keyword_construction_and_validation():
         OmegaTail(-1.0)
 
 
+# Modules that the CLI imports only on the path that uses them: argparse (and
+# gettext) and shutil for help, usage errors and argv that the one-pass reader
+# declines, csv for cap tables.  pathlib is used nowhere.
+LAZY = ("argparse", "gettext", "shutil", "csv", "pathlib")
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site hooks out, so only what nestrad imports is loaded
     code = (
         "import sys, nestrad, nestrad.cli\n"
         "print(nestrad.__file__)\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        f"print(sorted({{'dataclasses', 'inspect', 'typing', *{LAZY!r}}} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SOURCE))
     done = subprocess.run(
@@ -175,6 +182,60 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     location, loaded = done.stdout.splitlines()
     assert Path(location).resolve().parent.parent == SOURCE
     assert loaded == "[]"
+
+
+# One -S interpreter runs each argv through cli.run, in order, and reports its
+# (status, stdout, stderr) and the LAZY modules loaded after it.
+_REQUESTS = """\
+import contextlib, io, json, sys
+import nestrad.cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = nestrad.cli.run(argv)
+    report.append([status, out.getvalue(), err.getvalue(), sorted(set(sys.argv[2:]) & set(sys.modules))])
+print(json.dumps(report))
+"""
+
+
+def test_requests_load_argparse_and_csv_only_where_used(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one usage width in both processes
+    (tmp_path / "plain.spec").write_text("terms_raw=[2,2,2]\ntail=constant_raw:2\n", encoding="utf-8")
+    (tmp_path / "capped.spec").write_text("terms_norm=[1,1,1]\ntail=cap:caps.csv\n", encoding="utf-8")
+    (tmp_path / "caps.csv").write_text("n,lower_seed,upper_cap\n4,0.5,1.5\n", encoding="utf-8")
+    plain, out = str(tmp_path / "plain.spec"), str(tmp_path / "plain.json")
+    well_formed = [
+        ["eval", "--family", "golden", "--tol", "1e-10"],
+        ["eval", "--spec", plain, "--tol", "1e-9"],
+        ["eval", "--spec", plain, "--tol", "1e-9", "--out", out],
+        ["u", "--r", "2", "--format", "csv"],
+        ["u", "--grid", "1:2:3"],
+        ["u-inv", "--y", "2"],
+        ["caps", "--mh", "2", "--eps", "0.5"],
+        ["cf", "--fn", "arctan", "--terms", "1,1,1", "--tol", "2"],
+        ["table", "--family", "golden", "--depths", "1:3:1"],
+    ]
+    lazy_paths = [
+        ["eval", "--spec", str(tmp_path / "capped.spec")],
+        ["eval", "-h"],
+        ["caps", "--mh", "0", "--eps", "0.5"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SOURCE))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _REQUESTS, json.dumps(well_formed + lazy_paths), *LAZY],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    report = json.loads(done.stdout)
+    for argv, (status, stdout, stderr, loaded) in zip(well_formed + lazy_paths, report):
+        # the same output as in this process, where argparse and csv are loaded
+        assert [status, stdout, stderr] == [cli.run(argv), *capsys.readouterr()], argv
+    assert [loaded for *_, loaded in report[: len(well_formed)]] == [[]] * len(well_formed)
+    assert report[2][1] == "" and (tmp_path / "plain.json").read_text(encoding="utf-8") == report[1][1]
+    cap, helped, refused = report[len(well_formed):]
+    assert cap[0] == 3 and cap[3] == ["csv"]
+    assert helped[0] == 0 and helped[1].startswith("usage: nestrad eval") and "argparse" in helped[3]
+    assert refused[0] == 2 and refused[2].endswith("argument --mh: expected a positive number, got '0'\n")
 
 
 def _annotated_callables():

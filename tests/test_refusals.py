@@ -62,6 +62,12 @@ def cap_file(text):
     return load
 
 
+def cap_file_path(tmp_path, text):
+    """The directory of a cap table caps.csv holding text."""
+    (tmp_path / "caps.csv").write_text(text, encoding="utf-8")
+    return tmp_path
+
+
 def refused_cli(argv, stderr):
     return pytest.param(("cli", argv, None, stderr), id=" ".join(argv))
 
@@ -99,6 +105,17 @@ CASES = [
         ["eval", "--spec", "{tmp}/missing.spec"],
         "nestrad: error: cannot read spec file '{tmp}/missing.spec': "
         "[Errno 2] No such file or directory: '{tmp}/missing.spec'\n",
+    ),
+    # a path is named in an OSError as pathlib names it: no empty or "." parts
+    refused_cli(
+        ["eval", "--spec", "{tmp}/./missing.spec"],
+        "nestrad: error: cannot read spec file '{tmp}/./missing.spec': "
+        "[Errno 2] No such file or directory: '{tmp}/missing.spec'\n",
+    ),
+    refused_cli(
+        ["eval", "--family", "golden", "--out", "{tmp}//missing/out.json"],
+        "nestrad: error: cannot write '{tmp}//missing/out.json': "
+        "[Errno 2] No such file or directory: '{tmp}/missing/out.json'\n",
     ),
     refused_cli(
         ["cf", "--fn", "arctan", "--terms", ","], "nestrad: error: --terms must list at least one term\n"
@@ -140,6 +157,12 @@ CASES = [
         "cap table depth must be >= 1, got 0",
     ),
     raises("empty cap file", cap_file(""), SpecError, "cap table {tmp}/caps.csv is empty"),
+    raises(
+        "cap:./caps.csv",
+        lambda tmp: parse_spec("terms_norm=[1]\ntail=cap:./caps.csv", cap_base=cap_file_path(tmp, "")),
+        SpecError,
+        "cap table {tmp}/caps.csv is empty",
+    ),
     raises(
         "two-column cap row",
         cap_file("n,lower_seed,upper_cap\n1,1.0\n"),

@@ -1,5 +1,5 @@
 import math
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,7 @@ from nestrad import (
     power_tower,
     ramanujan,
 )
-from nestrad.seqspec import _RAMANUJAN_V
+from nestrad.seqspec import _RAMANUJAN_V, _path
 
 
 def ln_alpha(spec, k):
@@ -396,6 +396,13 @@ class TestParseRender:
         assert spec.tail.ln_bounds(4) == (math.log(0.5), math.log(1.5))
         table = load_cap_table(cap)
         assert table.rows == ((4, 0.5, 1.5), (8, 0.9, 1.2))
+
+    @given(st.text(alphabet="/.a", max_size=10))
+    @example("//a")
+    @example("///a/")
+    def test_path_is_named_as_pathlib_names_it(self, text):
+        # the name that OSErrors and cap-table refusals give a path
+        assert _path(text) == str(PurePosixPath(text))
 
     def test_cap_table_file_errors(self, tmp_path: Path):
         bad_header = tmp_path / "bad.csv"
