@@ -25,7 +25,8 @@ namespace carries the subcommand's handler: a function from it to ``(exit
 status, document)``.
 
 A document that cannot be written, to ``--out`` or to a standard output
-whose reader has gone, is reported on one line with exit 2.
+whose reader has gone or that was closed before the process started, is
+reported on one line with exit 2.
 
 Exit codes: 0 success, 2 validation error, 3 search stopped without reaching
 tolerance (depth cap, cap table end or floating-point floor; the result
@@ -37,6 +38,7 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
 import os
@@ -330,6 +332,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         if args.out is None:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(document)
             sys.stdout.flush()
         else:
@@ -345,7 +349,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     status = run()
     try:
-        sys.stdout.flush()  # what argparse printed; run flushes each document
+        if sys.stdout is not None:  # None where fd 1 was closed: nothing to flush
+            sys.stdout.flush()  # what argparse printed; run flushes each document
     except OSError:  # the reader has gone: as the signal module's note on SIGPIPE
         # does, point fd 1 at devnull, so that the interpreter's last flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -36,34 +36,35 @@ Depth search.  One search serves both limits, from depth 4 in
 :func:`kappa_limit` and from depth 1 in :func:`nestrad.contfn.cf_limit`,
 up to a limit: the shallowest of the depth cap, the last depth that the
 tail or the terms supply and, for :func:`kappa_limit`, a spec's swamp depth
-(below).
-It doubles the depth; at 8 it fits a geometric rate to the widths at 4 and
-8 and evaluates the depth g where that rate reaches tol, unless the two
-pads at g alone exceed tol; a g past a swamp depth that is the limit
-becomes that depth.  In :func:`kappa_limit`, where the explicit bound is
-tight, g is first lowered to a depth known to be within tol (the
-explicit-bound cap, below).  If width(g) <= tol it evaluates g - 1 and
-returns g if that is wider than tol.  Otherwise, where width(g) is 0 or not
-below width(g - 1), the widths sit on the pad floor and give no rate, so it
-bisects between 8 and g - 1.  Where they still fall, it refits the rate to
-g - 1 and g and steps back to the depth b where that rate brings the width
-up to tol, raised to at least 9 and then lowered to at most g - 2 (8,
-already evaluated, when g is 10): a fit from depths 4 and 8 overshoots
-where the log-width falls faster deep than shallow, as Ramanujan's does, or
-where it falls off a cliff when a prefix ends with no swamp depth.  If
-width(b) > tol it bisects between b and g - 1; if not, it gallops down,
-evaluating b - 1, b - 3, b - 7, ... until one is wider than tol (or would
-be 8 or less).  If
-width(g) > tol it gallops up, evaluating g + 1, g + 2, g + 4, ... while the
-two pads alone leave room for tol and the depth stays below the limit.  If
-nothing brackets tol it doubles the depth (16, 32, ...) until one is within
-tol.  Either way it then bisects between the deepest depth known to be
-wider than tol and the shallowest known to be within it, narrowed by every
-depth already evaluated; no depth is evaluated twice.  Widths are not
-monotone in depth: once the analytic width falls below the pad, the
-2 * pad(n) term grows with n.  So a depth below the one returned may still
-be within tol, and the search may return a different qualifying depth than
-a plain doubling would.
+(below).  It doubles the depth; at 8 it fits a geometric rate to the widths
+at 4 and 8 for the depth g where that rate reaches tol.  A g past a swamp
+depth that is the limit becomes that depth, and in :func:`kappa_limit` a
+tight explicit bound lowers g (the explicit-bound cap, below).  It
+evaluates g unless the two pads at g alone exceed tol, and returns by one
+of six paths, each with its share of the searches of the benchmark's
+``families`` workload, seeds 101-110:
+
+* confirmed (46%): width(g) <= tol < width(g - 1), and g is returned;
+* overshot (6%): g - 1 is within tol too, and it bisects (8, g - 1);
+* gallop up (7%): width(g) > tol, and it evaluates g + 1, g + 2, g + 4, ...
+  while the pads leave room for tol, below the limit, then bisects (8, the
+  first within tol);
+* doubling within tol (12%): a doubling depth (4, 8, 16, ...) is within
+  tol, and it bisects (the doubling depth before it, that depth);
+* floor (12%): the floating-point floor (below) ends the doubling;
+* limit (16%, each at a swamp depth): the doubling reaches the limit.
+
+A bisection (a, b) has width(a) > tol >= width(b), a = 0 standing for no
+shallower depth; every depth already evaluated narrows it first, so no
+depth is evaluated twice.  Two probes in three go where the line through
+the log widths at a and b, the model that predicted g, crosses tol; the
+third halves, so at most 3 * ceil(log2(b - a)) probes are made;
+interpolation alone walks one depth at a time where the log width is convex.
+A probe halves also where a is 0 or width(b) is.  Widths are not monotone
+in depth: once the analytic width falls below the pad, the 2 * pad(n) term
+grows with n.  So a depth below the one returned may still be within tol,
+and the search may return a different qualifying depth than a plain
+doubling would.
 
 Explicit-bound cap.  Write A(n) for the ``analytic_width_bound`` at
 depth n, read from the seed bounds at n without folding, and S(n) = 2.5 *
@@ -334,10 +335,8 @@ def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_C
     table's ``tail_exhausted``, then to ``depth_cap``.
     A depth g predicted from depths 4 and 8, lowered where the explicit
     bound is tight to the shallowest depth that the bound and the pads put
-    within tol, is confirmed by width(g - 1).
-    Past a guess wider than tol the search gallops up; below a guess that
-    overshoots it refits the rate to g - 1 and g, or bisects where the
-    widths sit on the pad floor.
+    within tol, is confirmed by width(g - 1).  Past a guess wider than tol
+    the search gallops up; below one that overshoots it bisects (8, g - 1).
     The returned depth d has width(d) <= tol < width(d - 1) (or d = 1), and
     every doubling depth (4, 8, 16, ...) evaluated below d is wider than
     tol; "shallowest" means exactly this.  Where widths are non-increasing,
@@ -397,6 +396,7 @@ def _search(
     ``limit``.  ``gap(subject, depth)``, where given, reads the enclosure's
     ``analytic_width_bound`` without enclosing; the search caps its guess
     with it where the bound is tight at depth 8 (the module docstring).
+    Its bisections interpolate the log widths two probes in three.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -424,12 +424,22 @@ def _search(
                     good = depth
                     break
                 bad = depth
+        w_bad, w_good = width(bad) if bad else _INF, width(good)  # depth 0 is wider than any
+        probes = 0
         while good - bad > 1:
             mid = (bad + 1 + good) // 2
-            if width(mid) <= tol:
-                good = mid
+            # two probes in three interpolate the log widths (the module docstring)
+            if probes % 3 < 2 and w_bad < _INF and w_good > 0.0:
+                ln_bad = math.log(w_bad)
+                fall = ln_bad - math.log(w_good)
+                if fall > 0.0:  # the two logs differ
+                    mid = min(good - 1, max(bad + 1, bad + int((ln_bad - math.log(tol)) / fall * (good - bad))))
+            probes += 1
+            found = width(mid)
+            if found <= tol:
+                good, w_good = mid, found
             else:
-                bad = mid
+                bad, w_bad = mid, found
         return KappaResult(seen[good], "converged")
 
     previous, depth, previous_width = 0, min(first, limit), _INF
@@ -448,24 +458,11 @@ def _search(
             # depth * pad(1) is pad(depth) bit for bit
             pads_per_level = 2.0 * _fp_pad(1, seen[8].hi)
             if guess > 8 and guess * pads_per_level <= tol:
-                step = 1
-                at_guess = width(guess)
-                if at_guess <= tol:
-                    below = width(guess - 1)
-                    if below > tol:
+                if width(guess) <= tol:
+                    if width(guess - 1) > tol:
                         return KappaResult(seen[guess], "converged")
-                    # the local log-width rate, 0 where widths are flat or rising: the pad floor
-                    rate = math.log(below) - math.log(at_guess) if 0.0 < at_guess < below else 0.0
-                    if not rate > 0.0:
-                        return bisect(8, guess - 1)
-                    # step back along that rate to where the width reaches tol
-                    back = (math.log(tol) - math.log(below)) / rate
-                    cand = min(guess - 2, max(9, math.ceil(guess - 1 - back)))
-                    if width(cand) > tol:
-                        return bisect(cand, guess - 1)
-                    while cand - step > 8 and width(cand - step) <= tol:  # gallop down
-                        step = 2 * step + 1
-                    return bisect(8, cand)
+                    return bisect(8, guess - 1)
+                step = 1
                 while guess + step < limit and (guess + step) * pads_per_level <= tol:  # gallop up
                     if width(guess + step) <= tol:
                         return bisect(8, guess + step)

@@ -302,11 +302,11 @@ class TestProcess:
     """``python -m nestrad`` from the source tree, without an install."""
 
     @staticmethod
-    def run_module(*argv, stdout=subprocess.PIPE, **environ):
+    def run_module(*argv, stdout=subprocess.PIPE, preexec_fn=None, **environ):
         env = dict(os.environ, PYTHONPATH=str(SRC), **environ)
         return subprocess.run(
-            [sys.executable, "-m", "nestrad", *argv],
-            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, check=False,
+            [sys.executable, "-m", "nestrad", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
+            preexec_fn=preexec_fn, text=True, timeout=60, check=False,
         )
 
     def test_readme_document(self):
@@ -340,6 +340,23 @@ class TestProcess:
             os.close(write_end)
         assert done.returncode == status
         assert done.stderr.startswith(stderr) and done.stderr.count("\n") == (1 if stderr else 0)
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        ("argv", "error"),
+        [
+            (["eval", "--family", "golden"], "nestrad: error: cannot write standard output: "),
+            (["eval", "--family", "golden", "--tol", "0"], "nestrad eval: error: argument --tol: "),
+        ],
+        ids=("valid", "refused"),
+    )
+    def test_closed_stdout_fd(self, argv, error):
+        # fd 1 is closed before the interpreter starts, so sys.stdout is None:
+        # exit 2 with one error line after argparse's usage, if any
+        done = self.run_module(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+        assert done.returncode == 2
+        assert [line for line in done.stderr.splitlines() if "error:" in line] == [done.stderr.splitlines()[-1]]
+        assert done.stderr.splitlines()[-1].startswith(error)
         assert "Traceback" not in done.stderr
 
 

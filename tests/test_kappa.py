@@ -282,11 +282,11 @@ class TestSearchWork:
     Each branch of the search has a case: the fp floor ending the doubling; a
     confirmed guess; a guess lowered by the explicit bound, and a loose bound
     that is never read; the gallop up past a guess wider than tol; below a
-    guess that overshoots, the step back along the rate refitted to the guess
-    and the depth under it, that step followed by a gallop down, the step
-    clamped at 8, and the bisection from 8 where the widths sit on the pad
-    floor; and a guess past a spec's swamp depth, which probes that depth,
-    where an unconverged search stops.  The lists are exact: each probe must
+    guess that overshoots, the bisection from 8, whose probes interpolate the
+    log widths, over widths that still fall and widths that sit on the pad
+    floor, with the guard that makes every third probe a midpoint; and a
+    guess past a spec's swamp depth, which probes that depth, where an
+    unconverged search stops.  The lists are exact: each probe must
     reach ``nestrad.kappa.kappa_enclosure`` through its module binding, or
     the benchmark's tracer would not see it.
     """
@@ -337,8 +337,8 @@ class TestSearchWork:
         assert depths == [4, 8, 16, 32, 64]
 
     def test_local_rate_steps_back_from_a_missed_prediction(self, depths):
-        # the guess 25 and 24 are both within tol; the rate from 25 to 24 reaches
-        # tol at 23.87, and 23, the clamp at guess - 2, is wider, so 24 is returned
+        # the guess 25 and 24 are both within tol; the line through the log
+        # widths at 8 and 24 crosses tol short of 24, at 23, which is wider
         result = kappa_limit(ramanujan(), 1e-6)
         assert result.converged
         assert result.enclosure.depth == 24
@@ -354,41 +354,52 @@ class TestSearchWork:
 
     def test_explicit_bound_caps_the_guess(self, depths, bound_reads):
         # the fit from 4 and 8 guesses 44; the bound and the pads put 43, not
-        # 42, within tol.  42 is within tol all the same, so the step back
-        # from 43 lands on 41, wider; seven reads of the bound found 43
+        # 42, within tol.  42 is within tol all the same, so the bisection
+        # (8, 42) interpolates to 41, wider; seven reads of the bound found 43
         result = kappa_limit(ramanujan(), 5.8982524821815e-12)
         assert result.converged
         assert result.enclosure.depth == 42
         assert depths == [4, 8, 43, 42, 41]
         assert len(bound_reads) == len(depths) + 7
 
-    def test_local_rate_then_gallop_down(self, depths):
+    def test_bisection_interpolates_below_a_missed_prediction(self, depths):
         # a loose bound (about 7.4 times the width at depth 8) leaves the guess
-        # 19; 19 and 18 are within tol, the rate from 19 to 18 steps back to
-        # 16, also within tol, and the gallop down from it finds 15 wider
-        spec = explicit([0.0, 12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], tail=ConstantNormalizedTail(0.97))
-        result = kappa_limit(spec, 2.3e-07)
+        # 19; 19 and 18 are within tol, so the search bisects (8, 18): the log
+        # widths put tol at 15, wider, and then between 15 and 18 at 16, within
+        result = kappa_limit(_FALLING_BELOW_GUESS, 2.3e-07)
         assert result.converged
         assert result.enclosure.depth == 16
-        assert depths == [4, 8, 19, 18, 16, 15]
+        assert depths == [4, 8, 19, 18, 15, 16]
 
     def test_local_rate_clamps_at_a_guess_of_10(self, depths):
-        # the guess 10 and 9 are both within tol; the step back clamps at 8,
-        # already evaluated and wider, so nothing more is probed
+        # the guess 10 and 9 are both within tol; the bisection (8, 9) has
+        # nothing between its ends, so nothing more is probed
         result = kappa_limit(ramanujan(), 0.024)
         assert result.converged
         assert result.enclosure.depth == 9
         assert depths == [4, 8, 10, 9]
 
-    def test_flat_floor_bisects_below_a_missed_prediction(self, depths):
+    def test_flat_floor_is_bisected_from_8(self, depths):
         # no coefficient swamps, yet the widths at the guess 27 and at 26 sit
-        # on the pad floor, 27 wider than 26, so the search bisects (8, 26)
-        spec = explicit(_FLAT_FLOOR_NORMS, scale="norm", tail=ConstantNormalizedTail(2.417086578086079))
-        assert spec._swamp_depth() is None
-        result = kappa_limit(spec, 8.425984284144247e-09)
+        # on the pad floor, 27 wider than 26, so the search bisects (8, 26):
+        # two interpolated probes, 18 and 13, a midpoint, 11, and then 9
+        assert _FLAT_FLOOR._swamp_depth() is None
+        result = kappa_limit(_FLAT_FLOOR, 8.425984284144247e-09)
         assert result.converged
         assert result.enclosure.depth == 9
-        assert depths == [4, 8, 27, 26, 17, 13, 11, 10, 9]
+        assert depths == [4, 8, 27, 26, 18, 13, 11, 9]
+
+    def test_every_third_probe_halves(self, depths):
+        # the guess 40, the swamp depth, and 39 are within tol; the log widths
+        # are convex from 8 to 39, so each line crosses tol just below its deep
+        # end.  The third probe halves (8, 37), and the bisection (8, 39) ends
+        # within 3 * ceil(log2(39 - 8)) probes, where interpolation alone takes 17
+        assert _CONVEX_BELOW_GUESS._swamp_depth() == 40
+        result = kappa_limit(_CONVEX_BELOW_GUESS, 8.571056640023895e-13)
+        assert result.converged
+        assert result.enclosure.depth == 23
+        assert depths == [4, 8, 40, 39, 38, 37, 23, 22]
+        assert len(depths[4:]) <= 3 * math.ceil(math.log2(39 - 8))
 
     def test_guess_past_the_swamp_depth_probes_it(self, depths):
         # the last coefficient swamps both seeds from depth 14 on, so the guess
@@ -422,7 +433,7 @@ class TestSearchWork:
             explicit([1.0] * 30 + [2.0, 0.5], scale="norm", tail=OmegaTail(0.5)),
         ]
         assert all(spec._swamp_depth() is not None for spec in swamped)
-        for spec in ALL_FAMILIES + swamped:
+        for spec in ALL_FAMILIES + swamped + [_FALLING_BELOW_GUESS, _FLAT_FLOOR, _CONVEX_BELOW_GUESS]:
             for tol in (1e-4, 1e-9, 1e-13, 1e-15):
                 depths.clear()
                 kappa_limit(spec, tol)
@@ -435,6 +446,30 @@ _FLAT_FLOOR_NORMS = [
     1.5944536594406062, 1.7587637685218849, 2.6904469156659685, 0.33846867655834456, 0.0,
     0.8660981638694023, 0.4463181724183446, 0.12753709837389582, 0.0, 1.9328148105662903,
 ]
+_FLAT_FLOOR = explicit(_FLAT_FLOOR_NORMS, scale="norm", tail=ConstantNormalizedTail(2.417086578086079))
+
+_FALLING_BELOW_GUESS = explicit([0.0, 12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], tail=ConstantNormalizedTail(0.97))
+
+# the seed-103 benchmark's explicit norm prefix of length 62 with a constant_norm tail
+_CONVEX_BELOW_GUESS_NORMS = [
+    0.2768851009402066, 0.2659332360786586, 2.0520955219369963, 0.8490570776352513, 0.0,
+    0.17364199308283557, 0.0, 1.470711095443627, 2.3794408941683525, 2.9892788909998558,
+    2.9586772154017034, 0.1424869840617894, 0.947529067307726, 2.523586541765801, 0.53732051808939,
+    0.8619208177031343, 2.314799510582054, 2.667740664527407, 0.5883520586681035,
+    2.2816194595962678, 2.551942619108404, 2.526267746487173, 1.9366704541218027, 0.0,
+    1.1347589355092094, 0.18674605838012992, 1.671559521711476, 0.8439446451880168,
+    1.1604816779602856, 2.730213260407395, 1.5477863712791815, 2.8984163092385096,
+    2.1657079053630923, 0.06239440550723008, 1.7784559259505612, 0.7342383903981272,
+    2.0774394870990283, 0.0, 2.953873331773836, 0.15228095850321022, 0.0, 2.8113574294141843,
+    1.0136585892501246, 1.4589403932037164, 2.8607255927458084, 0.4381709751554732,
+    1.4843187436511116, 1.6601378694957396, 0.8835983146798668, 1.2734263528471312,
+    1.2388384486035964, 1.253433277686431, 0.14078234180374893, 2.070688338913678,
+    1.7298073882802685, 1.0654426550509761, 1.834041404529578, 0.0, 2.480990468395654,
+    2.351059311506969, 0.13520422994215497, 2.8631589411679537,
+]
+_CONVEX_BELOW_GUESS = explicit(
+    _CONVEX_BELOW_GUESS_NORMS, scale="norm", tail=ConstantNormalizedTail(1.1928864153639658)
+)
 
 
 def _tails():
