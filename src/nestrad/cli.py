@@ -11,29 +11,30 @@ to ``csv`` for ``table`` and to ``json`` elsewhere.  ``eval``, ``u``,
 1e-6) and ``--depth-cap`` (default 256); ``caps`` and ``table`` refuse both.
 
 Each subcommand's flags are declared once, in ``_COMMANDS``, with their
-``add_argument`` keywords.  :func:`run` reads argv of the form
-``<subcommand> (--flag value)*`` from it in one pass when every flag is
-spelled in full and given once, no value starts with ``-``, every value
-converts, every required flag is given and exactly one flag of each
-exclusive pair.  Any other argv (help, abbreviations, ``--flag=value``,
-negative values, refusals) goes to the argparse tree built from the same
-declaration on first use, which returns the same namespace for the argv the
-one-pass reader takes; so argparse alone prints help and usage errors.  Only
-that argv imports argparse (and with it gettext) and shutil, and only a
-``cap:`` tail imports csv, so a well-formed request loads neither.  The
-namespace carries the subcommand's handler: a function from it to ``(exit
-status, document)``.
+``add_argument`` keywords; a plan per subcommand is built from it at import.
+:func:`run` reads argv of the form ``<subcommand> (--flag value)*`` by the
+plan in one pass when every flag is spelled in full and given once, no value
+starts with ``-``, every value converts, every required flag is given and
+exactly one flag of each exclusive pair.  Any other argv (help,
+abbreviations, ``--flag=value``, negative values, refusals) goes to the
+argparse tree built from the same declaration on first use, which returns
+the same namespace for the argv the one-pass reader takes; so argparse alone
+prints help and usage errors.  Only that argv imports argparse (and with it
+gettext) and shutil, and only a ``cap:`` tail imports csv, so a well-formed
+request loads neither.  The namespace carries the subcommand's handler: a
+function from it to ``(exit status, document)``.
 
+One renderer, :func:`emit_table`, writes every document, a table or one
+record, with 17 significant digits per float and a ``.`` decimal separator
+whatever the locale, so identical invocations give byte-identical documents.
 A document that cannot be written, to ``--out`` or to a standard output
 whose reader has gone or that was closed before the process started, is
-reported on one line with exit 2.
+reported on one line with exit 2; help for such a standard output is
+dropped, with exit 0.
 
 Exit codes: 0 success, 2 validation error, 3 search stopped without reaching
 tolerance (depth cap, cap table end or floating-point floor; the result
 document is still emitted, with ``converged: false``).
-Numbers are rendered with 17 significant digits and a ``.`` decimal
-separator regardless of locale, so identical invocations produce
-byte-identical documents.
 """
 
 from __future__ import annotations
@@ -60,56 +61,49 @@ EXIT_USAGE = 2
 EXIT_UNCONVERGED = 3
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
-
-
-def _json_object(columns: Sequence[str], row: Sequence[object]) -> str:
-    return "{" + ", ".join(f'"{c}": {_fmt(cell)}' for c, cell in zip(columns, row)) + "}"
+@functools.lru_cache
+def _json_object(columns: tuple[str, ...]) -> str:
+    """The template of one JSON row: its keys, each "%" escaped, and a %s per cell."""
+    return "{\"" + '": %s, "'.join([column.replace("%", "%%") for column in columns]) + '": %s}'
 
 
 def emit_table(
-    rows: Sequence[Sequence[object]], columns: Sequence[str], fmt: str
+    rows: Sequence[Sequence[object]], columns: Sequence[str], fmt: str, record: bool = False
 ) -> str:
-    """Render rows as CSV (header + lines) or JSON (list of objects)."""
+    """Render rows as CSV (header + lines) or JSON (a list of objects; with
+    ``record``, a one-row table's object alone).
+
+    A float cell is written with 17 significant digits, a bool as
+    ``true``/``false``, an int in full and any other number as its float.
+    """
     if not rows:
         raise ValueError("refusing to emit an empty table")
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row {row!r} does not match columns {columns!r}")
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    return "[" + ", ".join(_json_object(columns, row) for row in rows) + "]\n"
+        render, separator, head, tail = ",".join, "\n", ",".join(columns) + "\n", "\n"
+    else:
+        render, separator = _json_object(tuple(columns)).__mod__, ", "
+        head, tail = ("", "\n") if record else ("[", "]\n")
+    return head + separator.join([render(tuple([
+        "%.17g" % cell if cell.__class__ is float
+        else ("true" if cell else "false") if cell.__class__ is bool
+        else str(cell) if isinstance(cell, int) else format(float(cell), ".17g")
+        for cell in row
+    ])) for row in rows]) + tail
 
 
-def _emit_object(pairs: Sequence[tuple[str, object]], fmt: str) -> str:
-    """One record: CSV header + row, or a single JSON object."""
-    columns, row = zip(*pairs)
-    return emit_table([row], columns, fmt) if fmt == "csv" else _json_object(columns, row) + "\n"
+_RESULT = ("lo", "hi", "mid", "width", "width_bound", "depth", "converged")
 
 
 def _result_document(
-    result: KappaResult, fmt: str, lead: Sequence[tuple[str, object]] = ()
+    result: KappaResult, fmt: str, lead: tuple = (), columns: tuple = _RESULT
 ) -> tuple[int, str]:
-    """Exit status and document of a limit result, after the ``lead`` fields."""
-    enclosure = result.enclosure
-    pairs = [
-        *lead,
-        ("lo", enclosure.lo),
-        ("hi", enclosure.hi),
-        ("mid", enclosure.mid),
-        ("width", enclosure.width),
-        ("width_bound", enclosure.analytic_width_bound + enclosure.fp_slack),
-        ("depth", enclosure.depth),
-        ("converged", result.converged),
-    ]
-    return (EXIT_OK if result.converged else EXIT_UNCONVERGED), _emit_object(pairs, fmt)
+    """Exit status and document of a limit result, after the ``lead`` cells."""
+    e = result.enclosure
+    row = (*lead, e.lo, e.hi, e.mid, e.width, e.analytic_width_bound + e.fp_slack, e.depth, result.converged)
+    return (EXIT_OK if result.converged else EXIT_UNCONVERGED), emit_table([row], columns, fmt, True)
 
 
 def _positive_float(text: str) -> float:
@@ -156,31 +150,30 @@ def _u(args: SimpleNamespace) -> tuple[int, str]:
     if args.grid is not None:
         r_min, r_max, count = _colon_triple(args.grid, "--grid", "rmin:rmax:count", (float, float, int))
         rows = u_table(r_min, r_max, count, args.tol, args.depth_cap)
-        return EXIT_OK, emit_table(rows, ["r", "u_lo", "u_hi"], args.format)
+        return EXIT_OK, emit_table(rows, ("r", "u_lo", "u_hi"), args.format)
     r = args.r
     if not (r >= 0.0 and math.isfinite(r)):
         raise SpecError(f"--r must be finite and >= 0, got {r}")
     result = kappa_limit(u_spec(r), args.tol, args.depth_cap)
-    return _result_document(result, args.format, [("r", r)])
+    return _result_document(result, args.format, (r,), ("r", *_RESULT))
 
 
 def _u_inv(args: SimpleNamespace) -> tuple[int, str]:
     r = u_inverse(args.y, args.tol, args.depth_cap)
-    return EXIT_OK, _emit_object([("y", args.y), ("r", r), ("tol", args.tol)], args.format)
+    return EXIT_OK, emit_table([(args.y, r, args.tol)], ("y", "r", "tol"), args.format, True)
 
 
 def _caps(args: SimpleNamespace) -> tuple[int, str]:
     query = SupQuery(args.mh, args.eps)
-    lo, hi = sup_enclosure(query)
-    pairs = [("m_h", query.m_h), ("epsilon", query.epsilon), ("lo", lo), ("hi", hi)]
-    return EXIT_OK, _emit_object(pairs, args.format)
+    row = (query.m_h, query.epsilon, *sup_enclosure(query))
+    return EXIT_OK, emit_table([row], ("m_h", "epsilon", "lo", "hi"), args.format, True)
 
 
 def _cf(args: SimpleNamespace) -> tuple[int, str]:
     if not args.terms.replace(",", "").strip():
         raise SpecError("--terms must list at least one term")
     try:
-        terms = [float(cell) for cell in args.terms.split(",")]
+        terms = list(map(float, args.terms.split(",")))
     except ValueError:
         raise SpecError(f"bad --terms value {args.terms!r}") from None
     result = cf_limit(ContinuedSpec(ARCTAN, terms), args.tol, args.depth_cap)
@@ -194,7 +187,7 @@ def _table(args: SimpleNamespace) -> tuple[int, str]:
         raise SpecError(f"--depths needs 1 <= lo <= hi and step >= 1, got {args.depths!r}")
     enclosures = (kappa_enclosure(spec, depth) for depth in range(lo, hi + 1, step))
     rows = [(e.depth, e.lo, e.hi, e.width, e.analytic_width_bound + e.fp_slack) for e in enclosures]
-    return EXIT_OK, emit_table(rows, ["depth", "lo", "hi", "width", "width_bound"], args.format)
+    return EXIT_OK, emit_table(rows, ("depth", "lo", "hi", "width", "width_bound"), args.format)
 
 
 def _limits(tol: float) -> dict:
@@ -265,6 +258,10 @@ def _build_parser():
                 self._usage = (columns, super().format_usage())
             return self._usage[1]
 
+        def print_help(self, file=None) -> None:
+            if file is not None or sys.stdout is not None:  # None where fd 1 was closed
+                super().print_help(file)
+
     parser = _Parser(
         prog="nestrad",
         description="Certified evaluation of nested and transfinite square-root radicals.",
@@ -279,40 +276,42 @@ def _build_parser():
     return parser
 
 
+def _plan(command: str, handler, _help: str, exclusive: tuple, flags: dict) -> tuple:
+    """A subcommand's reading plan: each flag's attribute and converter (from its type or its
+    choices, never both), the namespace's defaults, the required attributes and the pair's."""
+    readers, defaults, required = {}, {"command": command, "handler": handler}, set()
+    for name, keywords in flags.items():
+        attr, choices = name[2:].replace("-", "_"), keywords.get("choices")
+        convert = keywords.get("type", str) if choices is None else dict(zip(choices, choices)).__getitem__
+        readers[name], defaults[attr] = (attr, convert), keywords.get("default")
+        if keywords.get("required"):
+            required.add(attr)
+    return readers, defaults, required, {readers[name][0] for name in exclusive}
+
+
+_PLANS = {command: _plan(command, *entry) for command, entry in _COMMANDS.items()}
+
+
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace argparse returns for argv of the form the module
-    docstring describes, read from ``_COMMANDS`` in one pass; None for any
-    other argv."""
-    entry = _COMMANDS.get(argv[0]) if argv else None
-    if entry is None or len(argv) % 2 == 0:
+    """The namespace argparse returns for argv of the form the module docstring
+    describes, read by the subcommand's plan in one pass; None for other argv."""
+    plan = _PLANS.get(argv[0]) if argv else None
+    if plan is None or len(argv) % 2 == 0:
         return None
-    handler, _, exclusive, flags = entry
+    readers, defaults, required, exclusive = plan
     given = {}
     for at in range(1, len(argv), 2):
-        name, text = argv[at], argv[at + 1]
-        keywords = flags.get(name)
-        if keywords is None or name in given or text.startswith("-"):
+        reader, text = readers.get(argv[at]), argv[at + 1]
+        if reader is None or text.startswith("-"):
             return None
-        convert, choices = keywords.get("type"), keywords.get("choices")
         try:
-            value = text if convert is None else convert(text)
-        except Exception:  # ValueError, or a converter's ArgumentTypeError: argparse reports it
+            given[reader[0]] = reader[1](text)
+        except Exception:  # ValueError, KeyError off the choices, ArgumentTypeError: argparse reports it
             return None
-        if choices is not None and value not in choices:
-            return None
-        given[name] = value
-    if exclusive and (exclusive[0] in given) == (exclusive[1] in given):
-        return None
-    args = SimpleNamespace(command=argv[0], handler=handler)
-    for name, keywords in flags.items():
-        if name in given:
-            value = given[name]
-        elif keywords.get("required"):
-            return None
-        else:
-            value = keywords.get("default")
-        setattr(args, name[2:].replace("-", "_"), value)
-    return args
+    if (2 * len(given) + 1 < len(argv) or not given.keys() >= required
+            or exclusive and len(given.keys() & exclusive) != 1):
+        return None  # a flag given twice, a required flag missing, or not exactly one of the pair
+    return SimpleNamespace(**{**defaults, **given})
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -61,10 +61,13 @@ class ContinuedSpec(Record):
     __slots__ = ("h", "terms")
 
     def __init__(self, h: OuterFunction, terms: Iterable[float]):
-        terms = tuple(float(t) for t in terms)
-        for term in terms:
-            if term < 0.0 or not math.isfinite(term):
-                raise ValueError(f"continued-function terms must be finite and >= 0, got {term}")
+        terms = tuple(map(float, terms))
+        # one C-level pass: a NaN, an inf or a negative term fails it, and so
+        # does a finite sum that overflows, which the loop then lets pass
+        if terms and not (min(terms) >= 0.0 and sum(terms) < math.inf):
+            for term in terms:
+                if term < 0.0 or not math.isfinite(term):
+                    raise ValueError(f"continued-function terms must be finite and >= 0, got {term}")
         self._set_h(self, h)
         self._set_terms(self, terms)
 

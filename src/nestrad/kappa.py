@@ -205,7 +205,7 @@ from collections.abc import Callable
 
 from ._record import Record
 from .nested import Enclosure, sqrt_nested_scaled
-from .seqspec import LN_PHI, SequenceSpec
+from .seqspec import LN_PHI, CapTableTail, SequenceSpec
 
 __all__ = [
     "PHI",
@@ -299,9 +299,8 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    limit = spec.max_depth()
-    if limit is not None and depth > limit:
-        depth = limit
+    if depth > len(spec.prefix) and isinstance(spec.tail, CapTableTail):
+        depth = min(depth, spec.max_depth())
     ln_lower, ln_cap = spec.tail_bounds(depth)
     # one step up from the rounded sum covers the exact boost; a zero cap stays -inf
     ln_hi = math.nextafter(ln_cap + math.ldexp(LN_PHI, 1 - depth), _INF) if ln_cap > -_INF else ln_cap

@@ -2,16 +2,20 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import nestrad
 from nestrad import DEFAULT_DEPTH_CAP, PHI, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -360,6 +364,13 @@ class TestProcess:
         assert "Traceback" not in done.stderr
 
 
+    @pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"]])
+    def test_closed_stdout_fd_drops_the_help(self, argv):
+        # argparse would print help meant for a closed stdout to stderr instead
+        done = self.run_module(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestEval:
     def test_golden_json(self, capsys):
         status, out, err = run_cli(capsys, "eval", "--family", "golden", "--tol", "1e-8")
@@ -705,3 +716,76 @@ class TestTableCommand:
     def test_emit_table_rejects_empty(self):
         with pytest.raises(ValueError):
             cli.emit_table([], ["a"], "csv")
+
+
+# The renderer against a per-cell oracle: a bool is true/false, an int is
+# written in full, any other number as format(float(v), ".17g").
+EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+         1e308, -1e308, 1.7976931348623157e308, 2.0**53 + 2)
+FLOATS = st.floats() | st.sampled_from(EDGES)
+CELLS = (
+    FLOATS
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from((2**53 + 1, -(2**63) - 1, 0))
+    | st.booleans()
+    | st.fractions(max_denominator=10**6)
+)
+COLUMNS = st.lists(st.from_regex(r"[a-z_%]{1,8}", fullmatch=True), min_size=1, max_size=6, unique=True)
+
+
+def cell_text(cell) -> str:
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    return str(cell) if isinstance(cell, int) else format(float(cell), ".17g")
+
+
+def oracle_document(rows, columns, fmt, record=False) -> str:
+    if fmt == "csv":
+        return "\n".join([",".join(columns), *(",".join(map(cell_text, row)) for row in rows)]) + "\n"
+    objects = ["{" + ", ".join(f'"{k}": {cell_text(v)}' for k, v in zip(columns, row)) + "}" for row in rows]
+    return (objects[0] if record else "[" + ", ".join(objects) + "]") + "\n"
+
+
+@settings(max_examples=300)
+@given(columns=COLUMNS, data=st.data())
+def test_emit_table_matches_the_cell_oracle(columns, data):
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * len(columns)), min_size=1, max_size=4))
+    for fmt in ("csv", "json"):
+        assert cli.emit_table(rows, columns, fmt) == oracle_document(rows, columns, fmt)
+        assert cli.emit_table(rows[:1], columns, fmt, True) == oracle_document(rows[:1], columns, fmt, True)
+
+
+@settings(max_examples=300)
+@given(
+    bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted),
+    width_bound=st.tuples(FLOATS, FLOATS), depth=st.integers(1, 2**70), stop=st.sampled_from(("converged", "fp_floor")),
+    values=st.tuples(FLOATS, FLOATS, FLOATS), fmt=st.sampled_from(("csv", "json")),
+)
+def test_single_record_documents_match_the_cell_oracle(bounds, width_bound, depth, stop, values, fmt):
+    enclosure = nestrad.Enclosure(*bounds, depth, *width_bound)
+    result = nestrad.KappaResult(enclosure, stop)
+    row = (enclosure.lo, enclosure.hi, enclosure.mid, enclosure.width, width_bound[0] + width_bound[1], depth, stop == "converged")
+    columns = ("lo", "hi", "mid", "width", "width_bound", "depth", "converged")
+    status = 0 if stop == "converged" else 3
+    assert cli._result_document(result, fmt) == (status, oracle_document([row], columns, fmt, True))
+    r = values[0]
+    assert cli._result_document(result, fmt, (r,), ("r", *columns)) == (
+        status, oracle_document([(r, *row)], ("r", *columns), fmt, True)
+    )
+    y, tol, lo = values
+    with mock.patch.object(cli, "u_inverse", lambda *args: r):
+        document = cli._u_inv(SimpleNamespace(y=y, tol=tol, depth_cap=8, format=fmt))
+    assert document == (0, oracle_document([(y, r, tol)], ("y", "r", "tol"), fmt, True))
+    with mock.patch.object(cli, "sup_enclosure", lambda query: (lo, r)):
+        document = cli._caps(SimpleNamespace(mh=2.0, eps=0.5, format=fmt))
+    assert document == (0, oracle_document([(2.0, 0.5, lo, r)], ("m_h", "epsilon", "lo", "hi"), fmt, True))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_table_refusals_keep_their_messages(fmt):
+    with pytest.raises(ValueError) as raised:
+        cli.emit_table([], ["a"], fmt)
+    assert str(raised.value) == "refusing to emit an empty table"
+    with pytest.raises(ValueError) as raised:
+        cli.emit_table([(1.0,), (1, 2)], ["a"], fmt, True)
+    assert str(raised.value) == "row (1, 2) does not match columns ['a']"

@@ -154,6 +154,29 @@ class TestCfLimit:
             cf_limit(ContinuedSpec(ARCTAN, []), 0.1)
 
 
+class TestContinuedSpecRefusal:
+    """The first bad term is named wherever it stands; a sum that overflows is no bad term."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2.5, -5e-324])
+    @pytest.mark.parametrize("place", ["first", "last", "only"])
+    def test_names_the_bad_term(self, bad, place):
+        terms = {"first": [bad, 1.0, 2.0], "last": [1.0, 2.0, bad], "only": [bad]}[place]
+        with pytest.raises(ValueError) as raised:
+            ContinuedSpec(ARCTAN, terms)
+        assert str(raised.value) == f"continued-function terms must be finite and >= 0, got {bad}"
+
+    def test_names_the_first_of_several(self):
+        with pytest.raises(ValueError, match=r"got inf$"):
+            ContinuedSpec(ARCTAN, [0.0, math.inf, -1.0, math.nan])
+
+    def test_accepts_terms_whose_sum_overflows(self):
+        terms = [1.5e308, 1.5e308, -0.0, 0.0]
+        assert ContinuedSpec(ARCTAN, terms).terms == tuple(terms)
+
+    def test_accepts_no_terms(self):
+        assert ContinuedSpec(ARCTAN, ()).terms == ()
+
+
 @st.composite
 def _search_cases(draw):
     # all zeros, U(0, 1) or U(0, 10), up to 300 terms

@@ -102,6 +102,18 @@ class TestKappaEnclosure:
         enclosure = kappa_enclosure(spec, 40)
         assert enclosure.depth == 3
 
+    @pytest.mark.parametrize("prefix", [[], [1.0, 1.0], [2.0, 0.5, 3.0]])
+    @pytest.mark.parametrize("depth", [4, 50])
+    def test_cap_table_clamps_every_depth_past_its_prefix(self, prefix, depth):
+        spec = explicit(prefix, tail=CapTableTail(((len(prefix) + 1, 0.9, 1.1),)))
+        enclosure = kappa_enclosure(spec, depth)
+        assert enclosure.depth == len(prefix) + 1 == spec.max_depth()
+        assert enclosure == kappa_enclosure(spec, len(prefix) + 1)
+
+    def test_only_a_cap_table_clamps_depth(self):
+        spec = explicit([1.0, 1.0], tail=ConstantRawTail(2.0))
+        assert kappa_enclosure(spec, 50).depth == 50
+
     @pytest.mark.parametrize(
         "spec,exact",
         [
