@@ -75,6 +75,8 @@ def emit_table(
 
     A float cell is written with 17 significant digits, a bool as
     ``true``/``false``, an int in full and any other number as its float.
+    Raises ValueError for no rows, a row that does not match the columns,
+    or a ``fmt`` other than ``"csv"`` and ``"json"``.
     """
     if not rows:
         raise ValueError("refusing to emit an empty table")
@@ -83,9 +85,11 @@ def emit_table(
             raise ValueError(f"row {row!r} does not match columns {columns!r}")
     if fmt == "csv":
         render, separator, head, tail = ",".join, "\n", ",".join(columns) + "\n", "\n"
-    else:
+    elif fmt == "json":
         render, separator = _json_object(tuple(columns)).__mod__, ", "
         head, tail = ("", "\n") if record else ("[", "]\n")
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     return head + separator.join([render(tuple([
         "%.17g" % cell if cell.__class__ is float
         else ("true" if cell else "false") if cell.__class__ is bool

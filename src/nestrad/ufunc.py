@@ -56,7 +56,6 @@ that).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 from .kappa import DEFAULT_DEPTH_CAP, LN_PHI, PHI, _fp_pad, kappa_enclosure, kappa_limit, phi_pow
 from .nested import Enclosure
@@ -87,17 +86,20 @@ def u_eval(r: float, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP) -> E
 
 
 def _fold_inverse(y: float, depth: int) -> float:
-    """F_n^-1(y) for n = depth in floating point: the seed whose depth-n lower fold is y.
+    """F_n^-1(y) for n = depth >= 1 in floating point: the seed whose depth-n lower fold is y.
 
     Peels on the raw scale (module docstring).  Returns 1 when a peel
     reaches v <= 1 (y at or below F_n(1)) and inf for y = inf.
     """
-    v, k = y, 1
-    while k < depth and v <= 2.0**26:
+    v = y
+    for k in range(1, depth):
+        if v > 2.0**26:  # the later peels only square
+            break
         if v <= 1.0:
             return 1.0
         v = v * v - 1.0
-        k += 1
+    else:
+        k = depth
     return math.exp(math.ldexp(math.log(v), 1 - k))
 
 
@@ -108,12 +110,14 @@ def _probe_depth(y: float, tol: float, depth_cap: int) -> int:
     the predicted width y * (c_n - 1) + 2 * pad(n, y) exceeds tol/4 and
     deepening narrows it; clamped to [min(4, depth_cap), depth_cap].
     """
-    def width(n: int) -> float:
-        return y * math.expm1(math.ldexp(LN_PHI, 1 - n)) + 2.0 * _fp_pad(n, y)
-
+    pads_per_level = 2.0 * _fp_pad(1, y)  # n times this is 2 * pad(n, y) = 32 * n * ulp(y), exactly
     depth = max(1, 1 + math.ceil(math.log2(LN_PHI / math.log1p(0.125 * tol / y))))
-    while depth < depth_cap and width(depth) > 0.25 * tol and width(depth + 1) < width(depth):
-        depth += 1
+    width = y * math.expm1(math.ldexp(LN_PHI, 1 - depth)) + depth * pads_per_level
+    while depth < depth_cap and width > 0.25 * tol:
+        deeper = y * math.expm1(math.ldexp(LN_PHI, -depth)) + (depth + 1) * pads_per_level
+        if not deeper < width:
+            break
+        depth, width = depth + 1, deeper
     return max(min(4, depth_cap), min(depth, depth_cap))
 
 
@@ -159,7 +163,7 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
     how the probes are chosen and when RuntimeError is raised.
     """
     r_lo, r_hi = max(1.0, y / PHI), y
-    guesses: Iterator[float] | None = None
+    guesses: list[float] | None = None
     while r_hi - r_lo > 0.5 * tol:
         if math.ulp(r_lo) > 0.5 * tol:  # no later bracket or tie can be that narrow
             raise RuntimeError(
@@ -169,13 +173,16 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
         # where _probe_depth raises OverflowError (LN_PHI / log1p(tol / 8y) is inf)
         if guesses is None:
             depth = _probe_depth(y, tol, depth_cap)
-            guesses = iter(_predicted_probes(y, tol, depth, ties_below))
-        mid = next((r for r in guesses if r_lo < r < r_hi), None)
-        if mid is None:
+            guesses = _predicted_probes(y, tol, depth, ties_below)
+        while guesses:  # the next predicted probe inside the bracket; the others are dropped
+            mid = guesses.pop(0)
+            if r_lo < mid < r_hi:
+                # at its depth only: if it decides nothing, no test below holds and it is dropped
+                enclosure = kappa_enclosure(u_spec(mid), depth)
+                break
+        else:
             mid = 0.5 * r_lo + 0.5 * r_hi
             enclosure = _bisection_probe(mid, y, 0.25 * tol, depth_cap)
-        else:  # at its depth only: if it decides nothing, no test below holds and it is dropped
-            enclosure = kappa_enclosure(u_spec(mid), depth)
         if enclosure.lo > y:
             r_hi = math.nextafter(mid - (enclosure.lo - y), math.inf)
         elif enclosure.hi < y:

@@ -123,6 +123,26 @@ def test_readme_documents_are_byte_identical(invocation, capsys, tmp_path: Path)
     assert out == README_DOCUMENTS[invocation]
 
 
+# U^-1 documents whose low bits come from the fold's swamped levels and the
+# closed-form peel, pinned byte for byte: a supremum in the flat region, whose
+# two predicted probes each peel far, a deeply swamped U fold, and a root near 1.
+U_INVERSE_DOCUMENTS = {
+    "caps --mh 1 --eps 1e-12 --format csv": (
+        'm_h,epsilon,lo,hi\n'
+        '1,9.9999999999999998e-13,1,1.0000000831109719\n'
+    ),
+    "u-inv --y 500 --tol 1e-9": '{"y": 500, "r": 499.99899999694503, "tol": 1.0000000000000001e-09}\n',
+    "u-inv --y 1.6180339887499 --tol 1e-12": (
+        '{"y": 1.6180339887499, "r": 1.0000000148577235, "tol": 9.9999999999999998e-13}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("invocation", sorted(U_INVERSE_DOCUMENTS))
+def test_u_inverse_documents_are_byte_identical(invocation, capsys):
+    assert run_cli(capsys, *invocation.split()) == (0, U_INVERSE_DOCUMENTS[invocation], "")
+
+
 def test_shared_parser_is_reentrant(capsys, tmp_path: Path):
     # One process, one reader and one argparse tree: subcommand defaults
     # (u-inv's --tol 1e-6, table's csv format) and rejected argv must not leak
@@ -789,3 +809,11 @@ def test_emit_table_refusals_keep_their_messages(fmt):
     with pytest.raises(ValueError) as raised:
         cli.emit_table([(1.0,), (1, 2)], ["a"], fmt, True)
     assert str(raised.value) == "row (1, 2) does not match columns ['a']"
+
+
+@pytest.mark.parametrize("fmt", ["jsno", "CSV", "JSON", ""])
+def test_emit_table_refuses_an_unknown_format(fmt):
+    # only the two formats that --format admits render; any other is no silent JSON
+    with pytest.raises(ValueError) as raised:
+        cli.emit_table([(1.0,)], ["a"], fmt)
+    assert str(raised.value) == f"format must be 'csv' or 'json', got {fmt!r}"

@@ -287,26 +287,64 @@ def _long_settled_cases(draw):
     return ln_alphas + [rng.choice((-math.inf, scale - 1e3)) for _ in range(innermost)], lo_seed, hi_seed
 
 
+def _seed_pair(draw):
+    """A seed log from -700 to 700, often beyond 400 in magnitude, and the
+    other equal to it, -inf or anywhere on that range, in either order."""
+    ln_seed = st.one_of(st.floats(-700.0, 700.0), st.floats(400.0, 700.0), st.floats(-700.0, -400.0))
+    scale = draw(ln_seed)  # the fold's own starting scale for that side
+    other = draw(st.one_of(st.just(scale), st.just(-math.inf), st.floats(-700.0, 700.0)))
+    return scale, draw(st.permutations((scale, other)))
+
+
+@st.composite
+def _short_run_cases(draw):
+    """Folds of 16 to 63 levels whose inner run of one value, 9 levels or more, a seed may swamp.
+
+    The run holds a value (39, 40, 41) * 2**-j * (1 +- 1e-12) below ln(seed)
+    for some level j, so that the swamped levels start near level j, or up
+    to 80 * 2**-j or one ulp below it, or -inf, or ln(seed) itself.  One draw
+    in four breaks the run with another value inside it.  The outer levels
+    lie far below the scale or at it.
+    """
+    depth = draw(st.integers(16, 63))
+    scale, (lo_seed, hi_seed) = _seed_pair(draw)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    run = rng.randint(9, depth)
+    j = rng.randint(1, depth)
+    value = rng.choice((
+        scale - math.ldexp(rng.choice((39, 40, 41)) * rng.choice((1 - 1e-12, 1.0, 1 + 1e-12)), -j),
+        scale - math.ldexp(rng.uniform(0.0, 80.0), -j),
+        math.nextafter(scale, -math.inf),
+        -math.inf,
+        scale,
+    ))
+    ln_alphas = [scale if rng.random() < 0.2 else scale - rng.uniform(1.0, 1000.0) for _ in range(depth - run)]
+    ln_alphas += [value] * run
+    if rng.random() < 0.25:  # a break inside the run, which the level bound must not jump
+        ln_alphas[rng.randint(depth - run, depth - 2)] = rng.choice((scale, scale - 1.0, -math.inf))
+    return ln_alphas, lo_seed, hi_seed
+
+
 @st.composite
 def _swamped_cases(draw):
     """Folds whose inner levels sit at the threshold where a dominant seed swamps them.
 
-    Half the draws are long folds (:func:`_long_settled_cases`).  In the
-    rest ln(seed) runs from -700 to 700, often beyond 400 in magnitude, and
-    the other seed log equals it, is -inf, or lies anywhere on that range, in
-    either order.  From the innermost level outward a run of coefficients equals
-    ln(seed), lies (39, 40, 41) * 2**-k * (1 +- 1e-12) or up to 80 * 2**-k
-    below it, or is -inf; the outer levels lie far below the scale or at it.
-    Depths reach 1,100, and 40 to 64 are drawn often: there 40 * 2**-k falls
-    below half an ulp of a large scale.
+    A third of the draws are long folds (:func:`_long_settled_cases`) and a
+    third are short folds with a long inner run (:func:`_short_run_cases`).
+    In the rest, the seeds are drawn as there, and from the innermost level
+    outward a run of coefficients equals ln(seed), lies (39, 40, 41) * 2**-k
+    * (1 +- 1e-12) or up to 80 * 2**-k below it, or is -inf; the outer
+    levels lie far below the scale or at it.  Depths reach 1,100, and 40 to
+    64 are drawn often: there 40 * 2**-k falls below half an ulp of a large
+    scale.
     """
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("long", "run", "levels")))
+    if kind == "long":
         return draw(_long_settled_cases())
+    if kind == "run":
+        return draw(_short_run_cases())
     depth = draw(st.one_of(st.integers(1, 64), st.integers(40, 64), st.integers(1, 1100)))
-    ln_seed = st.one_of(st.floats(-700.0, 700.0), st.floats(400.0, 700.0), st.floats(-700.0, -400.0))
-    scale = draw(ln_seed)  # the fold's own starting scale for that side
-    other = draw(st.one_of(st.just(scale), st.just(-math.inf), st.floats(-700.0, 700.0)))
-    lo_seed, hi_seed = draw(st.permutations((scale, other)))
+    scale, (lo_seed, hi_seed) = _seed_pair(draw)
     rng = random.Random(draw(st.integers(0, 2**32)))
     run = rng.randint(0, depth)
 
@@ -332,7 +370,7 @@ def _swamped_cases(draw):
 class TestSwampedLevels:
     """Inner levels whose result is known are skipped or read from a table, and no output moves."""
 
-    @settings(max_examples=300)
+    @settings(max_examples=450)
     @given(_swamped_cases())
     def test_matches_ldexp_oracle(self, case):
         ln_alphas, lo_seed, hi_seed = case

@@ -3,7 +3,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nestrad.kappa
 import nestrad.ufunc
@@ -160,8 +160,58 @@ class TestFallback:
             assert support.mp_u(hi, 128, 60, as_float=False) >= target
 
 
+def fold_inverse_oracle(y, depth):
+    """The peel as a while loop over k: the reference for ``_fold_inverse``."""
+    v, k = y, 1
+    while k < depth and v <= 2.0**26:
+        if v <= 1.0:
+            return 1.0
+        v = v * v - 1.0
+        k += 1
+    return math.exp(math.ldexp(math.log(v), 1 - k))
+
+
+def probe_depth_oracle(y, tol, depth_cap):
+    """``_probe_depth`` with each width from kappa's pad, recomputed per test: its reference."""
+
+    def width(n):
+        return y * math.expm1(math.ldexp(nestrad.kappa.LN_PHI, 1 - n)) + 2.0 * nestrad.kappa._fp_pad(n, y)
+
+    depth = max(1, 1 + math.ceil(math.log2(nestrad.kappa.LN_PHI / math.log1p(0.125 * tol / y))))
+    while depth < depth_cap and width(depth) > 0.25 * tol and width(depth + 1) < width(depth):
+        depth += 1
+    return max(min(4, depth_cap), min(depth, depth_cap))
+
+
+def outcome(function, *args):
+    """The value of a call, or the type of the exception it raised."""
+    try:
+        return function(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+# targets of U^-1: log-uniform from phi to 1e300, and the flat region, y - phi below 1e-10
+TARGETS = st.one_of(
+    st.floats(math.log(PHI), math.log(1e300)).map(math.exp),
+    st.floats(-16.0, -10.0).map(lambda exponent: PHI + 10.0**exponent),
+)
+
+
 class TestFoldInverse:
     """The closed-form peel's round trip through the fold, and two early returns no search reaches."""
+
+    @settings(max_examples=500)
+    @given(TARGETS, st.integers(1, 1100))
+    def test_matches_the_loop_oracle(self, y, depth):
+        assert nestrad.ufunc._fold_inverse(y, depth).hex() == fold_inverse_oracle(y, depth).hex()
+
+    @settings(max_examples=500)
+    @given(TARGETS, st.floats(-15.0, 5.0).map(lambda exponent: 10.0**exponent), st.integers(1, 256))
+    def test_probe_depth_matches_the_loop_oracle(self, y, tol, depth_cap):
+        # a tol far below y overflows the first guess in both (the spacing check refuses it first)
+        expected = outcome(probe_depth_oracle, y, tol, depth_cap)
+        assert outcome(nestrad.ufunc._probe_depth, y, tol, depth_cap) == expected
 
     @given(
         st.one_of(
