@@ -55,11 +55,12 @@ of six paths, each with its share of the searches of the benchmark's
 * limit (16%, each at a swamp depth): the doubling reaches the limit.
 
 A bisection (a, b) has width(a) > tol >= width(b), a = 0 standing for no
-shallower depth; every depth already evaluated narrows it first, so no
-depth is evaluated twice.  Two probes in three go where the line through
-the log widths at a and b, the model that predicted g, crosses tol; the
-third halves, so at most 3 * ceil(log2(b - a)) probes are made;
-interpolation alone walks one depth at a time where the log width is convex.
+shallower depth.  Each path above returns at the first depth within tol,
+so a is the deepest depth already evaluated below b, and no depth is
+evaluated twice.  Two probes in three go where the line through the log
+widths at a and b, the model that predicted g, crosses tol; the third
+halves, so at most 3 * ceil(log2(b - a)) probes are made; interpolation
+alone walks one depth at a time where the log width is convex.
 A probe halves also where a is 0 or width(b) is.  Widths are not monotone
 in depth: once the analytic width falls below the pad, the 2 * pad(n) term
 grows with n.  So a depth below the one returned may still be within tol,
@@ -74,8 +75,9 @@ enclosure obeys width(n) <= A(n) + 2.5 * pad(n, M), M the larger raw fold
 (the padding policy above).  With L <= H the exact folds at n and v the
 radical, L <= v and H - L <= A(n) up to A's rounding, a few ulp, so H <=
 v + A(n) <= hi(8) + tol, as the depth-8 enclosure contains v and A(n) <=
-tol; both raw folds lie within a relative 2**-30 of their exact ones, and
-so at most 2**-30 above H (the floor's proof, below).  The factor 1 +
+tol (a lower seed just above the boosted cap seeds both folds: H = L and
+A(n) = 0); both raw folds lie within a relative 2**-30 of their exact ones,
+and so at most 2**-30 above H (the floor's proof, below).  The factor 1 +
 2**-20 covers both roundings, so M is at most the magnitude in S(n), ulp
 is non-decreasing, and width(n) <= A(n) + S(n) <= tol.
 The search reads A only where it is tight at depth 8: A(8) <= 4 *
@@ -360,20 +362,20 @@ def kappa_limit(spec: SequenceSpec, tol: float, depth_cap: int = DEFAULT_DEPTH_C
 def _analytic_gap(spec: SequenceSpec, depth: int) -> float:
     """``kappa_enclosure(spec, depth).analytic_width_bound``, read without folding.
 
-    For a depth no deeper than the spec's max depth.  It is inf where that
-    enclosure could not bracket or an exp overflows, so a read raises only
-    what ``spec.tail_bounds`` raises.  :func:`kappa_enclosure` repeats the
+    For a depth no deeper than the spec's max depth.  It is inf where the
+    seeds make that enclosure raise, so a read raises only what
+    ``spec.tail_bounds`` raises.  :func:`kappa_enclosure` repeats the
     arithmetic inline, as its every probe would pay for a call.
     """
     ln_lower, ln_cap = spec.tail_bounds(depth)
     ln_hi = math.nextafter(ln_cap + math.ldexp(LN_PHI, 1 - depth), _INF) if ln_cap > -_INF else ln_cap
-    if not ln_lower <= ln_hi:  # a NaN or +inf seed, or a lower seed above the boosted cap
+    if not ln_lower <= ln_hi + 1e-12 < _INF:  # a NaN or +inf seed, or seeds that cannot bracket
         return _INF
     gap = ln_hi - ln_lower
     try:
         if ln_lower == -_INF or gap > 1.0:  # exp(-inf) is 0.0, and x - 0.0 is x
             return math.exp(ln_hi) - math.exp(ln_lower)
-        return math.exp(ln_lower) * math.expm1(gap)
+        return math.exp(ln_lower) * math.expm1(gap) if gap > 0.0 else 0.0  # the enclosure's clamp
     except OverflowError:  # the fold at this depth would exceed binary64
         return _INF
 
@@ -416,12 +418,9 @@ def _search(
 
     def bisect(bad: int, good: int) -> KappaResult:
         # width(bad) > tol >= width(good); depth 0 stands for "nothing shallower".
-        # Narrow to the shallowest depth inside within tol and the deepest wider one below it.
-        for depth in sorted(seen):
+        # Every depth evaluated below good is wider than tol (the module docstring): take the deepest.
+        for depth in seen:
             if bad < depth < good:
-                if width(depth) <= tol:
-                    good = depth
-                    break
                 bad = depth
         w_bad, w_good = width(bad) if bad else _INF, width(good)  # depth 0 is wider than any
         probes = 0

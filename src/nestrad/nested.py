@@ -15,23 +15,24 @@ Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
 
-The sides run in seed order, so the lower side's scale never exceeds the
-upper one's.  Once a coefficient above both gives them one scale, each
-level's exp serves both sides, and once their r are equal too, the sides
-have met and one side runs the rest for both.
+The lower seed never lies above the upper one, so the lower side's scale
+never exceeds the upper one's.  Once a coefficient above both gives them
+one scale, each level's exp serves both sides, and once their r are equal
+too, the sides have met and one side runs the rest for both.
 
 Inner levels whose outcome is known are not run: levels that a dominant
 seed swamps leave r at exactly 1, and from r = 1 a run of coefficients
 equal to the scale steps r through the golden iterates 1, sqrt(2),
-sqrt(1 + sqrt(2)), ..., held in a table up to their binary64 fixpoint.  A
-fold of at least 64 levels settles these per side before its loop; the
-search costs about a microsecond a side, which shorter folds cannot repay
-on every tail.  A shorter fold skips the levels swamped on both sides, and
-drops a long inner run of one swamped value at once, by the level bound
-that the long folds use, when it has at least 16 levels and its level
-n - 8 holds the value of level n.  The proofs, the gate and the measured
-crossovers are in the :func:`sqrt_nested_scaled` docstring.  No returned
-bit depends on which levels were settled.
+sqrt(1 + sqrt(2)), ..., held in a table up to their binary64 fixpoint.
+One routine drops the swamped levels: it tests each level, and drops a
+long inner run of one value at once, by a level bound, when the fold has
+at least 16 levels and its level n - 8 holds the value of level n.  A fold
+of at least 64 levels drops them per side and reads the golden run before
+its loop; that costs about a microsecond a side, which shorter folds cannot
+repay on every tail, so they drop only the levels swamped on both sides.
+The proofs, the gate and the measured crossovers are in the
+:func:`sqrt_nested_scaled` docstring.  No returned bit depends on which
+levels were dropped or read.
 
 Everything is pure and reentrant.
 """
@@ -80,10 +81,10 @@ _GOLDEN = _golden_iterates()
 # the loop runs; shorter ones cannot repay the search (see sqrt_nested_scaled).
 _SETTLED_FOLD = 64
 
-# A short fold of at least this many levels, whose level n - _CLOSED_FORM_RUN
-# holds the value of its innermost level n (a run of more than _CLOSED_FORM_RUN
+# A fold of at least this many levels, whose level n - _CLOSED_FORM_RUN holds
+# the value of its innermost level n (a run of more than _CLOSED_FORM_RUN
 # levels, unless another value breaks it), drops that run's swamped levels at
-# once; other short folds test each level (see sqrt_nested_scaled).
+# once; other folds test each level (see sqrt_nested_scaled).
 _CLOSED_FORM_FOLD = 16
 _CLOSED_FORM_RUN = 8
 
@@ -205,13 +206,13 @@ def sqrt_nested_scaled(
     a level only keeps the larger of its pair; the fold takes that maximum
     over all of them at once, as the side's starting scale with r = 1.
 
-    The sides run in seed order: when ln_lo_seed > ln_hi_seed the seeds
-    are swapped on entry and the two values on return.  Each side's scale
-    is the running maximum of its seed and the coefficients folded so far,
-    which keeps the order, so scale_lo <= scale_hi at every level.  While
-    scale_lo < scale_hi, a level above scale_hi moves both sides, each
-    with its own exp, and leaves them at one scale; any other level is an
-    ordinary one on the upper side and, on the lower side, one of
+    The seeds come in order, ln_lo_seed <= ln_hi_seed; seeds out of order
+    raise ``ValueError``.  Each side's scale is the running maximum of its
+    seed and the coefficients folded so far, which keeps the order, so
+    scale_lo <= scale_hi at every level.  While scale_lo < scale_hi, a
+    level above scale_hi moves both sides, each with its own exp, and
+    leaves them at one scale; any other level is an ordinary one on the
+    upper side and, on the lower side, one of
 
         ln_alpha <  c:  r = sqrt(exp((ln_alpha - c) / s) + r),
         ln_alpha == c:  r = sqrt(1.0 + r), with no exp,
@@ -225,51 +226,44 @@ def sqrt_nested_scaled(
     same values, so one side runs the remaining levels and both return its
     value.  Seeds that are equal meet before the first level.
 
-    In a fold of fewer than 64 levels, inner levels that a dominant seed
-    swamps are skipped.  When both sides start at r = 1 (a positive seed, or
-    the past-1074 maximum), let low be the lower side's starting scale, the
-    smaller of the two.  From the innermost level outward, a level whose
-    quotient t = (ln_alpha - low) / s, rounded as the fold rounds it, is at
-    most -40 changes nothing on either side.  On a side with scale
-    c >= low the fold computes t' = (ln_alpha - c) / s <= t,
-    because rounding is monotone.  As fl(ln_alpha - low) < 0, ln_alpha lies
-    below both scales, so no scale moves.  And exp(t') < 2**-54, so
-    exp(t') + 1.0 rounds to 1.0 and sqrt(1.0) = 1.0: the side leaves the
-    level as it entered it, and the next level sees the same state.  The
-    test must be this quotient: ln_alpha <= low - 40 * 2**-k would round its
-    right side back to low once 40 * 2**-k falls below half an ulp of low,
-    and then skip a coefficient equal to the scale.  A zero seed skips
-    nothing.  The swamped levels of an inner run of one value go at once,
-    by the level bound that the per-side swamp below proves, with low for
-    c: along the run the test's quotient is d * 2**k exactly, so the bound
-    drops exactly the levels that testing each would, and the levels
-    outside them are tested one by one.  The bound costs about 0.6
-    microseconds (a frexp and the two scans that find the run) where a
-    test costs about 70 ns.  Timed against testing each level (CPython
-    3.11 on a 2-core x86-64 machine), it pays from a run of 9 levels that
-    reaches down to its first swamped level, and from 12 to 16 when other
-    levels lie between them.  Tried on every short fold, it made the
-    benchmark's ``families`` folds, 12 levels on average with 2.4
+    Swamp.  Let a side enter level n at r = 1 with scale c.  From the
+    innermost level outward, a level whose quotient t = (ln_alpha - c) / s,
+    rounded as the fold rounds it, is at most -40 changes nothing on that
+    side: as fl(ln_alpha - c) < 0, ln_alpha lies below c, so no scale moves,
+    and exp(t) < 2**-54, so exp(t) + 1.0 rounds to 1.0 and sqrt(1.0) = 1.0.
+    The side leaves the level as it entered it, and the next level sees the
+    same state.  The test must be this quotient: ln_alpha <= c - 40 * 2**-k
+    would round its right side back to c once 40 * 2**-k falls below half
+    an ulp of c, and then skip a coefficient equal to the scale.  Along a
+    run of one value a below c, the quotient is d * 2**k exactly, with d =
+    fl(a - c), or -inf past binary64, so it falls as k grows.  Write -d = m
+    * 2**e with 0.5 <= m < 1 and 40 = 0.625 * 2**6: then d * 2**k <= -40
+    exactly from level 6 - e on, or 7 - e when m < 0.625.  Dropping the run
+    from that level inward at once drops exactly the levels that testing
+    each would, and the levels outside it are tested one by one.  The bound
+    costs about 0.6 microseconds (a frexp and the two scans that find the
+    run) where a test costs about 70 ns.  Timed against testing each level
+    (CPython 3.11 on a 2-core x86-64 machine), it pays from a run of 9
+    levels that reaches down to its first swamped level, and from 12 to 16
+    when other levels lie between them.  Tried on every short fold, it made
+    the benchmark's ``families`` folds, 12 levels on average with 2.4
     swamped, 7% slower.  So it is tried only in a fold of at least 16
-    levels whose level n - 8 holds the value of the innermost level n:
-    then those folds run within 1% of testing each level, and the U^-1
-    folds of the ``inverse`` benchmark, one run of zeros over every
-    level, 4% faster.
+    levels whose level n - 8 holds the value of the innermost level n: then
+    those folds run within 1% of testing each level, and the U^-1 folds of
+    the ``inverse`` benchmark, one run of zeros over every level, 4% faster.
+
+    A fold of fewer than 64 levels, while both sides start at r = 1 (a
+    positive seed, or the past-1074 maximum), drops the levels that the
+    lower side's scale c = low swamps; they swamp the upper side too, as its
+    scale c' >= low gives (ln_alpha - c') / s <= t, because rounding is
+    monotone.  A zero seed drops nothing.
 
     A fold of at least 64 levels settles each side's inner levels on their
     own, from that side's scale c while its r is still 1, in two ways:
 
-    * Swamp, per side.  Put c where the argument above has low, and it
-      holds unchanged: a level with t = (ln_alpha - c) / s <= -40 moves no
-      scale, as fl(ln_alpha - c) < 0, and exp(t) < 2**-54 leaves r = 1.
-      So the golden-boosted upper side drops the levels its own scale
-      swamps, where the lower side may still run them.  Along a run of one
-      value a below c, the quotient is d * 2**k exactly, with d = fl(a -
-      c), or -inf past binary64, so it falls as k grows.  Write -d = m *
-      2**e with 0.5 <= m < 1 and 40 = 0.625 * 2**6: then d * 2**k <= -40
-      exactly from level 6 - e on, or 7 - e when m < 0.625.  The run is
-      dropped from that level inward at once, and the levels outside it are
-      tested one by one, as above.
+    * Swamp, per side, as above.  So the golden-boosted upper side drops
+      the levels its own scale swamps, where the lower side may still run
+      them.
     * Golden run.  A level with ln_alpha == c computes sqrt(1.0 + r), as
       above, and moves no scale.  From r = 1, a run of m such levels leaves
       r at the m-th binary64 iterate of r <- sqrt(1.0 + r), read from a
@@ -303,15 +297,14 @@ def sqrt_nested_scaled(
     ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
     raises ``ValueError`` when a radical exceeds binary64.
     """
-    if not (ln_lo_seed < _INF and ln_hi_seed < _INF):  # a NaN or +inf seed
+    if not ln_lo_seed <= ln_hi_seed < _INF:  # seeds out of order, or a NaN or +inf seed
+        if ln_lo_seed < _INF and ln_hi_seed < _INF:
+            raise ValueError(f"seed logs must be in order, got {ln_lo_seed} above {ln_hi_seed}")
         raise ValueError(f"seed logs must lie in [-inf, inf), got {ln_lo_seed} and {ln_hi_seed}")
     if not sum(ln_alphas) < _INF:  # a NaN or +inf term, or a sum past binary64
         for k, ln_alpha in enumerate(ln_alphas, start=1):
             if not ln_alpha < _INF:
                 raise ValueError(f"ln alpha at index {k} must lie in [-inf, inf), got {ln_alpha}")
-    swapped = ln_lo_seed > ln_hi_seed
-    if swapped:  # run the sides in seed order, so that scale_lo <= scale_hi throughout
-        ln_lo_seed, ln_hi_seed = ln_hi_seed, ln_lo_seed
     if ln_lo_seed > -_INF:
         scale_lo, r_lo = ln_lo_seed, 1.0
     else:
@@ -329,14 +322,10 @@ def sqrt_nested_scaled(
             scale_hi, r_hi = deep, 1.0
         n = _DEEPEST_LEVEL
     if n < _SETTLED_FOLD:
-        # inner levels that leave both sides at r = 1; a long run of one value drops at once
+        # the levels the lower scale swamps leave both sides at r = 1; most short
+        # folds have none, and testing level n here spares them the call
         if r_lo == r_hi == 1.0 and n and (ln_alphas[n - 1] - scale_lo) / _INV_POW2[n] <= -40.0:
-            if n >= _CLOSED_FORM_FOLD and ln_alphas[n - 1 - _CLOSED_FORM_RUN] == ln_alphas[n - 1]:
-                n = _below_swamped_run(ln_alphas, n, scale_lo)
-            else:
-                n -= 1
-            while n and (ln_alphas[n - 1] - scale_lo) / _INV_POW2[n] <= -40.0:
-                n -= 1
+            n = _unswamped(ln_alphas, n, scale_lo)
     else:  # each side settles its own inner levels, and the longer side runs on alone
         n_lo, n_hi = n, n
         if r_lo == 1.0:
@@ -394,7 +383,7 @@ def sqrt_nested_scaled(
         lo = hi = _INF
     if lo == _INF or hi == _INF:
         raise ValueError("the nested radical exceeds binary64 (about 1.8e308)")
-    return (hi, lo) if swapped else (lo, hi)
+    return lo, hi
 
 
 def _settled(ln_alphas: Sequence[float], n: int, c: float) -> tuple[int, float]:
@@ -403,10 +392,7 @@ def _settled(ln_alphas: Sequence[float], n: int, c: float) -> tuple[int, float]:
     Drops the inner levels that c swamps, then reads a run of levels equal
     to c from the golden iterates (the :func:`sqrt_nested_scaled` docstring).
     """
-    if (ln_alphas[n - 1] - c) / _INV_POW2[n] <= -40.0:
-        n = _below_swamped_run(ln_alphas, n, c)
-        while n and (ln_alphas[n - 1] - c) / _INV_POW2[n] <= -40.0:
-            n -= 1
+    n = _unswamped(ln_alphas, n, c)
     if n and ln_alphas[n - 1] == c:
         start = _run_start(ln_alphas, n, 1)
         run = n + 1 - start
@@ -414,17 +400,22 @@ def _settled(ln_alphas: Sequence[float], n: int, c: float) -> tuple[int, float]:
     return n, 1.0
 
 
-def _below_swamped_run(ln_alphas: Sequence[float], n: int, c: float) -> int:
-    """Levels left once scale c, which swamps level n, drops the inner run of level n's value.
+def _unswamped(ln_alphas: Sequence[float], n: int, c: float) -> int:
+    """Levels left once scale c, on a side that enters level n at r = 1, drops the inner levels it swamps.
 
-    The run is swamped from a level read off the exponent of its gap to c
-    (the :func:`sqrt_nested_scaled` docstring), so no level of it is tested
-    on its own.
+    A swamped inner run of one value that passes the gate goes at once,
+    from the level read off the exponent of its gap to c; every other
+    level is tested on its own (the :func:`sqrt_nested_scaled` docstring).
     """
-    d = ln_alphas[n - 1] - c
-    m, e = math.frexp(-d)  # -d = m * 2**e, 0.5 <= m < 1, and 40 = 0.625 * 2**6
-    first = (6 if m >= 0.625 else 7) - e if d > -_INF else 1
-    return _run_start(ln_alphas, n, first if first > 1 else 1) - 1
+    if n >= _CLOSED_FORM_FOLD and ln_alphas[n - 1 - _CLOSED_FORM_RUN] == ln_alphas[n - 1]:
+        d = ln_alphas[n - 1] - c
+        if d / _INV_POW2[n] <= -40.0:
+            m, e = math.frexp(-d)  # -d = m * 2**e, 0.5 <= m < 1, and 40 = 0.625 * 2**6
+            first = (6 if m >= 0.625 else 7) - e if d > -_INF else 1
+            n = _run_start(ln_alphas, n, first if first > 1 else 1) - 1
+    while n and (ln_alphas[n - 1] - c) / _INV_POW2[n] <= -40.0:
+        n -= 1
+    return n
 
 
 def _run_start(ln_alphas: Sequence[float], n: int, first: int) -> int:

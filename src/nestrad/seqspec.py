@@ -309,7 +309,9 @@ class SequenceSpec(Record):
     A spec with a prefix computes what :meth:`tail_bounds` needs at the
     prefix depths, and its swamp depth, once, when it is built
     (:func:`_prefix_bounds`), into a private slot that equality, hashing,
-    ``repr`` and pickling do not see.
+    ``repr`` and pickling do not see.  If its tail raised there, the spec
+    keeps no bounds, and :meth:`tail_bounds` raises that error at a prefix
+    depth.
     """
 
     __slots__ = ("prefix", "tail", "_bounds")
@@ -358,12 +360,10 @@ class SequenceSpec(Record):
         # Any single coefficient is a valid lower seed, and the cap must
         # dominate every coefficient from n on.
         bounds = self._bounds
-        if bounds is None:  # the tail raised when the spec was built: ask it again here
-            lower, upper = self.tail.ln_bounds(len(prefix) + 1)
-            ln_alpha = max(prefix[n - 1:])
-        else:
-            tops, lower, upper, _ = bounds
-            ln_alpha = tops[n - 1]
+        if bounds is None:  # the tail raised when the spec was built, and, being pure, raises again
+            self.tail.ln_bounds(len(prefix) + 1)
+        tops, lower, upper, _ = bounds
+        ln_alpha = tops[n - 1]
         return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
 
 
@@ -375,10 +375,9 @@ def _prefix_bounds(
     The tail's bounds are those at depth len(prefix) + 1.  On a tie the
     shallowest coefficient stays, the one ``max()`` returns: with -0.0 and
     0.0 the sign shows.  None if the tail raises, whatever the error (a cap
-    table that starts deeper, a tail without bounds):
-    :meth:`SequenceSpec.tail_bounds` then asks the tail at each call, as a
-    spec without the table would, so the spec builds and the error comes
-    where it always came.
+    table that starts deeper, a tail without bounds): the spec still
+    builds, and :meth:`SequenceSpec.tail_bounds` asks the tail again at a
+    prefix depth, which raises the error there, as tails are pure.
 
     ``swamp`` is the swamp depth of the :mod:`nestrad.kappa` docstring, or
     None.  Only a coefficient above B_k, the largest of the tail's bounds

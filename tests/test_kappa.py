@@ -176,6 +176,16 @@ class TestKappaLimit:
         assert result.stop_reason == "tail_exhausted"
         assert result.enclosure.depth == 3
 
+    def test_an_infinitely_wide_only_probe_is_returned(self):
+        # both folds come within 48 ulp of the largest float, so the depth-3
+        # pads round hi to inf.  The swamp depth, 3, ends the search at its
+        # one probe, whose width is inf: the search still keeps it as its best
+        spec = explicit([1419.565425786768, 2777.768851573536], scale="lograw", tail=ZeroTail())
+        result = kappa_limit(spec, 1e300)
+        assert result.stop_reason == "fp_floor"
+        assert result.enclosure == kappa_enclosure(spec, 3)
+        assert result.enclosure.hi == math.inf
+
     def test_converged_stop_reason(self):
         assert kappa_limit(golden(), 1e-8).stop_reason == "converged"
 
@@ -874,6 +884,10 @@ def _enclosure_cases(draw):
     return explicit(values, scale=scale, tail=tail), draw(st.integers(1, 300))
 
 
+# at depth 11, a lower seed 5e-13 above the golden-boosted cap of 1.0
+_ABOVE_THE_BOOSTED_CAP = CapTableTail(((11, math.exp(math.ldexp(nestrad.kappa.LN_PHI, -10) + 5e-13), 1.0),))
+
+
 class TestEnclosureArithmetic:
     @settings(max_examples=400)
     @given(_enclosure_cases())
@@ -892,10 +906,19 @@ class TestEnclosureArithmetic:
 
     @settings(max_examples=300)
     @given(_enclosure_cases())
+    # a lower seed 5e-13 above the boosted cap, inside the enclosure's 1e-12 allowance: both read 0.0
+    @example((explicit([-math.inf] * 10, scale="lograw", tail=_ABOVE_THE_BOOSTED_CAP), 11))
+    # reads of inf: seeds that cannot bracket, a boosted cap whose exp overflows, +inf seeds
+    @example((explicit([1.0], tail=CapTableTail(((2, 5.0, 1.0),))), 2))
+    @example((explicit([], tail=CapTableTail(((1, 1e308, 1.7e308),))), 1))
+    @example((constant_raw(1e308), 4))
     def test_a_bound_read_is_the_enclosures_bound(self, case):
-        # the explicit-bound cap's read, bit for bit, wherever it is finite
+        # the explicit-bound cap's read, bit for bit, and inf only where the enclosure is refused
         spec, depth = case
         depth = min(depth, spec.max_depth() or depth)
         gap = nestrad.kappa._analytic_gap(spec, depth)
-        if gap != math.inf:
-            assert repr(gap) == _outcome(lambda: kappa_enclosure(spec, depth).analytic_width_bound)
+        enclosed = _outcome(lambda: kappa_enclosure(spec, depth).analytic_width_bound)
+        if gap == math.inf:
+            assert enclosed.startswith("ValueError: "), enclosed
+        else:
+            assert repr(gap) == enclosed

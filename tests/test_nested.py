@@ -110,10 +110,19 @@ class TestSqrtNestedScaled:
             assert value == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_bad_input(self):
-        # a seed log must lie in [-inf, inf): a NaN or +inf seed is refused
-        for ln_lo_seed, ln_hi_seed in ((math.nan, 0.0), (0.0, math.inf), (math.inf, math.inf)):
-            with pytest.raises(ValueError, match=r"seed logs must lie in \[-inf, inf\)"):
+        # a seed log must lie in [-inf, inf): a NaN or +inf seed is refused, in
+        # the words the CLI prints, whatever the order of the other seed
+        for ln_lo_seed, ln_hi_seed, shown in (
+            (math.nan, 0.0, "nan and 0.0"),
+            (0.0, math.nan, "0.0 and nan"),
+            (0.0, math.inf, "0.0 and inf"),
+            (math.inf, 0.0, "inf and 0.0"),
+            (math.inf, math.inf, "inf and inf"),
+            (-math.inf, math.nan, "-inf and nan"),
+        ):
+            with pytest.raises(ValueError) as refused:
                 sqrt_nested_scaled([0.0], ln_lo_seed, ln_hi_seed)
+            assert str(refused.value) == f"seed logs must lie in [-inf, inf), got {shown}"
         with pytest.raises(ValueError, match="index 2"):
             sqrt_nested_scaled([0.0, math.nan], 0.0, 0.0)
         with pytest.raises(ValueError, match="index 1"):
@@ -121,6 +130,15 @@ class TestSqrtNestedScaled:
         # finite terms pass the check even when their sum overflows; this radical exceeds binary64
         with pytest.raises(ValueError, match="exceeds binary64"):
             sqrt_nested_scaled([1e308, 1e308], 0.0, 0.0)
+
+    def test_seeds_out_of_order_are_refused(self):
+        for ln_lo_seed, ln_hi_seed in ((1.0, 0.5), (0.0, -math.inf), (math.nextafter(-3.0, 0.0), -3.0)):
+            with pytest.raises(ValueError) as refused:
+                sqrt_nested_scaled([0.0, -1.0], ln_lo_seed, ln_hi_seed)
+            assert str(refused.value) == f"seed logs must be in order, got {ln_lo_seed} above {ln_hi_seed}"
+        # equal seeds are in order, and so are signed zeros either way round
+        for ln_lo_seed, ln_hi_seed in ((0.5, 0.5), (0.0, -0.0), (-0.0, 0.0), (-math.inf, -math.inf)):
+            sqrt_nested_scaled([0.0, -1.0], ln_lo_seed, ln_hi_seed)
 
     def test_radical_past_binary64_is_a_value_error(self):
         # both seeds and the coefficient are finite; only the value overflows
@@ -149,7 +167,7 @@ class TestSqrtNestedScaled:
                 -math.inf if rng.random() < 0.1 else rng.uniform(-300.0, 300.0) * rng.random() ** 4
                 for _ in range(rng.randint(0, 40))
             ]
-            lo_seed, hi_seed = (
+            lo_seed, hi_seed = sorted(
                 -math.inf if rng.random() < 0.1 else rng.uniform(-20.0, 20.0) for _ in range(2)
             )
             check(ln_alphas, lo_seed, hi_seed)
@@ -172,7 +190,7 @@ class TestSqrtNestedScaled:
             seeds = [base, base + rng.choice((2.0**-40, 1e-12, 1.0))]
             top = seeds[1] + rng.choice((2.0**-45, 1e-12, 0.5))
             outer = [top - rng.choice((0.0, 1e-12, 1.0)) * rng.random() for _ in range(rng.randint(20, 60))]
-            check(outer + [top], *rng.sample(seeds, 2))
+            check(outer + [top], *seeds)
         # norm prefixes with seeds M and M + 2**-(n-1) * ln(phi) stepped up, as
         # kappa_enclosure builds them, and equal seeds
         for _ in range(300):
@@ -211,7 +229,7 @@ def _fold_cases(draw):
     seed = st.one_of(
         st.just(-math.inf), st.just(0.0), st.floats(0.0, 5.0).map(support.ln), st.floats(-700.0, 700.0)
     )
-    lo_seed, hi_seed = draw(st.permutations((draw(seed), draw(seed))))
+    lo_seed, hi_seed = sorted((draw(seed), draw(seed)))
     return [ln_alpha() for _ in range(depth)], lo_seed, hi_seed
 
 
@@ -260,7 +278,7 @@ def _long_settled_cases(draw):
     or is -inf; the prefix holds any of these values and values above.  The
     other seed equals ln(seed), is its other signed zero, lies one step or
     2**-(n-1) * ln(phi) above it, lies anywhere above it up to 700, or is
-    -inf.
+    -inf.  The seeds come in order, signed zeros in either order.
     """
     depth = draw(st.one_of(st.integers(64, 300), st.integers(1000, 1100)))
     scale = draw(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-700.0, 700.0), st.floats(-1.0, 1.0)))
@@ -274,7 +292,7 @@ def _long_settled_cases(draw):
         -math.inf,
     )
     other = rng.choice(above)
-    lo_seed, hi_seed = draw(st.permutations((scale, other)))
+    lo_seed, hi_seed = sorted(draw(st.permutations((scale, other))))
     gap = rng.choice((math.ulp(scale), 1e-13, 1e-8, 1.0, 1e3, math.ldexp(40.0, -rng.randint(1, 1100))))
     value = rng.choice((scale, -scale if scale == 0.0 else scale, other, scale - gap, -math.inf))
     run_end = rng.randint(0, depth // 2)
@@ -289,11 +307,11 @@ def _long_settled_cases(draw):
 
 def _seed_pair(draw):
     """A seed log from -700 to 700, often beyond 400 in magnitude, and the
-    other equal to it, -inf or anywhere on that range, in either order."""
+    other equal to it, -inf or anywhere on that range, in order."""
     ln_seed = st.one_of(st.floats(-700.0, 700.0), st.floats(400.0, 700.0), st.floats(-700.0, -400.0))
     scale = draw(ln_seed)  # the fold's own starting scale for that side
     other = draw(st.one_of(st.just(scale), st.just(-math.inf), st.floats(-700.0, 700.0)))
-    return scale, draw(st.permutations((scale, other)))
+    return scale, sorted((scale, other))
 
 
 @st.composite
@@ -367,6 +385,27 @@ def _swamped_cases(draw):
     return ln_alphas, lo_seed, hi_seed
 
 
+@st.composite
+def _unswamped_cases(draw):
+    """A fold of 16 to 1,074 levels and a finite scale c of one of its seeds, as drawn for the fold.
+
+    Half the folds are short (:func:`_short_run_cases`) and half long
+    (:func:`_long_settled_cases`).  Level n - 8 then holds the value of the
+    innermost level n, which meets the gate of the run's level bound, or
+    another value, which misses it.
+    """
+    short = draw(st.booleans())
+    ln_alphas, lo_seed, hi_seed = draw(_short_run_cases() if short else _long_settled_cases())
+    ln_alphas = ln_alphas[:nestrad.nested._DEEPEST_LEVEL]
+    c = draw(st.sampled_from([seed for seed in (lo_seed, hi_seed) if seed > -math.inf] or [0.0]))
+    innermost = ln_alphas[-1]
+    if draw(st.booleans()):  # gate met
+        ln_alphas[-9] = innermost
+    elif ln_alphas[-9] == innermost:  # gate missed
+        ln_alphas[-9] = c if innermost != c else c - 1.0
+    return ln_alphas, c
+
+
 class TestSwampedLevels:
     """Inner levels whose result is known are skipped or read from a table, and no output moves."""
 
@@ -376,6 +415,19 @@ class TestSwampedLevels:
         ln_alphas, lo_seed, hi_seed = case
         expected = [support.ldexp_fold(ln_alphas, seed).hex() for seed in (lo_seed, hi_seed)]
         assert [value.hex() for value in sqrt_nested_scaled(ln_alphas, lo_seed, hi_seed)] == expected
+
+    @settings(max_examples=300)
+    @given(_unswamped_cases())
+    def test_unswamped_drops_what_testing_each_level_drops(self, case):
+        # the run's level bound, gate met or missed, leaves the levels that
+        # testing each level from the innermost outward would leave, and the
+        # fold of those from seed c is the whole fold's, bit for bit
+        ln_alphas, c = case
+        n = len(ln_alphas)
+        while n and (ln_alphas[n - 1] - c) / 2.0**-n <= -40.0:
+            n -= 1
+        assert nestrad.nested._unswamped(ln_alphas, len(ln_alphas), c) == n
+        assert support.ldexp_fold(ln_alphas[:n], c).hex() == support.ldexp_fold(ln_alphas, c).hex()
 
     def test_rounded_threshold_trap(self):
         # past level 49, 40 * 2**-k is below half an ulp of 700, so a threshold
