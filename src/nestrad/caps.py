@@ -44,9 +44,13 @@ class SupQuery(Record):
 def sup_enclosure(query: SupQuery) -> tuple[float, float]:
     """Certified interval containing the coefficient supremum.
 
-    ``hi`` is m_h times the certified upper end of a U^-1 bracket, with the
-    target y and the product both rounded upward, so it never falls short.
-    A ratio epsilon / m_h or a bound past binary64 raises ValueError.
+    ``hi`` is m_h times the certified upper end r_hi of a U^-1 bracket,
+    with the target y and the product both rounded upward, so it never
+    falls short.  It is also tight: U(r_hi) - y < 3 tol/4 for the inverse
+    tolerance tol = 1e-9 * max(1, y), usually shown by the first enclosure
+    (``ufunc._u_bracket``), so U(hi / m_h) exceeds y by less than that plus
+    the two upward steps of the product.  A ratio epsilon / m_h or a bound
+    past binary64 raises ValueError.
     """
     # one step up covers the two roundings; the float PHI already exceeds phi
     y = math.nextafter(query.epsilon / query.m_h + PHI, math.inf)

@@ -28,9 +28,9 @@ One renderer, :func:`emit_table`, writes every document, a table or one
 record, with 17 significant digits per float and a ``.`` decimal separator
 whatever the locale, so identical invocations give byte-identical documents.
 A document that cannot be written, to ``--out`` or to a standard output
-whose reader has gone or that was closed before the process started, is
-reported on one line with exit 2; help for such a standard output is
-dropped, with exit 0.
+whose reader has gone or that was closed before the process started, or
+as JSON because a cell is not finite, is reported on one line with exit 2;
+help for such a standard output is dropped, with exit 0.
 
 Exit codes: 0 success, 2 validation error, 3 search stopped without reaching
 tolerance (depth cap, cap table end or floating-point floor; the result
@@ -61,6 +61,9 @@ EXIT_USAGE = 2
 EXIT_UNCONVERGED = 3
 
 
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))  # how %.17g writes the floats that JSON cannot hold
+
+
 @functools.lru_cache
 def _json_object(columns: tuple[str, ...]) -> str:
     """The template of one JSON row: its keys, each "%" escaped, and a %s per cell."""
@@ -76,7 +79,9 @@ def emit_table(
     A float cell is written with 17 significant digits, a bool as
     ``true``/``false``, an int in full and any other number as its float.
     Raises ValueError for no rows, a row that does not match the columns,
-    or a ``fmt`` other than ``"csv"`` and ``"json"``.
+    a ``fmt`` other than ``"csv"`` and ``"json"``, or a JSON document with
+    a non-finite cell, which JSON cannot write (RFC 8259); CSV writes it
+    as ``inf``, ``-inf`` or ``nan``.
     """
     if not rows:
         raise ValueError("refusing to emit an empty table")
@@ -90,12 +95,16 @@ def emit_table(
         head, tail = ("", "\n") if record else ("[", "]\n")
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    return head + separator.join([render(tuple([
+    texts = [tuple([
         "%.17g" % cell if cell.__class__ is float
         else ("true" if cell else "false") if cell.__class__ is bool
         else str(cell) if isinstance(cell, int) else format(float(cell), ".17g")
         for cell in row
-    ])) for row in rows]) + tail
+    ]) for row in rows]
+    if fmt == "json" and not all(map(_NON_FINITE.isdisjoint, texts)):
+        column, text = next((c, t) for row in texts for c, t in zip(columns, row) if t in _NON_FINITE)
+        raise ValueError(f"cannot write a JSON document with {column} = {text}: JSON has no non-finite numbers")
+    return head + separator.join(map(render, texts)) + tail
 
 
 _RESULT = ("lo", "hi", "mid", "width", "width_bound", "depth", "converged")

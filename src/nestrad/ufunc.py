@@ -25,10 +25,13 @@ probe's is.
 
 * ``u_inverse`` evaluates one depth-n enclosure at the middle of [R / c_n,
   R]; it normally holds y at width <= tol/4, a tie.
-* ``sup_enclosure`` evaluates F_n^-1(y + pad + noise), expected above y,
-  then the larger of that point minus tol/2 and F_n^-1(y + pad - noise),
-  expected a tie or below y.  The second is the larger in the flat region,
-  y - phi below about 1e-10, where tol/2 moves U by less than the noise.
+* ``sup_enclosure`` evaluates F_n^-1(y + pad + noise), expected above y.
+  The upper end of its enclosure normally shows U(r_hi) - y < 3 tol/4 for
+  the end r_hi that it leaves, which ends the search in one enclosure
+  (``_u_bracket``).  Otherwise it evaluates the larger of that point minus
+  tol/2 and F_n^-1(y + pad - noise), expected a tie or below y.  The
+  second is the larger in the flat region, y - phi below about 1e-10,
+  where tol/2 moves U by less than the noise.
 
 A predicted probe is a single ``kappa_enclosure`` call at depth n.
 
@@ -158,9 +161,25 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
     U(r_hi) >= y is certified: r_hi is y or an end left by a probe enclosed
     above y.  r_lo is max(1, y/phi) (U(r) <= r*phi) or an end left by a
     probe enclosed below y.  A tie, a probe still holding y at width <=
-    tol/4, ends the search as (mid, mid), or with ``ties_below`` becomes
-    r_lo, which then has U(r_lo) < y + tol/4.  The module docstring says
-    how the probes are chosen and when RuntimeError is raised.
+    tol/4, ends the search as (mid, mid).  The module docstring says how
+    the probes are chosen and when RuntimeError is raised.
+
+    ``ties_below`` serves a caller that keeps r_hi alone, and certifies
+    U(r_hi) - y < 3 tol/4 for it.  A tie becomes r_lo, which then has
+    U(r_lo) < y + tol/4, so a bracket ends with U(r_hi) <= U(r_lo) + tol/2
+    < y + 3 tol/4 (U is Lipschitz-1).  A probe at mid enclosed in [lo, hi]
+    above y ends the search at once, as (r_hi, r_hi), when the float test
+    (hi - y) + max(0, r_hi - mid) <= tol/4 passes.  Proof that it certifies
+    the same bound: U is increasing and Lipschitz-1 on [1, inf), so U(r_hi)
+    <= U(mid) + max(0, r_hi - mid) <= hi + max(0, r_hi - mid).  The move
+    rounds mid - (lo - y) <= mid to a float, which is at most mid, and
+    steps it up by one ``nextafter``, so r_hi is mid or below, or mid +
+    ulp(mid), and the float r_hi - mid is exact when positive.  That ulp
+    is why the test holds it: the spacing check allows ulp(mid) up to 2 *
+    ulp(r_lo) <= tol (mid < y < 2 * r_lo), so hi - y <= tol/4 alone would
+    not bound U(r_hi) - y by 3 tol/4.  The subtraction hi - y > 0 and the
+    sum each round with relative error at most 2**-53, so the exact sum is
+    at most (tol/4) / (1 - 2**-53)**2 < 3 tol/4.
     """
     r_lo, r_hi = max(1.0, y / PHI), y
     guesses: list[float] | None = None
@@ -185,6 +204,8 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
             enclosure = _bisection_probe(mid, y, 0.25 * tol, depth_cap)
         if enclosure.lo > y:
             r_hi = math.nextafter(mid - (enclosure.lo - y), math.inf)
+            if ties_below and (enclosure.hi - y) + max(0.0, r_hi - mid) <= 0.25 * tol:
+                return r_hi, r_hi  # U(r_hi) - y < 3 tol/4 (docstring)
         elif enclosure.hi < y:
             r_lo = math.nextafter(mid + (y - enclosure.hi), -math.inf)
         elif enclosure.width <= 0.25 * tol:

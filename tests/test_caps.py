@@ -5,6 +5,7 @@ import pytest
 
 import support
 from nestrad import (
+    PHI,
     RAMANUJAN_SUP_BOUND,
     SupQuery,
     ramanujan,
@@ -71,6 +72,25 @@ class TestSupEnclosure:
                 target = mp.mpf(ratio * m_h) / mp.mpf(m_h) + (1 + mp.sqrt(5)) / 2
                 r = mp.mpf(hi) / mp.mpf(m_h)
                 assert support.mp_u(r, 128, 90, as_float=False) >= target, (ratio, hi)
+
+    @pytest.mark.parametrize("m_h", [0.1, 1.0, 10.0])
+    def test_upper_end_is_within_three_quarters_of_tol(self, m_h):
+        # U(hi / M_H) exceeds y by at most 3 tol/4, the inverse tolerance of
+        # sup_enclosure, plus hi's two upward steps (the product's rounding
+        # and its nextafter), which move U by at most 2 ulp(hi) / M_H.  The
+        # depth-128 truncation plus its golden-boost gap bounds U above.
+        # the two grids above
+        epsilons = [10.0 ** (-12.0 + 13.0 * i / 12.0) for i in range(13)]
+        epsilons += [10.0 ** (-15.0 + 0.5 * i) * m_h for i in range(13)]
+        for epsilon in epsilons:
+            _, hi = sup_enclosure(SupQuery(m_h, epsilon))
+            y = math.nextafter(epsilon / m_h + PHI, math.inf)
+            tol = 1e-9 * max(1.0, y)
+            with mp.workdps(90):
+                r = mp.mpf(hi) / mp.mpf(m_h)
+                upper = support.mp_u(r, 128, 90, as_float=False) + max(1, r) * mp.mpf(2) ** -126
+                slack = 2 * mp.mpf(math.ulp(hi)) / mp.mpf(m_h)
+                assert upper <= mp.mpf(y) + 0.75 * mp.mpf(tol) + slack, (epsilon, hi)
 
     def test_overflowing_ratio_rejected(self):
         with pytest.raises(ValueError, match="overflows"):

@@ -759,11 +759,23 @@ def cell_text(cell) -> str:
     return str(cell) if isinstance(cell, int) else format(float(cell), ".17g")
 
 
-def oracle_document(rows, columns, fmt, record=False) -> str:
+def oracle_document(rows, columns, fmt, record=False) -> str | None:
+    """The document, or None for JSON with a non-finite cell, which JSON cannot hold."""
+    if fmt == "json" and any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        return None
     if fmt == "csv":
         return "\n".join([",".join(columns), *(",".join(map(cell_text, row)) for row in rows)]) + "\n"
     objects = ["{" + ", ".join(f'"{k}": {cell_text(v)}' for k, v in zip(columns, row)) + "}" for row in rows]
     return (objects[0] if record else "[" + ", ".join(objects) + "]") + "\n"
+
+
+def emitted(render, *args):
+    """What ``render`` returns, or None where emit_table refuses a non-finite JSON cell."""
+    try:
+        return render(*args)
+    except ValueError as exc:
+        assert "JSON has no non-finite numbers" in str(exc)
+        return None
 
 
 @settings(max_examples=300)
@@ -771,8 +783,8 @@ def oracle_document(rows, columns, fmt, record=False) -> str:
 def test_emit_table_matches_the_cell_oracle(columns, data):
     rows = data.draw(st.lists(st.tuples(*[CELLS] * len(columns)), min_size=1, max_size=4))
     for fmt in ("csv", "json"):
-        assert cli.emit_table(rows, columns, fmt) == oracle_document(rows, columns, fmt)
-        assert cli.emit_table(rows[:1], columns, fmt, True) == oracle_document(rows[:1], columns, fmt, True)
+        assert emitted(cli.emit_table, rows, columns, fmt) == oracle_document(rows, columns, fmt)
+        assert emitted(cli.emit_table, rows[:1], columns, fmt, True) == oracle_document(rows[:1], columns, fmt, True)
 
 
 @settings(max_examples=300)
@@ -787,18 +799,51 @@ def test_single_record_documents_match_the_cell_oracle(bounds, width_bound, dept
     row = (enclosure.lo, enclosure.hi, enclosure.mid, enclosure.width, width_bound[0] + width_bound[1], depth, stop == "converged")
     columns = ("lo", "hi", "mid", "width", "width_bound", "depth", "converged")
     status = 0 if stop == "converged" else 3
-    assert cli._result_document(result, fmt) == (status, oracle_document([row], columns, fmt, True))
+
+    def expect(status, document):
+        return None if document is None else (status, document)
+
+    assert emitted(cli._result_document, result, fmt) == expect(status, oracle_document([row], columns, fmt, True))
     r = values[0]
-    assert cli._result_document(result, fmt, (r,), ("r", *columns)) == (
+    assert emitted(cli._result_document, result, fmt, (r,), ("r", *columns)) == expect(
         status, oracle_document([(r, *row)], ("r", *columns), fmt, True)
     )
     y, tol, lo = values
     with mock.patch.object(cli, "u_inverse", lambda *args: r):
-        document = cli._u_inv(SimpleNamespace(y=y, tol=tol, depth_cap=8, format=fmt))
-    assert document == (0, oracle_document([(y, r, tol)], ("y", "r", "tol"), fmt, True))
+        document = emitted(cli._u_inv, SimpleNamespace(y=y, tol=tol, depth_cap=8, format=fmt))
+    assert document == expect(0, oracle_document([(y, r, tol)], ("y", "r", "tol"), fmt, True))
     with mock.patch.object(cli, "sup_enclosure", lambda query: (lo, r)):
-        document = cli._caps(SimpleNamespace(mh=2.0, eps=0.5, format=fmt))
-    assert document == (0, oracle_document([(2.0, 0.5, lo, r)], ("m_h", "epsilon", "lo", "hi"), fmt, True))
+        document = emitted(cli._caps, SimpleNamespace(mh=2.0, eps=0.5, format=fmt))
+    assert document == expect(0, oracle_document([(2.0, 0.5, lo, r)], ("m_h", "epsilon", "lo", "hi"), fmt, True))
+
+
+# The fold stays within binary64, but the depth-3 pad rounds hi up to inf
+INF_SPEC = "terms_lograw=[1419.565425786768,2777.768851573536]\ntail=zero\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_non_finite_cell_is_written_only_as_csv(fmt, capsys, tmp_path: Path):
+    spec = tmp_path / "inf.spec"
+    spec.write_text(INF_SPEC, encoding="utf-8")
+    status, out, err = run_cli(capsys, "eval", "--spec", str(spec), "--tol", "1e-3", "--format", fmt)
+    if fmt == "csv":
+        assert (status, err) == (3, "")
+        assert out == (
+            "lo,hi,mid,width,width_bound,depth,converged\n"
+            "1.7976931348623059e+308,inf,inf,inf,2.3950083714416638e+294,3,false\n"
+        )
+    else:
+        assert (status, out) == (2, "")
+        assert err == "nestrad: error: cannot write a JSON document with hi = inf: JSON has no non-finite numbers\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("invocation", sorted(i for i, d in README_DOCUMENTS.items() if d[0] in "{["))
+def test_readme_json_documents_parse(invocation):
+    json.loads(README_DOCUMENTS[invocation], parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

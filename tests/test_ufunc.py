@@ -262,14 +262,26 @@ class TestWorkCounts:
         assert 1 <= len(depths) <= 4
 
     def test_every_predicted_probe_is_one_enclosure(self, depths):
-        # u_inverse ties at its predicted depth; sup_enclosure's two probes
-        # each decide at it, with no doubling from depth 4
+        # u_inverse ties at its predicted depth; sup_enclosure's first probe
+        # decides at it and certifies its upper end, with no doubling from
+        # depth 4 and no second probe
         u_inverse(3.0, 1e-6)
         assert depths == [25]
         depths.clear()
         sup_enclosure(SupQuery(1.0, 0.1))
-        assert depths == [33, 33]
+        assert depths == [33]
         assert list(inspect.signature(u_eval).parameters) == ["r", "tol", "depth_cap"]
+
+    def test_an_unsettled_supremum_still_bisects(self, depths):
+        # y = 5559231.3...: the root lies within the depth-33 pads of y, so
+        # both predicted probes land above r_hi = y and are dropped, and
+        # bisection from depth 4 brackets it; the answer stays sound
+        m_h, epsilon = 33.82195200093947, 188024000.11313304
+        _, hi = sup_enclosure(SupQuery(m_h, epsilon))
+        assert depths == [4, 4, 8, 4, 8, 16, 4, 8, 16, 32]
+        with mp.workdps(60):
+            target = mp.mpf(epsilon) / mp.mpf(m_h) + (1 + mp.sqrt(5)) / 2
+            assert support.mp_u(mp.mpf(hi) / mp.mpf(m_h), 128, 60, as_float=False) >= target
 
     def test_float_spacing_refusal_is_cheap(self, depths):
         with pytest.raises(RuntimeError):
