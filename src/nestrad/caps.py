@@ -47,7 +47,7 @@ def sup_enclosure(query: SupQuery) -> tuple[float, float]:
     ``hi`` is m_h times the certified upper end r_hi of a U^-1 bracket,
     with the target y and the product both rounded upward, so it never
     falls short.  It is also tight: U(r_hi) - y < 3 tol/4 for the inverse
-    tolerance tol = 1e-9 * max(1, y), usually shown by the first enclosure
+    tolerance tol = 1e-9 * max(1, y), normally shown by a single enclosure
     (``ufunc._u_bracket``), so U(hi / m_h) exceeds y by less than that plus
     the two upward steps of the product.  A ratio epsilon / m_h or a bound
     past binary64 raises ValueError.

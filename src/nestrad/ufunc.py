@@ -25,15 +25,14 @@ probe's is.
 
 * ``u_inverse`` evaluates one depth-n enclosure at the middle of [R / c_n,
   R]; it normally holds y at width <= tol/4, a tie.
-* ``sup_enclosure`` evaluates F_n^-1(y + pad + noise), expected above y.
-  The upper end of its enclosure normally shows U(r_hi) - y < 3 tol/4 for
-  the end r_hi that it leaves, which ends the search in one enclosure
-  (``_u_bracket``).  Otherwise it evaluates the larger of that point minus
-  tol/2 and F_n^-1(y + pad - noise), expected a tie or below y.  The
-  second is the larger in the flat region, y - phi below about 1e-10,
-  where tol/2 moves U by less than the noise.
+* ``sup_enclosure`` evaluates F_n^-1(y + pad + noise), expected above y,
+  clamped to the float below y.  Unclamped, the upper end of its enclosure
+  normally shows U(r_hi) - y < 3 tol/4 for the end r_hi that it leaves
+  (``_u_bracket``).  Clamped, for y above about 2.5e6, where the root lies
+  within the depth-n pads of y, it ties and leaves the bracket (prev(y),
+  y).  Either way this one enclosure ends the search.
 
-A predicted probe is a single ``kappa_enclosure`` call at depth n.
+The predicted probe is a single ``kappa_enclosure`` call at depth n.
 
 Fallback.  A predicted probe that lies outside the bracket, or decides
 nothing at its depth, is dropped, and certified bisection goes on from the
@@ -107,7 +106,7 @@ def _fold_inverse(y: float, depth: int) -> float:
 
 
 def _probe_depth(y: float, tol: float, depth_cap: int) -> int:
-    """Depth of the predicted probes: their bracket and pads fit within tol/4.
+    """Depth of the predicted probe: its bracket and pads fit within tol/4.
 
     The shallowest n with y * (c_n - 1) <= tol/8 (R <= y), deepened while
     the predicted width y * (c_n - 1) + 2 * pad(n, y) exceeds tol/4 and
@@ -124,17 +123,15 @@ def _probe_depth(y: float, tol: float, depth_cap: int) -> int:
     return max(min(4, depth_cap), min(depth, depth_cap))
 
 
-def _predicted_probes(y: float, tol: float, depth: int, ties_below: bool) -> list[float]:
-    """Where to probe U at ``depth`` before bisecting, in order (module docstring)."""
+def _predicted_probe(y: float, depth: int, ties_below: bool) -> float:
+    """Where to probe U at ``depth`` before bisecting (module docstring)."""
     if not ties_below:
         root = _fold_inverse(y, depth)
-        return [0.5 * (root / phi_pow(depth - 1)) + 0.5 * root]
+        return 0.5 * (root / phi_pow(depth - 1)) + 0.5 * root
     pad = _fp_pad(depth, y * phi_pow(depth - 1))
     # bounds |F_n(F_n^-1(t)) - t| as evaluated: measured at most 0.41 of it for y from 1.6 to 1e308
     noise = 4.0 * math.ulp(y) * max(1.0, math.log(y))
-    above = _fold_inverse(y + pad + noise, depth)
-    below = max(math.nextafter(above - 0.5 * tol, math.inf), _fold_inverse(y + pad - noise, depth))
-    return [above, below]
+    return min(_fold_inverse(y + pad + noise, depth), math.nextafter(y, 0.0))
 
 
 def _bisection_probe(r: float, y: float, tol: float, depth_cap: int) -> Enclosure:
@@ -182,23 +179,21 @@ def _u_bracket(y: float, tol: float, depth_cap: int, ties_below: bool) -> tuple[
     at most (tol/4) / (1 - 2**-53)**2 < 3 tol/4.
     """
     r_lo, r_hi = max(1.0, y / PHI), y
-    guesses: list[float] | None = None
+    depth = None  # of the predicted probe, made on the first pass
     while r_hi - r_lo > 0.5 * tol:
         if math.ulp(r_lo) > 0.5 * tol:  # no later bracket or tie can be that narrow
             raise RuntimeError(
                 f"U^-1({y}) cannot be bracketed to {tol}: floats near {r_lo} are {math.ulp(r_lo)} apart"
             )
-        # set up after the spacing check: it refuses y = 1e300 with tol = 1e-10,
-        # where _probe_depth raises OverflowError (LN_PHI / log1p(tol / 8y) is inf)
-        if guesses is None:
+        mid = None
+        if depth is None:
+            # set up after the spacing check: it refuses y = 1e300 with tol = 1e-10,
+            # where _probe_depth raises OverflowError (LN_PHI / log1p(tol / 8y) is inf)
             depth = _probe_depth(y, tol, depth_cap)
-            guesses = _predicted_probes(y, tol, depth, ties_below)
-        while guesses:  # the next predicted probe inside the bracket; the others are dropped
-            mid = guesses.pop(0)
-            if r_lo < mid < r_hi:
-                # at its depth only: if it decides nothing, no test below holds and it is dropped
-                enclosure = kappa_enclosure(u_spec(mid), depth)
-                break
+            mid = _predicted_probe(y, depth, ties_below)
+        if mid is not None and r_lo < mid < r_hi:
+            # at its depth only: if it decides nothing, no test below holds and bisection follows
+            enclosure = kappa_enclosure(u_spec(mid), depth)
         else:
             mid = 0.5 * r_lo + 0.5 * r_hi
             enclosure = _bisection_probe(mid, y, 0.25 * tol, depth_cap)
@@ -238,14 +233,14 @@ def u_inverse(y: float, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -
 def u_table(
     r_min: float, r_max: float, count: int, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> list[tuple[float, float, float]]:
-    """Uniform samples (r, U_lo, U_hi) on [r_min, r_max], each from :func:`u_eval`."""
+    """Uniform samples (r, U_lo, U_hi) from exactly r_min to exactly r_max, each from :func:`u_eval`."""
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     if not r_min <= r_max:
         raise ValueError(f"need r_min <= r_max, got {r_min} > {r_max}")
     rows = []
     for i in range(count):
-        r = r_min + (r_max - r_min) * i / (count - 1)
+        r = r_max if i == count - 1 else r_min + (r_max - r_min) * i / (count - 1)
         enclosure = u_eval(r, tol, depth_cap)
         rows.append((r, enclosure.lo, enclosure.hi))
     return rows

@@ -125,7 +125,7 @@ def test_readme_documents_are_byte_identical(invocation, capsys, tmp_path: Path)
 
 # U^-1 documents whose low bits come from the fold's swamped levels and the
 # closed-form peel, pinned byte for byte: a supremum in the flat region, whose
-# two predicted probes each peel far, a deeply swamped U fold, and a root near 1.
+# predicted probe peels far, a deeply swamped U fold, and a root near 1.
 U_INVERSE_DOCUMENTS = {
     "caps --mh 1 --eps 1e-12 --format csv": (
         'm_h,epsilon,lo,hi\n'
@@ -141,6 +141,13 @@ U_INVERSE_DOCUMENTS = {
 @pytest.mark.parametrize("invocation", sorted(U_INVERSE_DOCUMENTS))
 def test_u_inverse_documents_are_byte_identical(invocation, capsys):
     assert run_cli(capsys, *invocation.split()) == (0, U_INVERSE_DOCUMENTS[invocation], "")
+
+
+def test_grid_ends_at_r_max(capsys):
+    # 4.95 + (7.53 - 4.95) * 7 / 7 rounds to 7.5300000000000011, past r_max
+    status, out, err = run_cli(capsys, "u", "--grid", "4.95:7.53:8", "--format", "csv")
+    assert (status, err) == (0, "")
+    assert out.splitlines()[-1].startswith("7.5300000000000002,")
 
 
 def test_shared_parser_is_reentrant(capsys, tmp_path: Path):

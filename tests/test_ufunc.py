@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -11,6 +12,7 @@ import support
 from nestrad import (
     DEFAULT_DEPTH_CAP,
     PHI,
+    Enclosure,
     OmegaTail,
     SupQuery,
     sqrt_nested_scaled,
@@ -149,9 +151,12 @@ class TestFallback:
         assert_solves(y, tol, r)
 
     @pytest.mark.parametrize("excess", [1e-12, 1e-6, 1.4, 98.0])
-    def test_without_predictions(self, monkeypatch, excess):
-        # every predicted probe lies outside the bracket or decides nothing
-        monkeypatch.setattr(nestrad.ufunc, "_predicted_probes", lambda y, *_: [0.5, 2.0 * y, y])
+    @pytest.mark.parametrize(
+        "guess", [lambda y: 0.5, lambda y: 2.0 * y, lambda y: y], ids=["half", "twice_y", "y"]
+    )
+    def test_without_predictions(self, monkeypatch, guess, excess):
+        # the predicted probe lies outside the bracket, at or below 1 or at or above r_hi = y
+        monkeypatch.setattr(nestrad.ufunc, "_predicted_probe", lambda y, *_: guess(y))
         y = PHI + excess
         assert_solves(y, 1e-6, u_inverse(y, 1e-6))
         _, hi = sup_enclosure(SupQuery(1.0, excess))
@@ -272,16 +277,34 @@ class TestWorkCounts:
         assert depths == [33]
         assert list(inspect.signature(u_eval).parameters) == ["r", "tol", "depth_cap"]
 
-    def test_an_unsettled_supremum_still_bisects(self, depths):
+    def test_one_probe_settles_a_root_within_the_pads(self, depths):
         # y = 5559231.3...: the root lies within the depth-33 pads of y, so
-        # both predicted probes land above r_hi = y and are dropped, and
-        # bisection from depth 4 brackets it; the answer stays sound
+        # F_n^-1(y + pad + noise) lands above r_hi = y; the probe clamped to
+        # the float below y ties there, and the answer stays sound
         m_h, epsilon = 33.82195200093947, 188024000.11313304
         _, hi = sup_enclosure(SupQuery(m_h, epsilon))
-        assert depths == [4, 4, 8, 4, 8, 16, 4, 8, 16, 32]
+        assert depths == [33]
         with mp.workdps(60):
             target = mp.mpf(epsilon) / mp.mpf(m_h) + (1 + mp.sqrt(5)) / 2
             assert support.mp_u(mp.mpf(hi) / mp.mpf(m_h), 128, 60, as_float=False) >= target
+
+    def test_one_enclosure_per_supremum(self, depths):
+        # epsilon / m_h log-uniform from 1e-16 (the flat region) to 1e300;
+        # above about 2.5e6 the root lies within the pads of y
+        rng, checked = random.Random(7), 0
+        for _ in range(2000):
+            m_h = 10.0 ** rng.uniform(-6.0, 6.0)
+            epsilon = m_h * 10.0 ** rng.uniform(-16.0, 300.0)
+            depths.clear()
+            _, hi = sup_enclosure(SupQuery(m_h, epsilon))
+            assert len(depths) == 1, (m_h, epsilon, depths)
+            if epsilon / m_h > 1e6 and checked < 5:
+                checked += 1
+                # U(r) - r is about 1 / (2r): enough digits to resolve it at r = 1e300
+                with mp.workdps(700):
+                    target = mp.mpf(epsilon) / mp.mpf(m_h) + (1 + mp.sqrt(5)) / 2
+                    assert support.mp_u(mp.mpf(hi) / mp.mpf(m_h), 128, 700, as_float=False) >= target
+        assert checked == 5
 
     def test_float_spacing_refusal_is_cheap(self, depths):
         with pytest.raises(RuntimeError):
@@ -350,6 +373,20 @@ class TestUTable:
         # width 1e-9 needs depth 21 at r = 1
         with pytest.raises(RuntimeError, match="within depth 4"):
             u_table(1.0, 2.0, 3, depth_cap=4)
+
+    @given(
+        r_min=st.floats(0.0, 1e300),
+        r_max=st.floats(0.0, 1e300),
+        count=st.integers(2, 64),
+    )
+    def test_samples_span_the_range_exactly(self, r_min, r_max, count):
+        r_min, r_max = sorted((r_min, r_max))
+        with pytest.MonkeyPatch.context() as patch:  # the samples alone, not U at them
+            patch.setattr(nestrad.ufunc, "u_eval", lambda r, *_: Enclosure(r, r, 1, 0.0))
+            samples = [r for r, _, _ in u_table(r_min, r_max, count)]
+        assert len(samples) == count
+        assert samples[0] == r_min and samples[-1] == r_max
+        assert all(r_min <= left <= right <= r_max for left, right in zip(samples, samples[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
