@@ -112,9 +112,8 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   c - ln_alpha instead, its exp, the product with r, the sum and the sqrt,
   and its own term, 1, is exact.  A level whose coefficient equals the
   scale rounds only the sum and the sqrt: its x is +-0 and its term exactly
-  1.  An exp that two sides at one scale share, and the levels one side
-  runs for two sides that have met, round exactly what each side would
-  round alone.  Each sqrt halves a relative error on its
+  1.  An exp that two sides at one scale share rounds exactly what each
+  side would round alone.  Each sqrt halves a relative error on its
   way out, so a rounded x or scale step reaches the value with the weight
   of a coefficient's log, at most 1 (homogeneity, the :mod:`nestrad.nested`
   docstring).  With |ln alpha| <= 700 every x and scale step is below
@@ -319,9 +318,7 @@ def kappa_enclosure(spec: SequenceSpec, depth: int) -> Enclosure:
     # expm1 would carry the gap's rounding, up to 2**-53 relative per unit of
     # gap.  The fold refused either side past binary64, so no exp overflows
     gap = ln_hi - ln_lower
-    if ln_lower == -_INF:
-        analytic = math.exp(ln_hi)
-    elif gap > 1.0:
+    if ln_lower == -_INF or gap > 1.0:  # exp(-inf) is 0.0, and x - 0.0 is x
         analytic = math.exp(ln_hi) - math.exp(ln_lower)
     else:
         analytic = math.exp(ln_lower) * math.expm1(gap)

@@ -17,8 +17,7 @@ the value by C.
 
 The lower seed never lies above the upper one, so the lower side's scale
 never exceeds the upper one's.  Once a coefficient above both gives them
-one scale, each level's exp serves both sides, and once their r are equal
-too, the sides have met and one side runs the rest for both.
+one scale, each level's exp serves both sides.
 
 Inner levels whose outcome is known are not run: levels that a dominant
 seed swamps leave r at exactly 1, and from r = 1 a run of coefficients
@@ -221,10 +220,7 @@ def sqrt_nested_scaled(
     At one scale the two sides compute the same quotient, (ln_alpha - c) /
     s for a term or (c - ln_alpha) / s for a move, so one exp serves both,
     bit for bit (scales 0.0 and -0.0 change at most the sign of a zero
-    quotient, whose exp is 1 either way).  Sides at one scale with equal r
-    have met: from there each would run the same float operations on the
-    same values, so one side runs the remaining levels and both return its
-    value.  Seeds that are equal meet before the first level.
+    quotient, whose exp is 1 either way).
 
     Swamp.  Let a side enter level n at r = 1 with scale c.  From the
     innermost level outward, a level whose quotient t = (ln_alpha - c) / s,
@@ -291,11 +287,10 @@ def sqrt_nested_scaled(
     of that side is zero: then c is the scale floor and exp(c) is 0 too.
 
     The two seeds share one pass over ``ln_alphas``, but each side's value
-    is the one its own fold would give: an exp left out is exactly 1, a
-    shared exp is the one each side would compute, and a met side runs the
-    operations the other would.  So each returned value depends only on
-    ``ln_alphas`` and its own seed.  Returns ``(lo_value, hi_value)``;
-    raises ``ValueError`` when a radical exceeds binary64.
+    is the one its own fold would give: an exp left out is exactly 1, and a
+    shared exp is the one each side would compute.  So each returned value
+    depends only on ``ln_alphas`` and its own seed.  Returns ``(lo_value,
+    hi_value)``; raises ``ValueError`` when a radical exceeds binary64.
     """
     if not ln_lo_seed <= ln_hi_seed < _INF:  # seeds out of order, or a NaN or +inf seed
         if ln_lo_seed < _INF and ln_hi_seed < _INF:
@@ -357,10 +352,6 @@ def sqrt_nested_scaled(
                 r_lo = sqrt(1.0 + r_lo * exp((scale_lo - ln_alpha) / s))
                 scale_lo = ln_alpha
     while n:  # one scale: each exp serves both sides
-        if r_lo == r_hi:  # the sides have met, and one run serves both
-            scale_lo, r_lo = _fold_side(ln_alphas, 0, n, scale_lo, r_lo)
-            scale_hi, r_hi = scale_lo, r_lo
-            break
         ln_alpha = ln_alphas[n - 1]
         s = inv_pow2[n]
         n -= 1
@@ -434,8 +425,7 @@ def _fold_side(
 ) -> tuple[float, float]:
     """One side's levels n down to stop + 1, with the lower side's three-way level.
 
-    :func:`sqrt_nested_scaled` runs the longer side of a long fold here, and
-    the remaining levels of two sides that have met.
+    :func:`sqrt_nested_scaled` runs the longer side of a long fold here.
     """
     exp, sqrt, inv_pow2 = math.exp, math.sqrt, _INV_POW2
     while n > stop:

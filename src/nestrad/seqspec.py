@@ -396,8 +396,7 @@ def _prefix_bounds(
         if ln_alpha >= top:
             if ln_alpha > most:  # only a coefficient above B_k can swamp
                 k = len(prefix) - len(tops)
-                # U_k >= B_k, so a coefficient that fails the test from B_k fails it from U_k
-                if k <= _DEEPEST_LEVEL and (most - ln_alpha) / _INV_POW2[k] <= -40.0:
+                if k <= _DEEPEST_LEVEL:
                     s = _INV_POW2[k]
                     if (math.nextafter(most + s * LN_PHI, _INF) - ln_alpha) / s <= -40.0:
                         swamp = k + 1

@@ -233,14 +233,20 @@ def u_inverse(y: float, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -
 def u_table(
     r_min: float, r_max: float, count: int, tol: float = 1e-9, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> list[tuple[float, float, float]]:
-    """Uniform samples (r, U_lo, U_hi) from exactly r_min to exactly r_max, each from :func:`u_eval`."""
+    """Uniform samples (r, U_lo, U_hi) from exactly r_min to exactly r_max, each from :func:`u_eval`.
+
+    Sample i is r_min + (r_max - r_min) * i / (count - 1); a grid so wide
+    that the product overflows divides first.
+    """
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     if not r_min <= r_max:
         raise ValueError(f"need r_min <= r_max, got {r_min} > {r_max}")
+    span, last = r_max - r_min, count - 1
+    wide = span * (last - 1) == math.inf  # the largest product the samples before r_max form
     rows = []
     for i in range(count):
-        r = r_max if i == count - 1 else r_min + (r_max - r_min) * i / (count - 1)
+        r = r_max if i == last else r_min + (span / last * i if wide else span * i / last)
         enclosure = u_eval(r, tol, depth_cap)
         rows.append((r, enclosure.lo, enclosure.hi))
     return rows

@@ -51,7 +51,6 @@ import workloads  # noqa: E402  (bench/workloads.py)
 
 import nestrad  # noqa: E402
 import nestrad.cli  # noqa: E402
-import nestrad.kappa  # noqa: E402
 
 
 def _digest(text: str) -> str:

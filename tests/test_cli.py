@@ -150,6 +150,16 @@ def test_grid_ends_at_r_max(capsys):
     assert out.splitlines()[-1].startswith("7.5300000000000002,")
 
 
+def test_grid_wider_than_its_products_runs(capsys):
+    # (1e308 - 0) * 2 overflows, so this grid divides before it multiplies;
+    # U is finite at each of its four samples
+    status, out, err = run_cli(capsys, "u", "--grid", "0:1e308:4", "--tol", "1e300", "--format", "csv")
+    assert (status, err) == (0, "")
+    rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 4 and all(math.isfinite(cell) for row in rows for cell in row)
+    assert [row[0] for row in rows] == [0.0, 1e308 / 3, 1e308 / 3 * 2, 1e308]
+
+
 def test_shared_parser_is_reentrant(capsys, tmp_path: Path):
     # One process, one reader and one argparse tree: subcommand defaults
     # (u-inv's --tol 1e-6, table's csv format) and rejected argv must not leak

@@ -685,6 +685,50 @@ class TestExplicitBoundCap:
         assert reads
 
 
+def _explicit_bound_depth(spec, tol, depth_cap, hi):
+    """N(tol): the shallowest depth, up to the search's limit, that the explicit bound puts within tol.
+
+    The cap's proof in the kappa docstring: with hi an upper end of an
+    enclosure of the radical, a depth n with A(n) + 2.5 * pad(n, (hi + tol)
+    * (1 + 2**-20)) <= tol is within tol.  None where no depth is.
+    """
+    limit = min(d for d in (depth_cap, spec.max_depth(), spec._swamp_depth()) if d is not None)
+    magnitude = (hi + tol) * (1.0 + 2.0**-20)
+    for depth in range(1, limit + 1):
+        if nestrad.kappa._analytic_gap(spec, depth) + 2.5 * _fp_pad(depth, magnitude) <= tol:
+            return depth
+    return None
+
+
+class TestExplicitBoundDepth:
+    """No search converges deeper than N(tol), the depth the paper's explicit bound allows."""
+
+    @staticmethod
+    def _check(spec, tol, depth_cap):
+        result = kappa_limit(spec, tol, depth_cap)
+        bound = _explicit_bound_depth(spec, tol, depth_cap, result.enclosure.hi)
+        if bound is not None:
+            assert result.converged and result.enclosure.depth <= bound, (result, bound)
+        return bound
+
+    @settings(max_examples=300)
+    @given(_search_cases())
+    def test_random_specs(self, case):
+        event("N(tol) exists" if self._check(*case) is not None else "no N(tol)")
+
+    def test_named_families_and_u(self):
+        specs = [
+            golden(), power_tower(), ramanujan(), constant_raw(6.0), constant_normalized(2.0),
+            *(u_spec(r) for r in (0.5, 1.0, 2.5, 40.0, 1e6)),
+        ]
+        bounded = [
+            self._check(spec, 10.0**-exponent, DEFAULT_DEPTH_CAP) is not None
+            for spec in specs
+            for exponent in range(1, 16)
+        ]
+        assert sum(bounded) >= len(bounded) // 2  # the property is not vacuous here
+
+
 def _raw_folds(spec, depth):
     # the two folds that kappa_enclosure pads, from its seeds
     ln_lower, ln_cap = spec.tail_bounds(depth)

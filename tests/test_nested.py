@@ -154,7 +154,7 @@ class TestSqrtNestedScaled:
     def test_each_side_matches_its_own_fold(self):
         # one pass for both seeds runs each side's own float operations, so
         # every value equals that seed's ldexp-scaled fold, bit for bit, also
-        # where the sides share a scale or meet and run as one
+        # where the sides share a scale and its exp
         rng = random.Random(107)
 
         def check(ln_alphas, lo_seed, hi_seed):
@@ -485,18 +485,18 @@ class TestSwampedLevels:
         sqrt_nested_scaled([-math.inf] * 50, -math.inf, math.log(1e300))
         assert len(exp_calls) == 2 * 50 + 2
 
-    def test_innermost_coefficient_above_both_seeds_meets_the_sides(self, exp_calls):
+    def test_innermost_coefficient_above_both_seeds_joins_the_scales(self, exp_calls):
         # the innermost level moves both scales to 1.0, one exp per side; its
-        # term is exp(0) = 1, added as 1.0.  exp(2**50 * (c - 1.0)) is 0 on
-        # both sides, so both leave it at r = 1 and have met: one side runs the
-        # 49 zero levels for both, and the shared scale ends with one exp
+        # term is exp(0) = 1, added as 1.0.  From there the sides share a
+        # scale: each of the 49 zero levels takes one exp for both, and the
+        # shared scale ends with one exp
         sqrt_nested_scaled([-math.inf] * 49 + [1.0], 0.0, math.log(2.0))
         assert len(exp_calls) == 2 + 49 + 1
 
-    def test_equal_seeds_run_as_one_side(self, exp_calls):
-        # the sides start met: one side runs the 30 levels, the innermost
-        # moves the scale from ln 0.5 to 0 with one exp, the 29 outside it
-        # equal the scale and take none, and the last step takes one
+    def test_equal_seeds_share_each_exp(self, exp_calls):
+        # equal seeds start at one scale: the innermost level moves it from
+        # ln 0.5 to 0 with one exp for both sides, the 29 outside it equal the
+        # scale and take none, and the last step takes one
         sqrt_nested_scaled([0.0] * 30, math.log(0.5), math.log(0.5))
         assert len(exp_calls) == 2
 

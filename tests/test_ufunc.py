@@ -1,10 +1,11 @@
 import inspect
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nestrad.kappa
 import nestrad.ufunc
@@ -375,10 +376,11 @@ class TestUTable:
             u_table(1.0, 2.0, 3, depth_cap=4)
 
     @given(
-        r_min=st.floats(0.0, 1e300),
-        r_max=st.floats(0.0, 1e300),
+        r_min=st.floats(0.0, sys.float_info.max),
+        r_max=st.floats(0.0, sys.float_info.max),
         count=st.integers(2, 64),
     )
+    @example(r_min=0.0, r_max=1e308, count=4)  # (r_max - r_min) * 2 overflows
     def test_samples_span_the_range_exactly(self, r_min, r_max, count):
         r_min, r_max = sorted((r_min, r_max))
         with pytest.MonkeyPatch.context() as patch:  # the samples alone, not U at them
