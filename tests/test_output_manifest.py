@@ -1,7 +1,7 @@
 """The tree reproduces every benchmark output recorded in ``tests/output_manifest.json``.
 
 See ``tests/output_manifest.py``: it hashes each operation's output on the
-benchmark lists of seeds 101-110, and the seed-101 ``families`` work.
+benchmark lists of seeds 101-110, and the work of each seed-101 list.
 """
 
 from __future__ import annotations
