@@ -111,10 +111,11 @@ Proof, at depth n' with M = max(lo_raw, hi_raw) and pad = pad(n', M):
   moves the scale, r = sqrt(1.0 + r * exp(2**k * (c - ln_alpha))), rounds
   c - ln_alpha instead, its exp, the product with r, the sum and the sqrt,
   and its own term, 1, is exact.  A level whose coefficient equals the
-  scale rounds only the sum and the sqrt: its x is +-0 and its term exactly
-  1.  An exp that two sides at one scale share rounds exactly what each
-  side would round alone.  Each sqrt halves a relative error on its
-  way out, so a rounded x or scale step reaches the value with the weight
+  scale rounds only the sum and the sqrt, with its exp or without: its x
+  is +-0, its term exactly 1, and a move by exp(+-0) = 1 leaves r exact.
+  An exp that two sides at one scale share rounds exactly what each side
+  would round alone.  Each sqrt halves a relative error on its way out,
+  so a rounded x or scale step reaches the value with the weight
   of a coefficient's log, at most 1 (homogeneity, the :mod:`nestrad.nested`
   docstring).  With |ln alpha| <= 700 every x and scale step is below
   2**11 in magnitude, so a level adds at most 2**-42 to the relative

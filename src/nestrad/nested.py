@@ -9,8 +9,8 @@ scaled coefficient lies in [0, 1], and runs each level on that raw scale
 with at most one exp and one sqrt per side, which makes the fold immune
 to overflow at any depth and loses nothing to underflow.  A level that
 raises the scale spends its exp on moving r; its own term is exp(0) = 1,
-added as 1.0, and so is the term of a level equal to the scale, with no
-exp at all.
+added as 1.0.  A level equal to the scale adds 1.0 too: it runs as a move
+by exp(+-0) = 1, except on the lower of two scales, where it takes no exp.
 Rescaling is sound because the radical is homogeneous on the normalized
 scale: multiplying every normalized coefficient and the seed by C multiplies
 the value by C.
@@ -184,8 +184,9 @@ def sqrt_nested_scaled(
     adding its exp would, bit for bit: the finite ln_alpha gives x =
     fl(ln_alpha - ln_alpha) = +0.0 and a quotient +0.0 by s, and exp(+0.0)
     = 1 exactly (C99 Annex F).  A level whose coefficient equals c runs r =
-    sqrt(1.0 + r) with no exp, for the same reason: x = fl(ln_alpha - c) is
-    +-0.0, the division by s keeps it +-0.0, and exp(+-0.0) = 1 exactly.
+    sqrt(1.0 + r), as a move or with no exp: fl(c - ln_alpha) is +-0.0, so
+    is its quotient by s, exp(+-0.0) = 1 exactly, r * 1.0 = r, and the new
+    scale is c up to the sign of a zero.
     So r starts at 1 (0 for a zero seed, with c at the scale floor), the
     level that sets the scale adds 1, and every later W is at least 1: r
     stays in [1, 2) or at 0.  Nothing overflows, and an exp that
@@ -217,10 +218,11 @@ def sqrt_nested_scaled(
         ln_alpha == c:  r = sqrt(1.0 + r), with no exp,
         ln_alpha >  c:  the move above.
 
-    At one scale the two sides compute the same quotient, (ln_alpha - c) /
-    s for a term or (c - ln_alpha) / s for a move, so one exp serves both,
-    bit for bit (scales 0.0 and -0.0 change at most the sign of a zero
-    quotient, whose exp is 1 either way).
+    At one scale a level is a term below c or a move, an equal one too (no
+    benchmark fold reaches an equal level there).  The two sides compute
+    the same quotient, (ln_alpha - c) / s for a term or (c - ln_alpha) / s
+    for a move, so one exp serves both, bit for bit (scales 0.0 and -0.0
+    change at most the sign of a zero quotient, whose exp is 1 either way).
 
     Swamp.  Let a side enter level n at r = 1 with scale c.  From the
     innermost level outward, a level whose quotient t = (ln_alpha - c) / s,
@@ -261,7 +263,8 @@ def sqrt_nested_scaled(
       the levels its own scale swamps, where the lower side may still run
       them.
     * Golden run.  A level with ln_alpha == c computes sqrt(1.0 + r), as
-      above, and moves no scale.  From r = 1, a run of m such levels leaves
+      above: a move by exp(+-0) = 1 leaves r as it is, and the scale at c
+      up to the sign of a zero.  From r = 1, a run of m such levels leaves
       r at the m-th binary64 iterate of r <- sqrt(1.0 + r), read from a
       table.  The iterates rise (the first step does, and a monotone rounded
       step keeps the order), so they reach a fixpoint, after 31 steps, where
@@ -359,10 +362,7 @@ def sqrt_nested_scaled(
             term = exp((ln_alpha - scale_lo) / s)
             r_lo = sqrt(term + r_lo)
             r_hi = sqrt(term + r_hi)
-        elif ln_alpha == scale_lo:
-            r_lo = sqrt(1.0 + r_lo)
-            r_hi = sqrt(1.0 + r_hi)
-        else:
+        else:  # a move, by exp(+-0.0) = 1 at a level equal to the scale
             move = exp((scale_lo - ln_alpha) / s)
             r_lo = sqrt(1.0 + r_lo * move)
             r_hi = sqrt(1.0 + r_hi * move)
@@ -423,7 +423,7 @@ def _run_start(ln_alphas: Sequence[float], n: int, first: int) -> int:
 def _fold_side(
     ln_alphas: Sequence[float], stop: int, n: int, scale: float, r: float
 ) -> tuple[float, float]:
-    """One side's levels n down to stop + 1, with the lower side's three-way level.
+    """One side's levels n down to stop + 1, each a term below the scale or a move, as at one scale.
 
     :func:`sqrt_nested_scaled` runs the longer side of a long fold here.
     """
@@ -434,8 +434,6 @@ def _fold_side(
         n -= 1
         if ln_alpha < scale:
             r = sqrt(exp((ln_alpha - scale) / s) + r)
-        elif ln_alpha == scale:
-            r = sqrt(1.0 + r)
         else:
             r = sqrt(1.0 + r * exp((scale - ln_alpha) / s))
             scale = ln_alpha

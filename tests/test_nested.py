@@ -3,7 +3,7 @@ import random
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nestrad.kappa
@@ -411,6 +411,15 @@ class TestSwampedLevels:
 
     @settings(max_examples=450)
     @given(_swamped_cases())
+    # an equal run after the innermost coefficient joins the scales: each
+    # level of it is a move by exp(+-0.0) = 1 that both sides share
+    @example(([1.0] * 20, 0.0, math.log(2.0)))
+    # the same, with scales and coefficients of 0.0 and -0.0 mixed
+    @example(([0.0, -0.0] * 10 + [-0.0], math.log(0.5), math.log(0.75)))
+    # 70 levels: the swamped upper side leaves 2, so the zero-seeded lower
+    # side runs levels 70-3 alone; level 70 sets its scale to -3.0 and
+    # levels 49-30, in the middle of that run, equal it
+    @example(([-4.0] * 29 + [-3.0] * 20 + [-5.0] * 20 + [-3.0], -math.inf, 5.0))
     def test_matches_ldexp_oracle(self, case):
         ln_alphas, lo_seed, hi_seed = case
         expected = [support.ldexp_fold(ln_alphas, seed).hex() for seed in (lo_seed, hi_seed)]
@@ -495,10 +504,11 @@ class TestSwampedLevels:
 
     def test_equal_seeds_share_each_exp(self, exp_calls):
         # equal seeds start at one scale: the innermost level moves it from
-        # ln 0.5 to 0 with one exp for both sides, the 29 outside it equal the
-        # scale and take none, and the last step takes one
+        # ln 0.5 to 0 with one exp for both sides; each of the 29 outside it
+        # equals the scale and is a move by exp(0.0) = 1, whose exp both
+        # sides share; and the last step takes one
         sqrt_nested_scaled([0.0] * 30, math.log(0.5), math.log(0.5))
-        assert len(exp_calls) == 2
+        assert len(exp_calls) == 1 + 29 + 1
 
     def test_golden_lower_side_takes_no_exp(self, exp_calls):
         # 19 levels of ln alpha = 0: each equals the lower scale, 0, so the
