@@ -51,7 +51,7 @@ from .caps import SupQuery, sup_enclosure
 from .contfn import ContinuedSpec, cf_limit
 from .kappa import DEFAULT_DEPTH_CAP, KappaResult, kappa_enclosure, kappa_limit
 from .nested import ARCTAN
-from .seqspec import SpecError, _path, make_family, parse_spec
+from .seqspec import SpecError, make_family, parse_spec
 from .ufunc import u_inverse, u_spec, u_table
 
 __all__ = ["run", "main", "emit_table"]
@@ -149,13 +149,12 @@ def _eval(args: SimpleNamespace) -> tuple[int, str]:
     if args.family is not None:
         spec = make_family(args.family)
     else:
-        path = _path(args.spec)
         try:
-            with open(path, encoding="utf-8") as stream:
+            with open(args.spec, encoding="utf-8") as stream:
                 text = stream.read()
         except OSError as exc:
             raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from None
-        spec = parse_spec(text, cap_base=os.path.dirname(path))
+        spec = parse_spec(text, cap_base=os.path.dirname(args.spec))
     return _result_document(kappa_limit(spec, args.tol, args.depth_cap), args.format)
 
 
@@ -349,7 +348,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(document)
             sys.stdout.flush()
         else:
-            with open(_path(args.out), "w", encoding="utf-8") as stream:
+            with open(args.out, "w", encoding="utf-8") as stream:
                 stream.write(document)
     except OSError as exc:
         target = "standard output" if args.out is None else repr(args.out)

@@ -202,6 +202,13 @@ class CapTableTail(TailModel):
     ``(n, lower_seed, upper_cap)``, logged once here.  Queries past the last
     row fall back to ``(0, last_upper_cap)``: a cap stays valid for deeper
     tails, a lower seed does not.  Queries before the first row are refused.
+
+    A row is the caller's exact claim, so its logs are stored outward: the
+    lower seed's two ``nextafter`` steps down, the cap's two up, and a zero
+    as ``-inf``.  ``math.log`` lies within 1 ulp of the exact log
+    (``tests/test_libm.py``), so the stored log lies in the exact log's
+    binade or next to it, and a step toward the exact log is at least half
+    that ulp, a whole one within its binade; two steps reach past it.
     """
 
     __slots__ = ("rows", "_table", "_last")
@@ -217,7 +224,8 @@ class CapTableTail(TailModel):
                 raise SpecError(f"duplicate cap table depth {n}")
             if not (lower >= 0.0 and upper >= 0.0 and math.isfinite(lower) and math.isfinite(upper)):
                 raise SpecError(f"cap table bounds at depth {n} must be finite and >= 0")
-            table[n] = (_ln(lower), _ln(upper))
+            ln_cap = math.nextafter(math.nextafter(math.log(upper), _INF), _INF) if upper > 0.0 else _NEG_INF
+            table[n] = (math.nextafter(math.nextafter(_ln(lower), _NEG_INF), _NEG_INF), ln_cap)
         self._set_rows(self, rows)
         # derived lookup state, built once; private slots are not fields
         self._set__table(self, table)
@@ -306,12 +314,11 @@ class RamanujanTail(TailModel):
 class SequenceSpec(Record):
     """A coefficient sequence: ln(alpha_k) for k = 1..len(prefix) plus a tail model.
 
-    A spec with a prefix computes what :meth:`tail_bounds` needs at the
-    prefix depths, and its swamp depth, once, when it is built
-    (:func:`_prefix_bounds`), into a private slot that equality, hashing,
-    ``repr`` and pickling do not see.  If its tail raised there, the spec
-    keeps no bounds, and :meth:`tail_bounds` raises that error at a prefix
-    depth.
+    A spec with a prefix computes its seed pair at each prefix depth, and
+    its swamp depth, once, when it is built (:func:`_prefix_bounds`), into
+    a private slot that equality, hashing, ``repr`` and pickling do not
+    see.  So it asks its tail for the bounds at ``len(prefix) + 1`` then,
+    and whatever the tail raises there, building the spec raises.
     """
 
     __slots__ = ("prefix", "tail", "_bounds")
@@ -342,69 +349,56 @@ class SequenceSpec(Record):
 
     def _swamp_depth(self) -> int | None:
         """The swamp depth that :func:`_prefix_bounds` found, or None."""
-        bounds = self._bounds if self.prefix else None
-        return None if bounds is None else bounds[3]
+        return self._bounds[1] if self.prefix else None
 
     def tail_bounds(self, n: int) -> tuple[float, float]:
         """Seed bounds ``(ln_lower, ln_cap)`` at depth n, folding in prefix coefficients >= n.
 
-        At a prefix depth n, max(prefix[n-1:]) replaces either bound of the
-        tail at depth len(prefix) + 1 that it exceeds; a tie keeps the
-        shallowest coefficient, as ``max()`` does.
+        Past the prefix these are the tail's; at a prefix depth, the pair
+        that :func:`_prefix_bounds` computed when the spec was built.
         """
         if n < 1:
             raise ValueError(f"depth must be >= 1, got {n}")
-        prefix = self.prefix
-        if n > len(prefix):
+        if n > len(self.prefix):
             return self.tail.ln_bounds(n)
-        # Any single coefficient is a valid lower seed, and the cap must
-        # dominate every coefficient from n on.
-        bounds = self._bounds
-        if bounds is None:  # the tail raised when the spec was built, and, being pure, raises again
-            self.tail.ln_bounds(len(prefix) + 1)
-        tops, lower, upper, _ = bounds
-        ln_alpha = tops[n - 1]
-        return (ln_alpha if ln_alpha > lower else lower, ln_alpha if ln_alpha > upper else upper)
+        return self._bounds[0][n - 1]
 
 
 def _prefix_bounds(
     prefix: tuple[float, ...], tail: TailModel
-) -> tuple[list[float], float, float, int | None] | None:
-    """``(tops, lower, upper, swamp)``: tops[n-1] = max(prefix[n-1:]), the tail's bounds past the prefix.
+) -> tuple[list[tuple[float, float]], int | None]:
+    """``(seeds, swamp)``: seeds[n-1] is the seed pair ``(ln_lower, ln_cap)`` at prefix depth n.
 
-    The tail's bounds are those at depth len(prefix) + 1.  On a tie the
-    shallowest coefficient stays, the one ``max()`` returns: with -0.0 and
-    0.0 the sign shows.  None if the tail raises, whatever the error (a cap
-    table that starts deeper, a tail without bounds): the spec still
-    builds, and :meth:`SequenceSpec.tail_bounds` asks the tail again at a
-    prefix depth, which raises the error there, as tails are pure.
+    At depth n, max(prefix[n-1:]) replaces either bound of the tail at
+    depth len(prefix) + 1 that it exceeds: any single coefficient is a
+    valid lower seed, and the cap must dominate every coefficient from n
+    on.  A tie keeps the tail's bound, and among equal coefficients the
+    shallowest, the one ``max()`` returns: with -0.0 and 0.0 the sign
+    shows.  Whatever the tail raises at len(prefix) + 1 propagates.
 
     ``swamp`` is the swamp depth of the :mod:`nestrad.kappa` docstring, or
     None.  Only a coefficient above B_k, the largest of the tail's bounds
     and the coefficients after it, can swamp, so the loop that keeps the
     suffix maxima tests only those.
     """
-    try:
-        lower, upper = tail.ln_bounds(len(prefix) + 1)
-    except Exception:
-        return None
-    tops = []
+    lower, upper = tail.ln_bounds(len(prefix) + 1)
+    seeds = []
     top = _NEG_INF
     most = lower if lower > upper else upper  # B_k: the tail's bounds and every coefficient after k
     swamp = None
     for ln_alpha in reversed(prefix):
         if ln_alpha >= top:
             if ln_alpha > most:  # only a coefficient above B_k can swamp
-                k = len(prefix) - len(tops)
+                k = len(prefix) - len(seeds)
                 if k <= _DEEPEST_LEVEL:
                     s = _INV_POW2[k]
                     if (math.nextafter(most + s * LN_PHI, _INF) - ln_alpha) / s <= -40.0:
                         swamp = k + 1
                 most = ln_alpha
             top = ln_alpha
-        tops.append(top)
-    tops.reverse()
-    return tops, lower, upper, swamp
+        seeds.append((top if top > lower else lower, top if top > upper else upper))
+    seeds.reverse()
+    return seeds, swamp
 
 
 def golden() -> SequenceSpec:
@@ -480,20 +474,12 @@ def make_family(token: str) -> SequenceSpec:
     raise SpecError(f"unknown family {token!r}")
 
 
-def _path(path: str | os.PathLike[str]) -> str:
-    """``str(pathlib.PurePosixPath(path))``, the name its OSErrors give: no empty or ``.`` parts."""
-    path = os.fspath(path)
-    root = path[: len(path) - len(path.lstrip("/"))]
-    parts = "/".join(part for part in path.split("/") if part not in ("", "."))
-    return ("//" if root == "//" else root[:1]) + parts or "."
-
-
 def load_cap_table(source: str | os.PathLike[str]) -> CapTableTail:
     """Cap table from a CSV file with header ``n,lower_seed,upper_cap``."""
     import csv
     import io
 
-    with open(_path(source), encoding="utf-8") as stream:
+    with open(source, encoding="utf-8") as stream:
         reader = csv.reader(io.StringIO(stream.read()))
     try:
         header = next(reader)
@@ -552,9 +538,8 @@ def _parse_tail(
     if kind == "cap":
         if not param:
             raise SpecError("tail cap needs a file path, e.g. cap:bounds.csv", line)
-        path = _path(param if cap_base is None else os.path.join(cap_base, param))
         try:
-            return load_cap_table(path)
+            return load_cap_table(param if cap_base is None else os.path.join(cap_base, param))
         except OSError as exc:
             raise SpecError(f"cannot read cap table {param!r}: {exc}", line) from None
     raise SpecError(f"unknown tail {value!r}", line)

@@ -461,6 +461,16 @@ class TestEval:
         assert doc["converged"] is False
         assert doc["lo"] <= PHI <= doc["hi"]
 
+    def test_cap_table_that_misses_the_first_depth_past_the_prefix(self, capsys, tmp_path: Path):
+        # the seeds at the prefix depths need the table's row at depth 3: the
+        # spec is refused when it is read, at the line of its terms
+        (tmp_path / "caps.csv").write_text("n,lower_seed,upper_cap\n5,0.5,1.0\n", encoding="utf-8")
+        spec = tmp_path / "radical.spec"
+        spec.write_text("terms_norm=[2,1.5]\ntail=cap:caps.csv\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, "eval", "--spec", str(spec))
+        assert (status, out) == (2, "")
+        assert err == "nestrad: error: line 1: cap table does not cover depth 3\n"
+
     def test_spec_file_stops_at_its_swamp_depth(self, capsys, tmp_path: Path):
         # the last coefficient swamps both seeds at depth 14 and deeper, so no
         # deeper enclosure is narrower and the search stops there unconverged

@@ -29,9 +29,11 @@ def _arguments(name):
     rng = random.Random(f"libm-{name}")
     if name == "exp":  # the whole finite range, and near 0
         return [rng.uniform(-745.0, 709.0) for _ in range(3000)] + _log_spaced(rng, 1000, -20, 0, (-1.0, 1.0))
-    if name == "log":  # 1e-300 to 1e300, and near 1
+    if name == "log":  # every finite value > 0 (a cap-table row may hold any), and near 1
         near_one = [1.0 + x for x in _log_spaced(rng, 1000, -15, -1, (-1.0, 1.0))]
-        return _log_spaced(rng, 3000, -300, 300) + near_one
+        subnormal = [math.ldexp(int(2.0 ** rng.uniform(0.0, 52.0)), -1074) for _ in range(500)]
+        near_max = _log_spaced(rng, 500, 300, 308.25) + [math.nextafter(math.inf, 0.0), 5e-324, 2.0**-1022]
+        return _log_spaced(rng, 3000, -300, 300) + near_one + subnormal + near_max
     if name == "expm1":  # |x| <= 2, dense near 0
         return [rng.uniform(-2.0, 2.0) for _ in range(3000)] + _log_spaced(rng, 1000, -20, 0.3, (-1.0, 1.0))
     return [rng.uniform(0.0, 4.0) for _ in range(2000)] + _log_spaced(rng, 2000, -10, 8)  # atan

@@ -106,16 +106,16 @@ CASES = [
         "nestrad: error: cannot read spec file '{tmp}/missing.spec': "
         "[Errno 2] No such file or directory: '{tmp}/missing.spec'\n",
     ),
-    # a path is named in an OSError as pathlib names it: no empty or "." parts
+    # a path is opened and named as given, "." and empty parts included
     refused_cli(
         ["eval", "--spec", "{tmp}/./missing.spec"],
         "nestrad: error: cannot read spec file '{tmp}/./missing.spec': "
-        "[Errno 2] No such file or directory: '{tmp}/missing.spec'\n",
+        "[Errno 2] No such file or directory: '{tmp}/./missing.spec'\n",
     ),
     refused_cli(
         ["eval", "--family", "golden", "--out", "{tmp}//missing/out.json"],
         "nestrad: error: cannot write '{tmp}//missing/out.json': "
-        "[Errno 2] No such file or directory: '{tmp}/missing/out.json'\n",
+        "[Errno 2] No such file or directory: '{tmp}//missing/out.json'\n",
     ),
     refused_cli(
         ["cf", "--fn", "arctan", "--terms", ","], "nestrad: error: --terms must list at least one term\n"
@@ -161,7 +161,7 @@ CASES = [
         "cap:./caps.csv",
         lambda tmp: parse_spec("terms_norm=[1]\ntail=cap:./caps.csv", cap_base=cap_file_path(tmp, "")),
         SpecError,
-        "cap table {tmp}/caps.csv is empty",
+        "cap table {tmp}/./caps.csv is empty",
     ),
     raises(
         "two-column cap row",

@@ -1,5 +1,5 @@
 import math
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,11 +25,17 @@ from nestrad import (
     power_tower,
     ramanujan,
 )
-from nestrad.seqspec import _RAMANUJAN_V, _path
+from nestrad.seqspec import _RAMANUJAN_V
 
 
 def ln_alpha(spec, k):
     return spec.terms_lograw(k)[k - 1]
+
+
+def outward(ln_value, direction):
+    """ln_value two nextafter steps toward direction * inf, as a cap table stores a row's log."""
+    toward = math.copysign(math.inf, direction)
+    return math.nextafter(math.nextafter(ln_value, toward), toward)
 
 
 def log_raw(spec, k):
@@ -167,10 +173,12 @@ class TestTailModels:
 
     def test_cap_table_bounds(self):
         tail = CapTableTail(((4, 0.5, 1.5), (8, 0.9, 1.2)))
-        assert tail.ln_bounds(4) == (math.log(0.5), math.log(1.5))
-        assert tail.ln_bounds(8) == (math.log(0.9), math.log(1.2))
+        assert tail.ln_bounds(4) == (outward(math.log(0.5), -1), outward(math.log(1.5), 1))
+        assert tail.ln_bounds(8) == (outward(math.log(0.9), -1), outward(math.log(1.2), 1))
         # deeper queries: a cap stays valid, a lower seed does not
-        assert tail.ln_bounds(20) == (-math.inf, math.log(1.2))
+        assert tail.ln_bounds(20) == (-math.inf, outward(math.log(1.2), 1))
+        # a zero stays -inf on either side
+        assert CapTableTail(((2, 0.0, 0.0),)).ln_bounds(2) == (-math.inf, -math.inf)
         with pytest.raises(SpecError):
             tail.ln_bounds(2)
         with pytest.raises(SpecError):
@@ -271,30 +279,30 @@ class TestSequenceSpec:
         assert spec.tail_bounds(2) == (math.log(1.5), math.log(1.5))
         assert spec.tail_bounds(3) == (0.0, 0.0)
 
-    def test_cap_table_starting_deeper_refuses_at_prefix_depths(self):
-        # the table of prefix-depth bounds needs the tail's bounds at depth 3,
-        # which this cap table refuses: the spec builds, and tail_bounds refuses
-        spec = explicit([2.0, 1.5], scale="norm", tail=CapTableTail(((5, 0.5, 1.0),)))
-        for n in (1, 2, 3):
-            with pytest.raises(SpecError, match="cap table does not cover depth 3"):
-                spec.tail_bounds(n)
-        assert spec.tail_bounds(5) == (math.log(0.5), 0.0)
+    def test_cap_table_starting_deeper_is_refused_when_built(self):
+        # the seed pairs at the prefix depths need the tail's bounds at depth
+        # 3, which this cap table refuses, so the spec is refused
+        tail = CapTableTail(((5, 0.5, 1.0),))
+        with pytest.raises(SpecError, match="^cap table does not cover depth 3$"):
+            explicit([2.0, 1.5], scale="norm", tail=tail)
+        # with no prefix the spec asks its tail nothing until a depth is read
+        assert SequenceSpec((), tail).tail_bounds(5) == (outward(math.log(0.5), -1), outward(0.0, 1))
 
-    def test_tail_that_raises_builds_and_raises_at_prefix_depths(self):
-        # whatever a tail raises when the spec is built, tail_bounds raises it
-        # at each prefix depth, where a spec that asks the tail every time would
+    def test_tail_that_raises_is_refused_when_built(self):
+        # whatever a tail raises at depth len(prefix) + 1, building the spec raises
         class Refusing(ZeroTail):
             __slots__ = ()
 
             def ln_bounds(self, n):
                 raise ValueError(f"no bounds at depth {n}")
 
-        for tail, error in ((Refusing(), ValueError), (object(), AttributeError)):
-            spec = SequenceSpec((0.5, 0.25), tail)
-            assert spec.terms_lograw(2) == [0.5, 0.25]
-            for n in (1, 2, 3):
-                with pytest.raises(error):
-                    spec.tail_bounds(n)
+        for tail, error, message in (
+            (Refusing(), ValueError, "^no bounds at depth 3$"),
+            (object(), AttributeError, "ln_bounds"),
+        ):
+            with pytest.raises(error, match=message):
+                SequenceSpec((0.5, 0.25), tail)
+            assert SequenceSpec((), tail).prefix == ()
 
     def test_terms_lograw_extends(self):
         spec = explicit([4.0], tail=ConstantNormalizedTail(1.0))
@@ -393,16 +401,9 @@ class TestParseRender:
         cap.write_text("n,lower_seed,upper_cap\n4,0.5,1.5\n8,0.9,1.2\n", encoding="utf-8")
         spec = parse_spec(f"terms_norm=[1,1,1]\ntail=cap:{cap.name}", cap_base=tmp_path)
         assert isinstance(spec.tail, CapTableTail)
-        assert spec.tail.ln_bounds(4) == (math.log(0.5), math.log(1.5))
+        assert spec.tail.ln_bounds(4) == (outward(math.log(0.5), -1), outward(math.log(1.5), 1))
         table = load_cap_table(cap)
         assert table.rows == ((4, 0.5, 1.5), (8, 0.9, 1.2))
-
-    @given(st.text(alphabet="/.a", max_size=10))
-    @example("//a")
-    @example("///a/")
-    def test_path_is_named_as_pathlib_names_it(self, text):
-        # the name that OSErrors and cap-table refusals give a path
-        assert _path(text) == str(PurePosixPath(text))
 
     def test_cap_table_file_errors(self, tmp_path: Path):
         bad_header = tmp_path / "bad.csv"

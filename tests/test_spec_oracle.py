@@ -9,7 +9,8 @@ token, ``zero``, ``constant_norm:``, ``constant_raw:``, ``omega:`` or
 and computes from those floats, in ``mpmath.iv``, each ln(alpha_k) (alpha_k =
 a_k ** 2**-k) and both tail seeds (the raw fixed point of a constant raw
 tail c is 0.5 + sqrt(c + 0.25)).  A cap row is the user's own claim, so its
-numbers are taken as exact.
+numbers are taken as exact, as :class:`nestrad.seqspec.CapTableTail` takes
+them when it stores their logs outward.
 
 Each spec runs through ``cli.run`` as ``eval``, and, where it is a family
 token (a constant tail with no prefix), as ``table`` too.  The exit code
@@ -18,10 +19,11 @@ the lower seed and at the golden-boosted cap of its depth.  Where the limit
 has a closed form, a zero or constant tail, [lo, hi] must contain it too.
 
 The bands split the draws by magnitude and tail kind, and together cover
-every magnitude from 1e-300 to 1e300 on every scale and tail.  Bands whose
-stored logs are rounded past what the pads cover fail today; each is a
-strict xfail with an ``@example`` that misses, until ROADMAP item 1b-i
-bounds the error of every stored log.
+every magnitude from 1e-300 to 1e300 on every scale and tail.  The cap rows
+pass at every magnitude.  The other bands past 1e6, whose stored logs are
+rounded past what the pads cover, fail today; each is a strict xfail with
+an ``@example`` that misses, until ROADMAP item 1b-i bounds the error of
+every stored log.
 """
 
 from __future__ import annotations
@@ -391,10 +393,24 @@ def test_extreme_omega_tails(tmp, drawn):
     run_oracle(tmp, drawn)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1b-i")
 @settings(max_examples=25, deadline=None)
 @given(spec_texts(moderate(), extreme(), tails=("cap",)))
-# lo 8.194129554070473e-211 at depth 1, above the row's 8.194129554070385e-211
+# rows whose lower seed's log, rounded to nearest, put lo above the row at
+# depth 1: 8.194129554070473e-211 above 8.194129554070385e-211, and a
+# converged 151949014451733.75 above 151949014451733.72
 @example(("terms_lograw=[]\ntail=cap:cap.csv\n", (1, 8.194129554070385e-211, 1.6e-210), 0.02, 47, "1:1:1"))
+@example(("terms_raw=[]\ntail=cap:cap.csv\n", (1, 151949014451733.72, 151949014451733.72), 1e300, 256, "1:1:1"))
 def test_extreme_cap_rows(tmp, drawn):
     run_oracle(tmp, drawn)
+
+
+def test_a_cap_row_bounds_its_converged_eval(tmp):
+    # a row with |ln| above 32, whose log rounded to nearest passes the 16 ulp
+    # pad at depth 1
+    row = (1, 151949014451733.72, 151949014451733.72)
+    (tmp / "cap.csv").write_text("n,lower_seed,upper_cap\n%d,%r,%r\n" % row, encoding="utf-8")
+    (tmp / "spec.txt").write_text("terms_raw=[]\ntail=cap:cap.csv\n", encoding="utf-8")
+    status, out = _run(["eval", "--spec", str(tmp / "spec.txt"), "--tol", "1e300"])
+    document = json.loads(out)
+    assert (status, document["converged"], document["depth"]) == (0, True, 1)
+    assert document["lo"] <= row[1] and row[2] <= document["hi"]
